@@ -29,7 +29,13 @@ import numpy as np
 
 from .eigenbases import LabeledBasis, closed_form_tridiagonal, f_basis
 from .errors import VerificationError
-from .harmonics import HarmonicSpace, StateVector, build_grid, harmonic_values, project
+from .harmonics import (
+    HarmonicSpace,
+    StateVector,
+    _require_degree,
+    build_grid,
+    harmonic_values,
+)
 from .susy import supercharge, symmetry_generators
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "recurrence_coeffs",
     "grid",
     "eval_monic",
+    "monic_table",
     "weights",
     "z_basis",
     "overlaps_via_integral",
@@ -176,20 +183,32 @@ def grid(N: int) -> SpectralGrid:
 _spectral_grid = grid
 
 
+def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
+    """Values of the monic polynomials P_0..P_n at x, 0 <= n <= N+1.
+
+    One pass of the three-term recurrence over all points; returns an array
+    of shape (n+1,) + x.shape whose row i holds P_i(x).  Cost O(n * x.size).
+    """
+    if not 0 <= n <= table.N + 1:
+        raise ValueError(f"polynomial index {n} outside 0..{table.N + 1}")
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((n + 1,) + x.shape)
+    prev = np.zeros_like(x)
+    rows[0] = 1.0
+    for i in range(n):
+        c_i = table.monic_c[i - 1] if i >= 1 else 0.0
+        rows[i + 1] = (x - table.monic_b[i]) * rows[i] - c_i * prev
+        prev = rows[i]
+    return rows
+
+
 def eval_monic(table: RecurrenceTable, n: int, x):
     """Evaluate the monic polynomial P_n at x (scalar or array), 0 <= n <= N+1.
 
     P_{N+1} is the characteristic polynomial of the Jacobi matrix and
     vanishes identically on the spectral grid.
     """
-    if not 0 <= n <= table.N + 1:
-        raise ValueError(f"polynomial index {n} outside 0..{table.N + 1}")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for i in range(n):
-        c_i = table.monic_c[i - 1] if i >= 1 else 0.0
-        cur, prev = (x - table.monic_b[i]) * cur - c_i * prev, cur
+    cur = monic_table(table, n, x)[n]
     return cur if cur.ndim else float(cur)
 
 
@@ -290,7 +309,9 @@ def z_basis(N: int, grid=None) -> LabeledBasis:
     """The permuted eigenbasis Z_N^k as coefficient vectors over Y_N^m.
 
     Each Z_N^k is obtained by quadrature projection of the permuted F_N^k
-    point values and verified to satisfy, at QUAD_TOL,
+    point values (one harmonic stack and one contraction for all k; the
+    grid degree must be at least 2N, else ContractViolation) and verified
+    to satisfy, at QUAD_TOL,
 
         K1 Z_N^k = (-1)^k (k + 1/2) Z_N^k,
         Q  Z_N^k = -(N + 1/2) Z_N^k,
@@ -299,9 +320,10 @@ def z_basis(N: int, grid=None) -> LabeledBasis:
     """
     space = HarmonicSpace(N)
     quad = grid if grid is not None else build_grid(N)
+    _require_degree(quad, N)
     zvals = _permuted_f_values(N, quad)
-    cols = [project(zvals[k], N, quad).coeffs for k in range(N + 1)]
-    mat = np.column_stack(cols)
+    basis = harmonic_values(space, quad)
+    mat = np.einsum("ktp,atp,tp->ak", zvals, np.conj(basis), quad.weight_mesh)
 
     gram_res = float(np.max(np.abs(mat.conj().T @ mat - np.eye(N + 1))))
     if gram_res > QUAD_TOL:
@@ -362,13 +384,13 @@ def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
             raise ValueError("omega must have length N+1")
 
     _, U = closed_form_tridiagonal("F", N)
-    xk = (sg.y - 0.5) / 2.0
+    P = monic_table(table, N, (sg.y - 0.5) / 2.0)
     W = np.empty((N + 1, N + 1), dtype=complex)
     u_prod = 1.0
     for n in range(N + 1):
         if n > 0:
             u_prod *= U[n - 1]
-        W[n] = omega * (2.0 ** n / u_prod) * eval_monic(table, n, xk)
+        W[n] = omega * (2.0 ** n / u_prod) * P[n]
     return OverlapMatrix(N=int(N), W=W, method="recurrence")
 
 

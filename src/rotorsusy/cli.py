@@ -218,7 +218,7 @@ def _cmd_poly(args) -> int:
     elif args.what == "values":
         t = ak.recurrence_coeffs(n_max)
         g = ak.grid(n_max)
-        vals = [[float(ak.eval_monic(t, n, x)) for x in g.x] for n in range(n_max + 2)]
+        vals = ak.monic_table(t, n_max + 1, g.x).tolist()
         payload = {
             "N": n_max,
             "x": [float(v) for v in g.x],
@@ -282,8 +282,11 @@ def _cmd_overlaps(args) -> int:
     results = {}
     if args.method in ("integral", "both"):
         results["integral"] = ak.overlaps_via_integral(n)
-    if args.method in ("recurrence", "both"):
+    if args.method == "recurrence":
         results["recurrence"] = ak.overlaps_via_recurrence(n)
+    elif args.method == "both":
+        # row 0 of the integral route is the recurrence's boundary row omega
+        results["recurrence"] = ak.overlaps_via_recurrence(n, omega=results["integral"].W[0])
 
     payload = {"N": n, "method": args.method}
     for name, om in results.items():

@@ -263,10 +263,14 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
     Either pass a QuadratureGrid (values on its mesh, shape
     (2j+1, n_theta, n_phi)) or explicit broadcastable theta/phi arrays
     (shape (2j+1,) + broadcast shape).
+
+    On a grid the Legendre factors are evaluated on the n_theta nodes only
+    and broadcast against exp(i m phi) on the n_phi nodes, so the cost is
+    O(j^3); on scattered points it is O(j^2) per point.
     """
     j = space.j
     if grid is not None:
-        theta_mesh, phi_mesh = grid.mesh()
+        theta_mesh, phi_mesh = grid.theta[:, None], grid.phi
     else:
         if theta is None or phi is None:
             raise ValueError("pass either a grid or both theta and phi")
@@ -274,7 +278,7 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
             np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
         )
     z = np.cos(theta_mesh)
-    out = np.empty((2 * j + 1,) + theta_mesh.shape, dtype=complex)
+    out = np.empty((2 * j + 1,) + np.broadcast_shapes(z.shape, phi_mesh.shape), dtype=complex)
     for m in range(0, j + 1):
         base = _ylm_prefactor(j, m) * assoc_legendre(j, m, z)
         e = np.exp(1j * m * phi_mesh)
@@ -299,6 +303,14 @@ def evaluate_on_grid(f, grid: QuadratureGrid):
     return values
 
 
+def _require_degree(grid: QuadratureGrid, j: int) -> None:
+    """Raise ContractViolation unless the grid integrates degree-j products exactly."""
+    if grid.degree < 2 * j:
+        raise ContractViolation(
+            f"grid degree {grid.degree} insufficient to project onto j={j} (need >= {2 * j})"
+        )
+
+
 def project(f, j: int, grid: QuadratureGrid) -> StateVector:
     """Project a band-limited function onto the degree-j harmonic basis.
 
@@ -318,10 +330,7 @@ def project(f, j: int, grid: QuadratureGrid) -> StateVector:
         Coefficients c_m = integral of f * conj(Y_j^m) over the sphere.
     """
     space = HarmonicSpace(j)
-    if grid.degree < 2 * j:
-        raise ContractViolation(
-            f"grid degree {grid.degree} insufficient to project onto j={j} (need >= {2 * j})"
-        )
+    _require_degree(grid, j)
     values = f if isinstance(f, np.ndarray) else evaluate_on_grid(f, grid)
     basis = harmonic_values(space, grid)
     coeffs = np.einsum("tp,atp,tp->a", values, np.conj(basis), grid.weight_mesh)

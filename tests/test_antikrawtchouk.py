@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
+    ContractViolation,
     HarmonicSpace,
     bannai_ito_params,
+    build_grid,
     closed_form_tridiagonal,
     eval_monic,
     f_basis,
+    monic_table,
     overlaps_via_integral,
     overlaps_via_recurrence,
     recurrence_coeffs,
@@ -82,6 +85,23 @@ def test_monic_evaluation_range_check():
         eval_monic(t, -1, 0.0)
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 40])
+def test_monic_table_rows_match_pointwise_evaluation(N):
+    t = recurrence_coeffs(N)
+    x = grid(N).x
+    rows = monic_table(t, N + 1, x)
+    assert rows.shape == (N + 2, N + 1)
+    for n in range(N + 2):
+        assert_array_equal(rows[n], [eval_monic(t, n, xk) for xk in x])
+    # the same recurrence written with plain floats, one point at a time
+    b, c = t.monic_b.tolist(), [0.0] + t.monic_c.tolist()
+    for k, xk in enumerate(x.tolist()):
+        prev, cur = 0.0, 1.0
+        for i in range(N + 1):
+            cur, prev = (xk - b[i]) * cur - c[i] * prev, cur
+        assert rows[N + 1, k] == cur
+
+
 def test_weights_frozen_small_cases():
     wt = weights(2)
     assert_allclose(wt.derived, [0.25, 0.125, 0.625])
@@ -148,6 +168,12 @@ def test_second_generator_tridiagonal_on_permuted_basis():
     diag_b, off_u = closed_form_tridiagonal("F", N)
     assert_allclose(tri.diag, diag_b, atol=1e-9)
     assert_allclose(tri.offdiag, off_u, atol=1e-9)
+
+
+def test_z_basis_rejects_underresolved_grid():
+    N = 3
+    with pytest.raises(ContractViolation):
+        z_basis(N, grid=build_grid(N - 1))
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 7])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import sph_harm_y
 
 from rotorsusy import (
@@ -115,6 +115,14 @@ def test_gram_matrix_is_identity():
     vals = harmonic_values(space, grid)
     gram = np.einsum("atp,btp,tp->ab", vals, np.conj(vals), grid.weight_mesh)
     assert_allclose(gram, np.eye(space.dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("j", [0, 1, 7, 30])
+def test_grid_values_match_scattered_points(j):
+    space = HarmonicSpace(j)
+    grid = build_grid(j)
+    theta, phi = grid.mesh()
+    assert_array_equal(harmonic_values(space, grid), harmonic_values(space, theta=theta, phi=phi))
 
 
 def test_unit_norm_of_single_harmonic():
