@@ -180,9 +180,6 @@ def grid(N: int) -> SpectralGrid:
     return SpectralGrid(N=int(N), x=x, y=y)
 
 
-_spectral_grid = grid
-
-
 def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
     """Values of the monic polynomials P_0..P_n at x, 0 <= n <= N+1.
 
@@ -234,7 +231,7 @@ def _orthonormal_values(table: RecurrenceTable, x: np.ndarray) -> np.ndarray:
 def _weights_from_jacobi(N: int) -> np.ndarray:
     """Independent weight route: squared first components of Jacobi eigenvectors."""
     table = recurrence_coeffs(N)
-    g = _spectral_grid(N)
+    g = grid(N)
     jac = np.diag(table.monic_b) + np.diag(np.sqrt(table.monic_c), 1) + np.diag(
         np.sqrt(table.monic_c), -1
     )
@@ -260,7 +257,7 @@ def weights(N: int) -> WeightTable:
     Jacobi-eigenvector route before being returned.
     """
     table = recurrence_coeffs(N)
-    g = _spectral_grid(N)
+    g = grid(N)
     V = _orthonormal_values(table, g.x)
     scale = np.max(np.abs(V), axis=1)
     rhs = np.zeros(N + 1)
@@ -366,11 +363,10 @@ def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
     Row n is omega_k P-hat_n(y_k) where P-hat_n(y) = 2^n / (U_1 ... U_n)
     times the monic P_n at x = (y - 1/2)/2, with U_n the closed-form
     off-diagonal of the K1 block.  The boundary row omega_k defaults to
-    the quadrature overlaps of F_N^0 (pass omega to skip that one
-    integration).
+    the quadrature overlaps of F_N^0 on the quadrature grid `grid` (pass
+    omega to skip that one integration).
     """
     table = recurrence_coeffs(N)
-    sg = _spectral_grid(N)
     if omega is None:
         space = HarmonicSpace(N)
         quad = grid if grid is not None else build_grid(N)
@@ -382,7 +378,13 @@ def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
         omega = np.asarray(omega, dtype=complex)
         if omega.shape != (N + 1,):
             raise ValueError("omega must have length N+1")
+    return OverlapMatrix(N=int(N), W=_recurrence_rows(table, omega), method="recurrence")
 
+
+def _recurrence_rows(table: RecurrenceTable, omega) -> np.ndarray:
+    """Rows omega_k P-hat_n(y_k), n = 0..N, on the spectral grid of size N."""
+    N = table.N
+    sg = grid(N)
     _, U = closed_form_tridiagonal("F", N)
     P = monic_table(table, N, (sg.y - 0.5) / 2.0)
     W = np.empty((N + 1, N + 1), dtype=complex)
@@ -391,7 +393,7 @@ def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
         if n > 0:
             u_prod *= U[n - 1]
         W[n] = omega * (2.0 ** n / u_prod) * P[n]
-    return OverlapMatrix(N=int(N), W=W, method="recurrence")
+    return W
 
 
 def bannai_ito_params(N: int) -> dict:

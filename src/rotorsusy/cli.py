@@ -21,12 +21,14 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import antikrawtchouk as ak
 from . import eigenbases as eb
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import j3, spectrum
-from .susy import susy_operators
+from .operators import hamiltonian, j3, spectrum
+from .susy import casimir, supercharge, supercharge_alt, symmetry_generators
 from .verification import SUITES, run_verification
 
 __all__ = ["main", "entry", "build_parser"]
@@ -46,9 +48,10 @@ def _f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(a):
+    """A complex array as nested lists whose innermost entries are [re, im]."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _envelope(kind, metadata, payload):
@@ -81,12 +84,14 @@ def _deliver(args, text) -> None:
 
 
 def _emit(args, kind, metadata, payload, table_lines, csv_rows) -> None:
+    """Render and deliver one export; payload, table_lines and csv_rows are
+    callables, and only the one the requested format needs is called."""
     if args.format == "json":
-        text = json.dumps(_envelope(kind, metadata, payload), indent=2) + "\n"
+        text = json.dumps(_envelope(kind, metadata, payload()), indent=2) + "\n"
     elif args.format == "csv":
-        text = _render_csv(csv_rows)
+        text = _render_csv(csv_rows())
     else:
-        text = "\n".join(table_lines) + "\n"
+        text = "\n".join(table_lines()) + "\n"
     _deliver(args, text)
 
 
@@ -102,11 +107,14 @@ def _cmd_verify(args) -> int:
         "suite": args.suite or "all",
         "tolerance_scale": args.tolerance_scale,
     }
-    csv_rows = [["check", "status", "residual", "tolerance", "detail"]]
-    for c in report.checks:
-        csv_rows.append(
-            [c.name, "pass" if c.passed else "fail", _f17(c.residual), _f17(c.tolerance), c.detail]
-        )
+
+    def csv_rows():
+        rows = [["check", "status", "residual", "tolerance", "detail"]]
+        for c in report.checks:
+            rows.append([c.name, "pass" if c.passed else "fail", _f17(c.residual),
+                         _f17(c.tolerance), c.detail])
+        return rows
+
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(_envelope("report", metadata, report.as_dict()), fh, indent=2)
@@ -114,7 +122,7 @@ def _cmd_verify(args) -> int:
         print(f"report written to {args.output}")
         print("\n".join(report.table_lines()))
     else:
-        _emit(args, "report", metadata, report.as_dict(), report.table_lines(), csv_rows)
+        _emit(args, "report", metadata, report.as_dict, report.table_lines, csv_rows)
     return 0 if report.all_passed else 1
 
 
@@ -125,26 +133,32 @@ _OPERATOR_NAMES = ("H", "Q", "Qalt", "K1", "K2", "K3", "C", "J3")
 
 
 def _named_operator(name, space):
-    if name == "J3":
-        return j3(space)
-    s = susy_operators(space)
-    return {"H": s.h, "Q": s.q, "Qalt": s.q_alt, "K1": s.k1, "K2": s.k2, "K3": s.k3, "C": s.c}[name]
+    """Build only the named operator."""
+    if name in ("K1", "K2", "K3"):
+        return symmetry_generators(space)[int(name[1]) - 1]
+    builders = {"H": hamiltonian, "Q": supercharge, "Qalt": supercharge_alt, "C": casimir, "J3": j3}
+    return builders[name](space)
 
 
 def _cmd_spectrum(args) -> int:
-    space = HarmonicSpace(args.j)
-    rep = spectrum(_named_operator(args.op, space))
-    payload = {
-        "j": args.j,
-        "operator": args.op,
-        "eigenvalues": [float(v) for v in rep.eigenvalues],
-        "multiplicities": [int(m) for m in rep.multiplicities],
-    }
-    table = [f"spectrum of {args.op} at j={args.j}", "eigenvalue      multiplicity"]
-    for v, m in zip(rep.eigenvalues, rep.multiplicities):
-        table.append(f"{v:>12.6f}    x{m}")
-    csv_rows = [["eigenvalue", "multiplicity"]]
-    csv_rows += [[_f17(v), str(int(m))] for v, m in zip(rep.eigenvalues, rep.multiplicities)]
+    rep = spectrum(_named_operator(args.op, HarmonicSpace(args.j)))
+    pairs = list(zip(rep.eigenvalues, rep.multiplicities))
+
+    def payload():
+        return {
+            "j": args.j,
+            "operator": args.op,
+            "eigenvalues": [float(v) for v in rep.eigenvalues],
+            "multiplicities": [int(m) for m in rep.multiplicities],
+        }
+
+    def table():
+        return [f"spectrum of {args.op} at j={args.j}", "eigenvalue      multiplicity"] + [
+            f"{v:>12.6f}    x{m}" for v, m in pairs]
+
+    def csv_rows():
+        return [["eigenvalue", "multiplicity"]] + [[_f17(v), str(int(m))] for v, m in pairs]
+
     _emit(args, "spectrum", {"j": args.j, "operator": args.op}, payload, table, csv_rows)
     return 0
 
@@ -165,28 +179,36 @@ def _basis_by_family(family, j):
 
 def _cmd_basis(args) -> int:
     basis = _basis_by_family(args.family, args.j)
-    payload = {
-        "j": args.j,
-        "family": args.family,
-        "labels": [dict(lab) for lab in basis.labels],
-        "vectors": [[_pair(c) for c in v.coeffs] for v in basis.vectors],
-    }
-    table = [f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"]
-    for lab, v in zip(basis.labels, basis.vectors):
-        table.append("  " + ", ".join(f"{k}={lab[k]}" for k in lab))
-        table.append("    " + "  ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in v.coeffs))
-    label_keys = sorted(basis.labels[0]) if basis.labels else []
-    header = ["index"] + label_keys
-    dim = 2 * args.j + 1
-    for i in range(dim):
-        header += [f"c{i}_re", f"c{i}_im"]
-    csv_rows = [header]
-    for n, (lab, v) in enumerate(zip(basis.labels, basis.vectors)):
-        row = [str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
-                          for k in label_keys]
-        for c in v.coeffs:
-            row += [_f17(c.real), _f17(c.imag)]
-        csv_rows.append(row)
+
+    def payload():
+        return {
+            "j": args.j,
+            "family": args.family,
+            "labels": [dict(lab) for lab in basis.labels],
+            "vectors": _pairs(basis.matrix().T),
+        }
+
+    def table():
+        lines = [f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"]
+        for lab, v in zip(basis.labels, basis.vectors):
+            lines.append("  " + ", ".join(f"{k}={lab[k]}" for k in lab))
+            lines.append("    " + "  ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in v.coeffs))
+        return lines
+
+    def csv_rows():
+        label_keys = sorted(basis.labels[0]) if basis.labels else []
+        header = ["index"] + label_keys
+        for i in range(2 * args.j + 1):
+            header += [f"c{i}_re", f"c{i}_im"]
+        rows = [header]
+        for n, (lab, v) in enumerate(zip(basis.labels, basis.vectors)):
+            row = [str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
+                              for k in label_keys]
+            for c in v.coeffs:
+                row += [_f17(c.real), _f17(c.imag)]
+            rows.append(row)
+        return rows
+
     _emit(args, "basis", {"j": args.j, "family": args.family}, payload, table, csv_rows)
     return 0
 
@@ -194,50 +216,74 @@ def _cmd_basis(args) -> int:
 # ---------------------------------------------------------------------------
 # poly
 
-def _cmd_poly(args) -> int:
-    n_max = args.N
-    if args.what == "coeffs":
-        t = ak.recurrence_coeffs(n_max)
-        payload = {
+def _poly_coeffs(n_max):
+    t = ak.recurrence_coeffs(n_max)
+
+    def payload():
+        return {
             "N": n_max,
             "A": [float(v) for v in t.A],
             "C": [float(v) for v in t.C],
             "monic_b": [float(v) for v in t.monic_b],
             "monic_c": [float(v) for v in t.monic_c],
         }
-        table = [f"recurrence coefficients at N={n_max}", "n       A_n       C_n       b_n       c_n"]
+
+    def table():
+        lines = [f"recurrence coefficients at N={n_max}", "n       A_n       C_n       b_n       c_n"]
         for n in range(n_max + 1):
             c_txt = f"{t.monic_c[n - 1]:>9.5f}" if n >= 1 else "        -"
-            table.append(f"{n:<3} {t.A[n]:>9.5f} {t.C[n]:>9.5f} {t.monic_b[n]:>9.5f} {c_txt}")
-        csv_rows = [["n", "A", "C", "monic_b", "monic_c"]]
+            lines.append(f"{n:<3} {t.A[n]:>9.5f} {t.C[n]:>9.5f} {t.monic_b[n]:>9.5f} {c_txt}")
+        return lines
+
+    def csv_rows():
+        rows = [["n", "A", "C", "monic_b", "monic_c"]]
         for n in range(n_max + 1):
-            csv_rows.append(
+            rows.append(
                 [str(n), _f17(t.A[n]), _f17(t.C[n]), _f17(t.monic_b[n]),
                  _f17(t.monic_c[n - 1]) if n >= 1 else ""]
             )
-    elif args.what == "values":
-        t = ak.recurrence_coeffs(n_max)
-        g = ak.grid(n_max)
-        vals = ak.monic_table(t, n_max + 1, g.x).tolist()
-        payload = {
+        return rows
+
+    return payload, table, csv_rows
+
+
+def _poly_values(n_max):
+    t = ak.recurrence_coeffs(n_max)
+    g = ak.grid(n_max)
+    vals = ak.monic_table(t, n_max + 1, g.x).tolist()
+
+    def payload():
+        return {
             "N": n_max,
             "x": [float(v) for v in g.x],
             "y": [float(v) for v in g.y],
             "P": vals,
         }
-        table = [f"monic values P_n(x_k) at N={n_max}",
+
+    def table():
+        lines = [f"monic values P_n(x_k) at N={n_max}",
                  "k/n " + " ".join(f"{n:>10}" for n in range(n_max + 2))]
         for k in range(n_max + 1):
-            table.append(
+            lines.append(
                 f"{k:<3} " + " ".join(f"{vals[n][k]:>10.5f}" for n in range(n_max + 2))
             )
-        csv_rows = [["k", "x", "y"] + [f"P{n}" for n in range(n_max + 2)]]
+        return lines
+
+    def csv_rows():
+        rows = [["k", "x", "y"] + [f"P{n}" for n in range(n_max + 2)]]
         for k in range(n_max + 1):
-            csv_rows.append([str(k), _f17(g.x[k]), _f17(g.y[k])]
-                            + [_f17(vals[n][k]) for n in range(n_max + 2)])
-    elif args.what == "weights":
-        wt = ak.weights(n_max)
-        payload = {
+            rows.append([str(k), _f17(g.x[k]), _f17(g.y[k])]
+                        + [_f17(vals[n][k]) for n in range(n_max + 2)])
+        return rows
+
+    return payload, table, csv_rows
+
+
+def _poly_weights(n_max):
+    wt = ak.weights(n_max)
+
+    def payload():
+        return {
             "N": n_max,
             "x": [float(v) for v in wt.x],
             "derived": [float(v) for v in wt.derived],
@@ -245,37 +291,58 @@ def _cmd_poly(args) -> int:
             "norms": [float(v) for v in wt.norms],
             "discrepant": wt.discrepant,
         }
+
+    def table():
         flag = "discrepant" if wt.discrepant else "proportional"
-        table = [f"weights at N={n_max} (closed-form column: {flag}, informational only)",
+        lines = [f"weights at N={n_max} (closed-form column: {flag}, informational only)",
                  "k          x    derived   closed_form"]
         for k in range(n_max + 1):
-            table.append(
+            lines.append(
                 f"{k:<3} {wt.x[k]:>8.4f} {wt.derived[k]:>10.6f} {wt.closed_form[k]:>12.6f}"
             )
-        csv_rows = [["k", "x", "derived", "closed_form", "discrepant"]]
+        return lines
+
+    def csv_rows():
+        rows = [["k", "x", "derived", "closed_form", "discrepant"]]
         for k in range(n_max + 1):
-            csv_rows.append(
+            rows.append(
                 [str(k), _f17(wt.x[k]), _f17(wt.derived[k]), _f17(wt.closed_form[k]),
                  str(wt.discrepant).lower()]
             )
-    else:  # params
-        p = ak.bannai_ito_params(n_max)
-        payload = {"N": n_max, **p}
-        table = [f"Bannai-Ito parameters at N={n_max}"]
-        table += [f"  {k} = {v}" for k, v in p.items()]
-        csv_rows = [["rho1", "rho2", "r1", "r2"],
-                    [_f17(p["rho1"]), _f17(p["rho2"]), _f17(p["r1"]), _f17(p["r2"])]]
+        return rows
+
+    return payload, table, csv_rows
+
+
+def _poly_params(n_max):
+    p = ak.bannai_ito_params(n_max)
+
+    def payload():
+        return {"N": n_max, **p}
+
+    def table():
+        return [f"Bannai-Ito parameters at N={n_max}"] + [f"  {k} = {v}" for k, v in p.items()]
+
+    def csv_rows():
+        return [["rho1", "rho2", "r1", "r2"],
+                [_f17(p["rho1"]), _f17(p["rho2"]), _f17(p["r1"]), _f17(p["r2"])]]
+
+    return payload, table, csv_rows
+
+
+_POLY_EXPORTS = {"coeffs": _poly_coeffs, "values": _poly_values,
+                 "weights": _poly_weights, "params": _poly_params}
+
+
+def _cmd_poly(args) -> int:
+    payload, table, csv_rows = _POLY_EXPORTS[args.what](args.N)
     _emit(args, "weights" if args.what == "weights" else "recurrence",
-          {"N": n_max, "what": args.what}, payload, table, csv_rows)
+          {"N": args.N, "what": args.what}, payload, table, csv_rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # overlaps
-
-def _matrix_pairs(w):
-    return [[_pair(z) for z in row] for row in w]
-
 
 def _cmd_overlaps(args) -> int:
     n = args.N
@@ -287,29 +354,37 @@ def _cmd_overlaps(args) -> int:
     elif args.method == "both":
         # row 0 of the integral route is the recurrence's boundary row omega
         results["recurrence"] = ak.overlaps_via_recurrence(n, omega=results["integral"].W[0])
-
-    payload = {"N": n, "method": args.method}
-    for name, om in results.items():
-        payload[f"W_{name}"] = _matrix_pairs(om.W)
-        payload[f"unitarity_residual_{name}"] = om.unitarity_residual
+    dev = None
     if args.method == "both":
-        import numpy as np
-
         dev = float(np.max(np.abs(results["integral"].W - results["recurrence"].W)))
-        payload["max_deviation"] = dev
 
-    table = [f"overlap matrix at N={n} (method: {args.method})"]
-    for name, om in results.items():
-        table.append(f"[{name}] unitarity residual {om.unitarity_residual:.3e}")
-        for row in om.W:
-            table.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row))
-    if args.method == "both":
-        table.append(f"max entrywise deviation between methods: {payload['max_deviation']:.3e}")
+    def payload():
+        out = {"N": n, "method": args.method}
+        for name, om in results.items():
+            out[f"W_{name}"] = _pairs(om.W)
+            out[f"unitarity_residual_{name}"] = om.unitarity_residual
+        if dev is not None:
+            out["max_deviation"] = dev
+        return out
 
-    csv_rows = [["method", "n"] + sum([[f"k{k}_re", f"k{k}_im"] for k in range(n + 1)], [])]
-    for name, om in results.items():
-        for r, row in enumerate(om.W):
-            csv_rows.append([name, str(r)] + sum([[_f17(z.real), _f17(z.imag)] for z in row], []))
+    def table():
+        lines = [f"overlap matrix at N={n} (method: {args.method})"]
+        for name, om in results.items():
+            lines.append(f"[{name}] unitarity residual {om.unitarity_residual:.3e}")
+            for row in om.W:
+                lines.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row))
+        if dev is not None:
+            lines.append(f"max entrywise deviation between methods: {dev:.3e}")
+        return lines
+
+    def csv_rows():
+        rows = [["method", "n"] + sum([[f"k{k}_re", f"k{k}_im"] for k in range(n + 1)], [])]
+        for name, om in results.items():
+            for r, row in enumerate(om.W):
+                rows.append([name, str(r)]
+                            + sum([[_f17(z.real), _f17(z.imag)] for z in row], []))
+        return rows
+
     _emit(args, "overlaps", {"N": n, "method": args.method}, payload, table, csv_rows)
     return 0
 

@@ -221,27 +221,32 @@ def _fg_vectors(space: HarmonicSpace, which: str):
     return out
 
 
-def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
+def _verified_fg_basis(space: HarmonicSpace, which: str, _ops=None) -> LabeledBasis:
+    """The F or G family, eigen-verified against Q and K3 (the pair _ops,
+    built here when not given)."""
     j = space.j
-    q_op = supercharge(space)
-    _, _, k3_op = symmetry_generators(space)
+    q_op, k3_op = _ops if _ops is not None else (supercharge(space), symmetry_generators(space)[2])
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
+    vecs = _fg_vectors(space, which)
+    k = np.arange(len(vecs))
+    k3_eigs = (-1.0) ** k * (k + 0.5)
 
-    vectors, labels = [], []
-    for k, v in enumerate(_fg_vectors(space, which)):
-        rq = np.linalg.norm(q_op.matrix @ v - q_eig * v)
-        k3_eig = (-1.0) ** k * (k + 0.5)
-        rk = np.linalg.norm(k3_op.matrix @ v - k3_eig * v)
-        if max(rq, rk) > EIGEN_TOL:
+    if vecs:
+        v = np.column_stack(vecs)
+        rq = np.linalg.norm(q_op.matrix @ v - q_eig * v, axis=0)
+        rk = np.linalg.norm(k3_op.matrix @ v - v * k3_eigs, axis=0)
+        bad = np.flatnonzero(np.maximum(rq, rk) > EIGEN_TOL)
+        if bad.size:
+            kb = int(bad[0])
             oracle = joint_diagonalize(q_op, k3_op)
-            overlaps = np.abs(oracle.matrix().conj().T @ v)
+            overlaps = np.abs(oracle.matrix().conj().T @ vecs[kb])
             raise VerificationError(
-                f"{which}-basis closed form failed eigen-verification at j={j}, k={k}: "
-                f"|Qv - qv| = {rq:.3e}, |K3v - k3v| = {rk:.3e} (tolerance {EIGEN_TOL}); "
+                f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
+                f"|Qv - qv| = {rq[kb]:.3e}, |K3v - k3v| = {rk[kb]:.3e} (tolerance {EIGEN_TOL}); "
                 f"best oracle overlap modulus {overlaps.max():.6f}"
             )
-        vectors.append(StateVector(space, v, normalized=True))
-        labels.append({"k": k, "q": q_eig, "k3": k3_eig})
+    vectors = [StateVector(space, v, normalized=True) for v in vecs]
+    labels = [{"k": int(i), "q": q_eig, "k3": float(k3_eigs[i])} for i in k]
     return LabeledBasis(space=space, family=which, vectors=vectors, labels=labels)
 
 
@@ -345,8 +350,8 @@ def decompose(space: HarmonicSpace) -> dict:
     j = space.j
     q_op = supercharge(space)
     k1_op, k2_op, k3_op = symmetry_generators(space)
-    fb = f_basis(space)
-    gb = g_basis(space)
+    fb = _verified_fg_basis(space, "F", (q_op, k3_op))
+    gb = _verified_fg_basis(space, "G", (q_op, k3_op))
     t = np.column_stack([fb.matrix(), gb.matrix()]) if len(gb) else fb.matrix()
 
     completeness = float(np.max(np.abs(t.conj().T @ t - np.eye(space.dim))))

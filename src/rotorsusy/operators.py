@@ -2,6 +2,18 @@
 
 Matrices act on coefficient vectors ordered by ascending m (flat index
 i = m + j).  All norms are Frobenius norms.
+
+Every operator here is built from its closed-form action on the basis
+states by from_column_action, which writes O(j) entries of a dense matrix:
+
+    J3 Y_j^m = m Y_j^m
+    J+ Y_j^m = a(m) Y_j^{m+1},  a(m) = sqrt((j-m)(j+m+1))
+    R1 Y_j^m = Y_j^{-m},  R2 Y_j^m = (-1)^m Y_j^{-m},  R3 Y_j^m = (-1)^{j+m} Y_j^m
+    H  Y_j^m = (j+1/2)^2 Y_j^m
+
+J- is the adjoint of J+, J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).  The
+product formula H = J1^2 + J2^2 + J3^2 + 1/4 lives in verification.py,
+where it serves as the oracle of the closed form.
 """
 
 from dataclasses import dataclass
@@ -14,6 +26,7 @@ from .harmonics import HarmonicSpace
 __all__ = [
     "Operator",
     "SpectrumReport",
+    "from_column_action",
     "identity",
     "j3",
     "jplus",
@@ -101,6 +114,38 @@ class SpectrumReport:
         return int(self.multiplicities.sum())
 
 
+def _ladder(space: HarmonicSpace):
+    """Arrays (m, up, down) over m = -j..j: up = sqrt((j-m)(j+m+1)) is the
+    J+ coefficient and down = sqrt((j+m)(j-m+1)) the J- coefficient of Y_j^m.
+
+    Note up(-m) = down(m), so down is also the J+ coefficient of Y_j^{-m}.
+    """
+    j = space.j
+    m = space.m_values()
+    return m, np.sqrt((j - m) * (j + m + 1.0)), np.sqrt((j + m) * (j - m + 1.0))
+
+
+def from_column_action(space: HarmonicSpace, terms) -> Operator:
+    """The dense operator sending Y_j^m to sum over terms of coef(m) Y_j^target(m).
+
+    terms is a sequence of (coef, target) pairs: coef is a scalar or an
+    array over m = -j..j (ascending), target an integer array over m whose
+    entries are distinct.  Each term writes at most 2j+1 entries.  Targets
+    outside -j..j are dropped; their coefficients must vanish, else
+    ValueError.
+    """
+    j = space.j
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    cols = np.arange(space.dim)
+    for coef, target in terms:
+        coef = np.broadcast_to(coef, cols.shape)
+        keep = np.abs(target) <= j
+        if np.any(coef[~keep] != 0):
+            raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
+        out[target[keep] + j, cols[keep]] += coef[keep]
+    return Operator(space, out)
+
+
 def identity(space: HarmonicSpace) -> Operator:
     """Identity operator."""
     return Operator(space, np.eye(space.dim, dtype=complex))
@@ -108,16 +153,14 @@ def identity(space: HarmonicSpace) -> Operator:
 
 def j3(space: HarmonicSpace) -> Operator:
     """J3 Y_j^m = m Y_j^m."""
-    return Operator(space, np.diag(space.m_values().astype(complex)))
+    m = space.m_values()
+    return from_column_action(space, [(m, m)])
 
 
 def jplus(space: HarmonicSpace) -> Operator:
     """Raising operator, J+ Y_j^m = sqrt((j-m)(j+m+1)) Y_j^{m+1}."""
-    j = space.j
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for mm in range(-j, j):
-        m[mm + 1 + j, mm + j] = np.sqrt((j - mm) * (j + mm + 1))
-    return Operator(space, m)
+    m, up, _ = _ladder(space)
+    return from_column_action(space, [(up, m + 1)])
 
 
 def jminus(space: HarmonicSpace) -> Operator:
@@ -145,22 +188,15 @@ def reflection(axis: int, space: HarmonicSpace) -> Operator:
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
-    j = space.j
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for mm in range(-j, j + 1):
-        if axis == 1:
-            m[-mm + j, mm + j] = 1.0
-        elif axis == 2:
-            m[-mm + j, mm + j] = (-1.0) ** mm
-        else:
-            m[mm + j, mm + j] = (-1.0) ** (j + mm)
-    return Operator(space, m)
+    m = space.m_values()
+    term = {1: (1.0, -m), 2: ((-1.0) ** m, -m), 3: ((-1.0) ** (space.j + m), m)}[axis]
+    return from_column_action(space, [term])
 
 
 def hamiltonian(space: HarmonicSpace) -> Operator:
-    """H = J1^2 + J2^2 + J3^2 + 1/4, a scalar (j + 1/2)^2 on degree j."""
-    a, b, c = j1(space), j2(space), j3(space)
-    return a @ a + b @ b + c @ c + 0.25 * identity(space)
+    """H = J1^2 + J2^2 + J3^2 + 1/4, built as the scalar (j + 1/2)^2 on degree j."""
+    m = space.m_values()
+    return from_column_action(space, [((space.j + 0.5) ** 2, m)])
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

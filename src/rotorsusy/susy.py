@@ -6,6 +6,16 @@ asymmetrically: multiplicity j+1 on the negative branch, j on the positive
 one.  Three reflection-dressed generators K1, K2, K3 close under
 anticommutation ({K1,K2} = K3 and cyclic), commute with Q, and have
 Casimir K1^2 + K2^2 + K3^2 = Q^2 - Q.
+
+The paper defines every operator here as a product of J_i and R_i.  Each
+one is built from its closed-form action on Y_j^m instead (at most six
+terms per column, see operators.from_column_action), with
+
+    a(m) = sqrt((j-m)(j+m+1)),  b(m) = sqrt((j+m)(j-m+1)),
+    s = (-1)^j,  t = (-1)^m.
+
+The product formulas live in verification.py, where they are evaluated
+as dense matmuls and serve as the oracle of every closed form below.
 """
 
 from dataclasses import dataclass
@@ -16,8 +26,10 @@ from .errors import VerificationError
 from .harmonics import HarmonicSpace
 from .operators import (
     Operator,
+    _ladder,
     commutator,
-    identity,
+    from_column_action,
+    hamiltonian,
     j1,
     j2,
     j3,
@@ -36,58 +48,97 @@ __all__ = [
 ]
 
 
+def _supercharge_terms(space: HarmonicSpace):
+    m, a, b = _ladder(space)
+    s, t = (-1.0) ** space.j, (-1.0) ** m
+    return [
+        (-0.5j * s * t * a, m + 1),
+        (-0.5j * s * t * b, m - 1),
+        (0.5 * s * b, 1 - m),
+        (-0.5 * s * a, -1 - m),
+        (1j * t * m, -m),
+        (-0.5, m),
+    ]
+
+
 def supercharge(space: HarmonicSpace) -> Operator:
     """The supercharge Q = -i J1 R3 + i J2 R2 R3 - i J3 R2 - 1/2.
 
+    Built from its action
+
+        Q Y_j^m = -i s t (a Y^{m+1} + b Y^{m-1}) / 2 + s (b Y^{1-m} - a Y^{-1-m}) / 2
+                  + i t m Y^{-m} - Y^m / 2.
+
     Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.
     """
-    a, b, c = j1(space), j2(space), j3(space)
-    r2, r3 = reflection(2, space), reflection(3, space)
-    return -1j * (a @ r3) + 1j * (b @ (r2 @ r3)) - 1j * (c @ r2) - 0.5 * identity(space)
+    return from_column_action(space, _supercharge_terms(space))
 
 
 def supercharge_alt(space: HarmonicSpace) -> Operator:
     """A second supercharge -i J1 R1 R2 + i J2 R1 - i J3 R1 R3 - R1 R2 R3 / 2.
 
+    Built from its action
+
+        Q' Y_j^m = -i t (a Y^{m+1} + b Y^{m-1}) / 2 + (b Y^{1-m} - a Y^{-1-m}) / 2
+                   + i s t m Y^{-m} - s Y^m / 2.
+
     Also squares to the shifted Hamiltonian; its spectral multiplicities are
     measured, not prescribed.
     """
-    a, b, c = j1(space), j2(space), j3(space)
-    r1, r2, r3 = (reflection(i, space) for i in (1, 2, 3))
-    return (
-        -1j * (a @ (r1 @ r2))
-        + 1j * (b @ r1)
-        - 1j * (c @ (r1 @ r3))
-        - 0.5 * (r1 @ (r2 @ r3))
-    )
+    m, a, b = _ladder(space)
+    s, t = (-1.0) ** space.j, (-1.0) ** m
+    return from_column_action(space, [
+        (-0.5j * t * a, m + 1),
+        (-0.5j * t * b, m - 1),
+        (0.5 * b, 1 - m),
+        (-0.5 * a, -1 - m),
+        (1j * s * t * m, -m),
+        (-0.5 * s, m),
+    ])
 
 
 def symmetry_generators(space: HarmonicSpace):
     """The three generators K1, K2, K3 of the anticommutator spin algebra.
 
     K1 = i J1 R2 + R2 R3 / 2,  K2 = -i J2 R1 R2 + R1 R3 / 2,
-    K3 = i J3 R1 + R1 R2 / 2.
+    K3 = i J3 R1 + R1 R2 / 2, built from their actions
+
+        K1 Y_j^m = i t (b Y^{1-m} + a Y^{-1-m}) / 2 + s Y^{-m} / 2,
+        K2 Y_j^m = -t (a Y^{m+1} - b Y^{m-1}) / 2 + s t Y^{-m} / 2,
+        K3 Y_j^m = -i m Y^{-m} + t Y^m / 2.
 
     The sign of the J3 term in K3 is pinned by the algebra itself:
-    {K1, K2} = K3, [K3, Q] = 0 and K3 Y_j^m = -i m Y_j^{-m} + ((-1)^m/2) Y_j^m
-    all fail for the opposite sign.
+    {K1, K2} = K3 and [K3, Q] = 0 both fail for the opposite sign.
 
     Returns
     -------
     (Operator, Operator, Operator)
     """
-    a, b, c = j1(space), j2(space), j3(space)
-    r1, r2, r3 = (reflection(i, space) for i in (1, 2, 3))
-    k1 = 1j * (a @ r2) + 0.5 * (r2 @ r3)
-    k2 = -1j * (b @ (r1 @ r2)) + 0.5 * (r1 @ r3)
-    k3 = 1j * (c @ r1) + 0.5 * (r1 @ r2)
+    m, a, b = _ladder(space)
+    s, t = (-1.0) ** space.j, (-1.0) ** m
+    k1 = from_column_action(space, [
+        (0.5j * t * b, 1 - m),
+        (0.5j * t * a, -1 - m),
+        (0.5 * s, -m),
+    ])
+    k2 = from_column_action(space, [
+        (-0.5 * t * a, m + 1),
+        (0.5 * t * b, m - 1),
+        (0.5 * s * t, -m),
+    ])
+    k3 = from_column_action(space, [(-1j * m, -m), (0.5 * t, m)])
     return k1, k2, k3
 
 
 def casimir(space: HarmonicSpace) -> Operator:
-    """C = K1^2 + K2^2 + K3^2, equal to Q^2 - Q."""
-    k1, k2, k3 = symmetry_generators(space)
-    return k1 @ k1 + k2 @ k2 + k3 @ k3
+    """C = K1^2 + K2^2 + K3^2, built as Q^2 - Q = H - Q:
+
+        C Y_j^m = (j + 1/2)^2 Y^m - Q Y^m.
+    """
+    diag = ((space.j + 0.5) ** 2, space.m_values())
+    return from_column_action(
+        space, [diag] + [(-coef, target) for coef, target in _supercharge_terms(space)]
+    )
 
 
 @dataclass(frozen=True)
@@ -114,8 +165,6 @@ class SusyOperators:
 
 def susy_operators(space: HarmonicSpace) -> SusyOperators:
     """Construct and validate the full bundle on one degree."""
-    from .operators import hamiltonian
-
     k1, k2, k3 = symmetry_generators(space)
     return SusyOperators(
         space=space,
@@ -125,7 +174,7 @@ def susy_operators(space: HarmonicSpace) -> SusyOperators:
         k1=k1,
         k2=k2,
         k3=k3,
-        c=k1 @ k1 + k2 @ k2 + k3 @ k3,
+        c=casimir(space),
     )
 
 
@@ -138,8 +187,6 @@ def non_symmetry_report(space: HarmonicSpace) -> dict:
     """
     q = supercharge(space)
     k1, k2, k3 = symmetry_generators(space)
-    from .operators import hamiltonian
-
     h = hamiltonian(space)
     js = {"J1": j1(space), "J2": j2(space), "J3": j3(space)}
     rs = {f"R{i}": reflection(i, space) for i in (1, 2, 3)}

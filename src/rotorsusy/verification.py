@@ -4,10 +4,16 @@ run_verification sweeps every library-level identity over a degree range
 and records residual, tolerance and outcome per check.  Checks are pure
 and independent; a crash inside one check is caught and reported as a
 failure of that check rather than aborting the run.
+
+The library builds H, Q, Q', K1..K3 and C from their closed-form actions
+on Y_j^m.  The paper's reflection-product formulas live here instead, in
+_product_operators, as the independent oracle: every check that reads one
+of those operators also measures its distance from the product formula.
 """
 
 import time
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb, factorial, pi
 
 import numpy as np
@@ -23,7 +29,7 @@ from .harmonics import (
     ylm_eval,
     _ylm_prefactor,
 )
-from .susy import susy_operators, non_symmetry_report
+from . import susy
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "SUITES"]
 
@@ -165,9 +171,65 @@ _REFLECTED_ANGLES = {
 
 
 # ---------------------------------------------------------------------------
+# reflection-product oracle of the closed-form operators
+
+def _product_operators(space):
+    """The paper's product formulas, evaluated literally as dense matmuls.
+
+    H = J1^2 + J2^2 + J3^2 + 1/4,
+    Q = -i J1 R3 + i J2 R2 R3 - i J3 R2 - 1/2,
+    Q' = -i J1 R1 R2 + i J2 R1 - i J3 R1 R3 - R1 R2 R3 / 2,
+    K1 = i J1 R2 + R2 R3 / 2,  K2 = -i J2 R1 R2 + R1 R3 / 2,
+    K3 = i J3 R1 + R1 R2 / 2,  C = K1^2 + K2^2 + K3^2.
+    """
+    a, b, c = op.j1(space), op.j2(space), op.j3(space)
+    r1, r2, r3 = (op.reflection(i, space) for i in (1, 2, 3))
+    ident = op.identity(space)
+    k1 = 1j * (a @ r2) + 0.5 * (r2 @ r3)
+    k2 = -1j * (b @ (r1 @ r2)) + 0.5 * (r1 @ r3)
+    k3 = 1j * (c @ r1) + 0.5 * (r1 @ r2)
+    return susy.SusyOperators(
+        space=space,
+        h=a @ a + b @ b + c @ c + 0.25 * ident,
+        q=-1j * (a @ r3) + 1j * (b @ (r2 @ r3)) - 1j * (c @ r2) - 0.5 * ident,
+        q_alt=(-1j * (a @ (r1 @ r2)) + 1j * (b @ r1) - 1j * (c @ (r1 @ r3))
+               - 0.5 * (r1 @ (r2 @ r3))),
+        k1=k1,
+        k2=k2,
+        k3=k3,
+        c=k1 @ k1 + k2 @ k2 + k3 @ k3,
+    )
+
+
+class _Degree:
+    """One degree: its closed-form bundle s and its product oracle o, each
+    built on first use and then shared by every check of one run."""
+
+    def __init__(self, j):
+        self.space = HarmonicSpace(j)
+
+    @cached_property
+    def s(self):
+        return susy.susy_operators(self.space)
+
+    @cached_property
+    def o(self):
+        return _product_operators(self.space)
+
+    def gap(self, *names):
+        """Largest Frobenius distance of the named closed forms from the oracle."""
+        return max(op.op_norm(getattr(self.s, n) - getattr(self.o, n)) for n in names)
+
+
+def _sweep(degrees, j_top, residual_of):
+    """Worst residual_of(degree) / (2j+1) over j = 0..j_top."""
+    return max(residual_of(degrees(j)) / (2 * j + 1) for j in range(j_top + 1))
+
+
+# ---------------------------------------------------------------------------
 # suite definitions; each check returns (passed, residual, tolerance, detail)
 
-def _checks_harmonics(j_max, tol):
+def _checks_harmonics(j_max, tol, degrees):
     j_top = min(j_max, 20)
 
     def gram_identity():
@@ -227,15 +289,11 @@ def _checks_harmonics(j_max, tol):
     ]
 
 
-def _checks_operators(j_max, tol):
+def _checks_operators(j_max, tol, degrees):
     j_top = min(j_max, 30)
 
-    def _sweep(residual_of):
-        worst = 0.0
-        for j in range(j_top + 1):
-            space = HarmonicSpace(j)
-            worst = max(worst, residual_of(space) / (2 * j + 1))
-        return worst
+    def sweep(residual_of):
+        return _sweep(degrees, j_top, lambda d: residual_of(d.space))
 
     def so3_commutators():
         def res(space):
@@ -245,7 +303,7 @@ def _checks_operators(j_max, tol):
                 op.op_norm(op.commutator(b, c) - op.scale(1j, a)),
                 op.op_norm(op.commutator(c, a) - op.scale(1j, b)),
             )
-        worst = _sweep(res)
+        worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"scaled by dim, j <= {j_top}"
 
     def ladder_relations():
@@ -261,7 +319,7 @@ def _checks_operators(j_max, tol):
                 op.op_norm(op.adjoint(p) - mi),
                 op.op_norm(cas - op.scale(jj * (jj + 1.0), op.identity(space))),
             )
-        worst = _sweep(res)
+        worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"[J+,J-]=2J3, J-=J+^, Casimir, j <= {j_top}"
 
     def reflection_algebra():
@@ -276,7 +334,7 @@ def _checks_operators(j_max, tol):
                 for b in range(a + 1, 3):
                     worst = max(worst, op.op_norm(op.commutator(rs[a], rs[b])))
             return worst
-        worst = _sweep(res)
+        worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"involutive, commuting, j <= {j_top}"
 
     def mixed_commutation():
@@ -291,20 +349,19 @@ def _checks_operators(j_max, tol):
                     )
                     worst = max(worst, op.op_norm(pair))
             return worst
-        worst = _sweep(res)
+        worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"[J_i,R_i]=0, {{J_i,R_j}}=0, j <= {j_top}"
 
     def hamiltonian_identity():
-        def res(space):
-            h = op.hamiltonian(space)
-            jj = space.j
-            worst = op.op_norm(h - op.scale((jj + 0.5) ** 2, op.identity(space)))
+        def res(d):
+            space, h = d.space, d.o.h
+            worst = d.gap("h")
             for other in (op.j1(space), op.j2(space), op.j3(space),
                           op.reflection(1, space), op.reflection(2, space),
                           op.reflection(3, space)):
                 worst = max(worst, op.op_norm(op.commutator(h, other)))
             return worst
-        worst = _sweep(res)
+        worst = _sweep(degrees, j_top, res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"H=(j+1/2)^2 I and symmetries, j <= {j_top}"
 
     def quadrature_matrix_elements():
@@ -342,61 +399,65 @@ def _checks_operators(j_max, tol):
     ]
 
 
-def _checks_susy(j_max, tol):
+def _checks_susy(j_max, tol, degrees):
     j_top = min(j_max, 30)
 
-    def _sweep(residual_of):
-        worst = 0.0
-        for j in range(j_top + 1):
-            worst = max(worst, residual_of(susy_operators(HarmonicSpace(j))) / (2 * j + 1))
-        return worst
-
     def square_identity():
-        def res(s):
+        def res(d):
+            s = d.s
             return max(
                 op.op_norm(op.compose(s.q, s.q) - s.h),
                 op.op_norm(op.compose(s.q_alt, s.q_alt) - s.h),
+                d.gap("q", "q_alt", "h"),
             )
-        worst = _sweep(res)
+        worst = _sweep(degrees, j_top, res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"both supercharges square to H, j <= {j_top}"
 
     def anticommutator_algebra():
-        def res(s):
+        def res(d):
+            s = d.s
             return max(
                 op.op_norm(op.anticommutator(s.k1, s.k2) - s.k3),
                 op.op_norm(op.anticommutator(s.k2, s.k3) - s.k1),
                 op.op_norm(op.anticommutator(s.k3, s.k1) - s.k2),
+                d.gap("k1", "k2", "k3"),
             )
-        worst = _sweep(res)
+        worst = _sweep(degrees, j_top, res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"{{K_i,K_j}}=K_k cyclic, j <= {j_top}"
 
     def commutant():
-        def res(s):
-            return max(op.op_norm(op.commutator(k, s.q)) for k in (s.k1, s.k2, s.k3))
-        worst = _sweep(res)
+        def res(d):
+            s = d.s
+            worst = max(op.op_norm(op.commutator(k, s.q)) for k in (s.k1, s.k2, s.k3))
+            return max(worst, d.gap("q", "k1", "k2", "k3"))
+        worst = _sweep(degrees, j_top, res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"[K_i,Q]=0, j <= {j_top}"
 
     def casimir_identity():
-        def res(s):
+        def res(d):
+            s = d.s
             worst = op.op_norm(s.c - op.compose(s.q, s.q) + s.q)
+            # the closed form C = H - Q is central iff Q is; the claim is
+            # that the sum of squares K1^2 + K2^2 + K3^2 is
             for k in (s.k1, s.k2, s.k3):
-                worst = max(worst, op.op_norm(op.commutator(s.c, k)))
-            return worst
-        worst = _sweep(res)
+                worst = max(worst, op.op_norm(op.commutator(d.o.c, k)))
+            return max(worst, d.gap("c", "q", "k1", "k2", "k3"))
+        worst = _sweep(degrees, j_top, res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"C=Q^2-Q and centrality, j <= {j_top}"
 
     def q_spectrum():
         worst = 0.0
         for j in range(j_top + 1):
-            space = HarmonicSpace(j)
-            s = susy_operators(space)
-            rep = op.spectrum(s.q)
+            d = degrees(j)
+            rep = op.spectrum(d.s.q)
             expected_vals = [-(j + 0.5)] + ([j + 0.5] if j else [])
             expected_mult = [j + 1] + ([j] if j else [])
             if list(rep.multiplicities) != expected_mult:
                 return False, float("inf"), tol(1e-8), f"multiplicity split broken at j={j}"
             worst = max(worst, float(np.max(np.abs(rep.eigenvalues - expected_vals))))
-            hrep = op.spectrum(s.h)
+            worst = max(worst, d.gap("q") / (2 * j + 1))
+            # the closed-form H is exactly scalar; its product formula is not
+            hrep = op.spectrum(d.o.h)
             if list(hrep.multiplicities) != [2 * j + 1]:
                 return False, float("inf"), tol(1e-8), f"H degeneracy broken at j={j}"
             worst = max(worst, float(np.max(np.abs(hrep.eigenvalues - (j + 0.5) ** 2))))
@@ -406,9 +467,11 @@ def _checks_susy(j_max, tol):
         bound = tol(1e-6)
         smallest = float("inf")
         for j in range(1, j_top + 1):
-            rep = non_symmetry_report(HarmonicSpace(j))
+            d = degrees(j)
+            rep = susy.non_symmetry_report(d.space)
             smallest = min(smallest, min(rep["commutator_with_q"].values()))
-            control = max(rep["hamiltonian_control"].values())
+            control = max(op.op_norm(op.commutator(d.o.h, k)) for k in (d.s.k1, d.s.k2, d.s.k3))
+            control = max(control, d.gap("q", "k1", "k2", "k3"))
             if control > tol(1e-12) * (2 * j + 1):
                 return False, control, tol(1e-12), f"[H,K_i] control failed at j={j}"
         if j_top < 1:
@@ -425,7 +488,7 @@ def _checks_susy(j_max, tol):
     ]
 
 
-def _checks_eigenbases(j_max, tol):
+def _checks_eigenbases(j_max, tol, degrees):
     j_top = min(j_max, 20)
 
     def m_basis_check():
@@ -436,9 +499,8 @@ def _checks_eigenbases(j_max, tol):
             v = basis.matrix()
             worst = max(worst, basis.orthonormality_residual())
             worst = max(worst, float(np.max(np.abs(v @ v.conj().T - np.eye(space.dim)))))
-            s = susy_operators(space)
             k3v = np.array([lab["k3"] for lab in basis.labels])
-            worst = max(worst, float(np.max(np.abs(s.k3.matrix @ v - v * k3v))))
+            worst = max(worst, float(np.max(np.abs(degrees(j).o.k3.matrix @ v - v * k3v))))
         return worst <= tol(1e-10), worst, tol(1e-10), f"orthonormal, invertible, K3-diagonal, j <= {j_top}"
 
     def q_in_m_basis():
@@ -446,7 +508,7 @@ def _checks_eigenbases(j_max, tol):
         for j in range(j_top + 1):
             space = HarmonicSpace(j)
             v = eb.m_basis(space).matrix()
-            conj = v.conj().T @ susy_operators(space).q.matrix @ v
+            conj = v.conj().T @ degrees(j).o.q.matrix @ v
             closed = eb.q_action_on_m(space)
             worst = max(worst, float(np.max(np.abs(conj - closed))) / (2 * j + 1))
         return worst <= tol(1e-12), worst, tol(1e-12), f"closed-form three-term action, j <= {j_top}"
@@ -455,9 +517,9 @@ def _checks_eigenbases(j_max, tol):
         worst = 0.0
         for j in range(j_top + 1):
             space = HarmonicSpace(j)
-            s = susy_operators(space)
+            o = degrees(j).o
             fb, gb = eb.f_basis(space), eb.g_basis(space)
-            oracle = eb.joint_diagonalize(s.q, s.k3)
+            oracle = eb.joint_diagonalize(o.q, o.k3)
             t = np.column_stack([fb.matrix()] + ([gb.matrix()] if len(gb) else []))
             worst = max(worst, float(np.max(np.abs(t.conj().T @ t - np.eye(space.dim)))))
             omat = oracle.matrix()
@@ -477,11 +539,10 @@ def _checks_eigenbases(j_max, tol):
         worst = 0.0
         for j in range(j_top + 1):
             space = HarmonicSpace(j)
-            s = susy_operators(space)
             for basis in (eb.f_basis(space), eb.g_basis(space)):
                 if not len(basis):
                     continue
-                data = eb.tridiagonal_extract(s.k1, basis)
+                data = eb.tridiagonal_extract(degrees(j).o.k1, basis)
                 exp_d, exp_o = eb.closed_form_tridiagonal(basis.family, j)
                 worst = max(worst, float(np.max(np.abs(data.diag - exp_d))))
                 if len(exp_o):
@@ -509,7 +570,7 @@ def _checks_eigenbases(j_max, tol):
     ]
 
 
-def _checks_polynomials(j_max, tol):
+def _checks_polynomials(j_max, tol, degrees):
     n_top = min(j_max, 20)
     n_range = range(1, n_top + 1)
 
@@ -592,7 +653,7 @@ def _checks_polynomials(j_max, tol):
     ]
 
 
-def _checks_overlaps(j_max, tol):
+def _checks_overlaps(j_max, tol, degrees):
     n_top = min(j_max, 10)
     n_range = range(1, n_top + 1)
 
@@ -633,13 +694,12 @@ def _checks_overlaps(j_max, tol):
         worst = 0.0
         for n in n_range:
             space = HarmonicSpace(n)
-            s = susy_operators(space)
             zb = ak.z_basis(n)
             fb = eb.f_basis(space)
             k1_on_z = np.sort(np.array([lab["k1"] for lab in zb.labels]))
             k3_on_f = np.sort(np.array([lab["k3"] for lab in fb.labels]))
             worst = max(worst, float(np.max(np.abs(k1_on_z - k3_on_f))))
-            data = eb.tridiagonal_extract(s.k2, zb)
+            data = eb.tridiagonal_extract(degrees(n).o.k2, zb)
             exp_d, exp_o = eb.closed_form_tridiagonal("F", n)
             worst = max(worst, float(np.max(np.abs(data.diag - exp_d))))
             worst = max(worst, float(np.max(np.abs(data.offdiag - exp_o))))
@@ -682,9 +742,10 @@ def run_verification(j_max=20, suite_filter=None, tolerance_scale=1.0) -> Verifi
     }
     selected = SUITES if suite_filter is None else (suite_filter,)
 
+    degrees = lru_cache(maxsize=None)(_Degree)
     results = []
     for suite in selected:
-        for name, fn in groups[suite](int(j_max), tol):
+        for name, fn in groups[suite](int(j_max), tol, degrees):
             t0 = time.perf_counter()
             try:
                 passed, residual, tolerance, detail = fn()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, supercharge
-from rotorsusy.cli import main
+from rotorsusy.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -193,3 +194,25 @@ def test_exports_are_deterministic(capsys):
     a = run(capsys, "verify", "--jmax", "2", "--format", "json")
     b = run(capsys, "verify", "--jmax", "2", "--format", "json")
     assert a == b
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_emit_renders_only_the_requested_format(fmt, tmp_path):
+    called = []
+
+    def builder(name, value):
+        def build():
+            called.append(name)
+            return value
+        return build
+
+    args = argparse.Namespace(format=fmt, output=str(tmp_path / "out"))
+    _emit(args, "spectrum", {"j": 0}, builder("json", {"x": 1}),
+          builder("table", ["line"]), builder("csv", [["a", "b"]]))
+    assert called == [fmt]
+    text = (tmp_path / "out").read_text()
+    expected = {"table": "line\n", "csv": "a,b\n"}
+    if fmt == "json":
+        assert json.loads(text)["payload"] == {"x": 1}
+    else:
+        assert text == expected[fmt]

@@ -19,6 +19,7 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
+from rotorsusy.eigenbases import _verified_fg_basis
 
 
 def test_m_basis_order_and_eigenvalues():
@@ -216,3 +217,14 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
             assert len(match) == 1
             overlap = abs(np.vdot(match[0].coeffs, vec.coeffs))
             assert_allclose(overlap, 1.0, atol=1e-10)
+
+
+def test_eigen_verification_reports_the_first_failing_vector():
+    space = HarmonicSpace(2)
+    _, _, k3 = symmetry_generators(space)
+    # -Q has the F vectors on its +(j+1/2) branch, so every one fails
+    with pytest.raises(VerificationError, match=r"F-basis closed form failed "
+                       r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
+        _verified_fg_basis(space, "F", (-1.0 * supercharge(space), k3))
+    passed = _verified_fg_basis(space, "F", (supercharge(space), k3))
+    np.testing.assert_array_equal(passed.matrix(), f_basis(space).matrix())

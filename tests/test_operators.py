@@ -25,7 +25,7 @@ from rotorsusy import (
     scale,
     spectrum,
 )
-from rotorsusy.operators import add
+from rotorsusy.operators import add, from_column_action
 
 
 def test_j3_matrix_entries():
@@ -186,3 +186,14 @@ def test_commutator_product_identity(are, aim, bre, bim, cre, cim):
     lhs = commutator(a, compose(b, c))
     rhs = compose(anticommutator(a, b), c) - compose(b, anticommutator(a, c))
     assert_allclose(lhs.matrix, rhs.matrix, atol=1e-12)
+
+
+def test_column_action_assembles_terms_and_rejects_lost_weight():
+    space = HarmonicSpace(1)
+    m = space.m_values()
+    # J+ plus a diagonal: two terms, each writing one entry per column
+    op = from_column_action(space, [(np.sqrt((1 - m) * (2 + m)), m + 1), (2.0, m)])
+    assert_allclose(op.matrix, jplus(space).matrix + 2.0 * np.eye(3))
+    # a nonzero coefficient on a target outside -j..j would be dropped silently
+    with pytest.raises(ValueError, match="outside"):
+        from_column_action(space, [(1.0, m + 1)])

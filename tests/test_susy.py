@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
     HarmonicSpace,
@@ -18,6 +18,7 @@ from rotorsusy import (
     susy_operators,
     symmetry_generators,
 )
+from rotorsusy.verification import _product_operators
 
 
 def test_supercharge_on_trivial_degree():
@@ -126,3 +127,18 @@ def test_non_symmetry_degenerates_on_trivial_degree():
     report = non_symmetry_report(HarmonicSpace(0))
     for value in report["commutator_with_q"].values():
         assert value < 1e-14
+
+
+@pytest.mark.parametrize("j", list(range(13)) + [40])
+def test_closed_forms_equal_the_reflection_products(j):
+    space = HarmonicSpace(j)
+    closed, products = susy_operators(space), _product_operators(space)
+    # every entry of the products is one exact product of 1/2, sqrt and signs
+    for name in ("q", "q_alt", "k1", "k2", "k3"):
+        assert_array_equal(getattr(closed, name).matrix, getattr(products, name).matrix,
+                           err_msg=name)
+    # H and C sum squares of the J_i and K_i, so they round
+    for name in ("h", "c"):
+        assert_allclose(getattr(closed, name).matrix, getattr(products, name).matrix,
+                        rtol=0, atol=1e-12 * space.dim, err_msg=name)
+    assert_array_equal(casimir(space).matrix, closed.c.matrix)

@@ -1,6 +1,7 @@
 import pytest
 
-from rotorsusy import run_verification
+from rotorsusy import run_verification, susy
+from rotorsusy.operators import from_column_action
 
 
 def test_full_suite_passes_quickly():
@@ -46,3 +47,26 @@ def test_non_symmetry_check_is_a_lower_bound():
     # this check certifies a residual FLOOR: the rotation and reflection
     # generators genuinely fail to commute with the supercharge
     assert check.residual > check.tolerance
+
+
+def test_product_oracle_catches_a_wrong_closed_form(monkeypatch):
+    right = susy.symmetry_generators
+
+    def wrong_k3_sign(space):
+        k1, k2, _ = right(space)
+        m = space.m_values()
+        # +i m Y^{-m} where the J3 term of K3 gives -i m Y^{-m}
+        k3 = from_column_action(space, [(1j * m, -m), (0.5 * (-1.0) ** m, m)])
+        return k1, k2, k3
+
+    monkeypatch.setattr(susy, "symmetry_generators", wrong_k3_sign)
+    report = run_verification(3, suite_filter="susy")
+    assert not report.all_passed
+    checks = {c.name: c for c in report.checks}
+    # [H, K3] vanishes for either sign, so only the distance from the
+    # reflection product can fail this control
+    control = checks["susy.non_symmetry"]
+    assert not control.passed
+    assert "control failed" in control.detail
+    assert checks["susy.square_identity"].passed
+    assert checks["susy.q_spectrum"].passed
