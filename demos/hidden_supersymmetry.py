@@ -42,8 +42,6 @@ def main():
     report = non_symmetry_report(HarmonicSpace(2))
     for name, value in report["commutator_with_q"].items():
         print(f"  |[{name}, Q]| = {value:.3f}")
-    print("control, same generators against H:",
-          max(report["hamiltonian_control"].values()))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,13 @@ Their recurrence data come in Bannai-Ito form
     C_0 = 0,   C_n = ((-1)^{N+n}(N+1) - n) / 4,
 
 with monic coefficients b_n = -(A_n + C_n), c_n = A_{n-1} C_n > 0.
-Weights are derived numerically from the recurrence (two independent
-routes which must agree); the hypergeometric-style closed form shipped
-alongside disagrees with the derived weights and is reported with a
-`discrepant` flag rather than asserted.
+One eigendecomposition of the Jacobi matrix of (b_n, sqrt(c_n)) serves
+the whole numerical side: its eigenvectors, ordered by the grid, give the
+weights as squared first components (Golub-Welsch) and, up to one phase
+per column, the recurrence overlaps.  The exact rational weights in
+verification.py are its oracle.  The hypergeometric-style closed form
+shipped alongside disagrees with the derived weights and is reported
+with a `discrepant` flag rather than asserted.
 
 Z_N^k is the image of F_N^k under the cyclic coordinate permutation
 (x1,x2,x3) -> (x2,x3,(-1)^{N+1} x1); the overlap matrix between the two
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigenbases import LabeledBasis, closed_form_tridiagonal, f_basis
+from .eigenbases import LabeledBasis, f_basis
 from .errors import VerificationError
 from .harmonics import (
     HarmonicSpace,
@@ -216,61 +219,39 @@ def _pochhammer(a: float, k: int) -> float:
     return out
 
 
-def _orthonormal_values(table: RecurrenceTable, x: np.ndarray) -> np.ndarray:
-    """Rows p-hat_n(x_k) of the orthonormalized family, shape (N+1, len(x))."""
-    N = table.N
-    a = np.sqrt(table.monic_c)
-    V = np.empty((N + 1, x.size))
-    V[0] = 1.0
-    V[1] = (x - table.monic_b[0]) / a[0]
-    for n in range(1, N):
-        V[n + 1] = ((x - table.monic_b[n]) * V[n] - a[n - 1] * V[n - 1]) / a[n]
-    return V
+def _jacobi(N: int) -> np.ndarray:
+    """Orthonormal eigenvectors of the Jacobi matrix of (b_n, sqrt(c_n)).
 
-
-def _weights_from_jacobi(N: int) -> np.ndarray:
-    """Independent weight route: squared first components of Jacobi eigenvectors."""
+    Column k belongs to the grid node x_k (the eigenvalues must match the
+    grid to 1e-8, else VerificationError) and is signed so that its first
+    component is positive.  V[n, k] = sqrt(w_k) p-hat_n(x_k), with p-hat_n
+    the orthonormal polynomials, so V[0]**2 are the weights (Golub-Welsch).
+    """
     table = recurrence_coeffs(N)
-    g = grid(N)
-    jac = np.diag(table.monic_b) + np.diag(np.sqrt(table.monic_c), 1) + np.diag(
-        np.sqrt(table.monic_c), -1
-    )
-    vals, vecs = np.linalg.eigh(jac)
-    w = np.empty(N + 1)
-    for k in range(N + 1):
-        idx = int(np.argmin(np.abs(vals - g.x[k])))
-        if abs(vals[idx] - g.x[k]) > 1e-8:
-            raise VerificationError(
-                f"Jacobi spectrum misses grid point x_{k} = {g.x[k]} (nearest {vals[idx]})"
-            )
-        w[k] = vecs[0, idx] ** 2
-    return w
+    x = grid(N).x
+    off = np.sqrt(table.monic_c)
+    vals, vecs = np.linalg.eigh(np.diag(table.monic_b) + np.diag(off, 1) + np.diag(off, -1))
+    order = np.argsort(x)
+    miss = float(np.max(np.abs(vals - x[order])))
+    if miss > 1e-8:
+        raise VerificationError(f"Jacobi spectrum misses the grid at N={N} by {miss:.3e}")
+    V = np.empty_like(vecs)
+    V[:, order] = vecs
+    return V * np.where(V[0] < 0, -1.0, 1.0)
 
 
 def weights(N: int) -> WeightTable:
     """Orthogonality weights derived from the recurrence, plus the closed form.
 
-    The derived weights solve the moment conditions
-    sum_k w_k p-hat_n(x_k) = delta_{n,0} in row-equilibrated form (the
-    orthonormal Vandermonde is well conditioned where the monic one is
-    not).  They are validated positive and cross-checked against the
-    Jacobi-eigenvector route before being returned.
+    The derived weights are the squared first components of the Jacobi
+    eigenvectors (_jacobi), validated positive.  Tested against the exact
+    rational weights for N <= 100.
     """
     table = recurrence_coeffs(N)
     g = grid(N)
-    V = _orthonormal_values(table, g.x)
-    scale = np.max(np.abs(V), axis=1)
-    rhs = np.zeros(N + 1)
-    rhs[0] = 1.0
-    w = np.linalg.solve(V / scale[:, None], rhs / scale)
+    w = _jacobi(N)[0] ** 2
     if np.any(w <= 0):
         raise VerificationError(f"derived weights are not all positive at N={N}: {w}")
-    cross = _weights_from_jacobi(N)
-    if np.max(np.abs(w - cross)) > 1e-10:
-        raise VerificationError(
-            f"moment and Jacobi weight routes disagree at N={N} "
-            f"(max deviation {np.max(np.abs(w - cross)):.3e})"
-        )
 
     alpha = (-1.0) ** N * (N + 1)
     closed = np.empty(N + 1)
@@ -360,13 +341,13 @@ def overlaps_via_integral(N: int, grid=None) -> OverlapMatrix:
 def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
     """Overlap matrix from the polynomial recurrence instead of integration.
 
-    Row n is omega_k P-hat_n(y_k) where P-hat_n(y) = 2^n / (U_1 ... U_n)
-    times the monic P_n at x = (y - 1/2)/2, with U_n the closed-form
-    off-diagonal of the K1 block.  The boundary row omega_k defaults to
-    the quadrature overlaps of F_N^0 on the quadrature grid `grid` (pass
-    omega to skip that one integration).
+    Column k of W is the Jacobi eigenvector of x_k (_jacobi) times the
+    phase of the boundary entry omega_k = W[0, k]: W[n, k] =
+    omega_k / |omega_k| sqrt(w_k) p-hat_n(x_k).  omega defaults to the
+    quadrature overlaps of F_N^0 on the quadrature grid `grid` (pass omega
+    to skip that one integration); only its phases enter.  Tested against
+    the integral route for N <= 40.
     """
-    table = recurrence_coeffs(N)
     if omega is None:
         space = HarmonicSpace(N)
         quad = grid if grid is not None else build_grid(N)
@@ -378,22 +359,10 @@ def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
         omega = np.asarray(omega, dtype=complex)
         if omega.shape != (N + 1,):
             raise ValueError("omega must have length N+1")
-    return OverlapMatrix(N=int(N), W=_recurrence_rows(table, omega), method="recurrence")
-
-
-def _recurrence_rows(table: RecurrenceTable, omega) -> np.ndarray:
-    """Rows omega_k P-hat_n(y_k), n = 0..N, on the spectral grid of size N."""
-    N = table.N
-    sg = grid(N)
-    _, U = closed_form_tridiagonal("F", N)
-    P = monic_table(table, N, (sg.y - 0.5) / 2.0)
-    W = np.empty((N + 1, N + 1), dtype=complex)
-    u_prod = 1.0
-    for n in range(N + 1):
-        if n > 0:
-            u_prod *= U[n - 1]
-        W[n] = omega * (2.0 ** n / u_prod) * P[n]
-    return W
+        if np.any(omega == 0):
+            raise ValueError("omega must have no zero entry (its phases fix W)")
+    W = _jacobi(N) * (omega / np.abs(omega))
+    return OverlapMatrix(N=int(N), W=W, method="recurrence")
 
 
 def bannai_ito_params(N: int) -> dict:

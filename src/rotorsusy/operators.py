@@ -37,10 +37,7 @@ __all__ = [
     "hamiltonian",
     "commutator",
     "anticommutator",
-    "compose",
     "adjoint",
-    "add",
-    "scale",
     "op_norm",
     "spectrum",
 ]
@@ -209,22 +206,9 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
     return a @ b + b @ a
 
 
-def compose(a: Operator, b: Operator) -> Operator:
-    """Operator product a b (b acts first)."""
-    return a @ b
-
-
 def adjoint(a: Operator) -> Operator:
     """Hermitian adjoint."""
     return Operator(a.space, a.matrix.conj().T)
-
-
-def add(a: Operator, b: Operator) -> Operator:
-    return a + b
-
-
-def scale(c, a: Operator) -> Operator:
-    return a * c
 
 
 def op_norm(a: Operator) -> float:

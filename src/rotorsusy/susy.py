@@ -182,21 +182,14 @@ def non_symmetry_report(space: HarmonicSpace) -> dict:
     """Frobenius norms showing J_i and R_i do NOT commute with Q.
 
     All six norms are strictly positive for j >= 1 (and vanish at j = 0,
-    where every operator is a scalar).  The norms [H, K_i] are included as
-    a zero control.
+    where every operator is a scalar).
     """
     q = supercharge(space)
-    k1, k2, k3 = symmetry_generators(space)
-    h = hamiltonian(space)
     js = {"J1": j1(space), "J2": j2(space), "J3": j3(space)}
     rs = {f"R{i}": reflection(i, space) for i in (1, 2, 3)}
-    report = {
+    return {
         "j": space.j,
         "commutator_with_q": {
             name: op_norm(commutator(op, q)) for name, op in {**js, **rs}.items()
         },
-        "hamiltonian_control": {
-            f"K{i}": op_norm(commutator(h, k)) for i, k in ((1, k1), (2, k2), (3, k3))
-        },
     }
-    return report

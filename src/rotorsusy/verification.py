@@ -13,6 +13,7 @@ of those operators also measures its distance from the product formula.
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, pi
 
@@ -227,6 +228,40 @@ def _sweep(degrees, j_top, residual_of):
 
 
 # ---------------------------------------------------------------------------
+# exact rational oracle of the derived weights
+
+def _integers(values):
+    """Exact Python ints from floats that must hold integers."""
+    out = [int(v) for v in values]
+    if any(o != v for o, v in zip(out, values)):
+        raise ValueError("expected integer-valued data")
+    return out
+
+
+def _exact_weights(N):
+    """Exact weights w_k = 1 / sum_n P_n(x_k)^2 / u_n as fractions.Fraction.
+
+    With Q_n = 4^n P_n and U_n = prod_{i<=n} 16 c_i (so P_n^2 / u_n =
+    Q_n^2 / U_n) every quantity is an integer, because 4 x_k, 4 b_n and
+    16 c_n are: w_k = U_N / sum_n Q_n(x_k)^2 (U_N / U_n).  Independent of
+    the production eigendecomposition.
+    """
+    table, g = ak.recurrence_coeffs(N), ak.grid(N)
+    b4, c16, x4 = _integers(4 * table.monic_b), _integers(16 * table.monic_c), _integers(4 * g.x)
+    tail = [1] * (N + 1)  # tail[n] = U_N / U_n
+    for n in range(N - 1, -1, -1):
+        tail[n] = tail[n + 1] * c16[n]
+    out = []
+    for x in x4:
+        prev, cur, total = 0, 1, tail[0]
+        for n in range(N):
+            prev, cur = cur, (x - b4[n]) * cur - (c16[n - 1] * prev if n else 0)
+            total += cur * cur * tail[n + 1]
+        out.append(Fraction(tail[0], total))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # suite definitions; each check returns (passed, residual, tolerance, detail)
 
 def _checks_harmonics(j_max, tol, degrees):
@@ -299,9 +334,9 @@ def _checks_operators(j_max, tol, degrees):
         def res(space):
             a, b, c = op.j1(space), op.j2(space), op.j3(space)
             return max(
-                op.op_norm(op.commutator(a, b) - op.scale(1j, c)),
-                op.op_norm(op.commutator(b, c) - op.scale(1j, a)),
-                op.op_norm(op.commutator(c, a) - op.scale(1j, b)),
+                op.op_norm(op.commutator(a, b) - 1j * c),
+                op.op_norm(op.commutator(b, c) - 1j * a),
+                op.op_norm(op.commutator(c, a) - 1j * b),
             )
         worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"scaled by dim, j <= {j_top}"
@@ -311,13 +346,12 @@ def _checks_operators(j_max, tol, degrees):
             p, m3 = op.jplus(space), op.j3(space)
             mi = op.jminus(space)
             jj = space.j
-            cas = op.compose(op.j1(space), op.j1(space)) + op.compose(
-                op.j2(space), op.j2(space)
-            ) + op.compose(m3, m3)
+            a, b = op.j1(space), op.j2(space)
+            cas = a @ a + b @ b + m3 @ m3
             return max(
-                op.op_norm(op.commutator(p, mi) - op.scale(2.0, m3)),
+                op.op_norm(op.commutator(p, mi) - 2.0 * m3),
                 op.op_norm(op.adjoint(p) - mi),
-                op.op_norm(cas - op.scale(jj * (jj + 1.0), op.identity(space))),
+                op.op_norm(cas - jj * (jj + 1.0) * op.identity(space)),
             )
         worst = sweep(res)
         return worst <= tol(1e-12), worst, tol(1e-12), f"[J+,J-]=2J3, J-=J+^, Casimir, j <= {j_top}"
@@ -328,7 +362,7 @@ def _checks_operators(j_max, tol, degrees):
             ident = op.identity(space)
             worst = 0.0
             for r in rs:
-                worst = max(worst, op.op_norm(op.compose(r, r) - ident))
+                worst = max(worst, op.op_norm(r @ r - ident))
                 worst = max(worst, op.op_norm(op.adjoint(r) - r))
             for a in range(3):
                 for b in range(a + 1, 3):
@@ -406,8 +440,8 @@ def _checks_susy(j_max, tol, degrees):
         def res(d):
             s = d.s
             return max(
-                op.op_norm(op.compose(s.q, s.q) - s.h),
-                op.op_norm(op.compose(s.q_alt, s.q_alt) - s.h),
+                op.op_norm(s.q @ s.q - s.h),
+                op.op_norm(s.q_alt @ s.q_alt - s.h),
                 d.gap("q", "q_alt", "h"),
             )
         worst = _sweep(degrees, j_top, res)
@@ -436,7 +470,7 @@ def _checks_susy(j_max, tol, degrees):
     def casimir_identity():
         def res(d):
             s = d.s
-            worst = op.op_norm(s.c - op.compose(s.q, s.q) + s.q)
+            worst = op.op_norm(s.c - s.q @ s.q + s.q)
             # the closed form C = H - Q is central iff Q is; the claim is
             # that the sum of squares K1^2 + K2^2 + K3^2 is
             for k in (s.k1, s.k2, s.k3):
@@ -598,10 +632,10 @@ def _checks_polynomials(j_max, tol, degrees):
             # residual (entry (n,m) scaled by sqrt(u_n u_m)); monic values at
             # mixed degrees span ~18 orders of magnitude, so a row-wise
             # scaling is not reachable in double precision.
-            v = ak._orthonormal_values(table, g.x)
+            p = ak.monic_table(table, n, g.x)
+            v = p / np.sqrt(u)[:, None]
             gram = np.einsum("k,ak,bk->ab", wt.derived, v, v)
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
-            p = np.array([ak.eval_monic(table, d, g.x) for d in range(n + 1)])
             diag = np.einsum("k,ak,ak->a", wt.derived, p, p)
             worst = max(worst, float(np.max(np.abs(diag - u) / u)))
         if n_top < 1:
@@ -615,10 +649,11 @@ def _checks_polynomials(j_max, tol, degrees):
             if np.any(wt.derived <= 0):
                 return False, float("inf"), tol(1e-10), f"nonpositive weight at N={n}"
             worst = max(worst, abs(float(np.sum(wt.derived)) - 1.0))
-            worst = max(worst, float(np.max(np.abs(wt.derived - ak._weights_from_jacobi(n)))))
+            exact = np.array(_exact_weights(n), dtype=float)
+            worst = max(worst, float(np.max(np.abs(wt.derived - exact))))
         if n_top < 1:
             return True, 0.0, tol(1e-10), "empty range"
-        return worst <= tol(1e-10), worst, tol(1e-10), f"moment vs Jacobi routes, N <= {n_top}"
+        return worst <= tol(1e-10), worst, tol(1e-10), f"Jacobi vs exact rational weights, N <= {n_top}"
 
     def monic_reduction():
         worst = 0.0

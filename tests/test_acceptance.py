@@ -16,7 +16,6 @@ from rotorsusy import (
     build_grid,
     closed_form_tridiagonal,
     commutator,
-    compose,
     eval_monic,
     f_basis,
     g_basis,
@@ -52,8 +51,8 @@ def test_criterion_1_supercharge_squares(capsys):
         space = HarmonicSpace(j)
         ops = susy_operators(space)
         scale = 2 * j + 1
-        worst = max(worst, op_norm(compose(ops.q, ops.q) - ops.h) / scale)
-        worst = max(worst, op_norm(compose(ops.q_alt, ops.q_alt) - ops.h) / scale)
+        worst = max(worst, op_norm(ops.q @ ops.q - ops.h) / scale)
+        worst = max(worst, op_norm(ops.q_alt @ ops.q_alt - ops.h) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed <= 5.0
     announce(
@@ -91,7 +90,7 @@ def test_criterion_3_commutant_and_casimir(capsys):
         scale = 2 * j + 1
         for k in (ops.k1, ops.k2, ops.k3):
             worst = max(worst, op_norm(commutator(k, ops.q)) / scale)
-        worst = max(worst, op_norm(ops.c - compose(ops.q, ops.q) + ops.q) / scale)
+        worst = max(worst, op_norm(ops.c - ops.q @ ops.q + ops.q) / scale)
     ok = worst <= 1e-12
     announce(
         capsys, ok, 3,

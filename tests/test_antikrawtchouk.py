@@ -1,5 +1,7 @@
 """Recurrence data, weights, the permuted eigenbasis, and overlap duality."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from rotorsusy import (
     weights,
     z_basis,
 )
-from rotorsusy.antikrawtchouk import _weights_from_jacobi, grid
+from rotorsusy.antikrawtchouk import grid
+from rotorsusy.verification import _exact_weights
 
 
 def test_recurrence_table_small_cases():
@@ -119,11 +122,28 @@ def test_weights_properties(N):
     wt = weights(N)
     assert np.all(wt.derived > 0)
     assert_allclose(wt.derived.sum(), 1.0, atol=1e-12)
-    assert_allclose(wt.derived, _weights_from_jacobi(N), atol=1e-10)
+    assert_allclose(wt.derived, np.array(_exact_weights(N), dtype=float), atol=1e-10)
     # first monic norm comes straight out of the weighted sum
     t = recurrence_coeffs(N)
     p1 = eval_monic(t, 1, wt.x)
     assert_allclose(np.sum(wt.derived * p1 * p1), t.monic_c[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [30, 60, 100])
+def test_weights_match_exact_oracle_at_large_size(N):
+    wt = weights(N)
+    assert_allclose(wt.derived, np.array(_exact_weights(N), dtype=float), rtol=0, atol=1e-13)
+    assert abs(wt.derived.sum() - 1.0) <= 1e-12
+
+
+def test_exact_weights_small_cases():
+    assert _exact_weights(2) == [Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)]
+    w = _exact_weights(5)
+    assert [w[k + 2] / w[k] for k in range(4)] == [
+        Fraction(7, 10), Fraction(3, 2), Fraction(3, 5), Fraction(11, 5)
+    ]
+    for N in range(1, 21):
+        assert sum(_exact_weights(N)) == 1
 
 
 def test_monic_reduction_of_operator_data():
@@ -200,6 +220,13 @@ def test_overlap_rows_follow_recurrence():
         assert_allclose(wm.W[n], expect, atol=1e-8)
 
 
+def test_recurrence_overlaps_match_integral_at_size_40():
+    wi = overlaps_via_integral(40)
+    wr = overlaps_via_recurrence(40, omega=wi.W[0])
+    assert_allclose(wr.W, wi.W, rtol=0, atol=1e-8)
+    assert wr.unitarity_residual < 1e-9
+
+
 def test_overlap_omega_override():
     N = 2
     wi = overlaps_via_integral(N)
@@ -207,6 +234,9 @@ def test_overlap_omega_override():
     assert_allclose(wi.W, wr.W, atol=1e-10)
     assert wr.method == "recurrence"
     assert wi.method == "integral"
+    # only omega's phases enter, so a zero entry cannot fix W
+    with pytest.raises(ValueError):
+        overlaps_via_recurrence(N, omega=np.array([1.0, 0.0, 1.0]))
 
 
 def test_bannai_ito_parameter_map():

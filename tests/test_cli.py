@@ -168,6 +168,15 @@ def test_overlaps_both_methods_agree(capsys):
     assert_allclose(wi.conj().T @ wi, np.eye(4), atol=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "--what", "weights", "--N", "30"],
+    ["overlaps", "--N", "40", "--method", "recurrence"],
+])
+def test_large_polynomial_commands_succeed(argv, capsys):
+    code, _, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+
+
 def test_overlaps_single_method_csv(capsys):
     code, out, _ = run(capsys, "overlaps", "--N", "2", "--method", "integral", "--format", "csv")
     assert code == 0

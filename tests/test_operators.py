@@ -12,7 +12,6 @@ from rotorsusy import (
     adjoint,
     anticommutator,
     commutator,
-    compose,
     hamiltonian,
     identity,
     j1,
@@ -22,10 +21,9 @@ from rotorsusy import (
     jplus,
     op_norm,
     reflection,
-    scale,
     spectrum,
 )
-from rotorsusy.operators import add, from_column_action
+from rotorsusy.operators import from_column_action
 
 
 def test_j3_matrix_entries():
@@ -125,8 +123,8 @@ def test_algebra_helpers():
     a = j1(space)
     assert op_norm(commutator(a, a)) == 0.0
     assert_allclose(anticommutator(identity(space), a).matrix, 2.0 * a.matrix)
-    assert_allclose(add(a, a).matrix, scale(2.0, a).matrix)
-    assert_allclose(compose(a, identity(space)).matrix, a.matrix)
+    assert_allclose((a + a).matrix, (2.0 * a).matrix)
+    assert_allclose((a @ identity(space)).matrix, a.matrix)
     assert_allclose((-a).matrix, -a.matrix)
 
 
@@ -183,8 +181,8 @@ def test_commutator_product_identity(are, aim, bre, bim, cre, cim):
     a = Operator(_SPACE, are + 1j * aim)
     b = Operator(_SPACE, bre + 1j * bim)
     c = Operator(_SPACE, cre + 1j * cim)
-    lhs = commutator(a, compose(b, c))
-    rhs = compose(anticommutator(a, b), c) - compose(b, anticommutator(a, c))
+    lhs = commutator(a, b @ c)
+    rhs = anticommutator(a, b) @ c - b @ anticommutator(a, c)
     assert_allclose(lhs.matrix, rhs.matrix, atol=1e-12)
 
 

@@ -118,9 +118,6 @@ def test_rotations_and_reflections_do_not_commute_with_supercharge():
     assert set(norms) == {"J1", "J2", "J3", "R1", "R2", "R3"}
     for name, value in norms.items():
         assert value > 0.1, f"[{name}, Q] unexpectedly small: {value}"
-    # the generators themselves do commute with H, as a control
-    for value in report["hamiltonian_control"].values():
-        assert value < 1e-12
 
 
 def test_non_symmetry_degenerates_on_trivial_degree():
