@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigenbases import LabeledBasis, f_basis
-from .errors import VerificationError
+from .errors import ContractViolation, VerificationError
 from .harmonics import (
     HarmonicSpace,
     StateVector,
@@ -245,7 +245,10 @@ def weights(N: int) -> WeightTable:
 
     The derived weights are the squared first components of the Jacobi
     eigenvectors (_jacobi), validated positive.  Tested against the exact
-    rational weights for N <= 100.
+    rational weights for N <= 115.
+
+    Supported range: N <= 115.  From N = 116 on, the norms (cumulative
+    products of c_n) overflow a float, and ContractViolation is raised.
     """
     table = recurrence_coeffs(N)
     g = grid(N)
@@ -258,10 +261,15 @@ def weights(N: int) -> WeightTable:
     for k in range(N + 1):
         kk = k if k % 2 == 0 else k - 1
         closed[k] = (-1.0) ** k * _pochhammer(1 + alpha, kk) / _pochhammer(1 - alpha, kk)
+    with np.errstate(over="ignore"):
+        norms = np.cumprod(table.monic_c)
+    if not (np.all(np.isfinite(closed)) and np.all(np.isfinite(norms))):
+        raise ContractViolation(
+            f"weights support N <= 115; the closed form or the norms overflow at N={N}"
+        )
     ratio = closed / w
     discrepant = bool(np.max(np.abs(ratio - ratio[0])) > 1e-9 * max(1.0, np.max(np.abs(ratio))))
 
-    norms = np.cumprod(table.monic_c)
     return WeightTable(
         N=int(N), x=g.x, derived=w, closed_form=closed, norms=norms, discrepant=discrepant
     )

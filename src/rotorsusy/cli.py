@@ -49,9 +49,43 @@ def _f17(x) -> str:
 
 
 def _pairs(a):
-    """A complex array as nested lists whose innermost entries are [re, im]."""
+    """A complex array as a real array whose last axis holds [re, im]."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
+
+
+def _json(obj, level=0) -> str:
+    """obj in the layout json.dumps gives it with an indent of 2, byte for
+    byte, where every ndarray counts as its tolist().
+
+    json renders indented output with its pure-Python encoder, one call per
+    value.  A finite float array is instead rendered with float.__repr__
+    (json's spelling of finite floats), and its strings are joined one axis
+    at a time from the innermost out.  Other arrays, and arrays holding NaN
+    or infinities, go through the generic path as lists.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
+            strs = list(map(float.__repr__, obj.ravel().tolist()))
+            for axis in range(obj.ndim - 1, -1, -1):
+                inner = "\n" + "  " * (level + axis + 1)
+                head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * (level + axis) + "]"
+                strs = [head + sep.join(row) + tail for row in zip(*[iter(strs)] * obj.shape[axis])]
+            return strs[0]
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, level + 1)
+                 for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json(v, level + 1) for v in obj]
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _envelope(kind, metadata, payload):
@@ -87,7 +121,7 @@ def _emit(args, kind, metadata, payload, table_lines, csv_rows) -> None:
     """Render and deliver one export; payload, table_lines and csv_rows are
     callables, and only the one the requested format needs is called."""
     if args.format == "json":
-        text = json.dumps(_envelope(kind, metadata, payload()), indent=2) + "\n"
+        text = _json(_envelope(kind, metadata, payload()))
     elif args.format == "csv":
         text = _render_csv(csv_rows())
     else:
@@ -116,9 +150,7 @@ def _cmd_verify(args) -> int:
         return rows
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(_envelope("report", metadata, report.as_dict()), fh, indent=2)
-            fh.write("\n")
+        _deliver(args, _json(_envelope("report", metadata, report.as_dict())))
         print(f"report written to {args.output}")
         print("\n".join(report.table_lines()))
     else:
@@ -250,7 +282,7 @@ def _poly_coeffs(n_max):
 def _poly_values(n_max):
     t = ak.recurrence_coeffs(n_max)
     g = ak.grid(n_max)
-    vals = ak.monic_table(t, n_max + 1, g.x).tolist()
+    vals = ak.monic_table(t, n_max + 1, g.x)
 
     def payload():
         return {

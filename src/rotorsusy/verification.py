@@ -130,38 +130,27 @@ _FD = ((1, 4.0 / 5.0), (2, -1.0 / 5.0), (3, 4.0 / 105.0), (4, -1.0 / 280.0))
 _FD_H = 0.01
 
 
-def _d_theta(j, m, theta, phi):
-    acc = 0.0
-    for off, w in _FD:
-        acc = acc + w * (
-            ylm_eval(BasisIndex(j, m), theta + off * _FD_H, phi)
-            - ylm_eval(BasisIndex(j, m), theta - off * _FD_H, phi)
-        )
-    return acc / _FD_H
+def _ladder_pointwise(space, theta, phi):
+    """J3, J+ and J- applied to every Y_j^m of one degree as differential
+    operators, each stacked over m like harmonic_values.  The theta and phi
+    derivatives are taken once and shared by all three."""
+    steps = _FD_H * np.array([off for off, _ in _FD] + [-off for off, _ in _FD])[:, None, None]
 
+    def derivative(shifted):
+        # shifted[:, i] holds the values at the angle moved by steps[i]
+        acc = 0.0
+        for i, (_, w) in enumerate(_FD):
+            acc = acc + w * (shifted[:, i] - shifted[:, i + len(_FD)])
+        return acc / _FD_H
 
-def _d_phi(j, m, theta, phi):
-    acc = 0.0
-    for off, w in _FD:
-        acc = acc + w * (
-            ylm_eval(BasisIndex(j, m), theta, phi + off * _FD_H)
-            - ylm_eval(BasisIndex(j, m), theta, phi - off * _FD_H)
-        )
-    return acc / _FD_H
-
-
-def _angular_momentum_pointwise(which, j, m, theta, phi):
-    """J3, J+ or J- applied to Y_j^m as differential operators."""
-    if which == "J3":
-        return -1j * _d_phi(j, m, theta, phi)
-    dt = _d_theta(j, m, theta, phi)
-    dp = _d_phi(j, m, theta, phi)
-    cot = np.cos(theta) / np.sin(theta)
-    if which == "J+":
-        return np.exp(1j * phi) * (dt + 1j * cot * dp)
-    if which == "J-":
-        return np.exp(-1j * phi) * (-dt + 1j * cot * dp)
-    raise ValueError(which)
+    dt = derivative(harmonic_values(space, theta=theta + steps, phi=phi))
+    dp = derivative(harmonic_values(space, theta=theta, phi=phi + steps))
+    cot_dp = 1j * (np.cos(theta) / np.sin(theta)) * dp
+    return {
+        "J3": -1j * dp,
+        "J+": np.exp(1j * phi) * (dt + cot_dp),
+        "J-": np.exp(-1j * phi) * (-dt + cot_dp),
+    }
 
 
 _REFLECTED_ANGLES = {
@@ -406,16 +395,10 @@ def _checks_operators(j_max, tol, degrees):
         for j in range(j_top8 + 1):
             space = HarmonicSpace(j)
             yv = harmonic_values(space, grid)
-            mats = {
-                "J3": op.j3(space).matrix,
-                "J+": op.jplus(space).matrix,
-                "J-": op.jminus(space).matrix,
-            }
-            for which, mat in mats.items():
-                for m in range(-j, j + 1):
-                    moved = _angular_momentum_pointwise(which, j, m, th, ph)
-                    col = np.einsum("btp,tp,tp->b", np.conj(yv), moved, grid.weight_mesh)
-                    worst = max(worst, float(np.max(np.abs(col - mat[:, m + j]))))
+            mats = {"J3": op.j3(space), "J+": op.jplus(space), "J-": op.jminus(space)}
+            for which, moved in _ladder_pointwise(space, th, ph).items():
+                got = np.einsum("btp,atp,tp->ba", np.conj(yv), moved, grid.weight_mesh)
+                worst = max(worst, float(np.max(np.abs(got - mats[which].matrix))))
             for axis in (1, 2, 3):
                 tt, pp = _REFLECTED_ANGLES[axis](th, ph)
                 moved = harmonic_values(space, theta=np.abs(tt), phi=pp)

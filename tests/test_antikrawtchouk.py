@@ -1,5 +1,6 @@
 """Recurrence data, weights, the permuted eigenbasis, and overlap duality."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -129,11 +130,21 @@ def test_weights_properties(N):
     assert_allclose(np.sum(wt.derived * p1 * p1), t.monic_c[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("N", [30, 60, 100])
+@pytest.mark.parametrize("N", [30, 60, 100, 115])
 def test_weights_match_exact_oracle_at_large_size(N):
     wt = weights(N)
     assert_allclose(wt.derived, np.array(_exact_weights(N), dtype=float), rtol=0, atol=1e-13)
     assert abs(wt.derived.sum() - 1.0) <= 1e-12
+    assert np.all(np.isfinite(wt.norms)) and np.all(np.isfinite(wt.closed_form))
+
+
+@pytest.mark.parametrize("N", [116, 150])
+def test_weights_raise_past_supported_range(N):
+    # the norms overflow a float from N = 116 on; no overflow warning may leak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="N <= 115"):
+            weights(N)
 
 
 def test_exact_weights_small_cases():

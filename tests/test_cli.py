@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, supercharge
-from rotorsusy.cli import _emit, main
+from rotorsusy.cli import _emit, _json, main
 
 
 def run(capsys, *argv):
@@ -225,3 +225,63 @@ def test_emit_renders_only_the_requested_format(fmt, tmp_path):
         assert json.loads(text)["payload"] == {"x": 1}
     else:
         assert text == expected[fmt]
+
+
+def _as_lists(obj):
+    """obj with every ndarray replaced by its tolist(), as json sees it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+_SPECIAL = np.array([-0.0, 5e-324, 1e308, 1.0 / 3.0, 0.0, -2.5])
+_NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("obj", [
+    np.arange(5.0),
+    np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+    np.linspace(-3.0, 7.0, 24).reshape(2, 3, 4) / 7.0,
+    np.empty((0,)),
+    np.empty((0, 2)),
+    np.empty((3, 0)),
+    np.array(2.5),
+    np.arange(6).reshape(2, 3),
+    _SPECIAL,
+    _NONFINITE,
+    {"x": _SPECIAL, "y": [_NONFINITE, {"z": np.ones((2, 1, 2))}], "w": np.empty((3, 0))},
+    {"a": {}, "b": [], "c": [[], {}], "d": [1, [2, [3, {"e": None}]]]},
+    [0, -7, 10**20, True, False, None, 1.5, float("nan"), float("-inf")],
+    ("tuple", 1, 2.0),
+    {"ключ": "значение", "esc\"\\\n\t": "\u0001 \u2028 é 😀", 3: "int key", True: 0.1},
+    "plain",
+    {},
+    [],
+])
+def test_json_renderer_matches_indented_dumps(obj):
+    assert _json(obj) == json.dumps(_as_lists(obj), indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--family", "F", "--j", "20"],
+    ["overlaps", "--N", "5", "--method", "both"],
+    ["poly", "--what", "values", "--N", "10"],
+    ["verify", "--jmax", "2"],
+])
+def test_json_exports_round_trip_through_indented_dumps(argv, tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "--format", "json", "--output", str(target))
+    assert code == 0
+    text = target.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_weights_export_past_supported_range_exits_1(capsys):
+    code, out, err = run(capsys, "poly", "--what", "weights", "--N", "116", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "N <= 115" in err

@@ -1,6 +1,6 @@
 import pytest
 
-from rotorsusy import run_verification, susy
+from rotorsusy import operators, run_verification, susy
 from rotorsusy.operators import from_column_action
 
 
@@ -70,3 +70,12 @@ def test_product_oracle_catches_a_wrong_closed_form(monkeypatch):
     assert "control failed" in control.detail
     assert checks["susy.square_identity"].passed
     assert checks["susy.q_spectrum"].passed
+
+
+def test_quadrature_oracle_catches_a_wrong_ladder_operator(monkeypatch):
+    right = operators.jplus
+    monkeypatch.setattr(operators, "jplus", lambda space: (1 + 1e-6) * right(space))
+    report = run_verification(4, suite_filter="operators")
+    check = {c.name: c for c in report.checks}["operators.quadrature_matrix_elements"]
+    assert not check.passed
+    assert check.residual > check.tolerance
