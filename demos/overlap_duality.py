@@ -2,9 +2,10 @@
 
 Permuting the coordinate axes maps the F eigenbasis onto a second eigenbasis
 Z of the same branch.  The overlap matrix between them can be computed by
-spherical quadrature, or reconstructed from the polynomial recurrence using
-only the first row.  The two constructions agree to machine precision, and
-the squared moduli of the first row reproduce the orthogonality weights.
+spherical quadrature, or written in closed form from the eigenvectors of the
+polynomial recurrence's Jacobi matrix times one sign per column.  The two
+constructions agree to machine precision, and the squared moduli of the
+first row reproduce the orthogonality weights.
 """
 
 import numpy as np

@@ -14,16 +14,24 @@ Their recurrence data come in Bannai-Ito form
 with monic coefficients b_n = -(A_n + C_n), c_n = A_{n-1} C_n > 0.
 One eigendecomposition of the Jacobi matrix of (b_n, sqrt(c_n)) serves
 the whole numerical side: its eigenvectors, ordered by the grid, give the
-weights as squared first components (Golub-Welsch) and, up to one phase
-per column, the recurrence overlaps.  The exact rational weights in
-verification.py are its oracle.  The hypergeometric-style closed form
-shipped alongside disagrees with the derived weights and is reported
-with a `discrepant` flag rather than asserted.
+weights as squared first components (Golub-Welsch) and, up to one sign
+per column, the overlaps.  The exact rational weights in verification.py
+are its oracle.  The hypergeometric-style closed form shipped alongside
+disagrees with the derived weights and is reported with a `discrepant`
+flag rather than asserted.
 
 Z_N^k is the image of F_N^k under the cyclic coordinate permutation
-(x1,x2,x3) -> (x2,x3,(-1)^{N+1} x1); the overlap matrix between the two
-eigenbases is unitary and reproduces the polynomials evaluated on the
-spectral grid.
+(x1,x2,x3) -> (x2,x3,(-1)^{N+1} x1).  The overlap matrix
+W[n, k] = <F_N^n, Z_N^k> is real orthogonal: column k is the Jacobi
+eigenvector of x_k times the sign
+
+    s_k = (-1)^(N/2)              for even N,
+    s_k = (-1)^((N+1)/2 + k)      for odd N,
+
+so W reproduces the orthonormal polynomials on the spectral grid, and
+Z = F W gives the permuted basis with no quadrature.  The integral route
+(overlaps_via_integral), which evaluates the permuted F functions and
+integrates over the sphere, is the oracle of both.
 """
 
 from dataclasses import dataclass, field
@@ -32,13 +40,7 @@ import numpy as np
 
 from .eigenbases import LabeledBasis, f_basis
 from .errors import ContractViolation, VerificationError
-from .harmonics import (
-    HarmonicSpace,
-    StateVector,
-    _require_degree,
-    build_grid,
-    harmonic_values,
-)
+from .harmonics import HarmonicSpace, build_grid, harmonic_values
 from .susy import supercharge, symmetry_generators
 
 __all__ = [
@@ -84,7 +86,7 @@ class RecurrenceTable:
             raise VerificationError("C_0 must vanish")
         if self.A[n] != 0.0:
             raise VerificationError("A_N must vanish (finite-family truncation)")
-        if np.any(self.monic_c <= 0):
+        if not np.all(self.monic_c > 0):
             raise VerificationError("monic c_n must be strictly positive")
 
 
@@ -130,6 +132,8 @@ class WeightTable:
     def __post_init__(self):
         for name in ("x", "derived", "closed_form", "norms"):
             arr = np.array(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise VerificationError(f"weight table column {name!r} is not finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -154,7 +158,7 @@ class OverlapMatrix:
         object.__setattr__(self, "W", w)
         res = float(np.max(np.abs(w.conj().T @ w - np.eye(self.N + 1))))
         object.__setattr__(self, "unitarity_residual", res)
-        if res > QUAD_TOL:
+        if not res <= QUAD_TOL:
             raise VerificationError(
                 f"overlap matrix ({self.method}) fails unitarity: residual {res:.3e}"
             )
@@ -233,7 +237,7 @@ def _jacobi(N: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.diag(table.monic_b) + np.diag(off, 1) + np.diag(off, -1))
     order = np.argsort(x)
     miss = float(np.max(np.abs(vals - x[order])))
-    if miss > 1e-8:
+    if not miss <= 1e-8:
         raise VerificationError(f"Jacobi spectrum misses the grid at N={N} by {miss:.3e}")
     V = np.empty_like(vecs)
     V[:, order] = vecs
@@ -253,7 +257,7 @@ def weights(N: int) -> WeightTable:
     table = recurrence_coeffs(N)
     g = grid(N)
     w = _jacobi(N)[0] ** 2
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise VerificationError(f"derived weights are not all positive at N={N}: {w}")
 
     alpha = (-1.0) ** N * (N + 1)
@@ -291,86 +295,71 @@ def _permuted_f_values(N: int, quad) -> np.ndarray:
     return np.einsum("ak,a...->k...", f_basis(space).matrix(), yv)
 
 
-def z_basis(N: int, grid=None) -> LabeledBasis:
+def z_basis(N: int) -> LabeledBasis:
     """The permuted eigenbasis Z_N^k as coefficient vectors over Y_N^m.
 
-    Each Z_N^k is obtained by quadrature projection of the permuted F_N^k
-    point values (one harmonic stack and one contraction for all k; the
-    grid degree must be at least 2N, else ContractViolation) and verified
-    to satisfy, at QUAD_TOL,
+    Z = F W: the F-basis matrix times the closed-form overlap matrix of
+    overlaps_via_recurrence, so no harmonics or quadrature enter.  The
+    family is verified orthonormal and to satisfy, at QUAD_TOL,
 
         K1 Z_N^k = (-1)^k (k + 1/2) Z_N^k,
         Q  Z_N^k = -(N + 1/2) Z_N^k,
 
-    together with orthonormality of the family.
+    else VerificationError.  Supported range: every N >= 1, with no bound
+    in principle; tested to N = 200 (and overlaps_via_integral checks the
+    same W against quadrature).
     """
     space = HarmonicSpace(N)
-    quad = grid if grid is not None else build_grid(N)
-    _require_degree(quad, N)
-    zvals = _permuted_f_values(N, quad)
-    basis = harmonic_values(space, quad)
-    mat = np.einsum("ktp,atp,tp->ak", zvals, np.conj(basis), quad.weight_mesh)
+    mat = f_basis(space).matrix() @ overlaps_via_recurrence(N).W
 
     gram_res = float(np.max(np.abs(mat.conj().T @ mat - np.eye(N + 1))))
-    if gram_res > QUAD_TOL:
-        raise VerificationError(f"projected Z family is not orthonormal: {gram_res:.3e}")
+    if not gram_res <= QUAD_TOL:
+        raise VerificationError(f"Z family is not orthonormal: {gram_res:.3e}")
     k1_op, _, _ = symmetry_generators(space)
     q_op = supercharge(space)
     k = np.arange(N + 1)
     k1_eigs = (-1.0) ** k * (k + 0.5)
     r1 = float(np.max(np.abs(k1_op.matrix @ mat - mat * k1_eigs)))
     r2 = float(np.max(np.abs(q_op.matrix @ mat - mat * (-(N + 0.5)))))
-    if max(r1, r2) > QUAD_TOL:
+    if not (r1 <= QUAD_TOL and r2 <= QUAD_TOL):
         raise VerificationError(
             f"Z family fails eigen-verification at N={N}: K1 residual {r1:.3e}, "
             f"Q residual {r2:.3e}"
         )
 
-    vectors = [StateVector(space, mat[:, i] / np.linalg.norm(mat[:, i]), normalized=True)
-               for i in range(N + 1)]
     labels = [{"k": int(i), "k1": float(k1_eigs[i]), "q": -(N + 0.5)} for i in range(N + 1)]
-    return LabeledBasis(space=space, family="Z", vectors=vectors, labels=labels)
+    return LabeledBasis(space=space, family="Z", coeffs=mat, labels=labels)
 
 
-def overlaps_via_integral(N: int, grid=None) -> OverlapMatrix:
+def overlaps_via_integral(N: int) -> OverlapMatrix:
     """Overlap matrix W[n, k] = integral of F_N^n conj(Z_N^k) by quadrature.
 
     Both families enter as point values (the Z functions are the permuted
-    F functions evaluated directly, not re-projected coefficients).
+    F functions evaluated directly, not re-projected coefficients).  This
+    is the oracle of overlaps_via_recurrence and z_basis.  Supported range:
+    bounded by the spherical harmonics it evaluates, correct to about
+    N = 85; at larger N the harmonics fail and unitarity raises.
     """
     space = HarmonicSpace(N)
-    quad = grid if grid is not None else build_grid(N)
+    quad = build_grid(N)
     zvals = _permuted_f_values(N, quad)
     fvals = np.einsum("ak,a...->k...", f_basis(space).matrix(), harmonic_values(space, quad))
     W = np.einsum("ntp,ktp,tp->nk", fvals, np.conj(zvals), quad.weight_mesh)
     return OverlapMatrix(N=int(N), W=W, method="integral")
 
 
-def overlaps_via_recurrence(N: int, grid=None, omega=None) -> OverlapMatrix:
-    """Overlap matrix from the polynomial recurrence instead of integration.
+def overlaps_via_recurrence(N: int) -> OverlapMatrix:
+    """Overlap matrix in closed form, from one Jacobi eigendecomposition.
 
-    Column k of W is the Jacobi eigenvector of x_k (_jacobi) times the
-    phase of the boundary entry omega_k = W[0, k]: W[n, k] =
-    omega_k / |omega_k| sqrt(w_k) p-hat_n(x_k).  omega defaults to the
-    quadrature overlaps of F_N^0 on the quadrature grid `grid` (pass omega
-    to skip that one integration); only its phases enter.  Tested against
-    the integral route for N <= 40.
+    W[n, k] = s_k sqrt(w_k) p-hat_n(x_k): column k is the Jacobi
+    eigenvector of x_k (_jacobi) times the sign s_k = (-1)^(N/2) for even
+    N and s_k = (-1)^((N+1)/2 + k) for odd N.  Supported range: every
+    N >= 1, with no bound in principle; tested unitary to N = 400 and
+    against overlaps_via_integral for N = 1..12, 39 and 40.
     """
-    if omega is None:
-        space = HarmonicSpace(N)
-        quad = grid if grid is not None else build_grid(N)
-        zvals = _permuted_f_values(N, quad)
-        f0 = np.einsum("a,a...->...", f_basis(space).matrix()[:, 0],
-                       harmonic_values(space, quad))
-        omega = np.array([quad.integrate(f0 * np.conj(zvals[k])) for k in range(N + 1)])
-    else:
-        omega = np.asarray(omega, dtype=complex)
-        if omega.shape != (N + 1,):
-            raise ValueError("omega must have length N+1")
-        if np.any(omega == 0):
-            raise ValueError("omega must have no zero entry (its phases fix W)")
-    W = _jacobi(N) * (omega / np.abs(omega))
-    return OverlapMatrix(N=int(N), W=W, method="recurrence")
+    V = _jacobi(N)
+    s = (-1.0) ** (N // 2) if N % 2 == 0 else (-1.0) ** ((N + 1) // 2 + np.arange(N + 1))
+    return OverlapMatrix(N=int(N), W=V * s, method="recurrence")
 
 
 def bannai_ito_params(N: int) -> dict:

@@ -198,19 +198,11 @@ def _cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # basis
 
-def _basis_by_family(family, j):
-    space = HarmonicSpace(j)
-    if family == "M":
-        return eb.m_basis(space)
-    if family == "F":
-        return eb.f_basis(space)
-    if family == "G":
-        return eb.g_basis(space)
-    return ak.z_basis(j)
+_BASES = {"M": eb.m_basis, "F": eb.f_basis, "G": eb.g_basis, "Z": lambda space: ak.z_basis(space.j)}
 
 
 def _cmd_basis(args) -> int:
-    basis = _basis_by_family(args.family, args.j)
+    basis = _BASES[args.family](HarmonicSpace(args.j))
 
     def payload():
         return {
@@ -222,9 +214,9 @@ def _cmd_basis(args) -> int:
 
     def table():
         lines = [f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"]
-        for lab, v in zip(basis.labels, basis.vectors):
+        for lab, v in zip(basis.labels, basis.matrix().T):
             lines.append("  " + ", ".join(f"{k}={lab[k]}" for k in lab))
-            lines.append("    " + "  ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in v.coeffs))
+            lines.append("    " + "  ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in v))
         return lines
 
     def csv_rows():
@@ -233,10 +225,10 @@ def _cmd_basis(args) -> int:
         for i in range(2 * args.j + 1):
             header += [f"c{i}_re", f"c{i}_im"]
         rows = [header]
-        for n, (lab, v) in enumerate(zip(basis.labels, basis.vectors)):
+        for n, (lab, v) in enumerate(zip(basis.labels, basis.matrix().T)):
             row = [str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
                               for k in label_keys]
-            for c in v.coeffs:
+            for c in v:
                 row += [_f17(c.real), _f17(c.imag)]
             rows.append(row)
         return rows
@@ -381,11 +373,8 @@ def _cmd_overlaps(args) -> int:
     results = {}
     if args.method in ("integral", "both"):
         results["integral"] = ak.overlaps_via_integral(n)
-    if args.method == "recurrence":
+    if args.method in ("recurrence", "both"):
         results["recurrence"] = ak.overlaps_via_recurrence(n)
-    elif args.method == "both":
-        # row 0 of the integral route is the recurrence's boundary row omega
-        results["recurrence"] = ak.overlaps_via_recurrence(n, omega=results["integral"].W[0])
     dev = None
     if args.method == "both":
         dev = float(np.max(np.abs(results["integral"].W - results["recurrence"].W)))
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis = sub.add_parser("basis", parents=[common],
                              help="export an eigenbasis family")
     p_basis.add_argument("--j", type=int, required=True)
-    p_basis.add_argument("--family", choices=("M", "F", "G", "Z"), required=True)
+    p_basis.add_argument("--family", choices=tuple(_BASES), required=True)
     p_basis.set_defaults(func=_cmd_basis)
 
     p_poly = sub.add_parser("poly", parents=[common],

@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ContractViolation, VerificationError
-from .harmonics import HarmonicSpace, StateVector
+from .harmonics import HarmonicSpace
 from .operators import Operator, commutator, op_norm
 from .susy import supercharge, symmetry_generators
 
@@ -40,7 +40,9 @@ EIGEN_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LabeledBasis:
-    """An ordered orthonormal basis with one label dict per vector.
+    """An ordered orthonormal basis: a read-only (2j+1, n) array whose
+    column i holds the coefficients of vector i over Y_j^m, and one label
+    dict per column.  Every column must have unit norm (to 1e-10).
 
     family is one of "M", "F", "G", "Z" for the named bases, or "joint"
     for the output of joint_diagonalize.
@@ -48,29 +50,34 @@ class LabeledBasis:
 
     space: HarmonicSpace
     family: str
-    vectors: tuple
+    coeffs: np.ndarray
     labels: tuple
 
     def __post_init__(self):
         if self.family not in ("M", "F", "G", "Z", "joint"):
             raise ValueError(f"unknown basis family {self.family!r}")
-        if len(self.vectors) != len(self.labels):
-            raise ValueError("vectors and labels must have equal length")
-        object.__setattr__(self, "vectors", tuple(self.vectors))
+        c = np.array(self.coeffs, dtype=complex)
+        if c.shape != (self.space.dim, len(self.labels)):
+            raise ValueError(
+                f"expected {self.space.dim} x {len(self.labels)} coefficients, got shape {c.shape}"
+            )
+        dev = float(np.max(np.abs(np.linalg.norm(c, axis=0) - 1.0), initial=0.0))
+        if not dev <= 1e-10:
+            raise ValueError(f"basis vectors must have unit norm; worst deviation {dev!r}")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.labels)
 
     def matrix(self):
         """Coefficients stacked column-wise, shape (2j+1, len(self))."""
-        if not self.vectors:
-            return np.zeros((self.space.dim, 0), dtype=complex)
-        return np.column_stack([v.coeffs for v in self.vectors])
+        return self.coeffs
 
     def orthonormality_residual(self) -> float:
-        v = self.matrix()
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(len(self))))) if self.vectors else 0.0
+        v = self.coeffs
+        return float(np.max(np.abs(v.conj().T @ v - np.eye(len(self))), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +93,8 @@ class TridiagonalData:
         e = np.array(self.offdiag, dtype=float)
         if d.shape != (self.N,) or e.shape != (max(self.N - 1, 0),):
             raise ValueError("inconsistent tridiagonal shapes")
-        if np.any(e <= 0):
-            raise VerificationError("off-diagonal entries must be strictly positive")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e)) and np.all(e > 0)):
+            raise VerificationError("entries must be finite, off-diagonal entries strictly positive")
         d.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "diag", d)
@@ -99,18 +106,24 @@ def _m_position(j: int, m: int, eps: int) -> int:
     return m if eps == 1 else j + m
 
 
+def _m_columns(j: int, m, eps) -> np.ndarray:
+    """The (2j+1, len(m)) array whose column c is M_j^{m[c],eps[c]} =
+    (Y_j^{-m} + i eps Y_j^m) / sqrt(2).  Columns with m > j are zero."""
+    out = np.zeros((2 * j + 1, m.size), dtype=complex)
+    c = np.flatnonzero(m <= j)
+    out[j - m[c], c] += 1.0 / sqrt(2.0)
+    out[j + m[c], c] += 1j * eps[c] / sqrt(2.0)
+    return out
+
+
 def m_basis(space: HarmonicSpace) -> LabeledBasis:
     """The K3 eigenbasis M_j^{m,eps} in canonical order."""
     j = space.j
-    vectors, labels = [], []
-    for eps in (1, -1):
-        for m in range(0 if eps == 1 else 1, j + 1):
-            c = np.zeros(space.dim, dtype=complex)
-            c[j - m] += 1.0 / sqrt(2.0)
-            c[j + m] += 1j * eps / sqrt(2.0)
-            vectors.append(StateVector(space, c, normalized=True))
-            labels.append({"m": m, "epsilon": eps, "k3": eps * m + (-1.0) ** m / 2.0})
-    return LabeledBasis(space=space, family="M", vectors=vectors, labels=labels)
+    m = np.r_[0:j + 1, 1:j + 1]
+    eps = np.where(np.arange(space.dim) <= j, 1, -1)
+    labels = [{"m": a, "epsilon": e, "k3": e * a + (-1.0) ** a / 2.0}
+              for a, e in zip(m.tolist(), eps.tolist())]
+    return LabeledBasis(space=space, family="M", coeffs=_m_columns(j, m, eps), labels=labels)
 
 
 def q_action_on_m(space: HarmonicSpace):
@@ -160,7 +173,7 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
         raise ValueError("operators live on different spaces")
     space = q_op.space
     tol = 1e-10 * space.dim
-    if op_norm(commutator(q_op, k3_op)) > tol:
+    if not op_norm(commutator(q_op, k3_op)) <= tol:
         raise ContractViolation("inputs do not commute; joint eigenbasis undefined")
 
     q_vals, q_vecs = np.linalg.eigh(q_op.matrix)
@@ -192,33 +205,25 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
             start = i
 
     entries.sort(key=lambda t: (t[0], t[1]))
-    vectors = [StateVector(space, v, normalized=True) for (_, _, _, v) in entries]
     labels = [{"k": k, "q": qv, "k3": k3v} for (qv, k, k3v, _) in entries]
-    return LabeledBasis(space=space, family="joint", vectors=vectors, labels=labels)
+    return LabeledBasis(space=space, family="joint",
+                        coeffs=np.column_stack([v for (_, _, _, v) in entries]), labels=labels)
 
 
-def _fg_vectors(space: HarmonicSpace, which: str):
+def _fg_matrix(space: HarmonicSpace, which: str) -> np.ndarray:
+    """The F or G vectors as columns over Y_j^m, written from their
+    two-term closed forms upper M_j^{k+1,eps} + lower M_j^{k,eps}, eps = (-1)^k
+    (see f_basis and g_basis)."""
     j = space.j
-    m_mat = m_basis(space).matrix()
-
-    def m_col(m, eps):
-        return m_mat[:, _m_position(j, m, eps)]
-
-    out = []
-    k_range = range(j + 1) if which == "F" else range(j)
-    for k in k_range:
-        eps = (-1) ** k
-        if which == "F":
-            upper = sqrt((j - k) / (2 * j + 1))
-            lower = 1j * (-1.0) ** (j + k + 1) * sqrt((j + k + 1) / (2 * j + 1))
-        else:
-            upper = sqrt((j + k + 1) / (2 * j + 1))
-            lower = 1j * (-1.0) ** (k + j) * sqrt((j - k) / (2 * j + 1))
-        v = lower * m_col(k, eps)
-        if k + 1 <= j:
-            v = v + upper * m_col(k + 1, eps)
-        out.append(v)
-    return out
+    k = np.arange(j + 1 if which == "F" else j)
+    if which == "F":
+        upper = np.sqrt((j - k) / (2 * j + 1))
+        lower = 1j * (-1.0) ** (j + k + 1) * np.sqrt((j + k + 1) / (2 * j + 1))
+    else:
+        upper = np.sqrt((j + k + 1) / (2 * j + 1))
+        lower = 1j * (-1.0) ** (k + j) * np.sqrt((j - k) / (2 * j + 1))
+    eps = (-1) ** k
+    return _m_columns(j, k, eps) * lower + _m_columns(j, k + 1, eps) * upper
 
 
 def _verified_fg_basis(space: HarmonicSpace, which: str, _ops=None) -> LabeledBasis:
@@ -227,27 +232,24 @@ def _verified_fg_basis(space: HarmonicSpace, which: str, _ops=None) -> LabeledBa
     j = space.j
     q_op, k3_op = _ops if _ops is not None else (supercharge(space), symmetry_generators(space)[2])
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
-    vecs = _fg_vectors(space, which)
-    k = np.arange(len(vecs))
+    v = _fg_matrix(space, which)
+    k = np.arange(v.shape[1])
     k3_eigs = (-1.0) ** k * (k + 0.5)
 
-    if vecs:
-        v = np.column_stack(vecs)
-        rq = np.linalg.norm(q_op.matrix @ v - q_eig * v, axis=0)
-        rk = np.linalg.norm(k3_op.matrix @ v - v * k3_eigs, axis=0)
-        bad = np.flatnonzero(np.maximum(rq, rk) > EIGEN_TOL)
-        if bad.size:
-            kb = int(bad[0])
-            oracle = joint_diagonalize(q_op, k3_op)
-            overlaps = np.abs(oracle.matrix().conj().T @ vecs[kb])
-            raise VerificationError(
-                f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
-                f"|Qv - qv| = {rq[kb]:.3e}, |K3v - k3v| = {rk[kb]:.3e} (tolerance {EIGEN_TOL}); "
-                f"best oracle overlap modulus {overlaps.max():.6f}"
-            )
-    vectors = [StateVector(space, v, normalized=True) for v in vecs]
+    rq = np.linalg.norm(q_op.matrix @ v - q_eig * v, axis=0)
+    rk = np.linalg.norm(k3_op.matrix @ v - v * k3_eigs, axis=0)
+    bad = np.flatnonzero(~(np.maximum(rq, rk) <= EIGEN_TOL))
+    if bad.size:
+        kb = int(bad[0])
+        oracle = joint_diagonalize(q_op, k3_op)
+        overlaps = np.abs(oracle.matrix().conj().T @ v[:, kb])
+        raise VerificationError(
+            f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
+            f"|Qv - qv| = {rq[kb]:.3e}, |K3v - k3v| = {rk[kb]:.3e} (tolerance {EIGEN_TOL}); "
+            f"best oracle overlap modulus {overlaps.max():.6f}"
+        )
     labels = [{"k": int(i), "q": q_eig, "k3": float(k3_eigs[i])} for i in k]
-    return LabeledBasis(space=space, family=which, vectors=vectors, labels=labels)
+    return LabeledBasis(space=space, family=which, coeffs=v, labels=labels)
 
 
 def f_basis(space: HarmonicSpace) -> LabeledBasis:
@@ -316,9 +318,9 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
     t = v.conj().T @ k1_op.matrix @ v
 
     mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    stray = float(np.max(np.abs(t[mask]))) if mask.any() else 0.0
+    stray = float(np.max(np.abs(t[mask]), initial=0.0))
     imag = float(np.max(np.abs(t.imag)))
-    if max(stray, imag) > EIGEN_TOL:
+    if not (stray <= EIGEN_TOL and imag <= EIGEN_TOL):
         raise VerificationError(
             f"matrix is not real tridiagonal in the {basis.family}-basis "
             f"(stray {stray:.3e}, imaginary {imag:.3e})"
@@ -327,11 +329,8 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
     off = t.diagonal(1).real.copy()
 
     exp_diag, exp_off = closed_form_tridiagonal(basis.family, basis.space.j)
-    dev = max(
-        float(np.max(np.abs(diag - exp_diag))) if n else 0.0,
-        float(np.max(np.abs(off - exp_off))) if n > 1 else 0.0,
-    )
-    if dev > EIGEN_TOL:
+    dev = float(np.max(np.abs(np.concatenate((diag - exp_diag, off - exp_off)))))
+    if not dev <= EIGEN_TOL:
         raise VerificationError(
             f"extracted tridiagonal data deviate from the closed form by {dev:.3e} "
             f"({basis.family}-basis, j={basis.space.j})"
@@ -352,18 +351,15 @@ def decompose(space: HarmonicSpace) -> dict:
     k1_op, k2_op, k3_op = symmetry_generators(space)
     fb = _verified_fg_basis(space, "F", (q_op, k3_op))
     gb = _verified_fg_basis(space, "G", (q_op, k3_op))
-    t = np.column_stack([fb.matrix(), gb.matrix()]) if len(gb) else fb.matrix()
+    t = np.column_stack([fb.matrix(), gb.matrix()])
 
     completeness = float(np.max(np.abs(t.conj().T @ t - np.eye(space.dim))))
     nf = len(fb)
     offblock = {}
     for name, op in (("Q", q_op), ("K1", k1_op), ("K2", k2_op), ("K3", k3_op)):
         full = t.conj().T @ op.matrix @ t
-        cross = max(
-            float(np.max(np.abs(full[:nf, nf:]))) if len(gb) else 0.0,
-            float(np.max(np.abs(full[nf:, :nf]))) if len(gb) else 0.0,
-        )
-        offblock[name] = cross
+        offblock[name] = float(max(np.max(np.abs(full[:nf, nf:]), initial=0.0),
+                                   np.max(np.abs(full[nf:, :nf]), initial=0.0)))
 
     f_tri = tridiagonal_extract(k1_op, fb)
     report = {

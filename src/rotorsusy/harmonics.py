@@ -93,6 +93,8 @@ class StateVector:
             raise ValueError(
                 f"expected {self.space.dim} coefficients for j={self.space.j}, got shape {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"coefficients for j={self.space.j} are not all finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         if self.normalized:
@@ -209,6 +211,14 @@ def _ylm_prefactor(j: int, am: int) -> float:
     return sqrt((2 * j + 1) / (4.0 * pi) * ratio)
 
 
+def _polar(theta) -> np.ndarray:
+    """theta as a float array; ValueError unless every entry lies in [0, pi]."""
+    theta_arr = np.asarray(theta, dtype=float)
+    if not np.all((theta_arr >= -1e-12) & (theta_arr <= pi + 1e-12)):
+        raise ValueError("theta must lie in [0, pi]")
+    return theta_arr
+
+
 def ylm_eval(idx: BasisIndex, theta, phi):
     """Evaluate the spherical harmonic Y_j^m at angles (theta, phi).
 
@@ -225,9 +235,7 @@ def ylm_eval(idx: BasisIndex, theta, phi):
     complex or ndarray
         Y_j^m values; orthonormal on the unit sphere.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < -1e-12) or np.any(theta_arr > pi + 1e-12):
-        raise ValueError("theta must lie in [0, pi]")
+    theta_arr = _polar(theta)
     am = abs(idx.m)
     base = _ylm_prefactor(idx.j, am) * assoc_legendre(idx.j, am, np.cos(theta_arr))
     if idx.m >= 0:
@@ -262,7 +270,8 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
 
     Either pass a QuadratureGrid (values on its mesh, shape
     (2j+1, n_theta, n_phi)) or explicit broadcastable theta/phi arrays
-    (shape (2j+1,) + broadcast shape).
+    (shape (2j+1,) + broadcast shape); theta must lie in [0, pi], else
+    ValueError.
 
     On a grid the Legendre factors are evaluated on the n_theta nodes only
     and broadcast against exp(i m phi) on the n_phi nodes, so the cost is
@@ -274,9 +283,7 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
     else:
         if theta is None or phi is None:
             raise ValueError("pass either a grid or both theta and phi")
-        theta_mesh, phi_mesh = np.broadcast_arrays(
-            np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-        )
+        theta_mesh, phi_mesh = np.broadcast_arrays(_polar(theta), np.asarray(phi, dtype=float))
     z = np.cos(theta_mesh)
     out = np.empty((2 * j + 1,) + np.broadcast_shapes(z.shape, phi_mesh.shape), dtype=complex)
     for m in range(0, j + 1):
@@ -303,14 +310,6 @@ def evaluate_on_grid(f, grid: QuadratureGrid):
     return values
 
 
-def _require_degree(grid: QuadratureGrid, j: int) -> None:
-    """Raise ContractViolation unless the grid integrates degree-j products exactly."""
-    if grid.degree < 2 * j:
-        raise ContractViolation(
-            f"grid degree {grid.degree} insufficient to project onto j={j} (need >= {2 * j})"
-        )
-
-
 def project(f, j: int, grid: QuadratureGrid) -> StateVector:
     """Project a band-limited function onto the degree-j harmonic basis.
 
@@ -330,10 +329,14 @@ def project(f, j: int, grid: QuadratureGrid) -> StateVector:
         Coefficients c_m = integral of f * conj(Y_j^m) over the sphere.
     """
     space = HarmonicSpace(j)
-    _require_degree(grid, j)
+    if grid.degree < 2 * j:
+        raise ContractViolation(
+            f"grid degree {grid.degree} insufficient to project onto j={j} (need >= {2 * j})"
+        )
     values = f if isinstance(f, np.ndarray) else evaluate_on_grid(f, grid)
     basis = harmonic_values(space, grid)
-    coeffs = np.einsum("tp,atp,tp->a", values, np.conj(basis), grid.weight_mesh)
+    # conj(sum conj(f) Y w) = sum f conj(Y) w, with no conjugated copy of the stack
+    coeffs = np.einsum("tp,atp->a", np.conj(values) * grid.weight_mesh, basis).conj()
     return StateVector(space=space, coeffs=coeffs)
 
 

@@ -159,7 +159,7 @@ class SusyOperators:
         for name in ("h", "q", "q_alt", "k1", "k2", "k3", "c"):
             op = getattr(self, name)
             dev = np.linalg.norm(op.matrix - op.matrix.conj().T)
-            if dev > tol:
+            if not dev <= tol:
                 raise VerificationError(f"{name} is not self-adjoint (deviation {dev:.3e})")
 
 

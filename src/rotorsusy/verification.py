@@ -192,8 +192,9 @@ def _product_operators(space):
 
 
 class _Degree:
-    """One degree: its closed-form bundle s and its product oracle o, each
-    built on first use and then shared by every check of one run."""
+    """One degree: its closed-form bundle s, its product oracle o and the
+    integral-route overlap matrix w (N = j), each built on first use and
+    then shared by every check of one run."""
 
     def __init__(self, j):
         self.space = HarmonicSpace(j)
@@ -205,6 +206,10 @@ class _Degree:
     @cached_property
     def o(self):
         return _product_operators(self.space)
+
+    @cached_property
+    def w(self):
+        return ak.overlaps_via_integral(self.space.j)
 
     def gap(self, *names):
         """Largest Frobenius distance of the named closed forms from the oracle."""
@@ -537,19 +542,14 @@ def _checks_eigenbases(j_max, tol, degrees):
             o = degrees(j).o
             fb, gb = eb.f_basis(space), eb.g_basis(space)
             oracle = eb.joint_diagonalize(o.q, o.k3)
-            t = np.column_stack([fb.matrix()] + ([gb.matrix()] if len(gb) else []))
+            t = np.column_stack([fb.matrix(), gb.matrix()])
             worst = max(worst, float(np.max(np.abs(t.conj().T @ t - np.eye(space.dim)))))
-            omat = oracle.matrix()
-            for basis, q_val in ((fb, -(j + 0.5)), (gb, j + 0.5)):
-                for vec, lab in zip(basis.vectors, basis.labels):
-                    match = [
-                        i for i, ol in enumerate(oracle.labels)
-                        if abs(ol["q"] - q_val) < 1e-6 and ol["k"] == lab["k"]
-                    ]
-                    if len(match) != 1:
-                        return False, float("inf"), tol(1e-10), f"oracle label mismatch at j={j}"
-                    overlap = abs(np.vdot(omat[:, match[0]], vec.coeffs))
-                    worst = max(worst, abs(overlap - 1.0))
+            # the oracle orders its columns by (q, k), as F then G are ordered
+            if ([(round(lab["q"], 6), lab["k"]) for lab in oracle.labels]
+                    != [(lab["q"], lab["k"]) for lab in fb.labels + gb.labels]):
+                return False, float("inf"), tol(1e-10), f"oracle label mismatch at j={j}"
+            overlap = np.abs(np.sum(oracle.matrix().conj() * t, axis=0))
+            worst = max(worst, float(np.max(np.abs(overlap - 1.0))))
         return worst <= tol(1e-10), worst, tol(1e-10), f"matches joint-diagonalization oracle, j <= {j_top}"
 
     def tridiagonal_data():
@@ -678,20 +678,13 @@ def _checks_overlaps(j_max, tol, degrees):
     def unitarity():
         worst = 0.0
         for n in n_range:
-            wi = ak.overlaps_via_integral(n)
+            wi = degrees(n).w
             wr = ak.overlaps_via_recurrence(n)
             worst = max(worst, wi.unitarity_residual, wr.unitarity_residual)
+            # W diagonalizes the K1 block: J W = W diag(y)
             diag_b, off_u = eb.closed_form_tridiagonal("F", n)
-            y = ak.grid(n).y
-            w = wi.W
-            for row in range(n + 1):
-                lhs = y * w[row]
-                rhs = diag_b[row] * w[row]
-                if row + 1 <= n:
-                    rhs = rhs + off_u[row] * w[row + 1]
-                if row - 1 >= 0:
-                    rhs = rhs + off_u[row - 1] * w[row - 1]
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            jac = np.diag(diag_b) + np.diag(off_u, 1) + np.diag(off_u, -1)
+            worst = max(worst, float(np.max(np.abs(wi.W * ak.grid(n).y - jac @ wi.W))))
         if n_top < 1:
             return True, 0.0, tol(1e-9), "empty range"
         return worst <= tol(1e-9), worst, tol(1e-9), f"both W constructions, three-term residual, N <= {n_top}"
@@ -699,7 +692,7 @@ def _checks_overlaps(j_max, tol, degrees):
     def duality():
         worst = 0.0
         for n in n_range:
-            wi = ak.overlaps_via_integral(n)
+            wi = degrees(n).w
             wr = ak.overlaps_via_recurrence(n)
             worst = max(worst, float(np.max(np.abs(wi.W - wr.W))))
             amp = np.abs(wi.W[0]) ** 2

@@ -141,19 +141,19 @@ def test_criterion_5_decomposition(capsys):
         k1, _, k3 = symmetry_generators(space)
         oracle = joint_diagonalize(q, k3)
         oracle_map = {
-            (round(lbl["q"], 6), lbl["k"]): vec.coeffs
-            for lbl, vec in zip(oracle.labels, oracle.vectors)
+            (round(lbl["q"], 6), lbl["k"]): vec
+            for lbl, vec in zip(oracle.labels, oracle.matrix().T)
         }
         for basis in (f_basis(space), g_basis(space)):
-            for lbl, vec in zip(basis.labels, basis.vectors):
+            for lbl, vec in zip(basis.labels, basis.matrix().T):
                 worst_eig = max(
                     worst_eig,
-                    float(np.linalg.norm(q.matrix @ vec.coeffs - lbl["q"] * vec.coeffs)),
-                    float(np.linalg.norm(k3.matrix @ vec.coeffs - lbl["k3"] * vec.coeffs)),
+                    float(np.linalg.norm(q.matrix @ vec - lbl["q"] * vec)),
+                    float(np.linalg.norm(k3.matrix @ vec - lbl["k3"] * vec)),
                 )
                 partner = oracle_map[(round(lbl["q"], 6), lbl["k"])]
                 worst_overlap = max(
-                    worst_overlap, abs(abs(np.vdot(partner, vec.coeffs)) - 1.0)
+                    worst_overlap, abs(abs(np.vdot(partner, vec)) - 1.0)
                 )
             tri = tridiagonal_extract(k1, basis) if len(basis) else None
             if tri is not None:

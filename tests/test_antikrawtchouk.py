@@ -1,6 +1,7 @@
 """Recurrence data, weights, the permuted eigenbasis, and overlap duality."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from rotorsusy import (
     ContractViolation,
     HarmonicSpace,
+    OverlapMatrix,
+    VerificationError,
     bannai_ito_params,
-    build_grid,
     closed_form_tridiagonal,
     eval_monic,
     f_basis,
@@ -26,7 +28,7 @@ from rotorsusy import (
     weights,
     z_basis,
 )
-from rotorsusy.antikrawtchouk import grid
+from rotorsusy.antikrawtchouk import QUAD_TOL, grid
 from rotorsusy.verification import _exact_weights
 
 
@@ -176,15 +178,17 @@ def test_permuted_basis_is_orthonormal_eigenbasis():
     space = HarmonicSpace(N)
     k1, _, _ = symmetry_generators(space)
     q = supercharge(space)
-    for lbl, vec in zip(zb.labels, zb.vectors):
-        assert_allclose(k1.matrix @ vec.coeffs, lbl["k1"] * vec.coeffs, atol=1e-9)
-        assert_allclose(q.matrix @ vec.coeffs, -(N + 0.5) * vec.coeffs, atol=1e-9)
+    for lbl, vec in zip(zb.labels, zb.matrix().T):
+        assert_allclose(k1.matrix @ vec, lbl["k1"] * vec, atol=1e-9)
+        assert_allclose(q.matrix @ vec, -(N + 0.5) * vec, atol=1e-9)
     got = sorted(lbl["k1"] for lbl in zb.labels)
     assert_allclose(got, [-1.5, 0.5, 2.5])
 
 
 def test_permuted_basis_spectrum_matches_grid():
-    for N in (1, 3, 5):
+    # N = 90 and 200 lie past the range of the spherical harmonics; Z = F W
+    # reaches them with no quadrature
+    for N in (1, 3, 5, 90, 200):
         zb = z_basis(N)
         assert_allclose(sorted(lbl["k1"] for lbl in zb.labels), sorted(grid(N).y))
 
@@ -201,16 +205,11 @@ def test_second_generator_tridiagonal_on_permuted_basis():
     assert_allclose(tri.offdiag, off_u, atol=1e-9)
 
 
-def test_z_basis_rejects_underresolved_grid():
-    N = 3
-    with pytest.raises(ContractViolation):
-        z_basis(N, grid=build_grid(N - 1))
-
-
-@pytest.mark.parametrize("N", [1, 2, 4, 7])
+@pytest.mark.parametrize("N", [*range(1, 13), 39])
 def test_overlap_duality(N):
     wi = overlaps_via_integral(N)
     wr = overlaps_via_recurrence(N)
+    assert (wi.method, wr.method) == ("integral", "recurrence")
     assert wi.unitarity_residual < 1e-9
     assert wr.unitarity_residual < 1e-9
     assert_allclose(wi.W, wr.W, atol=1e-8)
@@ -233,21 +232,24 @@ def test_overlap_rows_follow_recurrence():
 
 def test_recurrence_overlaps_match_integral_at_size_40():
     wi = overlaps_via_integral(40)
-    wr = overlaps_via_recurrence(40, omega=wi.W[0])
+    wr = overlaps_via_recurrence(40)
     assert_allclose(wr.W, wi.W, rtol=0, atol=1e-8)
     assert wr.unitarity_residual < 1e-9
 
 
-def test_overlap_omega_override():
-    N = 2
-    wi = overlaps_via_integral(N)
-    wr = overlaps_via_recurrence(N, omega=wi.W[0])
-    assert_allclose(wi.W, wr.W, atol=1e-10)
-    assert wr.method == "recurrence"
-    assert wi.method == "integral"
-    # only omega's phases enter, so a zero entry cannot fix W
-    with pytest.raises(ValueError):
-        overlaps_via_recurrence(N, omega=np.array([1.0, 0.0, 1.0]))
+@pytest.mark.parametrize("N", [100, 400])
+def test_recurrence_overlaps_are_finite_and_unitary_past_the_quadrature(N):
+    wr = overlaps_via_recurrence(N)
+    assert np.all(np.isfinite(wr.W))
+    assert wr.unitarity_residual <= QUAD_TOL
+
+
+def test_tables_reject_non_finite_entries():
+    with pytest.raises(VerificationError):
+        OverlapMatrix(N=1, W=np.full((2, 2), np.nan), method="x")
+    wt = weights(2)
+    with pytest.raises(VerificationError, match="derived"):
+        replace(wt, derived=np.array([0.25, np.nan, 0.625]))
 
 
 def test_bannai_ito_parameter_map():

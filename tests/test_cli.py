@@ -171,10 +171,13 @@ def test_overlaps_both_methods_agree(capsys):
 @pytest.mark.parametrize("argv", [
     ["poly", "--what", "weights", "--N", "30"],
     ["overlaps", "--N", "40", "--method", "recurrence"],
+    ["overlaps", "--N", "100", "--method", "recurrence"],
+    ["basis", "--family", "Z", "--j", "90"],
 ])
 def test_large_polynomial_commands_succeed(argv, capsys):
-    code, _, err = run(capsys, *argv, "--format", "json")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
+    assert "NaN" not in out
 
 
 def test_overlaps_single_method_csv(capsys):

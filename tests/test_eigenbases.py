@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from rotorsusy import (
     ContractViolation,
     HarmonicSpace,
+    LabeledBasis,
     TridiagonalData,
     VerificationError,
     closed_form_tridiagonal,
@@ -44,7 +45,7 @@ def test_m_basis_diagonalizes_third_generator():
 def test_m_basis_explicit_degree_one_vector():
     basis = m_basis(HarmonicSpace(1))
     # m=1, eps=+1: (Y^{-1} + i Y^{1}) / sqrt(2)
-    assert_allclose(basis.vectors[1].coeffs, [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
+    assert_allclose(basis.matrix()[:, 1], [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
 
 
 def test_supercharge_closed_form_on_m_basis():
@@ -79,9 +80,9 @@ def test_joint_diagonalization_labels():
     basis = joint_diagonalize(q, k3)
     got = sorted((round(lbl["q"], 8), lbl["k"]) for lbl in basis.labels)
     assert got == [(-1.5, 0), (-1.5, 1), (1.5, 0)]
-    for lbl, vec in zip(basis.labels, basis.vectors):
-        assert_allclose(q.matrix @ vec.coeffs, lbl["q"] * vec.coeffs, atol=1e-10)
-        assert_allclose(k3.matrix @ vec.coeffs, lbl["k3"] * vec.coeffs, atol=1e-10)
+    for lbl, vec in zip(basis.labels, basis.matrix().T):
+        assert_allclose(q.matrix @ vec, lbl["q"] * vec, atol=1e-10)
+        assert_allclose(k3.matrix @ vec, lbl["k3"] * vec, atol=1e-10)
     assert basis.orthonormality_residual() < 1e-12
 
 
@@ -97,7 +98,7 @@ def test_f_basis_structure():
     assert len(fb) == 2
     # F_1^1 has no upper term, so it is a pure M^{1,-1} state
     m_mat = m_basis(space).matrix()
-    overlap = np.abs(m_mat.conj().T @ fb.vectors[1].coeffs)
+    overlap = np.abs(m_mat.conj().T @ fb.matrix()[:, 1])
     assert_allclose(overlap, [0.0, 0.0, 1.0], atol=1e-14)
 
 
@@ -107,10 +108,10 @@ def test_f_and_g_bases_are_joint_eigenvectors(j):
     q = supercharge(space)
     _, _, k3 = symmetry_generators(space)
     for basis, q_eig in ((f_basis(space), -(j + 0.5)), (g_basis(space), j + 0.5)):
-        for lbl, vec in zip(basis.labels, basis.vectors):
+        for lbl, vec in zip(basis.labels, basis.matrix().T):
             assert lbl["q"] == q_eig
-            assert_allclose(q.matrix @ vec.coeffs, q_eig * vec.coeffs, atol=1e-10)
-            assert_allclose(k3.matrix @ vec.coeffs, lbl["k3"] * vec.coeffs, atol=1e-10)
+            assert_allclose(q.matrix @ vec, q_eig * vec, atol=1e-10)
+            assert_allclose(k3.matrix @ vec, lbl["k3"] * vec, atol=1e-10)
 
 
 @pytest.mark.parametrize("j", [1, 3, 8])
@@ -176,6 +177,20 @@ def test_tridiagonal_data_validation():
         TridiagonalData(diag=np.zeros(3), offdiag=np.array([1.0, -0.5]), N=3)
     with pytest.raises(ValueError):
         TridiagonalData(diag=np.zeros(3), offdiag=np.array([1.0]), N=3)
+    with pytest.raises(VerificationError):
+        TridiagonalData(diag=np.array([0.0, np.nan, 0.0]), offdiag=np.ones(2), N=3)
+    with pytest.raises(VerificationError):
+        TridiagonalData(diag=np.zeros(3), offdiag=np.array([1.0, np.nan]), N=3)
+
+
+@pytest.mark.parametrize("column", [[1.0, 1.0], [np.nan, 0.0]])
+def test_labeled_basis_rejects_columns_off_the_unit_sphere(column):
+    coeffs = np.eye(3, dtype=complex)
+    coeffs[:2, 1] = column
+    with pytest.raises(ValueError, match="unit norm"):
+        LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=coeffs, labels=[{}] * 3)
+    basis = LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=np.eye(3), labels=[{}] * 3)
+    assert not basis.matrix().flags.writeable
 
 
 def test_decomposition_report_degree_three():
@@ -208,14 +223,14 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
     oracle = joint_diagonalize(q, k3)
     fb, gb = f_basis(space), g_basis(space)
     for basis in (fb, gb):
-        for lbl, vec in zip(basis.labels, basis.vectors):
+        for lbl, vec in zip(basis.labels, basis.matrix().T):
             match = [
                 o_vec
-                for o_lbl, o_vec in zip(oracle.labels, oracle.vectors)
+                for o_lbl, o_vec in zip(oracle.labels, oracle.matrix().T)
                 if abs(o_lbl["q"] - lbl["q"]) < 1e-8 and o_lbl["k"] == lbl["k"]
             ]
             assert len(match) == 1
-            overlap = abs(np.vdot(match[0].coeffs, vec.coeffs))
+            overlap = abs(np.vdot(match[0], vec))
             assert_allclose(overlap, 1.0, atol=1e-10)
 
 

@@ -169,6 +169,21 @@ def test_projection_of_cross_degree_content_vanishes():
     assert_allclose(out.coeffs, np.zeros(7), atol=1e-12)
 
 
+def test_projection_raises_instead_of_returning_non_finite_coefficients():
+    # j = 152 is the smallest degree whose harmonics overflow on the
+    # build_grid(j) nodes; the check sits in StateVector
+    j = 152
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not all finite"):
+        project(lambda theta, phi: np.sin(theta) ** j * np.exp(1j * j * phi), j, build_grid(j))
+
+
+def test_polar_angles_outside_zero_to_pi_are_rejected():
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+        harmonic_values(HarmonicSpace(1), theta=[-0.5, 4.0], phi=[0.3, 0.3])
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+        ylm_eval(BasisIndex(1, 0), [np.nan], 0.3)
+
+
 def test_projection_needs_enough_quadrature_degree():
     grid = build_grid(2)
     f = np.ones(grid.weight_mesh.shape)
@@ -213,6 +228,9 @@ def test_state_vector_shape_and_norm_flag():
         StateVector(space, np.array([2.0, 0.0, 0.0]), normalized=True)
     with pytest.raises(ValueError):
         StateVector(space, np.array([1.0, 0.0]))
+    for normalized in (False, True):
+        with pytest.raises(ValueError, match="not all finite"):
+            StateVector(HarmonicSpace(0), [np.nan], normalized=normalized)
 
 
 def test_space_validation():

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dataclasses import replace
+
 from rotorsusy import (
     HarmonicSpace,
+    Operator,
+    VerificationError,
     anticommutator,
     casimir,
     commutator,
@@ -109,6 +113,12 @@ def test_bundle_is_self_adjoint_and_consistent():
     assert_allclose((ops.q @ ops.q).matrix, ops.h.matrix, atol=1e-12)
     assert_allclose(ops.c.matrix, (ops.q @ ops.q - ops.q).matrix, atol=1e-12)
     assert ops.space.j == 3
+
+
+def test_bundle_rejects_a_non_finite_operator():
+    ops = susy_operators(HarmonicSpace(1))
+    with pytest.raises(VerificationError, match="self-adjoint"):
+        replace(ops, k2=Operator(ops.space, np.full((3, 3), np.nan)))
 
 
 def test_rotations_and_reflections_do_not_commute_with_supercharge():
