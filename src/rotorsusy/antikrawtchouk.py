@@ -337,8 +337,9 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
     Both families enter as point values (the Z functions are the permuted
     F functions evaluated directly, not re-projected coefficients).  This
     is the oracle of overlaps_via_recurrence and z_basis.  Supported range:
-    bounded by the spherical harmonics it evaluates, correct to about
-    N = 85; at larger N the harmonics fail and unitarity raises.
+    bounded by memory, not by the harmonics, which are right at every
+    degree: it builds dense (2N+1, N+1, 4N+2) complex harmonic stacks,
+    16 (2N+1)(N+1)(4N+2) bytes each, 1.0 GiB at N = 200.
     """
     space = HarmonicSpace(N)
     quad = build_grid(N)

@@ -18,9 +18,8 @@ exact for spherical polynomials up to the grid's stated degree.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from math import factorial, pi, sqrt
+from math import lgamma, log, log2, pi
 
 import numpy as np
 
@@ -167,12 +166,84 @@ class QuadratureGrid:
         return complex(np.sum(values * self.weight_mesh))
 
 
+def _legendre_scaled(j: int, z: np.ndarray):
+    """Fully normalized Legendre functions of degree j at the 1-d z, as
+    (mantissa, scale) arrays of shape (j+1, z.size) with the value
+    mantissa * 2^scale; see _legendre_table for the normalization.
+
+    Order m starts from the sectoral value
+    Pbar_m^m = (-1)^m sqrt((2m+1)/(4 pi) prod_{i<=m} (2i-1)/(2i)) s^m,
+    s = sqrt(1-z^2), held as a base-2 logarithm; the degree recurrence
+    (Holmes & Featherstone 2002, J. Geodesy 76:279)
+
+        Pbar_l^m = a_lm z Pbar_{l-1}^m - b_lm Pbar_{l-2}^m,
+
+    runs for all m at once on mantissas that start at (-1)^m.  Nothing under-
+    or overflows on the way, and every m > 0 mantissa at the poles (s = 0)
+    is exactly 0.  Rounding stays near 1e-13 relative to j = 2000 away from
+    the poles; at z = +-1 the m = 0 row, where the recurrence is only
+    neutrally stable, loses about 1e-11 by j = 1000.
+    """
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    pole = s == 0.0
+    m = np.arange(j + 1)
+    seed = 0.5 * np.log2((2 * m + 1) / (4 * pi))
+    seed[1:] += 0.5 * np.cumsum(np.log2(1.0 - 0.5 / m[1:]))
+    # m log2(s) at s = 1 in place of the poles avoids 0 * log(0); their m > 0 rows are zeroed below
+    scale = seed[:, None] + m[:, None] * np.log2(np.where(pole, 1.0, s))
+    cur = np.zeros((j + 1, z.size))
+    prev = np.zeros_like(cur)
+    tmp = np.empty_like(cur)  # reused: a new, larger temporary every step fragments the heap
+    cur[0] = 1.0
+    for l in range(1, j + 1):
+        # rows m < l step from degree l-1 to l; b vanishes for m = l-1, whose prev row is 0
+        k = m[:l, None]
+        a = np.sqrt((4 * l * l - 1) / (l * l - k * k))
+        b = np.sqrt(((l - 1) ** 2 - k * k) * (2 * l + 1) / ((l * l - k * k) * (2 * l - 3)))
+        prev[:l] *= -b
+        np.multiply(cur[:l], z, out=tmp[:l])
+        tmp[:l] *= a
+        prev[:l] += tmp[:l]
+        prev, cur = cur, prev
+        cur[l] = (-1.0) ** l
+        if l % 32 == 0:
+            # in 32 steps a mantissa grows by far less than the 2^511 left above 2^512
+            big = np.abs(cur) > 2.0**512
+            cur[big] *= 2.0**-512
+            prev[big] *= 2.0**-512
+            scale[big] += 512
+    cur[1:, pole] = 0.0
+    return cur, scale
+
+
+def _from_log2(mantissa: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """mantissa * 2^scale as a double: 0 or subnormal below the normal range, inf above."""
+    e = np.floor(scale)
+    return np.ldexp(mantissa * np.exp2(scale - e), e.astype(int))
+
+
+def _legendre_table(j: int, z) -> np.ndarray:
+    """Fully normalized Legendre functions of degree j, shape (j+1,) + z.shape.
+
+    Row m holds Pbar_j^m(z) = sqrt((2j+1)/(4 pi) (j-m)!/(j+m)!) P_j^m(z),
+    Condon-Shortley phase included, so Y_j^m = Pbar_j^m(cos theta) e^{i m phi}
+    and 2 pi * integral of Pbar_j^m(z)^2 dz = 1.  z must lie in [-1, 1].
+    Computed by _legendre_scaled; a value below the double range comes out
+    0 (or subnormal), which no orthonormal sum can notice.
+    """
+    z = np.asarray(z, dtype=float)
+    return _from_log2(*_legendre_scaled(j, z.reshape(-1))).reshape((j + 1,) + z.shape)
+
+
 def assoc_legendre(j: int, m: int, z):
     """Associated Legendre function P_j^m(z) with Condon-Shortley phase.
 
-    Uses the standard stable upward recurrence in the degree: the seed is
-    P_m^m(z) = (-1)^m (2m-1)!! (1-z^2)^{m/2}, then
-    (l-m) P_l^m = z (2l-1) P_{l-1}^m - (l+m-1) P_{l-2}^m.
+    The row m of the normalized table (_legendre_scaled) divided by its
+    normalization sqrt((2j+1)/(4 pi) (j-m)!/(j+m)!), whose (j-m)!/(j+m)! is
+    taken through lgamma; the division is a shift of the row's base-2
+    scale, made before the value is rounded to a double, so a P_j^m in the
+    double range is returned even where Pbar_j^m is not.  The library has
+    one Legendre recurrence.
 
     Parameters
     ----------
@@ -185,6 +256,13 @@ def assoc_legendre(j: int, m: int, z):
     -------
     float or ndarray
         P_j^m evaluated at z (scalar in, scalar out).
+
+    Supported range: every 0 <= m <= j for which |P_j^m(z)| fits a double.
+    Since |P_m^m(z)| = (2m-1)!! (1-z^2)^{m/2}, that first fails at m = 151
+    for z = 0, and at larger m as |z| nears 1; there it raises ValueError.
+    A |P_j^m(z)| below the double range comes out 0 or subnormal.
+    Normalized values, finite at every degree, come from harmonic_values
+    and ylm_eval.
     """
     if not (0 <= m <= j):
         raise ValueError(f"order must satisfy 0 <= m <= j, got j={j}, m={m}")
@@ -193,22 +271,15 @@ def assoc_legendre(j: int, m: int, z):
         raise ValueError("argument of assoc_legendre must lie in [-1, 1]")
     z_arr = np.clip(z_arr, -1.0, 1.0)
 
-    s = np.sqrt(1.0 - z_arr * z_arr)
-    p = np.ones_like(z_arr)
-    for i in range(1, m + 1):
-        p = p * (-(2 * i - 1)) * s
-    if j == m:
-        return p if np.ndim(z) else float(p)
-    p_prev, p_cur = p, z_arr * (2 * m + 1) * p
-    for l in range(m + 2, j + 1):
-        p_prev, p_cur = p_cur, (z_arr * (2 * l - 1) * p_cur - (l + m - 1) * p_prev) / (l - m)
-    return p_cur if np.ndim(z) else float(p_cur)
-
-
-def _ylm_prefactor(j: int, am: int) -> float:
-    # exact rational (j-am)!/(j+am)! -> correctly rounded double
-    ratio = float(Fraction(factorial(j - am), factorial(j + am)))
-    return sqrt((2 * j + 1) / (4.0 * pi) * ratio)
+    # 1 / normalization as 2^inv, added to the row's scale before the one rounding to a double,
+    # so that P_j^m under- or overflows only where it leaves the double range itself
+    inv = -0.5 * (log2((2 * j + 1) / (4 * pi)) + (lgamma(j - m + 1) - lgamma(j + m + 1)) / log(2))
+    mantissa, scale = _legendre_scaled(j, z_arr.reshape(-1))
+    with np.errstate(over="ignore"):
+        p = _from_log2(mantissa[m], scale[m] + inv).reshape(z_arr.shape)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"P_{j}^{m}(z) exceeds the double range at some of the given z")
+    return p if np.ndim(z) else float(p)
 
 
 def _polar(theta) -> np.ndarray:
@@ -234,14 +305,11 @@ def ylm_eval(idx: BasisIndex, theta, phi):
     -------
     complex or ndarray
         Y_j^m values; orthonormal on the unit sphere.
+
+    One row of harmonic_values, so it is finite and accurate at every
+    degree; it costs as much as all 2j+1 orders, O(j^2) per point.
     """
-    theta_arr = _polar(theta)
-    am = abs(idx.m)
-    base = _ylm_prefactor(idx.j, am) * assoc_legendre(idx.j, am, np.cos(theta_arr))
-    if idx.m >= 0:
-        out = base * np.exp(1j * idx.m * np.asarray(phi, dtype=float))
-    else:
-        out = (-1.0) ** am * base * np.exp(-1j * am * np.asarray(phi, dtype=float))
+    out = harmonic_values(HarmonicSpace(idx.j), theta=theta, phi=phi)[idx.flat]
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
         return complex(out)
     return out
@@ -273,25 +341,29 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
     (shape (2j+1,) + broadcast shape); theta must lie in [0, pi], else
     ValueError.
 
-    On a grid the Legendre factors are evaluated on the n_theta nodes only
-    and broadcast against exp(i m phi) on the n_phi nodes, so the cost is
-    O(j^3); on scattered points it is O(j^2) per point.
+    The values are one normalized Legendre table (_legendre_table), on the
+    theta nodes of a grid or at each scattered point, times exp(i m phi),
+    so they are finite and orthonormal at every degree; the cost is O(j^3)
+    on a grid and O(j^2) per scattered point.  The grid stack is dense
+    complex, 16 (2j+1) n_theta n_phi bytes: 55 MB on build_grid(75) and
+    1.0 GiB on build_grid(200).  project does not build it.
     """
     j = space.j
     if grid is not None:
-        theta_mesh, phi_mesh = grid.theta[:, None], grid.phi
+        theta_mesh, phi_mesh = grid.theta[:, None], grid.phi[None, :]
     else:
         if theta is None or phi is None:
             raise ValueError("pass either a grid or both theta and phi")
         theta_mesh, phi_mesh = np.broadcast_arrays(_polar(theta), np.asarray(phi, dtype=float))
-    z = np.cos(theta_mesh)
-    out = np.empty((2 * j + 1,) + np.broadcast_shapes(z.shape, phi_mesh.shape), dtype=complex)
-    for m in range(0, j + 1):
-        base = _ylm_prefactor(j, m) * assoc_legendre(j, m, z)
-        e = np.exp(1j * m * phi_mesh)
-        out[j + m] = base * e
-        if m > 0:
-            out[j - m] = (-1.0) ** m * base * np.conj(e)
+    p = _legendre_table(j, np.cos(theta_mesh))
+    m = np.arange(j + 1).reshape((-1,) + (1,) * np.ndim(phi_mesh))
+    e = np.exp(1j * m * phi_mesh)
+    out = np.empty((2 * j + 1,) + np.broadcast_shapes(p.shape[1:], e.shape[1:]), dtype=complex)
+    np.multiply(p, e, out=out[j:])
+    # Y_j^{-m} = (-1)^m conj(Y_j^m), written to rows j-1 down to 0
+    negative = out[:j][::-1]
+    np.conj(out[j + 1:], out=negative)
+    negative[::2] *= -1.0
     return out
 
 
@@ -327,6 +399,12 @@ def project(f, j: int, grid: QuadratureGrid) -> StateVector:
     -------
     StateVector
         Coefficients c_m = integral of f * conj(Y_j^m) over the sphere.
+
+    The phi sums of all orders are one FFT of the values along phi; then
+    c_m = sum_t w_t Pbar_j^|m|(z_t) F[t, m mod n_phi], times (-1)^m for
+    m < 0.  No harmonic stack is built: memory is O(n_theta n_phi + j
+    n_theta), and the coefficients are right at every degree the grid
+    resolves.  Non-finite values raise ValueError (through StateVector).
     """
     space = HarmonicSpace(j)
     if grid.degree < 2 * j:
@@ -334,9 +412,17 @@ def project(f, j: int, grid: QuadratureGrid) -> StateVector:
             f"grid degree {grid.degree} insufficient to project onto j={j} (need >= {2 * j})"
         )
     values = f if isinstance(f, np.ndarray) else evaluate_on_grid(f, grid)
-    basis = harmonic_values(space, grid)
-    # conj(sum conj(f) Y w) = sum f conj(Y) w, with no conjugated copy of the stack
-    coeffs = np.einsum("tp,atp->a", np.conj(values) * grid.weight_mesh, basis).conj()
+    mesh_shape = (grid.theta_nodes.size, grid.n_phi)
+    if values.shape != mesh_shape:
+        raise ValueError(f"values shape {values.shape} does not match grid {mesh_shape}")
+    # F[t, k] = sum_p (2 pi / n_phi) f(theta_t, phi_p) exp(-i k phi_p); exp(-i m phi_p)
+    # depends on m only through m mod n_phi, so the sum is exact for every order
+    F = np.fft.fft(values, axis=1) * (2.0 * pi / grid.n_phi)
+    m = np.arange(-j, j + 1)
+    # conj(Y_j^m) = (-1)^m Pbar_j^{-m} exp(-i m phi) for m < 0
+    legendre = _legendre_table(j, grid.theta_nodes)[np.abs(m)] * grid.theta_weights
+    legendre[:j] *= (-1.0) ** m[:j, None]
+    coeffs = np.einsum("mt,tm->m", legendre, F[:, m % grid.n_phi])
     return StateVector(space=space, coeffs=coeffs)
 
 

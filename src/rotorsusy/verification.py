@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, pi
+from math import comb, factorial, pi, sqrt
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .harmonics import (
     build_grid,
     harmonic_values,
     ylm_eval,
-    _ylm_prefactor,
 )
 from . import susy
 
@@ -98,6 +97,13 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # independent point-evaluation oracle (explicit series, no recurrences)
+
+def _ylm_prefactor(j: int, am: int) -> float:
+    # exact rational (j-am)!/(j+am)! -> correctly rounded double; it turns
+    # subnormal past j + am = 170 and 0 from 178, far above the oracle's j <= 10
+    ratio = float(Fraction(factorial(j - am), factorial(j + am)))
+    return sqrt((2 * j + 1) / (4.0 * pi) * ratio)
+
 
 def _ylm_direct(j, m, theta, phi):
     """Direct-summation Y_j^m from the explicit Legendre series.

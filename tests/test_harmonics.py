@@ -1,5 +1,8 @@
 """Checks for harmonic evaluation, quadrature, and spectral projection."""
 
+from fractions import Fraction
+from math import factorial, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from rotorsusy import (
     project,
     ylm_eval,
 )
+from rotorsusy.harmonics import _legendre_table
+from rotorsusy.verification import _ylm_direct
 
 
 def _legendre_derivative_route(j, m, x):
@@ -55,6 +60,37 @@ def test_assoc_legendre_closed_forms():
     assert isinstance(assoc_legendre(4, 2, 0.3), float)
 
 
+def test_assoc_legendre_raises_where_the_unnormalized_value_overflows():
+    # |P_200^200(0.5)| = 399!! (3/4)^100, about 1e421
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        assoc_legendre(200, 200, 0.5)
+
+
+def _exact_assoc_legendre(j, m, z):
+    # P_j^m at the exact binary value of z, even m so that (1-z^2)^{m/2} is rational
+    z = Fraction(z)
+    p = (-1) ** m * prod(range(1, 2 * m, 2)) * (1 - z * z) ** (m // 2)
+    p_prev, p_cur = 0, p
+    for l in range(m + 1, j + 1):
+        p_prev, p_cur = p_cur, (z * (2 * l - 1) * p_cur - (l + m - 1) * p_prev) / (l - m)
+    return float(p_cur)
+
+
+@pytest.mark.parametrize(
+    "j, m, z",
+    [
+        # 399!! (1-z^2)^100 is about 5e33, while Pbar_200^200(z) is about 1e-400
+        (200, 200, 0.99995),
+        # P about 8e-199, Pbar about 1e-385
+        (100, 100, 0.99999999),
+        # away from the sectoral row: P about 2e-8, Pbar about 1e-406
+        (200, 180, 0.99999),
+    ],
+)
+def test_assoc_legendre_where_the_normalized_value_underflows(j, m, z):
+    assert_allclose(assoc_legendre(j, m, z), _exact_assoc_legendre(j, m, z), rtol=1e-11, atol=0)
+
+
 def test_assoc_legendre_argument_validation():
     with pytest.raises(ValueError):
         assoc_legendre(2, 3, 0.5)
@@ -86,6 +122,52 @@ def test_matches_scipy_on_random_angles():
             ours = ylm_eval(BasisIndex(j, m), theta, phi)
             ref = sph_harm_y(j, m, theta, phi)
             assert_allclose(ours, ref, atol=1e-12, err_msg=f"j={j} m={m}")
+
+
+def test_harmonic_values_match_series_oracle():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, np.pi, size=30)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=30)
+    for j in range(11):
+        vals = harmonic_values(HarmonicSpace(j), theta=theta, phi=phi)
+        for m in range(-j, j + 1):
+            assert_allclose(vals[m + j], _ylm_direct(j, m, theta, phi), rtol=0, atol=1e-10,
+                            err_msg=f"j={j} m={m}")
+
+
+@pytest.mark.parametrize("j", [90, 200, 400])
+def test_addition_theorem_at_large_degree(j):
+    # sum_m |Y_j^m|^2 = (2j+1)/(4 pi) at every point, the poles included
+    rng = np.random.default_rng(j)
+    theta = np.concatenate(([0.0, np.pi], rng.uniform(0.0, np.pi, size=48)))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=50)
+    vals = harmonic_values(HarmonicSpace(j), theta=theta, phi=phi)
+    assert np.all(np.isfinite(vals))
+    total = np.sum(np.abs(vals) ** 2, axis=0)
+    assert_allclose(total, (2 * j + 1) / (4.0 * np.pi), rtol=1e-12, atol=0)
+
+
+def test_harmonics_stay_finite_where_unscaled_mantissas_would_overflow():
+    # without the table's rescaling its mantissas pass 2^1024 by j = 1500; the
+    # poles are left out, where the m = 0 row loses about j^2 eps to rounding
+    j = 1500
+    rng = np.random.default_rng(j)
+    theta = rng.uniform(0.0, np.pi, size=50)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=50)
+    vals = harmonic_values(HarmonicSpace(j), theta=theta, phi=phi)
+    assert np.all(np.isfinite(vals))
+    total = np.sum(np.abs(vals) ** 2, axis=0)
+    assert_allclose(total, (2 * j + 1) / (4.0 * np.pi), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("j", [90, 152, 200, 400])
+def test_legendre_table_is_normalized_on_the_grid(j):
+    # 2 pi sum_t w_t Pbar_j^m(z_t)^2 = 1 for every order: j = 90 and 152 are
+    # where the unnormalized recurrence first gave zero and NaN rows
+    grid = build_grid(j)
+    table = _legendre_table(j, grid.theta_nodes)
+    norms = 2.0 * np.pi * (table**2 @ grid.theta_weights)
+    assert_allclose(norms, np.ones(j + 1), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,12 +251,39 @@ def test_projection_of_cross_degree_content_vanishes():
     assert_allclose(out.coeffs, np.zeros(7), atol=1e-12)
 
 
+@pytest.mark.parametrize("j", [90, 152, 200])
+def test_projection_matches_closed_form_at_large_degree(j):
+    # (x+iy)^j = (-1)^j mu_j Y_j^j and (x-iy)^j = mu_j Y_j^{-j}, with
+    # mu_j^2 = 4 pi 4^j (j!)^2 / (2j+1)! taken from integers
+    mu = np.sqrt(4.0 * np.pi * float(Fraction(4**j * factorial(j) ** 2, factorial(2 * j + 1))))
+    a, b = 0.7 - 1.1j, -1.3 + 0.4j
+
+    def f(theta, phi):
+        s = np.sin(theta) ** j
+        return a * s * np.exp(1j * j * phi) + b * s * np.exp(-1j * j * phi)
+
+    want = np.zeros(2 * j + 1, dtype=complex)
+    want[2 * j] = a * (-1) ** j * mu
+    want[0] = b * mu
+    got = project(f, j, build_grid(j)).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_projection_raises_instead_of_returning_non_finite_coefficients():
-    # j = 152 is the smallest degree whose harmonics overflow on the
-    # build_grid(j) nodes; the check sits in StateVector
-    j = 152
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not all finite"):
-        project(lambda theta, phi: np.sin(theta) ** j * np.exp(1j * j * phi), j, build_grid(j))
+    # the check sits in StateVector
+    grid = build_grid(4)
+
+    def f(theta, phi):
+        return np.where(theta > 2.0, np.nan, 1.0) + 0.0 * phi
+
+    with pytest.raises(ValueError, match="not all finite"):
+        project(f, 4, grid)
+
+
+def test_projection_rejects_values_off_the_grid_shape():
+    grid = build_grid(3)
+    with pytest.raises(ValueError, match="does not match grid"):
+        project(np.ones((grid.theta_nodes.size, grid.n_phi - 1)), 2, grid)
 
 
 def test_polar_angles_outside_zero_to_pi_are_rejected():
