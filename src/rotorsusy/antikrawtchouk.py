@@ -41,7 +41,8 @@ import numpy as np
 from .eigenbases import LabeledBasis, f_basis
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace, build_grid, harmonic_values
-from .susy import supercharge, symmetry_generators
+from .operators import _act
+from .susy import _generator_terms, _supercharge_terms
 
 __all__ = [
     "RecurrenceTable",
@@ -305,9 +306,10 @@ def z_basis(N: int) -> LabeledBasis:
         K1 Z_N^k = (-1)^k (k + 1/2) Z_N^k,
         Q  Z_N^k = -(N + 1/2) Z_N^k,
 
-    else VerificationError.  Supported range: every N >= 1, with no bound
-    in principle; tested to N = 200 (and overlaps_via_integral checks the
-    same W against quadrature).
+    else VerificationError.  Both eigen-checks apply the closed-form
+    actions of K1 and Q (operators._act) in O(N^2), with no dense operator.
+    Supported range: every N >= 1, with no bound in principle; tested to
+    N = 200 (and overlaps_via_integral checks the same W against quadrature).
     """
     space = HarmonicSpace(N)
     mat = f_basis(space).matrix() @ overlaps_via_recurrence(N).W
@@ -315,12 +317,10 @@ def z_basis(N: int) -> LabeledBasis:
     gram_res = float(np.max(np.abs(mat.conj().T @ mat - np.eye(N + 1))))
     if not gram_res <= QUAD_TOL:
         raise VerificationError(f"Z family is not orthonormal: {gram_res:.3e}")
-    k1_op, _, _ = symmetry_generators(space)
-    q_op = supercharge(space)
     k = np.arange(N + 1)
     k1_eigs = (-1.0) ** k * (k + 0.5)
-    r1 = float(np.max(np.abs(k1_op.matrix @ mat - mat * k1_eigs)))
-    r2 = float(np.max(np.abs(q_op.matrix @ mat - mat * (-(N + 0.5)))))
+    r1 = float(np.max(np.abs(_act(space, _generator_terms(space)[0], mat) - mat * k1_eigs)))
+    r2 = float(np.max(np.abs(_act(space, _supercharge_terms(space), mat) - mat * (-(N + 0.5)))))
     if not (r1 <= QUAD_TOL and r2 <= QUAD_TOL):
         raise VerificationError(
             f"Z family fails eigen-verification at N={N}: K1 residual {r1:.3e}, "

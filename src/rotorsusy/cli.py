@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -54,38 +55,44 @@ def _pairs(a):
     return np.stack([a.real, a.imag], -1)
 
 
-def _json(obj, level=0) -> str:
+def _json_chunks(obj, level=0):
     """obj in the layout json.dumps gives it with an indent of 2, byte for
-    byte, where every ndarray counts as its tolist().
+    byte, where every ndarray counts as its tolist(), as a stream of strings.
 
     json renders indented output with its pure-Python encoder, one call per
-    value.  A finite float array is instead rendered with float.__repr__
-    (json's spelling of finite floats), and its strings are joined one axis
-    at a time from the innermost out.  Other arrays, and arrays holding NaN
-    or infinities, go through the generic path as lists.
+    value.  A finite float array is instead yielded one outermost row at a
+    time: the row's floats are rendered with float.__repr__ (json's spelling
+    of finite floats) and joined one axis at a time from the innermost out.
+    Other arrays, and arrays holding NaN or infinities, go through the
+    generic path as lists.
     """
+    inner = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
-            strs = list(map(float.__repr__, obj.ravel().tolist()))
-            for axis in range(obj.ndim - 1, -1, -1):
-                inner = "\n" + "  " * (level + axis + 1)
-                head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * (level + axis) + "]"
-                strs = [head + sep.join(row) + tail for row in zip(*[iter(strs)] * obj.shape[axis])]
-            return strs[0]
+            for i, row in enumerate(obj):
+                strs = list(map(float.__repr__, row.ravel().tolist()))
+                for axis in range(row.ndim - 1, -1, -1):
+                    sub = "\n" + "  " * (level + axis + 2)
+                    head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis + 1) + "]"
+                    strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * row.shape[axis])]
+                yield ("[" if i == 0 else ",") + inner + strs[0]
+            yield "\n" + "  " * level + "]"
+            return
         obj = obj.tolist()
     if isinstance(obj, dict):
         brackets = "{}"
-        items = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, level + 1)
+        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
                  for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
-        items = [_json(v, level + 1) for v in obj]
+        items = [("", v) for v in obj]
     else:
-        return json.dumps(obj)
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+        yield json.dumps(obj)
+        return
+    for i, (key, v) in enumerate(items):
+        yield (brackets[0] if i == 0 else ",") + inner + key
+        yield from _json_chunks(v, level + 1)
+    yield "\n" + "  " * level + brackets[1] if items else brackets
 
 
 def _envelope(kind, metadata, payload):
@@ -109,24 +116,26 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _deliver(args, text) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def _deliver(args, chunks) -> None:
+    """Write the chunks, as they come, to --output or stdout, and end the
+    text with a newline."""
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
+        last = ""
+        for last in chunks:
+            fh.write(last)
+        fh.write("" if last.endswith("\n") else "\n")
 
 
 def _emit(args, kind, metadata, payload, table_lines, csv_rows) -> None:
     """Render and deliver one export; payload, table_lines and csv_rows are
     callables, and only the one the requested format needs is called."""
     if args.format == "json":
-        text = _json(_envelope(kind, metadata, payload()))
+        chunks = _json_chunks(_envelope(kind, metadata, payload()))
     elif args.format == "csv":
-        text = _render_csv(csv_rows())
+        chunks = [_render_csv(csv_rows())]
     else:
-        text = "\n".join(table_lines()) + "\n"
-    _deliver(args, text)
+        chunks = ["\n".join(table_lines()) + "\n"]
+    _deliver(args, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +159,7 @@ def _cmd_verify(args) -> int:
         return rows
 
     if args.output:
-        _deliver(args, _json(_envelope("report", metadata, report.as_dict())))
+        _deliver(args, _json_chunks(_envelope("report", metadata, report.as_dict())))
         print(f"report written to {args.output}")
         print("\n".join(report.table_lines()))
     else:

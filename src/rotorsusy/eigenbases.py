@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import Operator, commutator, op_norm
-from .susy import supercharge, symmetry_generators
+from .operators import Operator, _act, commutator, from_column_action, op_norm
+from .susy import _generator_terms, _supercharge_terms
 
 __all__ = [
     "LabeledBasis",
@@ -226,22 +226,32 @@ def _fg_matrix(space: HarmonicSpace, which: str) -> np.ndarray:
     return _m_columns(j, k, eps) * lower + _m_columns(j, k + 1, eps) * upper
 
 
-def _verified_fg_basis(space: HarmonicSpace, which: str, _ops=None) -> LabeledBasis:
-    """The F or G family, eigen-verified against Q and K3 (the pair _ops,
-    built here when not given)."""
+def _bra(b):
+    """The map x -> b^H x, read from the nonzero entries of each column of b:
+    O(w x.size) for at most w of them per column (4 for the F and G vectors)."""
+    w = int(np.max(np.count_nonzero(b, axis=0), initial=0))
+    rows = np.argsort(b == 0, axis=0, kind="stable")[:w]
+    vals = np.take_along_axis(b, rows, axis=0).conj()
+    return lambda x: np.einsum("wn,wnc->nc", vals, x[rows])
+
+
+def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
+    """The F or G family, eigen-verified against the closed-form actions of
+    Q and K3 (operators._act), in O(j^2) with no dense operator."""
     j = space.j
-    q_op, k3_op = _ops if _ops is not None else (supercharge(space), symmetry_generators(space)[2])
+    q_terms, k3_terms = _supercharge_terms(space), _generator_terms(space)[2]
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
     v = _fg_matrix(space, which)
     k = np.arange(v.shape[1])
     k3_eigs = (-1.0) ** k * (k + 0.5)
 
-    rq = np.linalg.norm(q_op.matrix @ v - q_eig * v, axis=0)
-    rk = np.linalg.norm(k3_op.matrix @ v - v * k3_eigs, axis=0)
+    rq = np.linalg.norm(_act(space, q_terms, v) - q_eig * v, axis=0)
+    rk = np.linalg.norm(_act(space, k3_terms, v) - v * k3_eigs, axis=0)
     bad = np.flatnonzero(~(np.maximum(rq, rk) <= EIGEN_TOL))
     if bad.size:
         kb = int(bad[0])
-        oracle = joint_diagonalize(q_op, k3_op)
+        oracle = joint_diagonalize(from_column_action(space, q_terms),
+                                   from_column_action(space, k3_terms))
         overlaps = np.abs(oracle.matrix().conj().T @ v[:, kb])
         raise VerificationError(
             f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
@@ -258,9 +268,10 @@ def f_basis(space: HarmonicSpace) -> LabeledBasis:
     F_j^k = sqrt((j-k)/(2j+1)) M_j^{k+1,(-1)^k}
             + i (-1)^{j+k+1} sqrt((j+k+1)/(2j+1)) M_j^{k,(-1)^k}.
 
-    Every vector is eigen-verified against Q and K3 before being returned;
-    failure raises VerificationError with a diagnostic against the
-    joint-diagonalization oracle.
+    Every vector is eigen-verified against Q and K3 before being returned,
+    by applying their closed-form actions: O(j^2) time and memory, with no
+    dense operator.  Failure raises VerificationError with a diagnostic
+    against the joint-diagonalization oracle.
     """
     return _verified_fg_basis(space, "F")
 
@@ -271,7 +282,7 @@ def g_basis(space: HarmonicSpace) -> LabeledBasis:
     G_j^k = sqrt((j+k+1)/(2j+1)) M_j^{k+1,(-1)^k}
             + i (-1)^{j+k} sqrt((j-k)/(2j+1)) M_j^{k,(-1)^k}.
 
-    Empty at j = 0.
+    Eigen-verified as f_basis is, in O(j^2).  Empty at j = 0.
     """
     return _verified_fg_basis(space, "G")
 
@@ -312,28 +323,32 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
     if basis.family not in ("F", "G", "Z"):
         raise ValueError(f"tridiagonal extraction expects an F/G/Z basis, got {basis.family!r}")
     v = basis.matrix()
-    n = v.shape[1]
-    if n == 0:
+    if v.shape[1] == 0:
         raise ValueError("cannot extract tridiagonal data from an empty basis")
-    t = v.conj().T @ k1_op.matrix @ v
+    return _tridiagonal_data(v.conj().T @ k1_op.matrix @ v, basis.family, basis.space.j)
 
+
+def _tridiagonal_data(t, family: str, j: int) -> TridiagonalData:
+    """The matrix elements t of K1 in the family's basis, checked real
+    tridiagonal and equal to closed_form_tridiagonal (see tridiagonal_extract)."""
+    n = t.shape[0]
     mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
     stray = float(np.max(np.abs(t[mask]), initial=0.0))
     imag = float(np.max(np.abs(t.imag)))
     if not (stray <= EIGEN_TOL and imag <= EIGEN_TOL):
         raise VerificationError(
-            f"matrix is not real tridiagonal in the {basis.family}-basis "
+            f"matrix is not real tridiagonal in the {family}-basis "
             f"(stray {stray:.3e}, imaginary {imag:.3e})"
         )
     diag = t.diagonal().real.copy()
     off = t.diagonal(1).real.copy()
 
-    exp_diag, exp_off = closed_form_tridiagonal(basis.family, basis.space.j)
+    exp_diag, exp_off = closed_form_tridiagonal(family, j)
     dev = float(np.max(np.abs(np.concatenate((diag - exp_diag, off - exp_off)))))
     if not dev <= EIGEN_TOL:
         raise VerificationError(
             f"extracted tridiagonal data deviate from the closed form by {dev:.3e} "
-            f"({basis.family}-basis, j={basis.space.j})"
+            f"({family}-basis, j={j})"
         )
     return TridiagonalData(diag=diag, offdiag=off, N=n)
 
@@ -345,23 +360,31 @@ def decompose(space: HarmonicSpace) -> dict:
     tridiagonal data of each block, off-block residuals of Q, K1, K2, K3
     in the combined F+G basis, and the check that the G-block data equal
     the F-block pattern one dimension lower.
+
+    O(j^2) time and memory, with no dense operator: Q and the K_i act on F
+    and G by their closed-form actions (operators._act), and F^H X, G^H X
+    are read from the four entries of each F/G column.
     """
     j = space.j
-    q_op = supercharge(space)
-    k1_op, k2_op, k3_op = symmetry_generators(space)
-    fb = _verified_fg_basis(space, "F", (q_op, k3_op))
-    gb = _verified_fg_basis(space, "G", (q_op, k3_op))
-    t = np.column_stack([fb.matrix(), gb.matrix()])
+    f, g = f_basis(space).matrix(), g_basis(space).matrix()
+    f_bra, g_bra = _bra(f), _bra(g)
 
-    completeness = float(np.max(np.abs(t.conj().T @ t - np.eye(space.dim))))
-    nf = len(fb)
+    def blocks(xf, xg):
+        """F^H xf, G^H xg and the largest entry of G^H xf and F^H xg."""
+        off = max(np.max(np.abs(g_bra(xf)), initial=0.0), np.max(np.abs(f_bra(xg)), initial=0.0))
+        return f_bra(xf), g_bra(xg), float(off)
+
+    ff, gg, off = blocks(f, g)
+    completeness = max(float(np.max(np.abs(ff - np.eye(j + 1)))),
+                       float(np.max(np.abs(gg - np.eye(j)), initial=0.0)), off)
     offblock = {}
-    for name, op in (("Q", q_op), ("K1", k1_op), ("K2", k2_op), ("K3", k3_op)):
-        full = t.conj().T @ op.matrix @ t
-        offblock[name] = float(max(np.max(np.abs(full[:nf, nf:]), initial=0.0),
-                                   np.max(np.abs(full[nf:, :nf]), initial=0.0)))
+    for name, terms in zip(("Q", "K1", "K2", "K3"),
+                           (_supercharge_terms(space), *_generator_terms(space))):
+        f_block, g_block, offblock[name] = blocks(_act(space, terms, f), _act(space, terms, g))
+        if name == "K1":
+            k1_f, k1_g = f_block, g_block
 
-    f_tri = tridiagonal_extract(k1_op, fb)
+    f_tri = _tridiagonal_data(k1_f, "F", j)
     report = {
         "j": j,
         "dims": [j + 1, j],
@@ -377,8 +400,8 @@ def decompose(space: HarmonicSpace) -> dict:
             "eigenvalue, not a separate operator"
         ),
     }
-    if len(gb):
-        g_tri = tridiagonal_extract(k1_op, gb)
+    if j:
+        g_tri = _tridiagonal_data(k1_g, "G", j)
         lower_diag, lower_off = closed_form_tridiagonal("F", j - 1)
         same_pattern = bool(
             np.allclose(g_tri.diag, lower_diag, atol=EIGEN_TOL)

@@ -181,8 +181,9 @@ def _legendre_scaled(j: int, z: np.ndarray):
     runs for all m at once on mantissas that start at (-1)^m.  Nothing under-
     or overflows on the way, and every m > 0 mantissa at the poles (s = 0)
     is exactly 0.  Rounding stays near 1e-13 relative to j = 2000 away from
-    the poles; at z = +-1 the m = 0 row, where the recurrence is only
-    neutrally stable, loses about 1e-11 by j = 1000.
+    the poles.  At z = +-1 the m = 0 row, where the recurrence is only
+    neutrally stable and would lose about j^2 eps, is set to its closed form
+    Pbar_j^0(+-1) = (+-1)^j sqrt((2j+1)/(4 pi)).
     """
     s = np.sqrt((1.0 - z) * (1.0 + z))
     pole = s == 0.0
@@ -213,6 +214,8 @@ def _legendre_scaled(j: int, z: np.ndarray):
             prev[big] *= 2.0**-512
             scale[big] += 512
     cur[1:, pole] = 0.0
+    cur[0, pole] = z[pole] ** j
+    scale[0, pole] = 0.5 * np.log2((2 * j + 1) / (4 * pi))
     return cur, scale
 
 

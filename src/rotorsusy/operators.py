@@ -4,7 +4,8 @@ Matrices act on coefficient vectors ordered by ascending m (flat index
 i = m + j).  All norms are Frobenius norms.
 
 Every operator here is built from its closed-form action on the basis
-states by from_column_action, which writes O(j) entries of a dense matrix:
+states by from_column_action, which writes O(j) entries of a dense matrix
+(_act applies the same action to a stack of vectors, with no matrix):
 
     J3 Y_j^m = m Y_j^m
     J+ Y_j^m = a(m) Y_j^{m+1},  a(m) = sqrt((j-m)(j+m+1))
@@ -122,6 +123,19 @@ def _ladder(space: HarmonicSpace):
     return m, np.sqrt((j - m) * (j + m + 1.0)), np.sqrt((j + m) * (j - m + 1.0))
 
 
+def _kept_terms(space: HarmonicSpace, terms):
+    """Each (coef, target) term as (coef, rows, cols) over the columns whose
+    target lies inside -j..j; ValueError if another target's coef is not 0."""
+    j = space.j
+    cols = np.arange(space.dim)
+    for coef, target in terms:
+        coef = np.broadcast_to(coef, cols.shape)
+        keep = np.abs(target) <= j
+        if np.any(coef[~keep] != 0):
+            raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
+        yield coef[keep], target[keep] + j, cols[keep]
+
+
 def from_column_action(space: HarmonicSpace, terms) -> Operator:
     """The dense operator sending Y_j^m to sum over terms of coef(m) Y_j^target(m).
 
@@ -131,16 +145,19 @@ def from_column_action(space: HarmonicSpace, terms) -> Operator:
     outside -j..j are dropped; their coefficients must vanish, else
     ValueError.
     """
-    j = space.j
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    cols = np.arange(space.dim)
-    for coef, target in terms:
-        coef = np.broadcast_to(coef, cols.shape)
-        keep = np.abs(target) <= j
-        if np.any(coef[~keep] != 0):
-            raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
-        out[target[keep] + j, cols[keep]] += coef[keep]
+    for coef, rows, cols in _kept_terms(space, terms):
+        out[rows, cols] += coef
     return Operator(space, out)
+
+
+def _act(space: HarmonicSpace, terms, v) -> np.ndarray:
+    """from_column_action(space, terms).matrix @ v without the dense matrix:
+    v has shape (2j+1, ...), and the cost is O(len(terms) * v.size)."""
+    out = np.zeros(np.shape(v), dtype=complex)
+    for coef, rows, cols in _kept_terms(space, terms):
+        out[rows] += coef.reshape((-1,) + (1,) * (out.ndim - 1)) * v[cols]
+    return out
 
 
 def identity(space: HarmonicSpace) -> Operator:

@@ -77,24 +77,27 @@ def supercharge(space: HarmonicSpace) -> Operator:
 def supercharge_alt(space: HarmonicSpace) -> Operator:
     """A second supercharge -i J1 R1 R2 + i J2 R1 - i J3 R1 R3 - R1 R2 R3 / 2.
 
-    Built from its action
+    Its action
 
         Q' Y_j^m = -i t (a Y^{m+1} + b Y^{m-1}) / 2 + (b Y^{1-m} - a Y^{-1-m}) / 2
-                   + i s t m Y^{-m} - s Y^m / 2.
+                   + i s t m Y^{-m} - s Y^m / 2
 
-    Also squares to the shifted Hamiltonian; its spectral multiplicities are
-    measured, not prescribed.
+    is s times that of Q, term by term, and Q' is built so.  It also squares
+    to the shifted Hamiltonian, and its larger branch swaps sign with s.
     """
+    s = (-1.0) ** space.j
+    return from_column_action(space, [(s * coef, target)
+                                      for coef, target in _supercharge_terms(space)])
+
+
+def _generator_terms(space: HarmonicSpace):
     m, a, b = _ladder(space)
     s, t = (-1.0) ** space.j, (-1.0) ** m
-    return from_column_action(space, [
-        (-0.5j * t * a, m + 1),
-        (-0.5j * t * b, m - 1),
-        (0.5 * b, 1 - m),
-        (-0.5 * a, -1 - m),
-        (1j * s * t * m, -m),
-        (-0.5 * s, m),
-    ])
+    return (
+        [(0.5j * t * b, 1 - m), (0.5j * t * a, -1 - m), (0.5 * s, -m)],
+        [(-0.5 * t * a, m + 1), (0.5 * t * b, m - 1), (0.5 * s * t, -m)],
+        [(-1j * m, -m), (0.5 * t, m)],
+    )
 
 
 def symmetry_generators(space: HarmonicSpace):
@@ -114,20 +117,7 @@ def symmetry_generators(space: HarmonicSpace):
     -------
     (Operator, Operator, Operator)
     """
-    m, a, b = _ladder(space)
-    s, t = (-1.0) ** space.j, (-1.0) ** m
-    k1 = from_column_action(space, [
-        (0.5j * t * b, 1 - m),
-        (0.5j * t * a, -1 - m),
-        (0.5 * s, -m),
-    ])
-    k2 = from_column_action(space, [
-        (-0.5 * t * a, m + 1),
-        (0.5 * t * b, m - 1),
-        (0.5 * s * t, -m),
-    ])
-    k3 = from_column_action(space, [(-1j * m, -m), (0.5 * t, m)])
-    return k1, k2, k3
+    return tuple(from_column_action(space, terms) for terms in _generator_terms(space))
 
 
 def casimir(space: HarmonicSpace) -> Operator:

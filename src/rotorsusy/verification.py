@@ -269,10 +269,11 @@ def _checks_harmonics(j_max, tol, degrees):
 
     def gram_identity():
         grid = build_grid(j_top)
+        w = grid.weight_mesh.ravel()
         worst = 0.0
         for j in range(j_top + 1):
-            yv = harmonic_values(HarmonicSpace(j), grid)
-            g = np.einsum("atp,btp,tp->ab", yv, np.conj(yv), grid.weight_mesh)
+            yv = harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1)
+            g = (yv * w) @ yv.conj().T
             worst = max(worst, float(np.max(np.abs(g - np.eye(2 * j + 1)))))
         return worst <= tol(1e-12), worst, tol(1e-12), f"Gram vs identity, j <= {j_top}"
 
@@ -308,11 +309,13 @@ def _checks_harmonics(j_max, tol, degrees):
     def cross_degree():
         j_top10 = min(j_max, 10)
         grid = build_grid(j_top10)
-        vals = [harmonic_values(HarmonicSpace(j), grid) for j in range(j_top10 + 1)]
+        vals = [harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1)
+                for j in range(j_top10 + 1)]
+        w = grid.weight_mesh.ravel()
         worst = 0.0
         for j in range(j_top10 + 1):
             for jp in range(j + 1, j_top10 + 1):
-                g = np.einsum("atp,btp,tp->ab", vals[j], np.conj(vals[jp]), grid.weight_mesh)
+                g = (vals[j] * w) @ vals[jp].conj().T
                 worst = max(worst, float(np.max(np.abs(g))))
         return worst <= tol(1e-12), worst, tol(1e-12), f"cross-degree overlaps, j <= {j_top10}"
 
@@ -402,18 +405,20 @@ def _checks_operators(j_max, tol, degrees):
         j_top8 = min(j_max, 8)
         grid = build_grid(max(j_top8, 1))
         th, ph = grid.mesh()
+        w = grid.weight_mesh.ravel()
         worst = 0.0
         for j in range(j_top8 + 1):
             space = HarmonicSpace(j)
-            yv = harmonic_values(space, grid)
+            # bra @ moved.T is the quadrature of conj(Y_j^b) times each moved harmonic
+            bra = np.conj(harmonic_values(space, grid).reshape(space.dim, -1)) * w
             mats = {"J3": op.j3(space), "J+": op.jplus(space), "J-": op.jminus(space)}
             for which, moved in _ladder_pointwise(space, th, ph).items():
-                got = np.einsum("btp,atp,tp->ba", np.conj(yv), moved, grid.weight_mesh)
+                got = bra @ moved.reshape(space.dim, -1).T
                 worst = max(worst, float(np.max(np.abs(got - mats[which].matrix))))
             for axis in (1, 2, 3):
                 tt, pp = _REFLECTED_ANGLES[axis](th, ph)
                 moved = harmonic_values(space, theta=np.abs(tt), phi=pp)
-                got = np.einsum("btp,atp,tp->ba", np.conj(yv), moved, grid.weight_mesh)
+                got = bra @ moved.reshape(space.dim, -1).T
                 worst = max(worst, float(np.max(np.abs(got - op.reflection(axis, space).matrix))))
         return worst <= tol(1e-8), worst, tol(1e-8), f"derivative/parity oracle, j <= {j_top8}"
 

@@ -2,13 +2,14 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import HarmonicSpace, supercharge
-from rotorsusy.cli import _emit, _json, main
+from rotorsusy import HarmonicSpace, decompose, supercharge
+from rotorsusy.cli import _emit, _json_chunks, main
 
 
 def run(capsys, *argv):
@@ -264,9 +265,21 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
     "plain",
     {},
     [],
+    np.empty((2, 0, 3)),
+    np.array([7.0]),
+    np.full((2, 2, 2), -0.0),
+    np.linspace(0.0, 1.0, 16).reshape(2, 2, 2, 2),
 ])
 def test_json_renderer_matches_indented_dumps(obj):
-    assert _json(obj) == json.dumps(_as_lists(obj), indent=2)
+    assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)
+
+
+def test_json_chunks_hold_one_outermost_row_of_a_float_array_each():
+    a = np.linspace(-1.0, 1.0, 24).reshape(4, 3, 2)
+    chunks = list(_json_chunks(a))
+    assert len(chunks) == 5 and chunks[-1] == "\n]"
+    for row, chunk in zip(a, chunks):
+        assert chunk[0] in "[," and json.loads(chunk[1:]) == row.tolist()
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,3 +301,20 @@ def test_weights_export_past_supported_range_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "N <= 115" in err
+
+
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 12.0)])
+def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
+    # dense 513 x 513 operators and their products peaked at 46.7 and 31.9 MiB
+    run_op = {
+        "decompose": lambda: decompose(HarmonicSpace(256)),
+        "export": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "json",
+                                "--output", str(tmp_path / "f.json")]),
+    }[name]
+    tracemalloc.start()
+    try:
+        run_op()
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib <= limit_mib

@@ -20,6 +20,7 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
+from rotorsusy import eigenbases, susy
 from rotorsusy.eigenbases import _verified_fg_basis
 
 
@@ -234,12 +235,48 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
             assert_allclose(overlap, 1.0, atol=1e-10)
 
 
-def test_eigen_verification_reports_the_first_failing_vector():
+def test_eigen_verification_reports_the_first_failing_vector(monkeypatch):
     space = HarmonicSpace(2)
-    _, _, k3 = symmetry_generators(space)
+    negated = [(-coef, target) for coef, target in susy._supercharge_terms(space)]
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
+    monkeypatch.setattr(eigenbases, "_supercharge_terms", lambda _: negated)
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
-        _verified_fg_basis(space, "F", (-1.0 * supercharge(space), k3))
-    passed = _verified_fg_basis(space, "F", (supercharge(space), k3))
+        _verified_fg_basis(space, "F")
+    monkeypatch.undo()
+    passed = _verified_fg_basis(space, "F")
     np.testing.assert_array_equal(passed.matrix(), f_basis(space).matrix())
+
+
+def _dense_decompose(space):
+    """The residuals and K1 blocks of decompose, from dense products
+    T^H O T over the stacked F+G basis T and from tridiagonal_extract."""
+    q = supercharge(space)
+    k1, k2, k3 = symmetry_generators(space)
+    fb, gb = f_basis(space), g_basis(space)
+    t = np.column_stack([fb.matrix(), gb.matrix()])
+    nf = len(fb)
+    offblock = {}
+    for name, op in (("Q", q), ("K1", k1), ("K2", k2), ("K3", k3)):
+        full = t.conj().T @ op.matrix @ t
+        offblock[name] = max(np.max(np.abs(full[:nf, nf:]), initial=0.0),
+                             np.max(np.abs(full[nf:, :nf]), initial=0.0))
+    blocks = {"f_block": tridiagonal_extract(k1, fb)}
+    if len(gb):
+        blocks["g_block"] = tridiagonal_extract(k1, gb)
+    completeness = np.max(np.abs(t.conj().T @ t - np.eye(space.dim)))
+    return completeness, offblock, blocks
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 64, 256])
+def test_decompose_matches_dense_products(j):
+    report = decompose(HarmonicSpace(j))
+    completeness, offblock, blocks = _dense_decompose(HarmonicSpace(j))
+    assert abs(report["completeness_residual"] - completeness) <= 1e-13
+    assert report["offblock_residuals"].keys() == offblock.keys()
+    for name, residual in offblock.items():
+        assert abs(report["offblock_residuals"][name] - residual) <= 1e-13
+    assert ("g_block" in report) == ("g_block" in blocks)
+    for key, tri in blocks.items():
+        assert_allclose(report[key]["diag"], tri.diag, rtol=1e-13, atol=1e-13)
+        assert_allclose(report[key]["offdiag"], tri.offdiag, rtol=1e-13, atol=1e-13)

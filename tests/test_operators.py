@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
     ContractViolation,
@@ -23,7 +23,8 @@ from rotorsusy import (
     reflection,
     spectrum,
 )
-from rotorsusy.operators import from_column_action
+from rotorsusy import casimir, operators, supercharge, supercharge_alt, susy, symmetry_generators
+from rotorsusy.operators import _act, _ladder, from_column_action
 
 
 def test_j3_matrix_entries():
@@ -195,3 +196,32 @@ def test_column_action_assembles_terms_and_rejects_lost_weight():
     # a nonzero coefficient on a target outside -j..j would be dropped silently
     with pytest.raises(ValueError, match="outside"):
         from_column_action(space, [(1.0, m + 1)])
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64])
+def test_act_matches_the_dense_column_action(j, monkeypatch):
+    space = HarmonicSpace(j)
+    built = []
+
+    def recording(space, terms):
+        terms = list(terms)
+        built.append((terms, from_column_action(space, terms)))
+        return built[-1][1]
+
+    monkeypatch.setattr(operators, "from_column_action", recording)
+    monkeypatch.setattr(susy, "from_column_action", recording)
+    for build in (hamiltonian, supercharge, supercharge_alt, symmetry_generators, casimir,
+                  jplus, j3):
+        build(space)
+    for axis in (1, 2, 3):
+        reflection(axis, space)
+    # J- is built as the adjoint of J+; its action is Y_j^m -> b(m) Y_j^{m-1}
+    m, _, down = _ladder(space)
+    built.append(([(down, m - 1)], jminus(space)))
+    assert len(built) == 14  # H, Q, Q', K1-K3, C, J+, J3, R1-R3, J+ again inside J-, and J-
+    eye = np.eye(space.dim)
+    for terms, op in built:
+        assert_array_equal(_act(space, terms, eye), op.matrix)
+        # a 1-d vector and a 3-d stack act column by column like the 2-d identity
+        assert_array_equal(_act(space, terms, eye[:, 0]), op.matrix[:, 0])
+        assert_array_equal(_act(space, terms, eye[:, :, None])[..., 0], op.matrix)
