@@ -230,16 +230,12 @@ def _cmd_basis(args) -> int:
 
     def csv_rows():
         label_keys = sorted(basis.labels[0]) if basis.labels else []
-        header = ["index"] + label_keys
-        for i in range(2 * args.j + 1):
-            header += [f"c{i}_re", f"c{i}_im"]
-        rows = [header]
+        rows = [["index"] + label_keys + [f"c{i}_{p}" for i in range(2 * args.j + 1)
+                                          for p in ("re", "im")]]
         for n, (lab, v) in enumerate(zip(basis.labels, basis.matrix().T)):
-            row = [str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
-                              for k in label_keys]
-            for c in v:
-                row += [_f17(c.real), _f17(c.imag)]
-            rows.append(row)
+            rows.append([str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
+                                    for k in label_keys]
+                        + [_f17(x) for c in v for x in (c.real, c.imag)])
         return rows
 
     _emit(args, "basis", {"j": args.j, "family": args.family}, payload, table, csv_rows)
@@ -255,10 +251,10 @@ def _poly_coeffs(n_max):
     def payload():
         return {
             "N": n_max,
-            "A": [float(v) for v in t.A],
-            "C": [float(v) for v in t.C],
-            "monic_b": [float(v) for v in t.monic_b],
-            "monic_c": [float(v) for v in t.monic_c],
+            "A": t.A,
+            "C": t.C,
+            "monic_b": t.monic_b,
+            "monic_c": t.monic_c,
         }
 
     def table():
@@ -288,8 +284,8 @@ def _poly_values(n_max):
     def payload():
         return {
             "N": n_max,
-            "x": [float(v) for v in g.x],
-            "y": [float(v) for v in g.y],
+            "x": g.x,
+            "y": g.y,
             "P": vals,
         }
 
@@ -318,10 +314,10 @@ def _poly_weights(n_max):
     def payload():
         return {
             "N": n_max,
-            "x": [float(v) for v in wt.x],
-            "derived": [float(v) for v in wt.derived],
-            "closed_form": [float(v) for v in wt.closed_form],
-            "norms": [float(v) for v in wt.norms],
+            "x": wt.x,
+            "derived": wt.derived,
+            "closed_form": wt.closed_form,
+            "norms": wt.norms,
             "discrepant": wt.discrepant,
         }
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import Operator, _act, commutator, from_column_action, op_norm
+from .operators import (Operator, _act, _act_adjoint, _columns, commutator, from_column_action,
+                        op_norm)
 from .susy import _generator_terms, _supercharge_terms
 
 __all__ = [
@@ -101,29 +102,24 @@ class TridiagonalData:
         object.__setattr__(self, "offdiag", e)
 
 
-def _m_position(j: int, m: int, eps: int) -> int:
-    # eps=+1 chain occupies 0..j, eps=-1 chain occupies j+1..2j (its m runs 1..j)
-    return m if eps == 1 else j + m
-
-
-def _m_columns(j: int, m, eps) -> np.ndarray:
-    """The (2j+1, len(m)) array whose column c is M_j^{m[c],eps[c]} =
-    (Y_j^{-m} + i eps Y_j^m) / sqrt(2).  Columns with m > j are zero."""
-    out = np.zeros((2 * j + 1, m.size), dtype=complex)
-    c = np.flatnonzero(m <= j)
-    out[j - m[c], c] += 1.0 / sqrt(2.0)
-    out[j + m[c], c] += 1j * eps[c] / sqrt(2.0)
-    return out
+def _m_labels(j: int):
+    """(i, m, eps) of the M-basis in canonical order: the eps = +1 chain
+    (m = 0..j) at positions i = 0..j, then the eps = -1 chain (m = 1..j)."""
+    i = np.arange(2 * j + 1)
+    return i, np.where(i <= j, i, i - j), np.where(i <= j, 1, -1)
 
 
 def m_basis(space: HarmonicSpace) -> LabeledBasis:
     """The K3 eigenbasis M_j^{m,eps} in canonical order."""
     j = space.j
-    m = np.r_[0:j + 1, 1:j + 1]
-    eps = np.where(np.arange(space.dim) <= j, 1, -1)
+    i, m, eps = _m_labels(j)
     labels = [{"m": a, "epsilon": e, "k3": e * a + (-1.0) ** a / 2.0}
               for a, e in zip(m.tolist(), eps.tolist())]
-    return LabeledBasis(space=space, family="M", coeffs=_m_columns(j, m, eps), labels=labels)
+    chain = [np.where(eps == e, 1.0 / sqrt(2.0), 0.0) for e in (1, -1)]
+    # M^{m,eps} = (Y^{-m} + i eps Y^m) / sqrt(2); m = i on the first chain, i - j on the second
+    terms = [(chain[0], -i), (chain[1], j - i), (1j * chain[0], i), (-1j * chain[1], i - j)]
+    return LabeledBasis(space=space, family="M", coeffs=_columns(space, terms, space.dim),
+                        labels=labels)
 
 
 def q_action_on_m(space: HarmonicSpace):
@@ -136,27 +132,19 @@ def q_action_on_m(space: HarmonicSpace):
         down coefficient  (-1)^j i (eps - (-1)^m)/2 * sqrt((j+m)(j-m+1))
 
     and the up/down coefficients vanish exactly where the target label
-    leaves the basis, so each eps chain splits into closed 2x2 blocks.
+    leaves the basis, so each eps chain splits into closed 2x2 blocks
+    (checked: VerificationError otherwise).
     """
     j = space.j
-    d = space.dim
-    out = np.zeros((d, d), dtype=complex)
-    sign_j = (-1.0) ** j
-    for eps in (1, -1):
-        for m in range(0 if eps == 1 else 1, j + 1):
-            col = _m_position(j, m, eps)
-            out[col, col] += -(1.0 + 2.0 * (-1.0) ** m * eps * m) / 2.0
-            up = sign_j * 1j * ((-1.0) ** (m + 1) - eps) / 2.0 * sqrt((j - m) * (j + m + 1))
-            if m + 1 <= j:
-                out[_m_position(j, m + 1, eps), col] += up
-            else:
-                assert up == 0
-            down = sign_j * 1j * (eps - (-1.0) ** m) / 2.0 * sqrt((j + m) * (j - m + 1))
-            if m - 1 >= 1 or (m - 1 == 0 and eps == 1):
-                out[_m_position(j, m - 1, eps), col] += down
-            else:
-                assert down == 0
-    return out
+    i, m, eps = _m_labels(j)
+    sign_j, t = (-1.0) ** j, (-1.0) ** m
+    diag = -(1.0 + 2.0 * t * eps * m) / 2.0
+    up = sign_j * 1j * (-t - eps) / 2.0 * np.sqrt((j - m) * (j + m + 1.0))
+    down = sign_j * 1j * (eps - t) / 2.0 * np.sqrt((j + m) * (j - m + 1.0))
+    lost = np.r_[up[m == j], down[(m == 0) | ((m == 1) & (eps == -1))]]
+    if np.any(lost != 0):
+        raise VerificationError(f"Q leaves the M-basis chains (coefficients {lost[lost != 0]})")
+    return _columns(space, [(diag, i - j), (up, i + 1 - j), (down, i - 1 - j)], space.dim)
 
 
 def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
@@ -210,10 +198,12 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
                         coeffs=np.column_stack([v for (_, _, _, v) in entries]), labels=labels)
 
 
-def _fg_matrix(space: HarmonicSpace, which: str) -> np.ndarray:
-    """The F or G vectors as columns over Y_j^m, written from their
-    two-term closed forms upper M_j^{k+1,eps} + lower M_j^{k,eps}, eps = (-1)^k
-    (see f_basis and g_basis)."""
+def _fg_terms(space: HarmonicSpace, which: str):
+    """(terms, n) for the n F or G vectors (see f_basis, g_basis) as a
+    column action over k: vector k is upper M_j^{k+1,eps} + lower
+    M_j^{k,eps}, eps = (-1)^k, with four entries on Y_j^{-k-1}, Y_j^{-k},
+    Y_j^k and Y_j^{k+1}, added into one zeroed (4, n) array (no -0.0
+    parts); at k = 0 the two Y_j^0 entries are one, on the second term."""
     j = space.j
     k = np.arange(j + 1 if which == "F" else j)
     if which == "F":
@@ -222,17 +212,14 @@ def _fg_matrix(space: HarmonicSpace, which: str) -> np.ndarray:
     else:
         upper = np.sqrt((j + k + 1) / (2 * j + 1))
         lower = 1j * (-1.0) ** (k + j) * np.sqrt((j - k) / (2 * j + 1))
-    eps = (-1) ** k
-    return _m_columns(j, k, eps) * lower + _m_columns(j, k + 1, eps) * upper
-
-
-def _bra(b):
-    """The map x -> b^H x, read from the nonzero entries of each column of b:
-    O(w x.size) for at most w of them per column (4 for the F and G vectors)."""
-    w = int(np.max(np.count_nonzero(b, axis=0), initial=0))
-    rows = np.argsort(b == 0, axis=0, kind="stable")[:w]
-    vals = np.take_along_axis(b, rows, axis=0).conj()
-    return lambda x: np.einsum("wn,wnc->nc", vals, x[rows])
+    minus = np.full(k.size, 1.0 / sqrt(2.0), dtype=complex)  # Y^{-m} entry of M^{m,eps}
+    plus = 1j * (-1) ** k / sqrt(2.0)                        # Y^{+m} entry of M^{m,eps}
+    minus_0, plus_0 = minus.copy(), plus.copy()
+    minus_0[:1] += plus[:1]
+    plus_0[:1] = 0.0
+    vals = np.zeros((4, k.size), dtype=complex)
+    vals += [minus * upper, minus_0 * lower, plus_0 * lower, plus * upper]
+    return [(vals[0], -k - 1), (vals[1], -k), (vals[2], k), (vals[3], k + 1)], k.size
 
 
 def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
@@ -241,8 +228,8 @@ def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
     j = space.j
     q_terms, k3_terms = _supercharge_terms(space), _generator_terms(space)[2]
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
-    v = _fg_matrix(space, which)
-    k = np.arange(v.shape[1])
+    terms, n = _fg_terms(space, which)
+    v, k = _columns(space, terms, n), np.arange(n)
     k3_eigs = (-1.0) ** k * (k + 0.5)
 
     rq = np.linalg.norm(_act(space, q_terms, v) - q_eig * v, axis=0)
@@ -288,29 +275,20 @@ def g_basis(space: HarmonicSpace) -> LabeledBasis:
 
 
 def closed_form_tridiagonal(family: str, j: int):
-    """Closed-form K1 tridiagonal data for the F (size j+1) or G (size j) block.
+    """Closed-form K1 tridiagonal data for the F (size n = j+1) or G (size n = j) block.
 
-    F block: diag (-1)^j (j+1)/2 at k=0 else 0,
-             offdiag U_k = sqrt((j+k+1)(j+1-k))/2, k = 1..j.
-    G block: diag (-1)^{j-1} j/2 at k=0 else 0,
-             offdiag V_k = sqrt((j+k)(j-k))/2, k = 1..j-1.
+    Both follow one pattern in n: diag (-1)^{n-1} n/2 at k=0 else 0, and
+    offdiag sqrt((n+k)(n-k))/2, k = 1..n-1; that is U_k =
+    sqrt((j+k+1)(j+1-k))/2 on F and V_k = sqrt((j+k)(j-k))/2 on G.
 
     The Z family reuses the F pattern (same coefficients, K2 in that basis).
     """
-    if family in ("F", "Z"):
-        n = j + 1
-        diag = np.zeros(n)
-        diag[0] = (-1.0) ** j * (j + 1) / 2.0
-        off = np.array([sqrt((j + k + 1) * (j + 1 - k)) / 2.0 for k in range(1, n)])
-    elif family == "G":
-        n = j
-        diag = np.zeros(n)
-        if n:
-            diag[0] = (-1.0) ** (j - 1) * j / 2.0
-        off = np.array([sqrt((j + k) * (j - k)) / 2.0 for k in range(1, n)])
-    else:
+    if family not in ("F", "G", "Z"):
         raise ValueError(f"no closed-form tridiagonal for family {family!r}")
-    return diag, off
+    n = j if family == "G" else j + 1
+    diag, k = np.zeros(n), np.arange(1, n)
+    diag[:1] = (-1.0) ** (n - 1) * n / 2.0
+    return diag, np.sqrt((n + k) * (n - k)) / 2.0
 
 
 def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData:
@@ -363,28 +341,31 @@ def decompose(space: HarmonicSpace) -> dict:
 
     O(j^2) time and memory, with no dense operator: Q and the K_i act on F
     and G by their closed-form actions (operators._act), and F^H X, G^H X
-    are read from the four entries of each F/G column.
+    apply the adjoint of the F and G closed forms (operators._act_adjoint),
+    all on contiguous slices.  F is treated first, then G.
     """
     j = space.j
-    f, g = f_basis(space).matrix(), g_basis(space).matrix()
-    f_bra, g_bra = _bra(f), _bra(g)
+    bra = {which: _act_adjoint(space, *_fg_terms(space, which)) for which in ("F", "G")}
 
-    def blocks(xf, xg):
-        """F^H xf, G^H xg and the largest entry of G^H xf and F^H xg."""
-        off = max(np.max(np.abs(g_bra(xf)), initial=0.0), np.max(np.abs(f_bra(xg)), initial=0.0))
-        return f_bra(xf), g_bra(xg), float(off)
+    def max_abs(x):
+        return float(np.max(np.abs(x), initial=0.0))
 
-    ff, gg, off = blocks(f, g)
-    completeness = max(float(np.max(np.abs(ff - np.eye(j + 1)))),
-                       float(np.max(np.abs(gg - np.eye(j)), initial=0.0)), off)
-    offblock = {}
-    for name, terms in zip(("Q", "K1", "K2", "K3"),
-                           (_supercharge_terms(space), *_generator_terms(space))):
-        f_block, g_block, offblock[name] = blocks(_act(space, terms, f), _act(space, terms, g))
-        if name == "K1":
-            k1_f, k1_g = f_block, g_block
+    names = ("Q", "K1", "K2", "K3")
+    op_terms = (_supercharge_terms(space), *_generator_terms(space))
+    completeness, offblock, k1 = 0.0, dict.fromkeys(names, 0.0), {}
+    for which, other, basis in (("F", "G", f_basis), ("G", "F", g_basis)):
+        b = basis(space).matrix()
+        completeness = max(completeness, max_abs(bra[which](b) - np.eye(b.shape[1])),
+                           max_abs(bra[other](b)))
+        for name, terms in zip(names, op_terms):
+            x = _act(space, terms, b)
+            if name == "K1":
+                k1[which] = bra[which](x)
+            offblock[name] = max(offblock[name], max_abs(bra[other](x)))
+            del x  # one action at a time
+        del b  # F's vectors are freed before G's are built
 
-    f_tri = _tridiagonal_data(k1_f, "F", j)
+    f_tri = _tridiagonal_data(k1["F"], "F", j)
     report = {
         "j": j,
         "dims": [j + 1, j],
@@ -401,15 +382,11 @@ def decompose(space: HarmonicSpace) -> dict:
         ),
     }
     if j:
-        g_tri = _tridiagonal_data(k1_g, "G", j)
+        g_tri = _tridiagonal_data(k1["G"], "G", j)
         lower_diag, lower_off = closed_form_tridiagonal("F", j - 1)
-        same_pattern = bool(
-            np.allclose(g_tri.diag, lower_diag, atol=EIGEN_TOL)
-            and np.allclose(g_tri.offdiag, lower_off, atol=EIGEN_TOL)
-        )
         report["g_block"] = {"diag": g_tri.diag.tolist(), "offdiag": g_tri.offdiag.tolist()}
-        report["offdiag_positive"] = report["offdiag_positive"] and bool(
-            np.all(g_tri.offdiag > 0)
-        )
-        report["g_matches_f_pattern_one_degree_lower"] = same_pattern
+        report["offdiag_positive"] &= bool(np.all(g_tri.offdiag > 0))
+        report["g_matches_f_pattern_one_degree_lower"] = bool(
+            np.allclose(g_tri.diag, lower_diag, atol=EIGEN_TOL)
+            and np.allclose(g_tri.offdiag, lower_off, atol=EIGEN_TOL))
     return report

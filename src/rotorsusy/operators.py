@@ -4,8 +4,9 @@ Matrices act on coefficient vectors ordered by ascending m (flat index
 i = m + j).  All norms are Frobenius norms.
 
 Every operator here is built from its closed-form action on the basis
-states by from_column_action, which writes O(j) entries of a dense matrix
-(_act applies the same action to a stack of vectors, with no matrix):
+states, Y_j^m -> sum over terms of coef(m) Y_j^target(m) with target =
++-m + c, so each term fills one slice of rows and one of columns
+(from_column_action writes the matrix, _act applies it with no matrix):
 
     J3 Y_j^m = m Y_j^m
     J+ Y_j^m = a(m) Y_j^{m+1},  a(m) = sqrt((j-m)(j+m+1))
@@ -18,6 +19,7 @@ where it serves as the oracle of the closed form.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -123,41 +125,78 @@ def _ladder(space: HarmonicSpace):
     return m, np.sqrt((j - m) * (j + m + 1.0)), np.sqrt((j + m) * (j - m + 1.0))
 
 
+def _span(start: int, step: int, count: int) -> slice:
+    """The slice start, start + step, ... of count indices (step may be < 0)."""
+    stop = start + step * count
+    return slice(start, stop if stop >= 0 else None, step)
+
+
 def _kept_terms(space: HarmonicSpace, terms):
-    """Each (coef, target) term as (coef, rows, cols) over the columns whose
-    target lies inside -j..j; ValueError if another target's coef is not 0."""
+    """Each (coef, target) term, target = s*i + c over columns i with s = +-1,
+    as (coef, cols, rows): the slice cols of columns whose target lies in
+    -j..j, their coefficients, and the slice rows of their rows target + j
+    (backwards for s = -1).  ValueError for a target of another form or a
+    nonzero coefficient of a target outside -j..j."""
     j = space.j
-    cols = np.arange(space.dim)
     for coef, target in terms:
-        coef = np.broadcast_to(coef, cols.shape)
-        keep = np.abs(target) <= j
-        if np.any(coef[~keep] != 0):
+        n = len(target)
+        s = 1 if n < 2 or target[1] > target[0] else -1
+        if n > 1 and np.count_nonzero(target[1:] - target[:-1] - s):
+            raise ValueError("target is not of the form +-m + c")
+        r0 = int(target[0]) + j if n else 0
+        lo = max(0, -r0 if s == 1 else r0 - 2 * j)
+        hi = max(lo, min(n, 2 * j + 1 - r0 if s == 1 else r0 + 1))
+        coef = np.full(n, coef) if np.ndim(coef) == 0 else coef
+        if np.count_nonzero(coef[:lo]) or np.count_nonzero(coef[hi:]):
             raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
-        yield coef[keep], target[keep] + j, cols[keep]
+        if hi > lo:
+            yield coef[lo:hi], slice(lo, hi), _span(r0 + s * lo, s, hi - lo)
+
+
+def _columns(space: HarmonicSpace, terms, n: int) -> np.ndarray:
+    """The (2j+1, n) array whose column i is the sum over terms of
+    coef(i) Y_j^target(i), each term written as one strided slice of it."""
+    out = np.zeros((space.dim, n), dtype=complex)
+    for coef, cols, rows in _kept_terms(space, terms):
+        out.reshape(-1)[_span(rows.start * n + cols.start, rows.step * n + 1, len(coef))] += coef
+    return out
 
 
 def from_column_action(space: HarmonicSpace, terms) -> Operator:
     """The dense operator sending Y_j^m to sum over terms of coef(m) Y_j^target(m).
 
     terms is a sequence of (coef, target) pairs: coef is a scalar or an
-    array over m = -j..j (ascending), target an integer array over m whose
-    entries are distinct.  Each term writes at most 2j+1 entries.  Targets
-    outside -j..j are dropped; their coefficients must vanish, else
-    ValueError.
+    array over m = -j..j (ascending), target the integer array s*m + c
+    with s = +1 or -1.  Each term is one strided slice of the flat matrix.
+    Targets outside -j..j are dropped; ValueError on a nonzero coefficient
+    there, or on a target of another form.
     """
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for coef, rows, cols in _kept_terms(space, terms):
-        out[rows, cols] += coef
-    return Operator(space, out)
+    return Operator(space, _columns(space, terms, space.dim))
 
 
 def _act(space: HarmonicSpace, terms, v) -> np.ndarray:
     """from_column_action(space, terms).matrix @ v without the dense matrix:
-    v has shape (2j+1, ...), and the cost is O(len(terms) * v.size)."""
+    each term adds coef * v[cols] to the rows out[rows] of v's shape
+    (2j+1, ...), in O(len(terms) * v.size)."""
     out = np.zeros(np.shape(v), dtype=complex)
-    for coef, rows, cols in _kept_terms(space, terms):
+    for coef, cols, rows in _kept_terms(space, terms):
         out[rows] += coef.reshape((-1,) + (1,) * (out.ndim - 1)) * v[cols]
     return out
+
+
+def _act_adjoint(space: HarmonicSpace, terms, n: int):
+    """x -> b^H x for b = _columns(space, terms, n), without b: each term adds
+    conj(coef) * x[rows] to out[cols].  einsum rounds each real product (numpy's
+    multiply may fuse them): the bits of np.einsum("rn,rc->nc", b.conj(), x)."""
+    kept = [(coef.conj(), cols, rows) for coef, cols, rows in _kept_terms(space, terms)]
+
+    def apply(x):
+        out = np.zeros((n,) + np.shape(x)[1:], dtype=complex)
+        for coef, cols, rows in kept:
+            out[cols] += np.einsum("n,n...->n...", coef, x[rows])
+        return out
+
+    return apply
 
 
 def identity(space: HarmonicSpace) -> Operator:
@@ -241,7 +280,9 @@ def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
     """
     m = a.matrix
     if self_adjoint:
-        herm = np.linalg.norm(m - m.conj().T)
+        # m - m^H by blocks of 64 rows: no second (2j+1)^2 temporary at large degree
+        herm = sqrt(sum(np.linalg.norm(m[i:i + 64] - m[:, i:i + 64].conj().T) ** 2
+                        for i in range(0, len(m), 64)))
         if herm > 1e-10 * max(1.0, np.linalg.norm(m)):
             raise ContractViolation(
                 f"matrix is not self-adjoint (deviation {herm:.3e}) but self_adjoint=True"

@@ -754,14 +754,8 @@ def run_verification(j_max=20, suite_filter=None, tolerance_scale=1.0) -> Verifi
     def tol(base):
         return base * tolerance_scale
 
-    groups = {
-        "harmonics": _checks_harmonics,
-        "operators": _checks_operators,
-        "susy": _checks_susy,
-        "eigenbases": _checks_eigenbases,
-        "polynomials": _checks_polynomials,
-        "overlaps": _checks_overlaps,
-    }
+    groups = dict(zip(SUITES, (_checks_harmonics, _checks_operators, _checks_susy,
+                               _checks_eigenbases, _checks_polynomials, _checks_overlaps)))
     selected = SUITES if suite_filter is None else (suite_filter,)
 
     degrees = lru_cache(maxsize=None)(_Degree)
@@ -774,15 +768,7 @@ def run_verification(j_max=20, suite_filter=None, tolerance_scale=1.0) -> Verifi
             except Exception as exc:  # noqa: BLE001 - report, do not abort the run
                 passed, residual, tolerance = False, float("inf"), 0.0
                 detail = f"check raised {type(exc).__name__}: {exc}"
-            results.append(
-                CheckResult(
-                    name=name,
-                    passed=bool(passed),
-                    residual=float(residual),
-                    tolerance=float(tolerance),
-                    elapsed=time.perf_counter() - t0,
-                    detail=detail,
-                )
-            )
+            results.append(CheckResult(name, bool(passed), float(residual), float(tolerance),
+                                       time.perf_counter() - t0, detail))
     return VerificationReport(j_max=int(j_max), tolerance_scale=float(tolerance_scale),
                               checks=tuple(results))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import HarmonicSpace, decompose, supercharge
+from rotorsusy import HarmonicSpace, decompose, f_basis, spectrum, supercharge
 from rotorsusy.cli import _emit, _json_chunks, main
 
 
@@ -311,10 +312,51 @@ def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
         "export": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "json",
                                 "--output", str(tmp_path / "f.json")]),
     }[name]
+    assert _traced_peak_mib(run_op) <= limit_mib
+
+
+def _traced_peak_mib(run_op):
     tracemalloc.start()
     try:
         run_op()
-        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak_mib <= limit_mib
+
+
+@pytest.mark.parametrize("name, limit_mib",
+                         [("decompose", 12.0), ("f_basis", 8.0), ("spectrum", 10.0)])
+def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
+    # gathered (2j+1, n) copies per term and a (4, n, n) bra stack peaked
+    # at 22.4 and 10.3 MiB, and a dense m - m^H check at 12.2 MiB; slices
+    # leave one temporary per term, and the check works on row blocks
+    run_op = {"decompose": lambda: decompose(HarmonicSpace(256)),
+              "f_basis": lambda: f_basis(HarmonicSpace(256)),
+              "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256)))}[name]
+    assert _traced_peak_mib(run_op) <= limit_mib
+
+
+# SHA-256 of exports written before the actions moved onto slices (x86-64,
+# numpy 2.4, OpenBLAS); the slices must leave every byte as it was
+_GOLDEN_SHA256 = {
+    ("basis", "--family", "F", "--j", "64"):
+        "6e8a6bde46e6af736f35b61a871c3150b44a23db7a8aa4be186c6f5270bdd410",
+    ("basis", "--family", "G", "--j", "64"):
+        "04998eeeb59f7453fe9a5b7f2a9c51fb9412345abc97f9d3c2e6577b147a3353",
+    ("basis", "--family", "Z", "--j", "64"):
+        "c229035559d5aa4354abff00718b1c9f1ce24a2593c1dc49c30d73a9c793f635",
+    ("spectrum", "--op", "Q", "--j", "64"):
+        "a77ede71c656ae6f8c8bd3986ac58e3093854a9c28eb3648d2d60594ef9c3d04",
+    ("decompose", "64"):
+        "f14e8c6c8420d265f276edac98b00e926e51ef69e598258d86e987aaef1c3839",
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN_SHA256), ids=" ".join)
+def test_exports_match_their_golden_digests(argv, tmp_path):
+    path = tmp_path / "out.json"
+    if argv[0] == "decompose":
+        path.write_text("".join(_json_chunks(decompose(HarmonicSpace(int(argv[1]))))))
+    else:
+        assert main(list(argv) + ["--format", "json", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_SHA256[argv]

@@ -23,8 +23,10 @@ from rotorsusy import (
     reflection,
     spectrum,
 )
-from rotorsusy import casimir, operators, supercharge, supercharge_alt, susy, symmetry_generators
-from rotorsusy.operators import _act, _ladder, from_column_action
+from rotorsusy import (casimir, f_basis, g_basis, operators, supercharge, supercharge_alt, susy,
+                       symmetry_generators)
+from rotorsusy.eigenbases import _fg_terms
+from rotorsusy.operators import _act, _act_adjoint, _ladder, from_column_action
 
 
 def test_j3_matrix_entries():
@@ -170,6 +172,15 @@ def test_spectrum_self_adjoint_gate():
     assert rep.dim == 5
 
 
+def test_spectrum_self_adjoint_gate_covers_every_row_block():
+    space = HarmonicSpace(40)  # 81 rows: two blocks of the Hermitian check
+    q = supercharge(space).matrix.copy()
+    assert spectrum(Operator(space, q)).dim == space.dim
+    q[70, 75] += 1e-6
+    with pytest.raises(ContractViolation):
+        spectrum(Operator(space, q))
+
+
 _SPACE = HarmonicSpace(2)
 _ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 _MATRIX = arrays(np.float64, (_SPACE.dim, _SPACE.dim), elements=_ENTRY)
@@ -198,9 +209,9 @@ def test_column_action_assembles_terms_and_rejects_lost_weight():
         from_column_action(space, [(1.0, m + 1)])
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64])
-def test_act_matches_the_dense_column_action(j, monkeypatch):
-    space = HarmonicSpace(j)
+def _recorded_term_lists(space, monkeypatch):
+    """Every (terms, operator) pair the library builds on one degree: H, Q,
+    Q', K1-K3, C, J+, J3, R1-R3, J+ again inside J-, and J-."""
     built = []
 
     def recording(space, terms):
@@ -208,20 +219,99 @@ def test_act_matches_the_dense_column_action(j, monkeypatch):
         built.append((terms, from_column_action(space, terms)))
         return built[-1][1]
 
-    monkeypatch.setattr(operators, "from_column_action", recording)
-    monkeypatch.setattr(susy, "from_column_action", recording)
-    for build in (hamiltonian, supercharge, supercharge_alt, symmetry_generators, casimir,
-                  jplus, j3):
-        build(space)
-    for axis in (1, 2, 3):
-        reflection(axis, space)
-    # J- is built as the adjoint of J+; its action is Y_j^m -> b(m) Y_j^{m-1}
-    m, _, down = _ladder(space)
-    built.append(([(down, m - 1)], jminus(space)))
-    assert len(built) == 14  # H, Q, Q', K1-K3, C, J+, J3, R1-R3, J+ again inside J-, and J-
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "from_column_action", recording)
+        patch.setattr(susy, "from_column_action", recording)
+        for build in (hamiltonian, supercharge, supercharge_alt, symmetry_generators, casimir,
+                      jplus, j3):
+            build(space)
+        for axis in (1, 2, 3):
+            reflection(axis, space)
+        # J- is built as the adjoint of J+; its action is Y_j^m -> b(m) Y_j^{m-1}
+        m, _, down = _ladder(space)
+        built.append(([(down, m - 1)], jminus(space)))
+    assert len(built) == 14
+    return built
+
+
+def _looped_columns(space, terms, n):
+    """The (2j+1, n) array of a column action, entry by entry."""
+    out = np.zeros((space.dim, n), dtype=complex)
+    for coef, target in terms:
+        coef = np.broadcast_to(coef, (n,))
+        for i in range(n):
+            if abs(target[i]) <= space.j:
+                out[target[i] + space.j, i] += coef[i]
+    return out
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64])
+def test_act_matches_the_dense_column_action(j, monkeypatch):
+    space = HarmonicSpace(j)
+    built = _recorded_term_lists(space, monkeypatch)
     eye = np.eye(space.dim)
     for terms, op in built:
         assert_array_equal(_act(space, terms, eye), op.matrix)
         # a 1-d vector and a 3-d stack act column by column like the 2-d identity
         assert_array_equal(_act(space, terms, eye[:, 0]), op.matrix[:, 0])
         assert_array_equal(_act(space, terms, eye[:, :, None])[..., 0], op.matrix)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64, 256])
+def test_slice_kernels_match_a_looped_reference(j, monkeypatch):
+    space = HarmonicSpace(j)
+    rng = np.random.default_rng(j)
+    v = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    for terms, op in _recorded_term_lists(space, monkeypatch):
+        dense = _looped_columns(space, terms, space.dim)
+        assert_array_equal(from_column_action(space, terms).matrix, dense)
+        assert_array_equal(_act(space, terms, np.eye(space.dim)), dense)
+        # term by term, row by row: the same products and sums as the slices
+        want = np.zeros_like(v)
+        for coef, target in terms:
+            coef = np.broadcast_to(coef, (space.dim,))
+            for i in range(space.dim):
+                if abs(target[i]) <= j:
+                    want[target[i] + j] += coef[i] * v[i]
+        assert_array_equal(_act(space, terms, v), want)
+
+
+def test_kernels_reject_bad_targets_and_lost_coefficients():
+    space = HarmonicSpace(3)
+    m = space.m_values()
+    permuted = m.copy()
+    permuted[[2, 4]] = permuted[[4, 2]]
+    v = np.ones((space.dim, 2))
+    for terms in ([(1.0, permuted)], [(1.0, 2 * m)], [(1.0, np.zeros_like(m))]):
+        with pytest.raises(ValueError, match="form"):
+            from_column_action(space, terms)
+        with pytest.raises(ValueError, match="form"):
+            _act(space, terms, v)
+        with pytest.raises(ValueError, match="form"):
+            _act_adjoint(space, terms, space.dim)
+    # a nonzero coefficient may not meet a target outside -j..j, on either side
+    for target in (m + 1, m - 1, -m - 1, -m + 1, m + 7):
+        for coef in (0.5, np.full(space.dim, 0.5)):
+            with pytest.raises(ValueError, match="outside"):
+                _act(space, [(coef, target)], v)
+            with pytest.raises(ValueError, match="outside"):
+                _act_adjoint(space, [(coef, target)], space.dim)
+    # a coefficient that vanishes where the target leaves -j..j is fine
+    assert_array_equal(_act(space, [(np.where(m < 3, 1.0, 0.0), m + 1)], v)[0], 0.0)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 256])
+def test_fg_adjoint_equals_the_dense_bra(j):
+    space = HarmonicSpace(j)
+    rng = np.random.default_rng(j)
+    x = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
+    for which, n in (("F", j + 1), ("G", j)):
+        terms, size = _fg_terms(space, which)
+        assert size == n
+        b = _looped_columns(space, terms, n)
+        assert_array_equal(b, {"F": f_basis, "G": g_basis}[which](space).matrix())
+        got = _act_adjoint(space, terms, n)(x)
+        assert_allclose(got, b.conj().T @ x, rtol=0, atol=1e-14 * np.abs(x).max())
+        # bit for bit the dense contraction with einsum's unfused complex products
+        assert_array_equal(got, np.einsum("rn,rc->nc", b.conj(), x))
+        assert_allclose(_act_adjoint(space, terms, n)(b), np.eye(n), atol=1e-15)
