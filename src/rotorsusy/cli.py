@@ -8,11 +8,12 @@ basis     vectors and labels of the M/F/G/Z families
 poly      recurrence tables, grid values, weights, parameters
 overlaps  the F/Z overlap matrix by either construction
 
-Common flags (per subcommand): --format {json,csv,table}, --output PATH,
---tolerance-scale FLOAT.  JSON is the canonical machine format: every
-export is wrapped in an envelope {schema_version, kind, metadata,
-payload} with complex numbers as [re, im] pairs.  Exports are
-deterministic byte-for-byte across runs.
+Common flags (per subcommand): --format {json,csv,table}, --output PATH.
+verify also takes --tolerance-scale FLOAT; with --output it writes JSON
+unless --format says otherwise, and prints its table to stdout too.  JSON
+is the canonical machine format: every export is wrapped in an envelope
+{schema_version, kind, metadata, payload} with complex numbers as
+[re, im] pairs.  Exports are deterministic byte-for-byte across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -158,12 +159,11 @@ def _cmd_verify(args) -> int:
                          _f17(c.tolerance), c.detail])
         return rows
 
+    args.format = args.format or ("json" if args.output else "table")
+    _emit(args, "report", metadata, report.as_dict, report.table_lines, csv_rows)
     if args.output:
-        _deliver(args, _json_chunks(_envelope("report", metadata, report.as_dict())))
         print(f"report written to {args.output}")
         print("\n".join(report.table_lines()))
-    else:
-        _emit(args, "report", metadata, report.as_dict, report.table_lines, csv_rows)
     return 0 if report.all_passed else 1
 
 
@@ -424,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: table)")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
-    common.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0,
-                        metavar="FLOAT", help="multiply all default tolerances")
 
     parser = argparse.ArgumentParser(
         prog="rotorsusy",
@@ -438,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jmax", type=int, default=20, help="largest degree (default 20)")
     p_verify.add_argument("--suite", choices=SUITES, default=None,
                           help="restrict to one suite")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0,
+                          metavar="FLOAT", help="multiply all default tolerances")
+    p_verify.set_defaults(func=_cmd_verify, format=None)  # json with --output, else table
 
     p_spec = sub.add_parser("spectrum", parents=[common],
                             help="eigenvalues and multiplicities of a named operator")
@@ -469,12 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
-    if not (args.tolerance_scale > 0):
+    if args.command == "verify" and not (args.tolerance_scale > 0):
         parser.error(f"--tolerance-scale must be positive, got {args.tolerance_scale}")
     if args.command == "verify" and args.jmax < 0:
         parser.error(f"--jmax must be non-negative, got {args.jmax}")
     if args.command in ("spectrum", "basis") and args.j < 0:
         parser.error(f"--j must be non-negative, got {args.j}")
+    if args.command == "basis" and args.family == "Z" and args.j < 1:
+        parser.error(f"--family Z needs --j >= 1 (the block size N = j), got {args.j}")
     if args.command in ("poly", "overlaps") and args.N < 1:
         parser.error(f"--N must be at least 1, got {args.N}")
 

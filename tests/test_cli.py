@@ -55,6 +55,16 @@ def test_verify_report_file(tmp_path, capsys):
     assert "susy.square_identity" in out
 
 
+def test_verify_report_file_takes_the_requested_format(tmp_path, capsys):
+    target = tmp_path / "report.csv"
+    code, out, _ = run(capsys, "verify", "--jmax", "2", "--format", "csv", "--output", str(target))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(target.read_text())))
+    assert rows[0] == ["check", "status", "residual", "tolerance", "detail"]
+    assert len(rows) == 1 + 29
+    assert "susy.square_identity" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -67,6 +77,9 @@ def test_verify_report_file(tmp_path, capsys):
         ["basis", "--j", "1", "--family", "W"],
         ["overlaps", "--N", "2", "--method", "sideways"],
         ["nonsense"],
+        ["basis", "--j", "0", "--family", "Z"],
+        # only verify has tolerances to scale
+        ["spectrum", "--j", "2", "--op", "Q", "--tolerance-scale", "2"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -349,6 +362,9 @@ _GOLDEN_SHA256 = {
         "a77ede71c656ae6f8c8bd3986ac58e3093854a9c28eb3648d2d60594ef9c3d04",
     ("decompose", "64"):
         "f14e8c6c8420d265f276edac98b00e926e51ef69e598258d86e987aaef1c3839",
+    # taken before the verify checks moved into one registry with one runner
+    ("verify", "--jmax", "3"):
+        "135e80875e88828ef284d2c497d15f1c293b9defc2647bad5dc9ce2c8f7862e6",
 }
 
 

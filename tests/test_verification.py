@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from rotorsusy import operators, run_verification, susy
+from rotorsusy import eigenbases, operators, run_verification, susy, verification
 from rotorsusy.operators import from_column_action
 
 
@@ -68,6 +70,9 @@ def test_product_oracle_catches_a_wrong_closed_form(monkeypatch):
     control = checks["susy.non_symmetry"]
     assert not control.passed
     assert "control failed" in control.detail
+    # a structural failure reads inf against the check's declared tolerance
+    assert control.residual == math.inf
+    assert control.tolerance == 1e-6
     assert checks["susy.square_identity"].passed
     assert checks["susy.q_spectrum"].passed
 
@@ -79,3 +84,37 @@ def test_quadrature_oracle_catches_a_wrong_ladder_operator(monkeypatch):
     check = {c.name: c for c in report.checks}["operators.quadrature_matrix_elements"]
     assert not check.passed
     assert check.residual > check.tolerance
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: a NaN residual folded that way is
+    # dropped, and the check passes on the residuals that are left.  The
+    # NaN comes after finite residuals of j = 0, so no fold starts on it.
+    right_decompose, right_norm = eigenbases.decompose, operators.op_norm
+
+    def decompose(space):
+        report = right_decompose(space)
+        return dict(report, completeness_residual=math.nan) if space.j == 2 else report
+
+    monkeypatch.setattr(eigenbases, "decompose", decompose)
+    monkeypatch.setattr(operators, "op_norm",
+                        lambda a: math.nan if len(a.matrix) > 1 else right_norm(a))
+    checks = {c.name: c for c in run_verification(2).checks}
+    for name in ("eigenbases.block_structure", "operators.reflection_algebra",
+                 "operators.mixed_commutation"):
+        assert not checks[name].passed, name
+        assert math.isnan(checks[name].residual), name
+
+
+@pytest.mark.parametrize("j_max, n_empty", [(0, 9), (1, 1)])
+def test_empty_range_rows_pass_at_their_declared_tolerance(j_max, n_empty):
+    declared = {c.name: c for c in verification._CHECKS}
+    report = run_verification(j_max, tolerance_scale=3.0)
+    assert [c.name for c in report.checks] == list(declared)
+    empty = [c for c in report.checks if declared[c.name].first > j_max]
+    assert len(empty) == n_empty
+    for c in empty:
+        assert c.passed
+        assert c.residual == 0.0
+        assert c.tolerance == declared[c.name].tol * 3.0
+        assert c.detail == f"empty range (j_max < {declared[c.name].first})"
