@@ -41,8 +41,7 @@ import numpy as np
 from .eigenbases import LabeledBasis, f_basis
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace, build_grid, harmonic_values
-from .operators import _act
-from .susy import _generator_terms, _supercharge_terms
+from .susy import supercharge, symmetry_generators
 
 __all__ = [
     "RecurrenceTable",
@@ -307,7 +306,7 @@ def z_basis(N: int) -> LabeledBasis:
         Q  Z_N^k = -(N + 1/2) Z_N^k,
 
     else VerificationError.  Both eigen-checks apply the closed-form
-    actions of K1 and Q (operators._act) in O(N^2), with no dense operator.
+    actions of K1 and Q (Operator.apply) in O(N^2), with no dense operator.
     Supported range: every N >= 1, with no bound in principle; tested to
     N = 200 (and overlaps_via_integral checks the same W against quadrature).
     """
@@ -319,8 +318,8 @@ def z_basis(N: int) -> LabeledBasis:
         raise VerificationError(f"Z family is not orthonormal: {gram_res:.3e}")
     k = np.arange(N + 1)
     k1_eigs = (-1.0) ** k * (k + 0.5)
-    r1 = float(np.max(np.abs(_act(space, _generator_terms(space)[0], mat) - mat * k1_eigs)))
-    r2 = float(np.max(np.abs(_act(space, _supercharge_terms(space), mat) - mat * (-(N + 0.5)))))
+    r1 = float(np.max(np.abs(symmetry_generators(space)[0].apply(mat) - mat * k1_eigs)))
+    r2 = float(np.max(np.abs(supercharge(space).apply(mat) - mat * (-(N + 0.5)))))
     if not (r1 <= QUAD_TOL and r2 <= QUAD_TOL):
         raise VerificationError(
             f"Z family fails eigen-verification at N={N}: K1 residual {r1:.3e}, "

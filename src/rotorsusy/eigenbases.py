@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import (Operator, _act, _act_adjoint, _columns, commutator, from_column_action,
-                        op_norm)
-from .susy import _generator_terms, _supercharge_terms
+from .operators import Operator, _columns, _columns_adjoint, commutator, op_norm
+from .susy import supercharge, symmetry_generators
 
 __all__ = [
     "LabeledBasis",
@@ -117,7 +116,8 @@ def m_basis(space: HarmonicSpace) -> LabeledBasis:
               for a, e in zip(m.tolist(), eps.tolist())]
     chain = [np.where(eps == e, 1.0 / sqrt(2.0), 0.0) for e in (1, -1)]
     # M^{m,eps} = (Y^{-m} + i eps Y^m) / sqrt(2); m = i on the first chain, i - j on the second
-    terms = [(chain[0], -i), (chain[1], j - i), (1j * chain[0], i), (-1j * chain[1], i - j)]
+    terms = [((-1, 0), chain[0]), ((-1, j), chain[1]), ((1, 0), 1j * chain[0]),
+             ((1, -j), -1j * chain[1])]
     return LabeledBasis(space=space, family="M", coeffs=_columns(space, terms, space.dim),
                         labels=labels)
 
@@ -144,7 +144,7 @@ def q_action_on_m(space: HarmonicSpace):
     lost = np.r_[up[m == j], down[(m == 0) | ((m == 1) & (eps == -1))]]
     if np.any(lost != 0):
         raise VerificationError(f"Q leaves the M-basis chains (coefficients {lost[lost != 0]})")
-    return _columns(space, [(diag, i - j), (up, i + 1 - j), (down, i - 1 - j)], space.dim)
+    return _columns(space, [((1, -j), diag), ((1, 1 - j), up), ((1, -1 - j), down)], space.dim)
 
 
 def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
@@ -173,7 +173,7 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
         if i == len(q_vals) or q_vals[i] - q_vals[start] > 1e-8:
             block = q_vecs[:, start:i]
             qv = float(np.mean(q_vals[start:i]))
-            sub = block.conj().T @ k3_op.matrix @ block
+            sub = block.conj().T @ k3_op.apply(block)
             k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
             vecs = block @ rot
             for col in range(vecs.shape[1]):
@@ -199,8 +199,8 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
 
 
 def _fg_terms(space: HarmonicSpace, which: str):
-    """(terms, n) for the n F or G vectors (see f_basis, g_basis) as a
-    column action over k: vector k is upper M_j^{k+1,eps} + lower
+    """(terms, n) for the n F or G vectors (see f_basis, g_basis) as keyed
+    columns over k (operators._columns): vector k is upper M_j^{k+1,eps} + lower
     M_j^{k,eps}, eps = (-1)^k, with four entries on Y_j^{-k-1}, Y_j^{-k},
     Y_j^k and Y_j^{k+1}, added into one zeroed (4, n) array (no -0.0
     parts); at k = 0 the two Y_j^0 entries are one, on the second term."""
@@ -219,26 +219,25 @@ def _fg_terms(space: HarmonicSpace, which: str):
     plus_0[:1] = 0.0
     vals = np.zeros((4, k.size), dtype=complex)
     vals += [minus * upper, minus_0 * lower, plus_0 * lower, plus * upper]
-    return [(vals[0], -k - 1), (vals[1], -k), (vals[2], k), (vals[3], k + 1)], k.size
+    return [((-1, -1), vals[0]), ((-1, 0), vals[1]), ((1, 0), vals[2]), ((1, 1), vals[3])], k.size
 
 
 def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
     """The F or G family, eigen-verified against the closed-form actions of
-    Q and K3 (operators._act), in O(j^2) with no dense operator."""
+    Q and K3 (Operator.apply), in O(j^2) with no dense operator."""
     j = space.j
-    q_terms, k3_terms = _supercharge_terms(space), _generator_terms(space)[2]
+    q, k3 = supercharge(space), symmetry_generators(space)[2]
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
     terms, n = _fg_terms(space, which)
     v, k = _columns(space, terms, n), np.arange(n)
     k3_eigs = (-1.0) ** k * (k + 0.5)
 
-    rq = np.linalg.norm(_act(space, q_terms, v) - q_eig * v, axis=0)
-    rk = np.linalg.norm(_act(space, k3_terms, v) - v * k3_eigs, axis=0)
+    rq = np.linalg.norm(q.apply(v) - q_eig * v, axis=0)
+    rk = np.linalg.norm(k3.apply(v) - v * k3_eigs, axis=0)
     bad = np.flatnonzero(~(np.maximum(rq, rk) <= EIGEN_TOL))
     if bad.size:
         kb = int(bad[0])
-        oracle = joint_diagonalize(from_column_action(space, q_terms),
-                                   from_column_action(space, k3_terms))
+        oracle = joint_diagonalize(q, k3)
         overlaps = np.abs(oracle.matrix().conj().T @ v[:, kb])
         raise VerificationError(
             f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
@@ -303,7 +302,7 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
     v = basis.matrix()
     if v.shape[1] == 0:
         raise ValueError("cannot extract tridiagonal data from an empty basis")
-    return _tridiagonal_data(v.conj().T @ k1_op.matrix @ v, basis.family, basis.space.j)
+    return _tridiagonal_data(v.conj().T @ k1_op.apply(v), basis.family, basis.space.j)
 
 
 def _tridiagonal_data(t, family: str, j: int) -> TridiagonalData:
@@ -340,28 +339,30 @@ def decompose(space: HarmonicSpace) -> dict:
     the F-block pattern one dimension lower.
 
     O(j^2) time and memory, with no dense operator: Q and the K_i act on F
-    and G by their closed-form actions (operators._act), and F^H X, G^H X
-    apply the adjoint of the F and G closed forms (operators._act_adjoint),
+    and G by their closed-form actions (Operator.apply), and F^H X, G^H X
+    apply the adjoint of the F and G closed forms (operators._columns_adjoint),
     all on contiguous slices.  F is treated first, then G.
     """
     j = space.j
-    bra = {which: _act_adjoint(space, *_fg_terms(space, which)) for which in ("F", "G")}
+    fg = {which: _fg_terms(space, which) for which in ("F", "G")}
+
+    def bra(which, x):
+        return _columns_adjoint(space, *fg[which], x)
 
     def max_abs(x):
         return float(np.max(np.abs(x), initial=0.0))
 
-    names = ("Q", "K1", "K2", "K3")
-    op_terms = (_supercharge_terms(space), *_generator_terms(space))
-    completeness, offblock, k1 = 0.0, dict.fromkeys(names, 0.0), {}
+    ops = dict(zip(("Q", "K1", "K2", "K3"), (supercharge(space), *symmetry_generators(space))))
+    completeness, offblock, k1 = 0.0, dict.fromkeys(ops, 0.0), {}
     for which, other, basis in (("F", "G", f_basis), ("G", "F", g_basis)):
         b = basis(space).matrix()
-        completeness = max(completeness, max_abs(bra[which](b) - np.eye(b.shape[1])),
-                           max_abs(bra[other](b)))
-        for name, terms in zip(names, op_terms):
-            x = _act(space, terms, b)
+        completeness = max(completeness, max_abs(bra(which, b) - np.eye(b.shape[1])),
+                           max_abs(bra(other, b)))
+        for name, o in ops.items():
+            x = o.apply(b)
             if name == "K1":
-                k1[which] = bra[which](x)
-            offblock[name] = max(offblock[name], max_abs(bra[other](x)))
+                k1[which] = bra(which, x)
+            offblock[name] = max(offblock[name], max_abs(bra(other, x)))
             del x  # one action at a time
         del b  # F's vectors are freed before G's are built
 

@@ -1,25 +1,32 @@
 """so(3) generators, coordinate reflections and operator algebra on one degree.
 
-Matrices act on coefficient vectors ordered by ascending m (flat index
-i = m + j).  All norms are Frobenius norms.
+An Operator is its closed-form action on the basis states: each key
+(s, c), s = +1 or -1, holds a coefficient array over m = -j..j
+(ascending, flat index i = m + j), and the operator sends
 
-Every operator here is built from its closed-form action on the basis
-states, Y_j^m -> sum over terms of coef(m) Y_j^target(m) with target =
-+-m + c, so each term fills one slice of rows and one of columns
-(from_column_action writes the matrix, _act applies it with no matrix):
+    Y_j^m -> sum over keys of coef(m) Y_j^{s m + c}.
 
     J3 Y_j^m = m Y_j^m
     J+ Y_j^m = a(m) Y_j^{m+1},  a(m) = sqrt((j-m)(j+m+1))
     R1 Y_j^m = Y_j^{-m},  R2 Y_j^m = (-1)^m Y_j^{-m},  R3 Y_j^m = (-1)^{j+m} Y_j^m
     H  Y_j^m = (j+1/2)^2 Y_j^m
 
+Such maps are closed under +, scaling, composition and the adjoint, so the
+algebra works on the keys: (s_a, c_a) o (s_b, c_b) = (s_a s_b, s_a c_b + c_a)
+with coefficient coef_a(s_b m + c_b) coef_b(m), and the adjoint of (s, c) is
+(s, -s c).  Because every target is +-m + c, a key's columns and its rows
+are each one contiguous range, so apply, composition and the dense matrix
+(written only when asked for) all work on slices.  All norms are Frobenius
+norms.
+
 J- is the adjoint of J+, J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).  The
 product formula H = J1^2 + J2^2 + J3^2 + 1/4 lives in verification.py,
 where it serves as the oracle of the closed form.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +36,6 @@ from .harmonics import HarmonicSpace
 __all__ = [
     "Operator",
     "SpectrumReport",
-    "from_column_action",
     "identity",
     "j3",
     "jplus",
@@ -50,18 +56,61 @@ CLUSTER_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear operator on one harmonic space, stored as a dense matrix."""
+    """A linear operator on one harmonic space, stored as its action: terms
+    maps each key (s, c) to the read-only coefficient array over m of
+    Y_j^m -> coef(m) Y_j^{s m + c}.
+
+    The constructor checks its input: s is +1 or -1, c an integer, coef a
+    scalar or an array over m = -j..j, and no nonzero coefficient meets a
+    target outside -j..j (ValueError otherwise).  Results of the algebra
+    are built by _keyed and skip the check; a key whose coefficients cancel
+    to zero in a sum drops out.
+    """
 
     space: HarmonicSpace
-    matrix: np.ndarray
+    terms: Mapping
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match dim {d}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        if not isinstance(self.terms, Mapping):
+            raise TypeError(f"terms must map keys (s, c) to coefficients, got "
+                            f"{type(self.terms).__name__}")
+        j, d = self.space.j, self.space.dim
+        checked = {}
+        for (s, c), coef in self.terms.items():
+            if s not in (1, -1) or c != int(c):
+                raise ValueError(f"key ({s!r}, {c!r}) is not (+-1, integer)")
+            coef = np.full(d, coef, dtype=complex)
+            cols, _ = _slices(j, int(s), int(c), d, -j)
+            if np.count_nonzero(coef) != np.count_nonzero(coef[cols]):
+                raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
+            checked[int(s), int(c)] = coef
+        object.__setattr__(self, "terms", _frozen(checked))
+
+    @classmethod
+    def _keyed(cls, space, terms):
+        """The operator with these terms, taken as checked: the algebra's
+        results are built from checked operators and skip the check."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "space", space)
+        object.__setattr__(op, "terms", _frozen(terms))
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (2j+1, 2j+1) matrix, written anew on each call."""
+        return _columns(self.space, self.terms.items(), self.space.dim, -self.space.j)
+
+    def apply(self, v) -> np.ndarray:
+        """self.matrix @ v without the matrix, for v of shape (2j+1, ...):
+        each key adds coef * v[cols] to the rows out[rows], in O(keys * v.size)."""
+        j, d = self.space.j, self.space.dim
+        if np.shape(v)[:1] != (d,):
+            raise ValueError(f"vector shape {np.shape(v)} does not start with dim {d}")
+        out = np.zeros(np.shape(v), dtype=complex)
+        for (s, c), coef in self.terms.items():
+            cols, rows = _slices(j, s, c, d, -j)
+            out[rows] += coef[cols].reshape((-1,) + (1,) * (out.ndim - 1)) * v[cols]
+        return out
 
     def _check_space(self, other):
         if not isinstance(other, Operator):
@@ -72,24 +121,69 @@ class Operator:
             )
 
     def __add__(self, other):
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op):
+        """self + other or self - other (op = np.add or np.subtract), key by
+        key; a key that cancels to zero drops out of later products."""
         self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        out = dict(self.terms)
+        for key, coef in other.terms.items():
+            if key not in out:
+                out[key] = coef if op is np.add else -coef
+            elif np.count_nonzero(total := op(out[key], coef)):
+                out[key] = total
+            else:
+                del out[key]
+        return Operator._keyed(self.space, out)
 
     def __neg__(self):
-        return Operator(self.space, -self.matrix)
+        return Operator._keyed(self.space, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, c):
-        return Operator(self.space, self.matrix * complex(c))
+        c = complex(c)
+        return Operator._keyed(self.space, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        j, d = self.space.j, self.space.dim
+        keys, order, starts = _product_plan(tuple(self.terms), tuple(other.terms))
+        if not keys:
+            return Operator._keyed(self.space, {})
+        a = np.array(list(self.terms.values()))
+        prod = np.zeros((len(other.terms),) + a.shape, dtype=complex)
+        for y, ((sb, cb), b) in enumerate(other.terms.items()):
+            cols, rows = _slices(j, sb, cb, d, -j)
+            prod[y, :, cols] = a[:, rows] * b[cols]
+        sums = np.add.reduceat(prod.reshape(-1, d)[order], starts, axis=0)
+        return Operator._keyed(self.space, dict(zip(keys, sums)))
+
+
+@lru_cache(maxsize=1024)
+def _product_plan(a_keys: tuple, b_keys: tuple):
+    """How a @ b sums its key pairs: the keys (s_a s_b, s_a c_b + c_a) of the
+    product, in order of first appearance, the rows of the stack of pair
+    products (one per key of b, then of a) ordered by the key they add to,
+    and where each key's run of rows starts."""
+    keys, pairs = {}, []
+    for y, (sb, cb) in enumerate(b_keys):
+        for x, (sa, ca) in enumerate(a_keys):
+            pairs.append((keys.setdefault((sa * sb, sa * cb + ca), len(keys)), y * len(a_keys) + x))
+    pairs.sort()
+    starts = [n for n, (g, _) in enumerate(pairs) if n == 0 or g != pairs[n - 1][0]]
+    return tuple(keys), np.array([row for _, row in pairs], dtype=int), np.array(starts, dtype=int)
+
+
+def _frozen(terms: dict) -> dict:
+    """terms, with each coefficient array made read-only."""
+    for coef in terms.values():
+        coef.setflags(write=False)
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,89 +225,57 @@ def _span(start: int, step: int, count: int) -> slice:
     return slice(start, stop if stop >= 0 else None, step)
 
 
-def _kept_terms(space: HarmonicSpace, terms):
-    """Each (coef, target) term, target = s*i + c over columns i with s = +-1,
-    as (coef, cols, rows): the slice cols of columns whose target lies in
-    -j..j, their coefficients, and the slice rows of their rows target + j
-    (backwards for s = -1).  ValueError for a target of another form or a
-    nonzero coefficient of a target outside -j..j."""
-    j = space.j
-    for coef, target in terms:
-        n = len(target)
-        s = 1 if n < 2 or target[1] > target[0] else -1
-        if n > 1 and np.count_nonzero(target[1:] - target[:-1] - s):
-            raise ValueError("target is not of the form +-m + c")
-        r0 = int(target[0]) + j if n else 0
-        lo = max(0, -r0 if s == 1 else r0 - 2 * j)
-        hi = max(lo, min(n, 2 * j + 1 - r0 if s == 1 else r0 + 1))
-        coef = np.full(n, coef) if np.ndim(coef) == 0 else coef
-        if np.count_nonzero(coef[:lo]) or np.count_nonzero(coef[hi:]):
-            raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
-        if hi > lo:
-            yield coef[lo:hi], slice(lo, hi), _span(r0 + s * lo, s, hi - lo)
+@lru_cache(maxsize=4096)
+def _slices(j: int, s: int, c: int, n: int, first: int):
+    """(cols, rows) of the key (s, c) over n columns, column i standing for
+    first + i: the contiguous columns whose target s (first + i) + c lies in
+    -j..j, and the rows target + j they land on (backwards for s = -1)."""
+    r0 = s * first + c + j  # the row of column 0
+    lo = max(0, -r0 if s == 1 else r0 - 2 * j)
+    hi = min(n, 2 * j + 1 - r0 if s == 1 else r0 + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0, 1)
+    return slice(lo, hi), _span(r0 + s * lo, s, hi - lo)
 
 
-def _columns(space: HarmonicSpace, terms, n: int) -> np.ndarray:
-    """The (2j+1, n) array whose column i is the sum over terms of
-    coef(i) Y_j^target(i), each term written as one strided slice of it."""
+def _columns(space: HarmonicSpace, terms, n: int, first: int = 0) -> np.ndarray:
+    """The (2j+1, n) array whose column i is the sum over ((s, c), coef) in
+    terms of coef[i] Y_j^{s (first + i) + c}, each key written as one strided
+    slice of the flat array; targets outside -j..j are dropped.  It writes
+    Operator.matrix (first = -j) and the closed-form basis columns."""
     out = np.zeros((space.dim, n), dtype=complex)
-    for coef, cols, rows in _kept_terms(space, terms):
-        out.reshape(-1)[_span(rows.start * n + cols.start, rows.step * n + 1, len(coef))] += coef
+    for (s, c), coef in terms:
+        cols, rows = _slices(space.j, s, c, n, first)
+        # flat step 0 only for s = -1 at n = 1, where a key has at most one entry
+        span = _span(rows.start * n + cols.start, rows.step * n + 1 or 1, cols.stop - cols.start)
+        out.reshape(-1)[span] += coef[cols]
     return out
 
 
-def from_column_action(space: HarmonicSpace, terms) -> Operator:
-    """The dense operator sending Y_j^m to sum over terms of coef(m) Y_j^target(m).
-
-    terms is a sequence of (coef, target) pairs: coef is a scalar or an
-    array over m = -j..j (ascending), target the integer array s*m + c
-    with s = +1 or -1.  Each term is one strided slice of the flat matrix.
-    Targets outside -j..j are dropped; ValueError on a nonzero coefficient
-    there, or on a target of another form.
-    """
-    return Operator(space, _columns(space, terms, space.dim))
-
-
-def _act(space: HarmonicSpace, terms, v) -> np.ndarray:
-    """from_column_action(space, terms).matrix @ v without the dense matrix:
-    each term adds coef * v[cols] to the rows out[rows] of v's shape
-    (2j+1, ...), in O(len(terms) * v.size)."""
-    out = np.zeros(np.shape(v), dtype=complex)
-    for coef, cols, rows in _kept_terms(space, terms):
-        out[rows] += coef.reshape((-1,) + (1,) * (out.ndim - 1)) * v[cols]
-    return out
-
-
-def _act_adjoint(space: HarmonicSpace, terms, n: int):
-    """x -> b^H x for b = _columns(space, terms, n), without b: each term adds
+def _columns_adjoint(space: HarmonicSpace, terms, n: int, x) -> np.ndarray:
+    """b^H x for b = _columns(space, terms, n), without b: each key adds
     conj(coef) * x[rows] to out[cols].  einsum rounds each real product (numpy's
     multiply may fuse them): the bits of np.einsum("rn,rc->nc", b.conj(), x)."""
-    kept = [(coef.conj(), cols, rows) for coef, cols, rows in _kept_terms(space, terms)]
-
-    def apply(x):
-        out = np.zeros((n,) + np.shape(x)[1:], dtype=complex)
-        for coef, cols, rows in kept:
-            out[cols] += np.einsum("n,n...->n...", coef, x[rows])
-        return out
-
-    return apply
+    out = np.zeros((n,) + np.shape(x)[1:], dtype=complex)
+    for (s, c), coef in terms:
+        cols, rows = _slices(space.j, s, c, n, 0)
+        out[cols] += np.einsum("n,n...->n...", coef[cols].conj(), x[rows])
+    return out
 
 
 def identity(space: HarmonicSpace) -> Operator:
     """Identity operator."""
-    return Operator(space, np.eye(space.dim, dtype=complex))
+    return Operator(space, {(1, 0): 1.0})
 
 
 def j3(space: HarmonicSpace) -> Operator:
     """J3 Y_j^m = m Y_j^m."""
-    m = space.m_values()
-    return from_column_action(space, [(m, m)])
+    return Operator(space, {(1, 0): space.m_values()})
 
 
 def jplus(space: HarmonicSpace) -> Operator:
     """Raising operator, J+ Y_j^m = sqrt((j-m)(j+m+1)) Y_j^{m+1}."""
-    m, up, _ = _ladder(space)
-    return from_column_action(space, [(up, m + 1)])
+    return Operator(space, {(1, 1): _ladder(space)[1]})
 
 
 def jminus(space: HarmonicSpace) -> Operator:
@@ -242,14 +304,14 @@ def reflection(axis: int, space: HarmonicSpace) -> Operator:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     m = space.m_values()
-    term = {1: (1.0, -m), 2: ((-1.0) ** m, -m), 3: ((-1.0) ** (space.j + m), m)}[axis]
-    return from_column_action(space, [term])
+    key, coef = {1: ((-1, 0), 1.0), 2: ((-1, 0), (-1.0) ** m),
+                 3: ((1, 0), (-1.0) ** (space.j + m))}[axis]
+    return Operator(space, {key: coef})
 
 
 def hamiltonian(space: HarmonicSpace) -> Operator:
     """H = J1^2 + J2^2 + J3^2 + 1/4, built as the scalar (j + 1/2)^2 on degree j."""
-    m = space.m_values()
-    return from_column_action(space, [((space.j + 0.5) ** 2, m)])
+    return Operator(space, {(1, 0): (space.j + 0.5) ** 2})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -263,33 +325,50 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
 
 
 def adjoint(a: Operator) -> Operator:
-    """Hermitian adjoint."""
-    return Operator(a.space, a.matrix.conj().T)
+    """Hermitian adjoint: the key (s, c) becomes (s, -s c), and the
+    coefficient of each kept column moves, conjugated, to its row."""
+    j, d = a.space.j, a.space.dim
+    out = {}
+    for (s, c), coef in a.terms.items():
+        cols, rows = _slices(j, s, c, d, -j)
+        new = np.zeros(d, dtype=complex)
+        new[rows] = coef[cols].conj()
+        out[s, -s * c] = new
+    return Operator._keyed(a.space, out)
 
 
 def op_norm(a: Operator) -> float:
-    """Frobenius norm of the matrix."""
-    return float(np.linalg.norm(a.matrix))
+    """Frobenius norm, read from the keys.  Keys of one sign s never share
+    an entry; a diagonal key (1, c) and an anti-diagonal key (-1, c') share
+    at most the entry of column m = (c' - c)/2, which counts once, as the
+    sum of the two."""
+    j, keys = a.space.j, list(a.terms)
+    coefs = np.array(list(a.terms.values())).reshape(len(keys), a.space.dim)
+    anti = [(y, c) for y, (s, c) in enumerate(keys) if s == -1]
+    for x, (s, c) in enumerate(keys):
+        for y, c_anti in anti if s == 1 else ():
+            i = (c_anti - c) // 2 + j
+            if (c_anti - c) % 2 == 0 and 0 <= i <= 2 * j:
+                coefs[x, i] += coefs[y, i]
+                coefs[y, i] = 0.0
+    return float(np.linalg.norm(coefs))
 
 
 def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
     """Eigenvalues of an operator, grouped into clusters of width CLUSTER_TOL.
 
-    With self_adjoint=True (the default) the matrix must be Hermitian within
-    1e-10 (relative to its norm); violation raises ContractViolation.
+    With self_adjoint=True (the default) the operator must be Hermitian
+    within 1e-10 (relative to its norm); violation raises ContractViolation.
     """
-    m = a.matrix
     if self_adjoint:
-        # m - m^H by blocks of 64 rows: no second (2j+1)^2 temporary at large degree
-        herm = sqrt(sum(np.linalg.norm(m[i:i + 64] - m[:, i:i + 64].conj().T) ** 2
-                        for i in range(0, len(m), 64)))
-        if herm > 1e-10 * max(1.0, np.linalg.norm(m)):
+        herm = op_norm(a - adjoint(a))
+        if herm > 1e-10 * max(1.0, op_norm(a)):
             raise ContractViolation(
                 f"matrix is not self-adjoint (deviation {herm:.3e}) but self_adjoint=True"
             )
-        vals = np.linalg.eigvalsh(m)
+        vals = np.linalg.eigvalsh(a.matrix)
     else:
-        raw = np.linalg.eigvals(m)
+        raw = np.linalg.eigvals(a.matrix)
         order = np.lexsort((raw.imag, raw.real))
         raw = raw[order]
         vals = raw.real if np.max(np.abs(raw.imag)) < 1e-10 else raw

@@ -8,27 +8,26 @@ anticommutation ({K1,K2} = K3 and cyclic), commute with Q, and have
 Casimir K1^2 + K2^2 + K3^2 = Q^2 - Q.
 
 The paper defines every operator here as a product of J_i and R_i.  Each
-one is built from its closed-form action on Y_j^m instead (at most six
-terms per column, see operators.from_column_action), with
+one is built from its closed-form action on Y_j^m instead, as a keyed
+operators.Operator with at most six keys, with
 
     a(m) = sqrt((j-m)(j+m+1)),  b(m) = sqrt((j+m)(j-m+1)),
     s = (-1)^j,  t = (-1)^m.
 
 The product formulas live in verification.py, where they are evaluated
-as dense matmuls and serve as the oracle of every closed form below.
+on the same keyed algebra and serve as the oracle of every closed form
+below.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import VerificationError
 from .harmonics import HarmonicSpace
 from .operators import (
     Operator,
     _ladder,
+    adjoint,
     commutator,
-    from_column_action,
     hamiltonian,
     j1,
     j2,
@@ -48,19 +47,6 @@ __all__ = [
 ]
 
 
-def _supercharge_terms(space: HarmonicSpace):
-    m, a, b = _ladder(space)
-    s, t = (-1.0) ** space.j, (-1.0) ** m
-    return [
-        (-0.5j * s * t * a, m + 1),
-        (-0.5j * s * t * b, m - 1),
-        (0.5 * s * b, 1 - m),
-        (-0.5 * s * a, -1 - m),
-        (1j * t * m, -m),
-        (-0.5, m),
-    ]
-
-
 def supercharge(space: HarmonicSpace) -> Operator:
     """The supercharge Q = -i J1 R3 + i J2 R2 R3 - i J3 R2 - 1/2.
 
@@ -71,7 +57,11 @@ def supercharge(space: HarmonicSpace) -> Operator:
 
     Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.
     """
-    return from_column_action(space, _supercharge_terms(space))
+    m, a, b = _ladder(space)
+    s, t = (-1.0) ** space.j, (-1.0) ** m
+    return Operator(space, {(1, 1): -0.5j * s * t * a, (1, -1): -0.5j * s * t * b,
+                            (-1, 1): 0.5 * s * b, (-1, -1): -0.5 * s * a,
+                            (-1, 0): 1j * t * m, (1, 0): -0.5})
 
 
 def supercharge_alt(space: HarmonicSpace) -> Operator:
@@ -82,22 +72,10 @@ def supercharge_alt(space: HarmonicSpace) -> Operator:
         Q' Y_j^m = -i t (a Y^{m+1} + b Y^{m-1}) / 2 + (b Y^{1-m} - a Y^{-1-m}) / 2
                    + i s t m Y^{-m} - s Y^m / 2
 
-    is s times that of Q, term by term, and Q' is built so.  It also squares
+    is s times that of Q, key by key, and Q' is built so.  It also squares
     to the shifted Hamiltonian, and its larger branch swaps sign with s.
     """
-    s = (-1.0) ** space.j
-    return from_column_action(space, [(s * coef, target)
-                                      for coef, target in _supercharge_terms(space)])
-
-
-def _generator_terms(space: HarmonicSpace):
-    m, a, b = _ladder(space)
-    s, t = (-1.0) ** space.j, (-1.0) ** m
-    return (
-        [(0.5j * t * b, 1 - m), (0.5j * t * a, -1 - m), (0.5 * s, -m)],
-        [(-0.5 * t * a, m + 1), (0.5 * t * b, m - 1), (0.5 * s * t, -m)],
-        [(-1j * m, -m), (0.5 * t, m)],
-    )
+    return (-1.0) ** space.j * supercharge(space)
 
 
 def symmetry_generators(space: HarmonicSpace):
@@ -117,7 +95,11 @@ def symmetry_generators(space: HarmonicSpace):
     -------
     (Operator, Operator, Operator)
     """
-    return tuple(from_column_action(space, terms) for terms in _generator_terms(space))
+    m, a, b = _ladder(space)
+    s, t = (-1.0) ** space.j, (-1.0) ** m
+    return (Operator(space, {(-1, 1): 0.5j * t * b, (-1, -1): 0.5j * t * a, (-1, 0): 0.5 * s}),
+            Operator(space, {(1, 1): -0.5 * t * a, (1, -1): 0.5 * t * b, (-1, 0): 0.5 * s * t}),
+            Operator(space, {(-1, 0): -1j * m, (1, 0): 0.5 * t}))
 
 
 def casimir(space: HarmonicSpace) -> Operator:
@@ -125,10 +107,7 @@ def casimir(space: HarmonicSpace) -> Operator:
 
         C Y_j^m = (j + 1/2)^2 Y^m - Q Y^m.
     """
-    diag = ((space.j + 0.5) ** 2, space.m_values())
-    return from_column_action(
-        space, [diag] + [(-coef, target) for coef, target in _supercharge_terms(space)]
-    )
+    return hamiltonian(space) - supercharge(space)
 
 
 @dataclass(frozen=True)
@@ -148,7 +127,7 @@ class SusyOperators:
         tol = 1e-12 * self.space.dim
         for name in ("h", "q", "q_alt", "k1", "k2", "k3", "c"):
             op = getattr(self, name)
-            dev = np.linalg.norm(op.matrix - op.matrix.conj().T)
+            dev = op_norm(op - adjoint(op))
             if not dev <= tol:
                 raise VerificationError(f"{name} is not self-adjoint (deviation {dev:.3e})")
 

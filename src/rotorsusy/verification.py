@@ -179,7 +179,7 @@ _REFLECTED_ANGLES = {
 # reflection-product oracle of the closed-form operators
 
 def _product_operators(space):
-    """The paper's product formulas, evaluated literally as dense matmuls.
+    """The paper's product formulas, evaluated literally on the keyed algebra.
 
     H = J1^2 + J2^2 + J3^2 + 1/4,
     Q = -i J1 R3 + i J2 R2 R3 - i J3 R2 - 1/2,
@@ -532,7 +532,7 @@ def _m_basis(js, run):
         yield basis.orthonormality_residual()
         yield float(np.max(np.abs(v @ v.conj().T - np.eye(d.space.dim))))
         k3v = np.array([lab["k3"] for lab in basis.labels])
-        yield float(np.max(np.abs(d.o.k3.matrix @ v - v * k3v)))
+        yield float(np.max(np.abs(d.o.k3.apply(v) - v * k3v)))
 
 
 @_check("eigenbases.q_in_m_basis", 20, 1e-12, "closed-form three-term action, j <= {top}")
@@ -540,7 +540,7 @@ def _q_in_m_basis(js, run):
     for j in js:
         d = run.degree(j)
         v = eb.m_basis(d.space).matrix()
-        conj = v.conj().T @ d.o.q.matrix @ v
+        conj = v.conj().T @ d.o.q.apply(v)
         yield float(np.max(np.abs(conj - eb.q_action_on_m(d.space)))) / (2 * j + 1)
 
 

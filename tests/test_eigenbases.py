@@ -20,7 +20,7 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
-from rotorsusy import eigenbases, susy
+from rotorsusy import eigenbases
 from rotorsusy.eigenbases import _verified_fg_basis
 
 
@@ -237,9 +237,8 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
 
 def test_eigen_verification_reports_the_first_failing_vector(monkeypatch):
     space = HarmonicSpace(2)
-    negated = [(-coef, target) for coef, target in susy._supercharge_terms(space)]
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
-    monkeypatch.setattr(eigenbases, "_supercharge_terms", lambda _: negated)
+    monkeypatch.setattr(eigenbases, "supercharge", lambda space: -supercharge(space))
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
         _verified_fg_basis(space, "F")

@@ -23,10 +23,10 @@ from rotorsusy import (
     reflection,
     spectrum,
 )
-from rotorsusy import (casimir, f_basis, g_basis, operators, supercharge, supercharge_alt, susy,
+from rotorsusy import (casimir, f_basis, g_basis, supercharge, supercharge_alt,
                        symmetry_generators)
 from rotorsusy.eigenbases import _fg_terms
-from rotorsusy.operators import _act, _act_adjoint, _ladder, from_column_action
+from rotorsusy.operators import _columns_adjoint
 
 
 def test_j3_matrix_entries():
@@ -125,6 +125,11 @@ def test_algebra_helpers():
     space = HarmonicSpace(2)
     a = j1(space)
     assert op_norm(commutator(a, a)) == 0.0
+    # keys that cancel drop out, so later products skip them
+    assert not commutator(a, a).terms
+    zero = Operator(space, {})
+    assert not (zero @ a).terms and not (a @ zero).terms and not (zero + zero).terms
+    assert op_norm(zero) == 0.0 and not zero.matrix.any()
     assert_allclose(anticommutator(identity(space), a).matrix, 2.0 * a.matrix)
     assert_allclose((a + a).matrix, (2.0 * a).matrix)
     assert_allclose((a @ identity(space)).matrix, a.matrix)
@@ -144,7 +149,10 @@ def test_space_mismatch_rejected():
 
 def test_operator_shape_validation():
     with pytest.raises(ValueError):
-        Operator(HarmonicSpace(1), np.eye(4))
+        Operator(HarmonicSpace(1), {(1, 0): np.ones(4)})
+    # a dense matrix is not a mapping of keys
+    with pytest.raises(TypeError, match="keys"):
+        Operator(HarmonicSpace(1), np.eye(3))
 
 
 def test_spectrum_examples():
@@ -172,132 +180,155 @@ def test_spectrum_self_adjoint_gate():
     assert rep.dim == 5
 
 
-def test_spectrum_self_adjoint_gate_covers_every_row_block():
-    space = HarmonicSpace(40)  # 81 rows: two blocks of the Hermitian check
-    q = supercharge(space).matrix.copy()
-    assert spectrum(Operator(space, q)).dim == space.dim
-    q[70, 75] += 1e-6
+def test_spectrum_self_adjoint_gate_catches_a_perturbed_key():
+    space = HarmonicSpace(40)
+    q = supercharge(space)
+    assert spectrum(q).dim == space.dim
+    coef = q.terms[1, 1].copy()
+    coef[70] += 1e-6
     with pytest.raises(ContractViolation):
-        spectrum(Operator(space, q))
+        spectrum(Operator(space, {**q.terms, (1, 1): coef}))
 
 
-_SPACE = HarmonicSpace(2)
+def _keyed_operators(space):
+    """The 15 operators the library builds on one degree: J+, J-, J1-J3,
+    R1-R3, H, Q, Q', K1-K3 and C."""
+    return {"J+": jplus(space), "J-": jminus(space), "J1": j1(space), "J2": j2(space),
+            "J3": j3(space), **{f"R{i}": reflection(i, space) for i in (1, 2, 3)},
+            "H": hamiltonian(space), "Q": supercharge(space), "Q'": supercharge_alt(space),
+            **dict(zip(("K1", "K2", "K3"), symmetry_generators(space))), "C": casimir(space)}
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_keyed_algebra_matches_dense_numpy(j):
+    space = HarmonicSpace(j)
+    ops = _keyed_operators(space)
+    dense = {name: op.matrix for name, op in ops.items()}
+    tol = 1e-13 * space.dim ** 2
+    for name, a in ops.items():
+        assert_array_equal(adjoint(a).matrix, dense[name].conj().T, err_msg=name)
+        assert_allclose(op_norm(a), np.linalg.norm(dense[name]), rtol=1e-14, err_msg=name)
+        for other, b in ops.items():
+            x, y = dense[name], dense[other]
+            for got, want in ((a + b, x + y), (a - b, x - y), (a @ b, x @ y),
+                              (commutator(a, b), x @ y - y @ x),
+                              (anticommutator(a, b), x @ y + y @ x)):
+                assert_allclose(got.matrix, want, rtol=0, atol=tol, err_msg=f"{name}, {other}")
+                assert_allclose(op_norm(got), np.linalg.norm(want), rtol=1e-13, atol=tol,
+                                err_msg=f"{name}, {other}")
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 8])
+def test_op_norm_counts_a_crossing_entry_once(j):
+    space = HarmonicSpace(j)
+    # J3 (key (1, 0)) and R1 (key (-1, 0)) share the entry of Y_j^0 -> Y_j^0
+    for a in (j3(space) + reflection(1, space), hamiltonian(space) - 2.0 * reflection(2, space)):
+        assert_allclose(op_norm(a), np.linalg.norm(a.matrix), rtol=1e-15)
+    e0 = np.where(space.m_values() == 0, 3.0, 0.0)
+    cancel = Operator(space, {(1, 0): e0, (-1, 0): -e0})
+    assert op_norm(cancel) == 0.0
+    assert not np.any(cancel.matrix)
+
+
+_SPACE = HarmonicSpace(3)
 _ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-_MATRIX = arrays(np.float64, (_SPACE.dim, _SPACE.dim), elements=_ENTRY)
+_KEYS = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-5, 5)),
+                 min_size=1, max_size=4, unique=True)
+_COEFS = arrays(np.float64, (2, _SPACE.dim), elements=_ENTRY)
+
+
+@st.composite
+def _keyed_operator(draw):
+    """A random keyed operator: each drawn key (s, c) gets a random complex
+    coefficient wherever its target s m + c lies in -j..j."""
+    m, terms = _SPACE.m_values(), {}
+    for s, c in draw(_KEYS):
+        re, im = draw(_COEFS)
+        terms[s, c] = np.where(np.abs(s * m + c) <= _SPACE.j, re + 1j * im, 0.0)
+    return Operator(_SPACE, terms)
 
 
 @settings(max_examples=25, deadline=None)
-@given(are=_MATRIX, aim=_MATRIX, bre=_MATRIX, bim=_MATRIX, cre=_MATRIX, cim=_MATRIX)
-def test_commutator_product_identity(are, aim, bre, bim, cre, cim):
-    # [A, BC] = {A, B}C - B{A, C} for arbitrary complex matrices
-    a = Operator(_SPACE, are + 1j * aim)
-    b = Operator(_SPACE, bre + 1j * bim)
-    c = Operator(_SPACE, cre + 1j * cim)
+@given(a=_keyed_operator(), b=_keyed_operator(), c=_keyed_operator())
+def test_commutator_product_identity(a, b, c):
+    # [A, BC] = {A, B}C - B{A, C} for arbitrary keyed operators
     lhs = commutator(a, b @ c)
     rhs = anticommutator(a, b) @ c - b @ anticommutator(a, c)
     assert_allclose(lhs.matrix, rhs.matrix, atol=1e-12)
+    assert op_norm(lhs - rhs) <= 1e-12
 
 
 def test_column_action_assembles_terms_and_rejects_lost_weight():
     space = HarmonicSpace(1)
     m = space.m_values()
-    # J+ plus a diagonal: two terms, each writing one entry per column
-    op = from_column_action(space, [(np.sqrt((1 - m) * (2 + m)), m + 1), (2.0, m)])
+    # J+ plus a diagonal: two keys, each writing one entry per column
+    op = Operator(space, {(1, 1): np.sqrt((1 - m) * (2 + m)), (1, 0): 2.0})
     assert_allclose(op.matrix, jplus(space).matrix + 2.0 * np.eye(3))
     # a nonzero coefficient on a target outside -j..j would be dropped silently
     with pytest.raises(ValueError, match="outside"):
-        from_column_action(space, [(1.0, m + 1)])
+        Operator(space, {(1, 1): 1.0})
 
 
-def _recorded_term_lists(space, monkeypatch):
-    """Every (terms, operator) pair the library builds on one degree: H, Q,
-    Q', K1-K3, C, J+, J3, R1-R3, J+ again inside J-, and J-."""
-    built = []
-
-    def recording(space, terms):
-        terms = list(terms)
-        built.append((terms, from_column_action(space, terms)))
-        return built[-1][1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(operators, "from_column_action", recording)
-        patch.setattr(susy, "from_column_action", recording)
-        for build in (hamiltonian, supercharge, supercharge_alt, symmetry_generators, casimir,
-                      jplus, j3):
-            build(space)
-        for axis in (1, 2, 3):
-            reflection(axis, space)
-        # J- is built as the adjoint of J+; its action is Y_j^m -> b(m) Y_j^{m-1}
-        m, _, down = _ladder(space)
-        built.append(([(down, m - 1)], jminus(space)))
-    assert len(built) == 14
-    return built
-
-
-def _looped_columns(space, terms, n):
-    """The (2j+1, n) array of a column action, entry by entry."""
+def _looped_columns(space, terms, n, first):
+    """The (2j+1, n) array of keyed columns, column i standing for first + i,
+    entry by entry."""
     out = np.zeros((space.dim, n), dtype=complex)
-    for coef, target in terms:
+    for (s, c), coef in terms:
         coef = np.broadcast_to(coef, (n,))
         for i in range(n):
-            if abs(target[i]) <= space.j:
-                out[target[i] + space.j, i] += coef[i]
+            target = s * (first + i) + c
+            if abs(target) <= space.j:
+                out[target + space.j, i] += coef[i]
     return out
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64])
-def test_act_matches_the_dense_column_action(j, monkeypatch):
+def test_act_matches_the_dense_column_action(j):
     space = HarmonicSpace(j)
-    built = _recorded_term_lists(space, monkeypatch)
     eye = np.eye(space.dim)
-    for terms, op in built:
-        assert_array_equal(_act(space, terms, eye), op.matrix)
+    for name, op in _keyed_operators(space).items():
+        dense = op.matrix
+        assert_array_equal(op.apply(eye), dense, err_msg=name)
         # a 1-d vector and a 3-d stack act column by column like the 2-d identity
-        assert_array_equal(_act(space, terms, eye[:, 0]), op.matrix[:, 0])
-        assert_array_equal(_act(space, terms, eye[:, :, None])[..., 0], op.matrix)
+        assert_array_equal(op.apply(eye[:, 0]), dense[:, 0], err_msg=name)
+        assert_array_equal(op.apply(eye[:, :, None])[..., 0], dense, err_msg=name)
+    with pytest.raises(ValueError, match="dim"):
+        j3(space).apply(np.ones(space.dim + 1))
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6, 64, 256])
-def test_slice_kernels_match_a_looped_reference(j, monkeypatch):
+def test_slice_kernels_match_a_looped_reference(j):
     space = HarmonicSpace(j)
     rng = np.random.default_rng(j)
     v = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
-    for terms, op in _recorded_term_lists(space, monkeypatch):
-        dense = _looped_columns(space, terms, space.dim)
-        assert_array_equal(from_column_action(space, terms).matrix, dense)
-        assert_array_equal(_act(space, terms, np.eye(space.dim)), dense)
-        # term by term, row by row: the same products and sums as the slices
+    for name, op in _keyed_operators(space).items():
+        dense = _looped_columns(space, op.terms.items(), space.dim, -j)
+        assert_array_equal(op.matrix, dense, err_msg=name)
+        # key by key, row by row: the same products and sums as the slices
         want = np.zeros_like(v)
-        for coef, target in terms:
-            coef = np.broadcast_to(coef, (space.dim,))
-            for i in range(space.dim):
-                if abs(target[i]) <= j:
-                    want[target[i] + j] += coef[i] * v[i]
-        assert_array_equal(_act(space, terms, v), want)
+        for (s, c), coef in op.terms.items():
+            for i, m in enumerate(space.m_values()):
+                if abs(s * m + c) <= j:
+                    want[s * m + c + j] += coef[i] * v[i]
+        assert_array_equal(op.apply(v), want, err_msg=name)
 
 
 def test_kernels_reject_bad_targets_and_lost_coefficients():
     space = HarmonicSpace(3)
     m = space.m_values()
-    permuted = m.copy()
-    permuted[[2, 4]] = permuted[[4, 2]]
-    v = np.ones((space.dim, 2))
-    for terms in ([(1.0, permuted)], [(1.0, 2 * m)], [(1.0, np.zeros_like(m))]):
-        with pytest.raises(ValueError, match="form"):
-            from_column_action(space, terms)
-        with pytest.raises(ValueError, match="form"):
-            _act(space, terms, v)
-        with pytest.raises(ValueError, match="form"):
-            _act_adjoint(space, terms, space.dim)
+    # a key is (s, c) with s = +1 or -1 and c an integer
+    for key in ((2, 0), (0, 1), (-2, 1), (1, 0.5), (-1, 1.5)):
+        with pytest.raises(ValueError, match="not"):
+            Operator(space, {key: 1.0})
     # a nonzero coefficient may not meet a target outside -j..j, on either side
-    for target in (m + 1, m - 1, -m - 1, -m + 1, m + 7):
+    for key in ((1, 1), (1, -1), (-1, -1), (-1, 1), (1, 7), (-1, 7)):
         for coef in (0.5, np.full(space.dim, 0.5)):
             with pytest.raises(ValueError, match="outside"):
-                _act(space, [(coef, target)], v)
-            with pytest.raises(ValueError, match="outside"):
-                _act_adjoint(space, [(coef, target)], space.dim)
+                Operator(space, {key: coef})
     # a coefficient that vanishes where the target leaves -j..j is fine
-    assert_array_equal(_act(space, [(np.where(m < 3, 1.0, 0.0), m + 1)], v)[0], 0.0)
+    op = Operator(space, {(1, 1): np.where(m < 3, 1.0, 0.0), (1, 9): np.zeros(space.dim)})
+    assert_array_equal(op.apply(np.ones((space.dim, 2)))[0], 0.0)
+    assert_array_equal(op.matrix, np.eye(space.dim, k=-1))
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 5, 256])
@@ -308,10 +339,10 @@ def test_fg_adjoint_equals_the_dense_bra(j):
     for which, n in (("F", j + 1), ("G", j)):
         terms, size = _fg_terms(space, which)
         assert size == n
-        b = _looped_columns(space, terms, n)
+        b = _looped_columns(space, terms, n, 0)
         assert_array_equal(b, {"F": f_basis, "G": g_basis}[which](space).matrix())
-        got = _act_adjoint(space, terms, n)(x)
+        got = _columns_adjoint(space, terms, n, x)
         assert_allclose(got, b.conj().T @ x, rtol=0, atol=1e-14 * np.abs(x).max())
         # bit for bit the dense contraction with einsum's unfused complex products
         assert_array_equal(got, np.einsum("rn,rc->nc", b.conj(), x))
-        assert_allclose(_act_adjoint(space, terms, n)(b), np.eye(n), atol=1e-15)
+        assert_allclose(_columns_adjoint(space, terms, n, b), np.eye(n), atol=1e-15)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rotorsusy import eigenbases, operators, run_verification, susy, verification
-from rotorsusy.operators import from_column_action
+from rotorsusy.operators import Operator
 
 
 def test_full_suite_passes_quickly():
@@ -58,7 +58,7 @@ def test_product_oracle_catches_a_wrong_closed_form(monkeypatch):
         k1, k2, _ = right(space)
         m = space.m_values()
         # +i m Y^{-m} where the J3 term of K3 gives -i m Y^{-m}
-        k3 = from_column_action(space, [(1j * m, -m), (0.5 * (-1.0) ** m, m)])
+        k3 = Operator(space, {(-1, 0): 1j * m, (1, 0): 0.5 * (-1.0) ** m})
         return k1, k2, k3
 
     monkeypatch.setattr(susy, "symmetry_generators", wrong_k3_sign)
@@ -98,7 +98,7 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(eigenbases, "decompose", decompose)
     monkeypatch.setattr(operators, "op_norm",
-                        lambda a: math.nan if len(a.matrix) > 1 else right_norm(a))
+                        lambda a: math.nan if a.space.dim > 1 else right_norm(a))
     checks = {c.name: c for c in run_verification(2).checks}
     for name in ("eigenbases.block_structure", "operators.reflection_algebra",
                  "operators.mixed_commutation"):
