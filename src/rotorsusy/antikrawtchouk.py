@@ -41,7 +41,7 @@ import numpy as np
 from .eigenbases import LabeledBasis, f_basis
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace, build_grid, harmonic_values
-from .susy import supercharge, symmetry_generators
+from .susy import supercharge, symmetry_generator
 
 __all__ = [
     "RecurrenceTable",
@@ -318,7 +318,7 @@ def z_basis(N: int) -> LabeledBasis:
         raise VerificationError(f"Z family is not orthonormal: {gram_res:.3e}")
     k = np.arange(N + 1)
     k1_eigs = (-1.0) ** k * (k + 0.5)
-    r1 = float(np.max(np.abs(symmetry_generators(space)[0].apply(mat) - mat * k1_eigs)))
+    r1 = float(np.max(np.abs(symmetry_generator(1, space).apply(mat) - mat * k1_eigs)))
     r2 = float(np.max(np.abs(supercharge(space).apply(mat) - mat * (-(N + 0.5)))))
     if not (r1 <= QUAD_TOL and r2 <= QUAD_TOL):
         raise VerificationError(

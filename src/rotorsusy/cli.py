@@ -30,7 +30,7 @@ from . import eigenbases as eb
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
 from .operators import hamiltonian, j3, spectrum
-from .susy import casimir, supercharge, supercharge_alt, symmetry_generators
+from .susy import casimir, supercharge, supercharge_alt, symmetry_generator
 from .verification import SUITES, run_verification
 
 __all__ = ["main", "entry", "build_parser"]
@@ -176,7 +176,7 @@ _OPERATOR_NAMES = ("H", "Q", "Qalt", "K1", "K2", "K3", "C", "J3")
 def _named_operator(name, space):
     """Build only the named operator."""
     if name in ("K1", "K2", "K3"):
-        return symmetry_generators(space)[int(name[1]) - 1]
+        return symmetry_generator(int(name[1]), space)
     builders = {"H": hamiltonian, "Q": supercharge, "Qalt": supercharge_alt, "C": casimir, "J3": j3}
     return builders[name](space)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
 from .operators import Operator, _columns, _columns_adjoint, commutator, op_norm
-from .susy import supercharge, symmetry_generators
+from .susy import supercharge, symmetry_generator
 
 __all__ = [
     "LabeledBasis",
@@ -222,11 +222,10 @@ def _fg_terms(space: HarmonicSpace, which: str):
     return [((-1, -1), vals[0]), ((-1, 0), vals[1]), ((1, 0), vals[2]), ((1, 1), vals[3])], k.size
 
 
-def _verified_fg_basis(space: HarmonicSpace, which: str) -> LabeledBasis:
+def _verified_fg_basis(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> LabeledBasis:
     """The F or G family, eigen-verified against the closed-form actions of
-    Q and K3 (Operator.apply), in O(j^2) with no dense operator."""
+    the given Q and K3 (Operator.apply), in O(j^2) with no dense operator."""
     j = space.j
-    q, k3 = supercharge(space), symmetry_generators(space)[2]
     q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
     terms, n = _fg_terms(space, which)
     v, k = _columns(space, terms, n), np.arange(n)
@@ -259,7 +258,7 @@ def f_basis(space: HarmonicSpace) -> LabeledBasis:
     dense operator.  Failure raises VerificationError with a diagnostic
     against the joint-diagonalization oracle.
     """
-    return _verified_fg_basis(space, "F")
+    return _verified_fg_basis(space, "F", supercharge(space), symmetry_generator(3, space))
 
 
 def g_basis(space: HarmonicSpace) -> LabeledBasis:
@@ -270,7 +269,7 @@ def g_basis(space: HarmonicSpace) -> LabeledBasis:
 
     Eigen-verified as f_basis is, in O(j^2).  Empty at j = 0.
     """
-    return _verified_fg_basis(space, "G")
+    return _verified_fg_basis(space, "G", supercharge(space), symmetry_generator(3, space))
 
 
 def closed_form_tridiagonal(family: str, j: int):
@@ -341,7 +340,8 @@ def decompose(space: HarmonicSpace) -> dict:
     O(j^2) time and memory, with no dense operator: Q and the K_i act on F
     and G by their closed-form actions (Operator.apply), and F^H X, G^H X
     apply the adjoint of the F and G closed forms (operators._columns_adjoint),
-    all on contiguous slices.  F is treated first, then G.
+    all on contiguous slices.  Q and the K_i are built once, and F and G are
+    eigen-verified against the same Q and K3.  F is treated first, then G.
     """
     j = space.j
     fg = {which: _fg_terms(space, which) for which in ("F", "G")}
@@ -352,10 +352,10 @@ def decompose(space: HarmonicSpace) -> dict:
     def max_abs(x):
         return float(np.max(np.abs(x), initial=0.0))
 
-    ops = dict(zip(("Q", "K1", "K2", "K3"), (supercharge(space), *symmetry_generators(space))))
+    ops = {"Q": supercharge(space), **{f"K{i}": symmetry_generator(i, space) for i in (1, 2, 3)}}
     completeness, offblock, k1 = 0.0, dict.fromkeys(ops, 0.0), {}
-    for which, other, basis in (("F", "G", f_basis), ("G", "F", g_basis)):
-        b = basis(space).matrix()
+    for which, other in (("F", "G"), ("G", "F")):
+        b = _verified_fg_basis(space, which, ops["Q"], ops["K3"]).matrix()
         completeness = max(completeness, max_abs(bra(which, b) - np.eye(b.shape[1])),
                            max_abs(bra(other, b)))
         for name, o in ops.items():

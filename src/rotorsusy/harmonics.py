@@ -54,6 +54,11 @@ class HarmonicSpace:
     def dim(self) -> int:
         return 2 * self.j + 1
 
+    @property
+    def degrees(self) -> int:
+        """j, which is a column of degrees on an operators.DegreeStack."""
+        return self.j
+
     def m_values(self):
         """Orders m = -j..j in the canonical (ascending) coefficient order."""
         return np.arange(-self.j, self.j + 1)

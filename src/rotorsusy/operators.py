@@ -1,4 +1,5 @@
-"""so(3) generators, coordinate reflections and operator algebra on one degree.
+"""so(3) generators, coordinate reflections and operator algebra on one
+degree, or on every degree 0..J at once.
 
 An Operator is its closed-form action on the basis states: each key
 (s, c), s = +1 or -1, holds a coefficient array over m = -j..j
@@ -19,6 +20,12 @@ are each one contiguous range, so apply, composition and the dense matrix
 (written only when asked for) all work on slices.  All norms are Frobenius
 norms.
 
+An Operator on a DegreeStack(J) holds the degrees 0..J together: each
+coefficient array is (J+1, 2J+1), row j being degree j over the shared
+orders m = -J..J, zero where |m| > j.  The algebra indexes coefficients as
+coef[..., cols], so one code path and one set of builders serve both; op_norm
+gives one norm per degree, and Operator.at(j) is degree j on its own.
+
 J- is the adjoint of J+, J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).  The
 product formula H = J1^2 + J2^2 + J3^2 + 1/4 lives in verification.py,
 where it serves as the oracle of the closed form.
@@ -34,6 +41,7 @@ from .errors import ContractViolation
 from .harmonics import HarmonicSpace
 
 __all__ = [
+    "DegreeStack",
     "Operator",
     "SpectrumReport",
     "identity",
@@ -54,35 +62,58 @@ __all__ = [
 CLUSTER_TOL = 1e-8
 
 
+@dataclass(frozen=True)
+class DegreeStack:
+    """The degrees 0..j at once (see the module docstring): j is the top
+    degree, degrees the column 0..j and dim the dimension 2d+1 of each."""
+
+    j: int
+    m_values = HarmonicSpace.m_values
+
+    def __post_init__(self):
+        HarmonicSpace(self.j)  # the same check of j
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.arange(self.j + 1)[:, None]
+
+    @property
+    def dim(self) -> np.ndarray:
+        return 2 * np.arange(self.j + 1) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear operator on one harmonic space, stored as its action: terms
-    maps each key (s, c) to the read-only coefficient array over m of
-    Y_j^m -> coef(m) Y_j^{s m + c}.
+    """A linear operator on one harmonic space or on a DegreeStack, stored
+    as its action: terms maps each key (s, c) to the read-only coefficient
+    array over m of Y_j^m -> coef(m) Y_j^{s m + c}.
 
     The constructor checks its input: s is +1 or -1, c an integer, coef a
-    scalar or an array over m = -j..j, and no nonzero coefficient meets a
-    target outside -j..j (ValueError otherwise).  Results of the algebra
-    are built by _keyed and skip the check; a key whose coefficients cancel
-    to zero in a sum drops out.
+    scalar or an array that broadcasts over m (and over the degrees of a
+    stack), and no nonzero coefficient of degree j meets a target outside
+    -j..j (ValueError otherwise); it zeroes the padding of a stack.  Results
+    of the algebra are built by _keyed and skip the check; a key whose
+    coefficients cancel to zero in a sum drops out.
     """
 
     space: HarmonicSpace
     terms: Mapping
 
+    __array_ufunc__ = None  # array * Operator scales by the array (Operator.__rmul__)
+
     def __post_init__(self):
         if not isinstance(self.terms, Mapping):
             raise TypeError(f"terms must map keys (s, c) to coefficients, got "
                             f"{type(self.terms).__name__}")
-        j, d = self.space.j, self.space.dim
+        m, j = self.space.m_values(), self.space.degrees
+        pad = np.abs(m) > j  # all False on one degree
         checked = {}
         for (s, c), coef in self.terms.items():
             if s not in (1, -1) or c != int(c):
                 raise ValueError(f"key ({s!r}, {c!r}) is not (+-1, integer)")
-            coef = np.full(d, coef, dtype=complex)
-            cols, _ = _slices(j, int(s), int(c), d, -j)
-            if np.count_nonzero(coef) != np.count_nonzero(coef[cols]):
-                raise ValueError(f"nonzero coefficient on a target outside |m| <= {j}")
+            coef = np.where(pad, 0.0, np.full(pad.shape, coef, dtype=complex))
+            if np.count_nonzero(coef[np.broadcast_to(np.abs(s * m + c) > j, pad.shape)]):
+                raise ValueError(f"nonzero coefficient of key ({s}, {c}) on a target outside -j..j")
             checked[int(s), int(c)] = coef
         object.__setattr__(self, "terms", _frozen(checked))
 
@@ -95,15 +126,30 @@ class Operator:
         object.__setattr__(op, "terms", _frozen(terms))
         return op
 
+    def at(self, j: int) -> "Operator":
+        """Degree j of an operator on a DegreeStack, on HarmonicSpace(j)."""
+        top = self.space.j
+        if not (isinstance(self.space, DegreeStack) and 0 <= j <= top):
+            raise ValueError(f"degree {j!r} is not in the stack {self.space}")
+        return Operator._keyed(HarmonicSpace(j), {k: v[j, top - j:top + j + 1]
+                                                  for k, v in self.terms.items()})
+
+    def _one_degree(self):
+        """(j, 2j+1) of an operator on one degree; ValueError on a DegreeStack."""
+        if isinstance(self.space, DegreeStack):
+            raise ValueError(f"an operator on {self.space} has no single matrix; take .at(j)")
+        return self.space.j, self.space.dim
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense (2j+1, 2j+1) matrix, written anew on each call."""
-        return _columns(self.space, self.terms.items(), self.space.dim, -self.space.j)
+        j, d = self._one_degree()
+        return _columns(self.space, self.terms.items(), d, -j)
 
     def apply(self, v) -> np.ndarray:
         """self.matrix @ v without the matrix, for v of shape (2j+1, ...):
         each key adds coef * v[cols] to the rows out[rows], in O(keys * v.size)."""
-        j, d = self.space.j, self.space.dim
+        j, d = self._one_degree()
         if np.shape(v)[:1] != (d,):
             raise ValueError(f"vector shape {np.shape(v)} does not start with dim {d}")
         out = np.zeros(np.shape(v), dtype=complex)
@@ -116,9 +162,7 @@ class Operator:
         if not isinstance(other, Operator):
             raise TypeError(f"expected Operator, got {type(other).__name__}")
         if other.space != self.space:
-            raise ValueError(
-                f"operator space mismatch: j={self.space.j} vs j={other.space.j}"
-            )
+            raise ValueError(f"operator space mismatch: {self.space} vs {other.space}")
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -144,39 +188,44 @@ class Operator:
         return Operator._keyed(self.space, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, c):
-        c = complex(c)
+        """Scaling by a number, or on a stack by a column of one per degree."""
+        c = np.asarray(c, dtype=complex)
+        if c.shape not in ((), np.shape(self.space.degrees)):
+            raise ValueError(f"cannot scale by an array of shape {c.shape}")
         return Operator._keyed(self.space, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._check_space(other)
-        j, d = self.space.j, self.space.dim
-        keys, order, starts = _product_plan(tuple(self.terms), tuple(other.terms))
+        j = self.space.j
+        keys, slots, starts = _product_plan(tuple(self.terms), tuple(other.terms))
         if not keys:
             return Operator._keyed(self.space, {})
         a = np.array(list(self.terms.values()))
-        prod = np.zeros((len(other.terms),) + a.shape, dtype=complex)
+        prod = np.zeros((slots.size,) + a.shape[1:], dtype=complex)
         for y, ((sb, cb), b) in enumerate(other.terms.items()):
-            cols, rows = _slices(j, sb, cb, d, -j)
-            prod[y, :, cols] = a[:, rows] * b[cols]
-        sums = np.add.reduceat(prod.reshape(-1, d)[order], starts, axis=0)
-        return Operator._keyed(self.space, dict(zip(keys, sums)))
+            cols, rows = _slices(j, sb, cb, 2 * j + 1, -j)
+            prod[slots[y], ..., cols] = a[..., rows] * b[..., cols]
+        sums = np.add.reduceat(prod.reshape(slots.size, -1), starts, axis=0)
+        return Operator._keyed(self.space, dict(zip(keys, sums.reshape((-1,) + a.shape[1:]))))
 
 
 @lru_cache(maxsize=1024)
 def _product_plan(a_keys: tuple, b_keys: tuple):
     """How a @ b sums its key pairs: the keys (s_a s_b, s_a c_b + c_a) of the
-    product, in order of first appearance, the rows of the stack of pair
-    products (one per key of b, then of a) ordered by the key they add to,
-    and where each key's run of rows starts."""
+    product, in order of first appearance; slots[y, x], the row of the pair
+    of key y of b and key x of a in the stack of pair products, which holds
+    the rows of each key together, in pair order; and where each key's run
+    of rows starts."""
     keys, pairs = {}, []
     for y, (sb, cb) in enumerate(b_keys):
         for x, (sa, ca) in enumerate(a_keys):
             pairs.append((keys.setdefault((sa * sb, sa * cb + ca), len(keys)), y * len(a_keys) + x))
     pairs.sort()
     starts = [n for n, (g, _) in enumerate(pairs) if n == 0 or g != pairs[n - 1][0]]
-    return tuple(keys), np.array([row for _, row in pairs], dtype=int), np.array(starts, dtype=int)
+    slots = np.argsort([pair for _, pair in pairs]).reshape(len(b_keys), len(a_keys))
+    return tuple(keys), slots, np.array(starts, dtype=int)
 
 
 def _frozen(terms: dict) -> dict:
@@ -210,13 +259,14 @@ class SpectrumReport:
 
 def _ladder(space: HarmonicSpace):
     """Arrays (m, up, down) over m = -j..j: up = sqrt((j-m)(j+m+1)) is the
-    J+ coefficient and down = sqrt((j+m)(j-m+1)) the J- coefficient of Y_j^m.
+    J+ coefficient and down = sqrt((j+m)(j-m+1)) the J- coefficient of Y_j^m
+    (0 on the padding of a stack).
 
     Note up(-m) = down(m), so down is also the J+ coefficient of Y_j^{-m}.
     """
-    j = space.j
-    m = space.m_values()
-    return m, np.sqrt((j - m) * (j + m + 1.0)), np.sqrt((j + m) * (j - m + 1.0))
+    j, m = space.degrees, space.m_values()
+    return (m, np.sqrt(np.maximum((j - m) * (j + m + 1.0), 0.0)),
+            np.sqrt(np.maximum((j + m) * (j - m + 1.0), 0.0)))
 
 
 def _span(start: int, step: int, count: int) -> slice:
@@ -305,13 +355,13 @@ def reflection(axis: int, space: HarmonicSpace) -> Operator:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     m = space.m_values()
     key, coef = {1: ((-1, 0), 1.0), 2: ((-1, 0), (-1.0) ** m),
-                 3: ((1, 0), (-1.0) ** (space.j + m))}[axis]
+                 3: ((1, 0), (-1.0) ** (space.degrees + m))}[axis]
     return Operator(space, {key: coef})
 
 
 def hamiltonian(space: HarmonicSpace) -> Operator:
     """H = J1^2 + J2^2 + J3^2 + 1/4, built as the scalar (j + 1/2)^2 on degree j."""
-    return Operator(space, {(1, 0): (space.j + 0.5) ** 2})
+    return Operator(space, {(1, 0): (space.degrees + 0.5) ** 2})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -327,31 +377,36 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
 def adjoint(a: Operator) -> Operator:
     """Hermitian adjoint: the key (s, c) becomes (s, -s c), and the
     coefficient of each kept column moves, conjugated, to its row."""
-    j, d = a.space.j, a.space.dim
+    j = a.space.j
     out = {}
     for (s, c), coef in a.terms.items():
-        cols, rows = _slices(j, s, c, d, -j)
-        new = np.zeros(d, dtype=complex)
-        new[rows] = coef[cols].conj()
+        cols, rows = _slices(j, s, c, 2 * j + 1, -j)
+        new = np.zeros(coef.shape, dtype=complex)
+        # + 0.0 makes a conjugated zero +0.0: on a stack a padding column lands
+        # in the window, and the degree alone has +0.0 there
+        new[..., rows] = coef[..., cols].conj() + 0.0
         out[s, -s * c] = new
     return Operator._keyed(a.space, out)
 
 
-def op_norm(a: Operator) -> float:
-    """Frobenius norm, read from the keys.  Keys of one sign s never share
-    an entry; a diagonal key (1, c) and an anti-diagonal key (-1, c') share
-    at most the entry of column m = (c' - c)/2, which counts once, as the
-    sum of the two."""
-    j, keys = a.space.j, list(a.terms)
-    coefs = np.array(list(a.terms.values())).reshape(len(keys), a.space.dim)
+def op_norm(a: Operator):
+    """Frobenius norm, read from the keys: a float, or on a DegreeStack an
+    array of one norm per degree.  Keys of one sign s never share an entry;
+    a diagonal key (1, c) and an anti-diagonal key (-1, c') share at most
+    the entry of column m = (c' - c)/2, which counts once, as the sum of the
+    two.  Each degree's norm is taken over its own (keys, 2j+1) block, so it
+    has the bits of the norm on that degree alone."""
+    j, keys, degrees = a.space.j, list(a.terms), np.ravel(a.space.degrees)
+    coefs = np.array(list(a.terms.values())).reshape(len(keys), degrees.size, 2 * j + 1)
     anti = [(y, c) for y, (s, c) in enumerate(keys) if s == -1]
     for x, (s, c) in enumerate(keys):
         for y, c_anti in anti if s == 1 else ():
             i = (c_anti - c) // 2 + j
             if (c_anti - c) % 2 == 0 and 0 <= i <= 2 * j:
-                coefs[x, i] += coefs[y, i]
-                coefs[y, i] = 0.0
-    return float(np.linalg.norm(coefs))
+                coefs[x, :, i] += coefs[y, :, i]
+                coefs[y, :, i] = 0.0
+    norms = [float(np.linalg.norm(coefs[:, r, j - d:j + d + 1])) for r, d in enumerate(degrees)]
+    return np.array(norms) if np.ndim(a.space.degrees) else norms[0]
 
 
 def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
@@ -360,15 +415,16 @@ def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
     With self_adjoint=True (the default) the operator must be Hermitian
     within 1e-10 (relative to its norm); violation raises ContractViolation.
     """
+    matrix = a.matrix
     if self_adjoint:
         herm = op_norm(a - adjoint(a))
         if herm > 1e-10 * max(1.0, op_norm(a)):
             raise ContractViolation(
                 f"matrix is not self-adjoint (deviation {herm:.3e}) but self_adjoint=True"
             )
-        vals = np.linalg.eigvalsh(a.matrix)
+        vals = np.linalg.eigvalsh(matrix)
     else:
-        raw = np.linalg.eigvals(a.matrix)
+        raw = np.linalg.eigvals(matrix)
         order = np.lexsort((raw.imag, raw.real))
         raw = raw[order]
         vals = raw.real if np.max(np.abs(raw.imag)) < 1e-10 else raw

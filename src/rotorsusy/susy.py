@@ -14,12 +14,15 @@ operators.Operator with at most six keys, with
     a(m) = sqrt((j-m)(j+m+1)),  b(m) = sqrt((j+m)(j-m+1)),
     s = (-1)^j,  t = (-1)^m.
 
-The product formulas live in verification.py, where they are evaluated
-on the same keyed algebra and serve as the oracle of every closed form
-below.
+Every builder takes one HarmonicSpace or an operators.DegreeStack, where
+j and s are a column over the degrees.  The product formulas live in
+verification.py, where they are evaluated on the same keyed algebra and
+serve as the oracle of every closed form below.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import VerificationError
 from .harmonics import HarmonicSpace
@@ -40,6 +43,7 @@ __all__ = [
     "SusyOperators",
     "supercharge",
     "supercharge_alt",
+    "symmetry_generator",
     "symmetry_generators",
     "casimir",
     "susy_operators",
@@ -58,7 +62,7 @@ def supercharge(space: HarmonicSpace) -> Operator:
     Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.
     """
     m, a, b = _ladder(space)
-    s, t = (-1.0) ** space.j, (-1.0) ** m
+    s, t = (-1.0) ** space.degrees, (-1.0) ** m
     return Operator(space, {(1, 1): -0.5j * s * t * a, (1, -1): -0.5j * s * t * b,
                             (-1, 1): 0.5 * s * b, (-1, -1): -0.5 * s * a,
                             (-1, 0): 1j * t * m, (1, 0): -0.5})
@@ -75,11 +79,11 @@ def supercharge_alt(space: HarmonicSpace) -> Operator:
     is s times that of Q, key by key, and Q' is built so.  It also squares
     to the shifted Hamiltonian, and its larger branch swaps sign with s.
     """
-    return (-1.0) ** space.j * supercharge(space)
+    return (-1.0) ** space.degrees * supercharge(space)
 
 
-def symmetry_generators(space: HarmonicSpace):
-    """The three generators K1, K2, K3 of the anticommutator spin algebra.
+def symmetry_generator(i: int, space: HarmonicSpace) -> Operator:
+    """The generator K_i, i in {1, 2, 3}, of the anticommutator spin algebra.
 
     K1 = i J1 R2 + R2 R3 / 2,  K2 = -i J2 R1 R2 + R1 R3 / 2,
     K3 = i J3 R1 + R1 R2 / 2, built from their actions
@@ -90,16 +94,21 @@ def symmetry_generators(space: HarmonicSpace):
 
     The sign of the J3 term in K3 is pinned by the algebra itself:
     {K1, K2} = K3 and [K3, Q] = 0 both fail for the opposite sign.
-
-    Returns
-    -------
-    (Operator, Operator, Operator)
     """
+    if i not in (1, 2, 3):
+        raise ValueError(f"i must be 1, 2 or 3, got {i!r}")
     m, a, b = _ladder(space)
-    s, t = (-1.0) ** space.j, (-1.0) ** m
-    return (Operator(space, {(-1, 1): 0.5j * t * b, (-1, -1): 0.5j * t * a, (-1, 0): 0.5 * s}),
-            Operator(space, {(1, 1): -0.5 * t * a, (1, -1): 0.5 * t * b, (-1, 0): 0.5 * s * t}),
-            Operator(space, {(-1, 0): -1j * m, (1, 0): 0.5 * t}))
+    s, t = (-1.0) ** space.degrees, (-1.0) ** m
+    if i == 1:
+        return Operator(space, {(-1, 1): 0.5j * t * b, (-1, -1): 0.5j * t * a, (-1, 0): 0.5 * s})
+    if i == 2:
+        return Operator(space, {(1, 1): -0.5 * t * a, (1, -1): 0.5 * t * b, (-1, 0): 0.5 * s * t})
+    return Operator(space, {(-1, 0): -1j * m, (1, 0): 0.5 * t})
+
+
+def symmetry_generators(space: HarmonicSpace):
+    """The three generators (K1, K2, K3); see symmetry_generator."""
+    return tuple(symmetry_generator(i, space) for i in (1, 2, 3))
 
 
 def casimir(space: HarmonicSpace) -> Operator:
@@ -112,7 +121,8 @@ def casimir(space: HarmonicSpace) -> Operator:
 
 @dataclass(frozen=True)
 class SusyOperators:
-    """Bundle of the Hamiltonian, both supercharges, generators and Casimir."""
+    """Bundle of the Hamiltonian, both supercharges, generators and Casimir,
+    each checked self-adjoint at every degree."""
 
     space: HarmonicSpace
     h: Operator
@@ -128,12 +138,12 @@ class SusyOperators:
         for name in ("h", "q", "q_alt", "k1", "k2", "k3", "c"):
             op = getattr(self, name)
             dev = op_norm(op - adjoint(op))
-            if not dev <= tol:
-                raise VerificationError(f"{name} is not self-adjoint (deviation {dev:.3e})")
+            if not np.all(dev <= tol):
+                raise VerificationError(f"{name} is not self-adjoint (deviation {np.max(dev):.3e})")
 
 
 def susy_operators(space: HarmonicSpace) -> SusyOperators:
-    """Construct and validate the full bundle on one degree."""
+    """Construct and validate the full bundle on one degree or a DegreeStack."""
     k1, k2, k3 = symmetry_generators(space)
     return SusyOperators(
         space=space,
@@ -151,7 +161,8 @@ def non_symmetry_report(space: HarmonicSpace) -> dict:
     """Frobenius norms showing J_i and R_i do NOT commute with Q.
 
     All six norms are strictly positive for j >= 1 (and vanish at j = 0,
-    where every operator is a scalar).
+    where every operator is a scalar).  On a DegreeStack each is an array
+    of one norm per degree.
     """
     q = supercharge(space)
     js = {"J1": j1(space), "J2": j2(space), "J3": j3(space)}

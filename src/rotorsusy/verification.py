@@ -4,19 +4,23 @@ Each check is declared once, by @_check on its body: its name, the cap of
 its degree range, its first degree, its base tolerance, its detail
 template, and whether its residual is a lower bound.  The body is a
 generator body(range, run) that yields residuals, one per degree or per
-item (run.degree(j) is the run's shared _Degree bundle, run.scale its
-tolerance scale).  It may return a dict of extra fields for its detail,
-and it raises _Broken on a structural failure (a broken split, pattern,
-label or control: residual inf).  One runner, _run_check, alone decides
-pass or fail: it clamps the range, writes the empty-range row, reduces the
-residuals with a max (a min for a lower bound) that carries a NaN through,
-and scales the tolerance.  A crash inside one check is reported as a
-failure of that check rather than aborting the run.
+item (run is the _Run that all checks of one run share).  It may return a
+dict of extra fields for its detail, and it raises _Broken on a structural
+failure (a broken split, pattern, label or control: residual inf).  One
+runner, _run_check, alone decides pass or fail: it clamps the range,
+writes the empty-range row, reduces the residuals with a max (a min for a
+lower bound) that carries a NaN through, and scales the tolerance.  A crash
+inside one check is reported as a failure of that check rather than
+aborting the run.
 
 The library builds H, Q, Q', K1..K3 and C from their closed-form actions
 on Y_j^m.  The paper's reflection-product formulas live here instead, in
 _product_operators, as the independent oracle: every check that reads one
 of those operators also measures its distance from the product formula.
+The operator and susy algebra checks run once on an operators.DegreeStack
+of all their degrees and yield one residual per degree; op_norm takes each
+degree's norm over that degree's own block, so the residuals have the bits
+of a run degree by degree.
 """
 
 import time
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, inf, isnan, nan, pi, sqrt
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -214,29 +217,27 @@ def _fold(values, lower=False):
     return nan if any(map(isnan, values)) else float((min if lower else max)(values, default=0.0))
 
 
-class _Degree:
-    """One degree: its closed-form bundle s, its product oracle o and the
-    integral-route overlap matrix w (N = j), each built on first use and
-    then shared by every check of one run."""
+class _Run:
+    """What the checks of one run share: the tolerance scale, the stack of
+    degrees 0..top, the closed-form bundle s and the product oracle o on that
+    stack (each built on first use; .at(j) is one degree), and the
+    integral-route overlap matrices w(N)."""
 
-    def __init__(self, j):
-        self.space = HarmonicSpace(j)
+    def __init__(self, scale, top):
+        self.scale, self.stack = scale, op.DegreeStack(top)
+        self.w = lru_cache(maxsize=None)(ak.overlaps_via_integral)
 
     @cached_property
     def s(self):
-        return susy.susy_operators(self.space)
+        return susy.susy_operators(self.stack)
 
     @cached_property
     def o(self):
-        return _product_operators(self.space)
-
-    @cached_property
-    def w(self):
-        return ak.overlaps_via_integral(self.space.j)
+        return _product_operators(self.stack)
 
     def gap(self, *names):
-        """Largest Frobenius distance of the named closed forms from the oracle."""
-        return _fold(op.op_norm(getattr(self.s, n) - getattr(self.o, n)) for n in names)
+        """Per degree, the largest Frobenius distance of the named closed forms from the oracle."""
+        return np.max([op.op_norm(getattr(self.s, n) - getattr(self.o, n)) for n in names], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +304,12 @@ def _check(name, cap, tol, detail, first=0, lower=False):
     return declare
 
 
-def _scaled(j, *residuals):
-    """Residuals of degree j, divided by its dimension 2j+1."""
-    return (r / (2 * j + 1) for r in residuals)
+def _scaled(js, *residuals):
+    """Per-degree residuals on the run's stack, cut to the degrees js and each
+    divided by its dimension 2j+1."""
+    js = np.array(js)
+    for r in residuals:
+        yield from r[js] / (2 * js + 1)
 
 
 def _drain(gen, fields):
@@ -383,57 +387,50 @@ def _cross_degree(js, run):
 
 @_check("operators.so3_commutators", 30, 1e-12, "scaled by dim, j <= {top}")
 def _so3_commutators(js, run):
-    for j in js:
-        space = run.degree(j).space
-        a, b, c = op.j1(space), op.j2(space), op.j3(space)
-        yield from _scaled(j, *(op.op_norm(op.commutator(x, y) - 1j * z)
-                                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))))
+    a, b, c = op.j1(run.stack), op.j2(run.stack), op.j3(run.stack)
+    yield from _scaled(js, *(op.op_norm(op.commutator(x, y) - 1j * z)
+                             for x, y, z in ((a, b, c), (b, c, a), (c, a, b))))
 
 
 @_check("operators.ladder_relations", 30, 1e-12, "[J+,J-]=2J3, J-=J+^, Casimir, j <= {top}")
 def _ladder_relations(js, run):
-    for j in js:
-        space = run.degree(j).space
-        p, mi, m3 = op.jplus(space), op.jminus(space), op.j3(space)
-        a, b = op.j1(space), op.j2(space)
-        cas = a @ a + b @ b + m3 @ m3
-        yield from _scaled(j, op.op_norm(op.commutator(p, mi) - 2.0 * m3),
-                           op.op_norm(op.adjoint(p) - mi),
-                           op.op_norm(cas - j * (j + 1.0) * op.identity(space)))
+    space = run.stack
+    p, mi, m3 = op.jplus(space), op.jminus(space), op.j3(space)
+    a, b = op.j1(space), op.j2(space)
+    cas = a @ a + b @ b + m3 @ m3
+    j = space.degrees
+    yield from _scaled(js, op.op_norm(op.commutator(p, mi) - 2.0 * m3),
+                       op.op_norm(op.adjoint(p) - mi),
+                       op.op_norm(cas - j * (j + 1.0) * op.identity(space)))
 
 
 @_check("operators.reflection_algebra", 30, 1e-12, "involutive, commuting, j <= {top}")
 def _reflection_algebra(js, run):
-    for j in js:
-        space = run.degree(j).space
-        rs = [op.reflection(i, space) for i in (1, 2, 3)]
-        ident = op.identity(space)
-        yield from _scaled(j, *(op.op_norm(r @ r - ident) for r in rs),
-                           *(op.op_norm(op.adjoint(r) - r) for r in rs),
-                           *(op.op_norm(op.commutator(rs[a], rs[b]))
-                             for a, b in ((0, 1), (0, 2), (1, 2))))
+    rs = [op.reflection(i, run.stack) for i in (1, 2, 3)]
+    ident = op.identity(run.stack)
+    yield from _scaled(js, *(op.op_norm(r @ r - ident) for r in rs),
+                       *(op.op_norm(op.adjoint(r) - r) for r in rs),
+                       *(op.op_norm(op.commutator(rs[a], rs[b])) for a, b in ((0, 1), (0, 2), (1, 2))))
 
 
 @_check("operators.mixed_commutation", 30, 1e-12, "[J_i,R_i]=0, {{J_i,R_j}}=0, j <= {top}")
 def _mixed_commutation(js, run):
-    for j in js:
-        space = run.degree(j).space
-        gens = [op.j1(space), op.j2(space), op.j3(space)]
-        rs = [op.reflection(i, space) for i in (1, 2, 3)]
-        yield from _scaled(j, *(op.op_norm(op.commutator(g, r) if a == b else op.anticommutator(g, r))
-                                for a, g in enumerate(gens) for b, r in enumerate(rs)))
+    gens = [op.j1(run.stack), op.j2(run.stack), op.j3(run.stack)]
+    rs = [op.reflection(i, run.stack) for i in (1, 2, 3)]
+    yield from _scaled(js, *(op.op_norm(op.commutator(g, r) if a == b else op.anticommutator(g, r))
+                             for a, g in enumerate(gens) for b, r in enumerate(rs)))
 
 
 @_check("operators.hamiltonian_identity", 30, 1e-12, "H=(j+1/2)^2 I and symmetries, j <= {top}")
 def _hamiltonian_identity(js, run):
-    for j in js:
-        d = run.degree(j)
-        space, h = d.space, d.o.h
-        others = (op.j1(space), op.j2(space), op.j3(space),
-                  op.reflection(1, space), op.reflection(2, space), op.reflection(3, space))
-        yield from _scaled(j, d.gap("h"), *(op.op_norm(op.commutator(h, x)) for x in others))
+    space, h = run.stack, run.o.h
+    others = (op.j1(space), op.j2(space), op.j3(space),
+              op.reflection(1, space), op.reflection(2, space), op.reflection(3, space))
+    yield from _scaled(js, run.gap("h"), *(op.op_norm(op.commutator(h, x)) for x in others))
 
 
+# the cap of 8 is the limit of the FD oracle, not of the library: the
+# stencil alone is off by 3.1e-6 at j = 30 and 4.0e-5 at 40
 @_check("operators.quadrature_matrix_elements", 8, 1e-8, "derivative/parity oracle, j <= {top}")
 def _quadrature_matrix_elements(js, run):
     grid = build_grid(max(js[-1], 1))
@@ -456,57 +453,47 @@ def _quadrature_matrix_elements(js, run):
 
 @_check("susy.square_identity", 30, 1e-12, "both supercharges square to H, j <= {top}")
 def _square_identity(js, run):
-    for j in js:
-        d = run.degree(j)
-        s = d.s
-        yield from _scaled(j, op.op_norm(s.q @ s.q - s.h), op.op_norm(s.q_alt @ s.q_alt - s.h),
-                           d.gap("q", "q_alt", "h"))
+    s = run.s
+    yield from _scaled(js, op.op_norm(s.q @ s.q - s.h), op.op_norm(s.q_alt @ s.q_alt - s.h),
+                       run.gap("q", "q_alt", "h"))
 
 
 @_check("susy.anticommutator_algebra", 30, 1e-12, "{{K_i,K_j}}=K_k cyclic, j <= {top}")
 def _anticommutator_algebra(js, run):
-    for j in js:
-        d = run.degree(j)
-        s = d.s
-        yield from _scaled(j, *(op.op_norm(op.anticommutator(x, y) - z)
-                                for x, y, z in ((s.k1, s.k2, s.k3), (s.k2, s.k3, s.k1),
-                                                (s.k3, s.k1, s.k2))),
-                           d.gap("k1", "k2", "k3"))
+    s = run.s
+    yield from _scaled(js, *(op.op_norm(op.anticommutator(x, y) - z)
+                             for x, y, z in ((s.k1, s.k2, s.k3), (s.k2, s.k3, s.k1), (s.k3, s.k1, s.k2))),
+                       run.gap("k1", "k2", "k3"))
 
 
 @_check("susy.commutant", 30, 1e-12, "[K_i,Q]=0, j <= {top}")
 def _commutant(js, run):
-    for j in js:
-        d = run.degree(j)
-        s = d.s
-        yield from _scaled(j, *(op.op_norm(op.commutator(k, s.q)) for k in (s.k1, s.k2, s.k3)),
-                           d.gap("q", "k1", "k2", "k3"))
+    s = run.s
+    yield from _scaled(js, *(op.op_norm(op.commutator(k, s.q)) for k in (s.k1, s.k2, s.k3)),
+                       run.gap("q", "k1", "k2", "k3"))
 
 
 @_check("susy.casimir_identity", 30, 1e-12, "C=Q^2-Q and centrality, j <= {top}")
 def _casimir_identity(js, run):
-    for j in js:
-        d = run.degree(j)
-        s = d.s
-        # the closed form C = H - Q is central iff Q is; the claim is
-        # that the sum of squares K1^2 + K2^2 + K3^2 is
-        yield from _scaled(j, op.op_norm(s.c - s.q @ s.q + s.q),
-                           *(op.op_norm(op.commutator(d.o.c, k)) for k in (s.k1, s.k2, s.k3)),
-                           d.gap("c", "q", "k1", "k2", "k3"))
+    s = run.s
+    # the closed form C = H - Q is central iff Q is; the claim is
+    # that the sum of squares K1^2 + K2^2 + K3^2 is
+    yield from _scaled(js, op.op_norm(s.c - s.q @ s.q + s.q),
+                       *(op.op_norm(op.commutator(run.o.c, k)) for k in (s.k1, s.k2, s.k3)),
+                       run.gap("c", "q", "k1", "k2", "k3"))
 
 
 @_check("susy.q_spectrum", 30, 1e-8, "split (j+1, j) at -(j+1/2), +(j+1/2), j <= {top}")
 def _q_spectrum(js, run):
+    yield from _scaled(js, run.gap("q"))
     for j in js:
-        d = run.degree(j)
-        rep = op.spectrum(d.s.q)
+        rep = op.spectrum(run.s.q.at(j))
         expected_vals = [-(j + 0.5)] + ([j + 0.5] if j else [])
         if list(rep.multiplicities) != [j + 1] + ([j] if j else []):
             raise _Broken(f"multiplicity split broken at j={j}")
         yield float(np.max(np.abs(rep.eigenvalues - expected_vals)))
-        yield d.gap("q") / (2 * j + 1)
         # the closed-form H is exactly scalar; its product formula is not
-        hrep = op.spectrum(d.o.h)
+        hrep = op.spectrum(run.o.h.at(j))
         if list(hrep.multiplicities) != [2 * j + 1]:
             raise _Broken(f"H degeneracy broken at j={j}")
         yield float(np.max(np.abs(hrep.eigenvalues - (j + 0.5) ** 2)))
@@ -515,43 +502,42 @@ def _q_spectrum(js, run):
 @_check("susy.non_symmetry", 30, 1e-6, "lower bound: residual must EXCEED tolerance",
         first=1, lower=True)
 def _non_symmetry(js, run):
+    for norms in susy.non_symmetry_report(run.stack)["commutator_with_q"].values():
+        yield from norms[js[0]:js[-1] + 1]
+    s = run.s
+    control = np.max([*(op.op_norm(op.commutator(run.o.h, k)) for k in (s.k1, s.k2, s.k3)),
+                      run.gap("q", "k1", "k2", "k3")], axis=0)
     for j in js:
-        d = run.degree(j)
-        yield from susy.non_symmetry_report(d.space)["commutator_with_q"].values()
-        control = [op.op_norm(op.commutator(d.o.h, k)) for k in (d.s.k1, d.s.k2, d.s.k3)]
-        if not _fold(control + [d.gap("q", "k1", "k2", "k3")]) <= 1e-12 * run.scale * (2 * j + 1):
+        if not control[j] <= 1e-12 * run.scale * (2 * j + 1):
             raise _Broken(f"[H,K_i] control failed at j={j}")
 
 
 @_check("eigenbases.m_basis", 20, 1e-10, "orthonormal, invertible, K3-diagonal, j <= {top}")
 def _m_basis(js, run):
     for j in js:
-        d = run.degree(j)
-        basis = eb.m_basis(d.space)
+        basis = eb.m_basis(HarmonicSpace(j))
         v = basis.matrix()
         yield basis.orthonormality_residual()
-        yield float(np.max(np.abs(v @ v.conj().T - np.eye(d.space.dim))))
+        yield float(np.max(np.abs(v @ v.conj().T - np.eye(2 * j + 1))))
         k3v = np.array([lab["k3"] for lab in basis.labels])
-        yield float(np.max(np.abs(d.o.k3.apply(v) - v * k3v)))
+        yield float(np.max(np.abs(run.o.k3.at(j).apply(v) - v * k3v)))
 
 
 @_check("eigenbases.q_in_m_basis", 20, 1e-12, "closed-form three-term action, j <= {top}")
 def _q_in_m_basis(js, run):
     for j in js:
-        d = run.degree(j)
-        v = eb.m_basis(d.space).matrix()
-        conj = v.conj().T @ d.o.q.apply(v)
-        yield float(np.max(np.abs(conj - eb.q_action_on_m(d.space)))) / (2 * j + 1)
+        v = eb.m_basis(HarmonicSpace(j)).matrix()
+        conj = v.conj().T @ run.o.q.at(j).apply(v)
+        yield float(np.max(np.abs(conj - eb.q_action_on_m(HarmonicSpace(j))))) / (2 * j + 1)
 
 
 @_check("eigenbases.closed_form_eigen", 20, 1e-10, "matches joint-diagonalization oracle, j <= {top}")
 def _closed_form_eigen(js, run):
     for j in js:
-        d = run.degree(j)
-        fb, gb = eb.f_basis(d.space), eb.g_basis(d.space)
-        oracle = eb.joint_diagonalize(d.o.q, d.o.k3)
+        fb, gb = eb.f_basis(HarmonicSpace(j)), eb.g_basis(HarmonicSpace(j))
+        oracle = eb.joint_diagonalize(run.o.q.at(j), run.o.k3.at(j))
         t = np.column_stack([fb.matrix(), gb.matrix()])
-        yield float(np.max(np.abs(t.conj().T @ t - np.eye(d.space.dim))))
+        yield float(np.max(np.abs(t.conj().T @ t - np.eye(2 * j + 1))))
         # the oracle orders its columns by (q, k), as F then G are ordered
         if ([(round(lab["q"], 6), lab["k"]) for lab in oracle.labels]
                 != [(lab["q"], lab["k"]) for lab in fb.labels + gb.labels]):
@@ -563,11 +549,10 @@ def _closed_form_eigen(js, run):
 @_check("eigenbases.tridiagonal_data", 20, 1e-10, "matches closed forms, j <= {top}")
 def _tridiagonal_data(js, run):
     for j in js:
-        d = run.degree(j)
-        for basis in (eb.f_basis(d.space), eb.g_basis(d.space)):
+        for basis in (eb.f_basis(HarmonicSpace(j)), eb.g_basis(HarmonicSpace(j))):
             if not len(basis):
                 continue
-            data = eb.tridiagonal_extract(d.o.k1, basis)
+            data = eb.tridiagonal_extract(run.o.k1.at(j), basis)
             exp_d, exp_o = eb.closed_form_tridiagonal(basis.family, j)
             yield float(np.max(np.abs(data.diag - exp_d)))
             if len(exp_o):
@@ -657,7 +642,7 @@ def _closed_form_column(ns, run):
         "both W constructions, three-term residual, N <= {top}", first=1)
 def _unitarity(ns, run):
     for n in ns:
-        wi = run.degree(n).w
+        wi = run.w(n)
         wr = ak.overlaps_via_recurrence(n)
         yield wi.unitarity_residual
         yield wr.unitarity_residual
@@ -671,7 +656,7 @@ def _unitarity(ns, run):
         "integral vs recurrence, |omega_k|^2 = w_k, N <= {top}", first=1)
 def _duality(ns, run):
     for n in ns:
-        wi = run.degree(n).w
+        wi = run.w(n)
         wr = ak.overlaps_via_recurrence(n)
         yield float(np.max(np.abs(wi.W - wr.W)))
         amp = np.abs(wi.W[0]) ** 2
@@ -682,13 +667,12 @@ def _duality(ns, run):
         "permuted block mirrors the original, N <= {top}", first=1)
 def _z_block_spectrum(ns, run):
     for n in ns:
-        d = run.degree(n)
         zb = ak.z_basis(n)
-        fb = eb.f_basis(d.space)
+        fb = eb.f_basis(HarmonicSpace(n))
         k1_on_z = np.sort(np.array([lab["k1"] for lab in zb.labels]))
         k3_on_f = np.sort(np.array([lab["k3"] for lab in fb.labels]))
         yield float(np.max(np.abs(k1_on_z - k3_on_f)))
-        data = eb.tridiagonal_extract(d.o.k2, zb)
+        data = eb.tridiagonal_extract(run.o.k2.at(n), zb)
         exp_d, exp_o = eb.closed_form_tridiagonal("F", n)
         yield float(np.max(np.abs(data.diag - exp_d)))
         yield float(np.max(np.abs(data.offdiag - exp_o)))
@@ -708,8 +692,9 @@ def run_verification(j_max=20, suite_filter=None, tolerance_scale=1.0) -> Verifi
         raise ValueError(f"tolerance_scale must be positive, got {tolerance_scale!r}")
     if suite_filter is not None and suite_filter not in SUITES:
         raise ValueError(f"unknown suite {suite_filter!r}; choose from {SUITES}")
-    # what the checks of one run share: the tolerance scale and one _Degree per degree
-    run = SimpleNamespace(scale=tolerance_scale, degree=lru_cache(maxsize=None)(_Degree))
     prefix = "" if suite_filter is None else suite_filter + "."
+    checks = [c for c in _CHECKS if c.name.startswith(prefix)]
+    # one stack holds every degree that any of the checks covers
+    run = _Run(tolerance_scale, min(int(j_max), max(c.cap for c in checks)))
     return VerificationReport(j_max=int(j_max), tolerance_scale=float(tolerance_scale), checks=tuple(
-        _run_check(c, int(j_max), run) for c in _CHECKS if c.name.startswith(prefix)))
+        _run_check(c, int(j_max), run) for c in checks))

@@ -17,10 +17,10 @@ from rotorsusy import (
     m_basis,
     q_action_on_m,
     supercharge,
+    symmetry_generator,
     symmetry_generators,
     tridiagonal_extract,
 )
-from rotorsusy import eigenbases
 from rotorsusy.eigenbases import _verified_fg_basis
 
 
@@ -235,15 +235,14 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
             assert_allclose(overlap, 1.0, atol=1e-10)
 
 
-def test_eigen_verification_reports_the_first_failing_vector(monkeypatch):
+def test_eigen_verification_reports_the_first_failing_vector():
     space = HarmonicSpace(2)
+    k3 = symmetry_generator(3, space)
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
-    monkeypatch.setattr(eigenbases, "supercharge", lambda space: -supercharge(space))
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
-        _verified_fg_basis(space, "F")
-    monkeypatch.undo()
-    passed = _verified_fg_basis(space, "F")
+        _verified_fg_basis(space, "F", -supercharge(space), k3)
+    passed = _verified_fg_basis(space, "F", supercharge(space), k3)
     np.testing.assert_array_equal(passed.matrix(), f_basis(space).matrix())
 
 

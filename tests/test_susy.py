@@ -20,6 +20,7 @@ from rotorsusy import (
     supercharge,
     supercharge_alt,
     susy_operators,
+    symmetry_generator,
     symmetry_generators,
 )
 from rotorsusy.verification import _product_operators
@@ -79,6 +80,12 @@ def test_generator_anticommutators_close_cyclically(j):
         b, c = (a + 1) % 3, (a + 2) % 3
         got = anticommutator(ks[a], ks[b])
         assert_allclose(got.matrix, ks[c].matrix, atol=1e-12 * space.dim)
+
+
+def test_symmetry_generator_rejects_an_index_other_than_1_2_3():
+    for i in (0, 4, "1"):
+        with pytest.raises(ValueError, match="1, 2 or 3"):
+            symmetry_generator(i, HarmonicSpace(2))
 
 
 def test_third_generator_action_on_degree_one():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rotorsusy import eigenbases, operators, run_verification, susy, verification
@@ -97,8 +98,9 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
         return dict(report, completeness_residual=math.nan) if space.j == 2 else report
 
     monkeypatch.setattr(eigenbases, "decompose", decompose)
+    # on a DegreeStack, dim and op_norm hold one entry per degree
     monkeypatch.setattr(operators, "op_norm",
-                        lambda a: math.nan if a.space.dim > 1 else right_norm(a))
+                        lambda a: np.where(a.space.dim > 1, math.nan, right_norm(a)))
     checks = {c.name: c for c in run_verification(2).checks}
     for name in ("eigenbases.block_structure", "operators.reflection_algebra",
                  "operators.mixed_commutation"):
@@ -118,3 +120,60 @@ def test_empty_range_rows_pass_at_their_declared_tolerance(j_max, n_empty):
         assert c.residual == 0.0
         assert c.tolerance == declared[c.name].tol * 3.0
         assert c.detail == f"empty range (j_max < {declared[c.name].first})"
+
+
+def _at_degree_17(build, change):
+    """build, with change(coef) applied to degree 17 of the key (1, 0) of
+    every stacked result that holds degree 17."""
+    def faulty(space):
+        op = build(space)
+        if np.ndim(space.degrees) == 0 or space.j < 17:
+            return op
+        coef = np.array(op.terms[1, 0])
+        change(coef[17, space.j - 17:space.j + 18])
+        return Operator(space, {**op.terms, (1, 0): coef})
+    return faulty
+
+
+def test_a_fault_at_one_degree_fails_only_from_that_degree(monkeypatch):
+    right = susy.symmetry_generators
+
+    def perturbed(space):
+        k1, k2, k3 = right(space)
+        return k1, k2, _at_degree_17(lambda space: k3, lambda c: c.__iadd__(1e-6))(space)
+
+    monkeypatch.setattr(susy, "symmetry_generators", perturbed)
+    assert run_verification(16, suite_filter="susy").all_passed
+    check = {c.name: c for c in run_verification(17, suite_filter="susy").checks}[
+        "susy.anticommutator_algebra"]
+    assert not check.passed
+    assert 1e-9 < check.residual < 1e-4
+
+
+def test_a_nan_at_one_degree_fails_its_stacked_check(monkeypatch):
+    monkeypatch.setattr(operators, "j3", _at_degree_17(operators.j3, lambda c: c.fill(math.nan)))
+    assert run_verification(16, suite_filter="operators").all_passed
+    checks = {c.name: c for c in run_verification(17, suite_filter="operators").checks}
+    for name in ("operators.so3_commutators", "operators.ladder_relations",
+                 "operators.mixed_commutation"):
+        assert not checks[name].passed, name
+        assert math.isnan(checks[name].residual), name
+    # the product oracle carries the NaN into H and K3, and its self-adjoint
+    # gate rejects them: the checks that read the oracle fail too
+    checks.update((c.name, c) for c in run_verification(17, suite_filter="susy").checks)
+    for name in ("operators.hamiltonian_identity", "susy.anticommutator_algebra"):
+        assert not checks[name].passed, name
+        assert "not self-adjoint (deviation nan)" in checks[name].detail, name
+
+
+def test_the_susy_suite_runs_its_algebra_once_for_all_degrees(monkeypatch):
+    # a return to one round of algebra per degree would scale these counts with j_max
+    calls = []
+    right = Operator.__matmul__
+    monkeypatch.setattr(Operator, "__matmul__", lambda a, b: calls.append(1) or right(a, b))
+    counts = []
+    for j_max in (10, 30):
+        calls.clear()
+        assert run_verification(j_max, suite_filter="susy").all_passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
