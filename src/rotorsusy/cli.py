@@ -62,21 +62,22 @@ def _json_chunks(obj, level=0):
 
     json renders indented output with its pure-Python encoder, one call per
     value.  A finite float array is instead yielded one outermost row at a
-    time: the row's floats are rendered with float.__repr__ (json's spelling
-    of finite floats) and joined one axis at a time from the innermost out.
-    Other arrays, and arrays holding NaN or infinities, go through the
+    time, filled into one template of the row's layout whose %r renders each
+    float with float.__repr__ (json's spelling of finite floats); the
+    template joins its placeholders one axis at a time from the innermost
+    out.  Other arrays, and arrays holding NaN or infinities, go through the
     generic path as lists.
     """
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
+            strs = ["%r"] * (obj.size // len(obj))
+            for axis in range(obj.ndim - 1, 0, -1):
+                sub = "\n" + "  " * (level + axis + 1)
+                head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
+                strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * obj.shape[axis])]
             for i, row in enumerate(obj):
-                strs = list(map(float.__repr__, row.ravel().tolist()))
-                for axis in range(row.ndim - 1, -1, -1):
-                    sub = "\n" + "  " * (level + axis + 2)
-                    head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis + 1) + "]"
-                    strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * row.shape[axis])]
-                yield ("[" if i == 0 else ",") + inner + strs[0]
+                yield ("[" if i == 0 else ",") + inner + strs[0] % tuple(row.ravel().tolist())
             yield "\n" + "  " * level + "]"
             return
         obj = obj.tolist()

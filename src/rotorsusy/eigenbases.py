@@ -10,7 +10,10 @@ Three labeled bases of each degree-j space:
 * G-basis: j   joint eigenvectors with Q = +(j+1/2), K3 = (-1)^k (k+1/2).
 
 K1 is real tridiagonal in each of the F- and G-bases; the two blocks carry
-the same closed-form coefficients at sizes j+1 and j.
+the same closed-form coefficients at sizes j+1 and j.  F and G are keyed
+operators (Y_j^k -> vector k, four entries each), so their eigen-checks and
+decompose are keyed algebra in O(j), on one degree or a DegreeStack; dense
+columns are written only where a LabeledBasis is returned.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import Operator, _columns, _columns_adjoint, commutator, op_norm
+from .operators import DegreeStack, Operator, _columns, _entries, adjoint, commutator, op_norm
 from .susy import supercharge, symmetry_generator
 
 __all__ = [
@@ -198,53 +201,64 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
                         coeffs=np.column_stack([v for (_, _, _, v) in entries]), labels=labels)
 
 
-def _fg_terms(space: HarmonicSpace, which: str):
-    """(terms, n) for the n F or G vectors (see f_basis, g_basis) as keyed
-    columns over k (operators._columns): vector k is upper M_j^{k+1,eps} + lower
-    M_j^{k,eps}, eps = (-1)^k, with four entries on Y_j^{-k-1}, Y_j^{-k},
-    Y_j^k and Y_j^{k+1}, added into one zeroed (4, n) array (no -0.0
-    parts); at k = 0 the two Y_j^0 entries are one, on the second term."""
-    j = space.j
-    k = np.arange(j + 1 if which == "F" else j)
-    if which == "F":
-        upper = np.sqrt((j - k) / (2 * j + 1))
-        lower = 1j * (-1.0) ** (j + k + 1) * np.sqrt((j + k + 1) / (2 * j + 1))
-    else:
-        upper = np.sqrt((j + k + 1) / (2 * j + 1))
-        lower = 1j * (-1.0) ** (k + j) * np.sqrt((j - k) / (2 * j + 1))
-    minus = np.full(k.size, 1.0 / sqrt(2.0), dtype=complex)  # Y^{-m} entry of M^{m,eps}
-    plus = 1j * (-1) ** k / sqrt(2.0)                        # Y^{+m} entry of M^{m,eps}
-    minus_0, plus_0 = minus.copy(), plus.copy()
-    minus_0[:1] += plus[:1]
-    plus_0[:1] = 0.0
-    vals = np.zeros((4, k.size), dtype=complex)
+def _max_abs(a: Operator) -> np.ndarray:
+    """The largest entry modulus of a, per degree (operators._entries)."""
+    return np.max(np.abs(_entries(a)[1]), axis=(0, 2), initial=0.0)
+
+
+def _fg_operator(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Operator:
+    """F or G as a keyed Operator, eigen-verified against the given Q and K3.
+
+    It sends Y_j^k to vector k (f_basis, g_basis), k = 0..n-1, and every
+    other Y_j^m to 0.  Vector k is upper M_j^{k+1,eps} + lower M_j^{k,eps},
+    eps = (-1)^k, on the keys (-1, -1), (-1, 0), (1, 0), (1, 1), each added
+    into one zeroed array (no -0.0 parts); at k = 0 the two Y_j^0 entries
+    are one, on (-1, 0).  The keys do not depend on j, so one build serves a
+    HarmonicSpace and a DegreeStack.  The column norms of Q B - q B and
+    K3 B - B diag(k3) verify it in O(j) per degree; the first failing
+    vector, by degree and k, raises VerificationError with a diagnostic
+    against the joint-diagonalization oracle on its degree.
+    """
+    j, m = space.degrees, space.m_values()
+    inside = (m >= 0) & (m < (j + 1 if which == "F" else j))
+    k = np.where(inside, m, 0)
+    wide, narrow = np.sqrt((j + k + 1) / (2 * j + 1)), np.sqrt((j - k) / (2 * j + 1))
+    upper, lower = ((narrow, 1j * (-1.0) ** (j + k + 1) * wide) if which == "F"
+                    else (wide, 1j * (-1.0) ** (k + j) * narrow))
+    minus = np.full(k.shape, 1.0 / sqrt(2.0), dtype=complex)  # Y^{-m} entry of M^{m,eps}
+    plus = 1j * (-1) ** k / sqrt(2.0)                         # Y^{+m} entry of M^{m,eps}
+    minus_0, plus_0 = np.where(k == 0, minus + plus, minus), np.where(k == 0, 0.0, plus)
+    vals = np.zeros((4,) + k.shape, dtype=complex)
     vals += [minus * upper, minus_0 * lower, plus_0 * lower, plus * upper]
-    return [((-1, -1), vals[0]), ((-1, 0), vals[1]), ((1, 0), vals[2]), ((1, 1), vals[3])], k.size
+    # every target lies in -j..j: upper vanishes at k = j, and G stops at k = j - 1
+    b = Operator._keyed(space, dict(zip(((-1, -1), (-1, 0), (1, 0), (1, 1)), np.where(inside, vals, 0.0))))
 
-
-def _verified_fg_basis(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> LabeledBasis:
-    """The F or G family, eigen-verified against the closed-form actions of
-    the given Q and K3 (Operator.apply), in O(j^2) with no dense operator."""
-    j = space.j
-    q_eig = -(j + 0.5) if which == "F" else (j + 0.5)
-    terms, n = _fg_terms(space, which)
-    v, k = _columns(space, terms, n), np.arange(n)
-    k3_eigs = (-1.0) ** k * (k + 0.5)
-
-    rq = np.linalg.norm(q.apply(v) - q_eig * v, axis=0)
-    rk = np.linalg.norm(k3.apply(v) - v * k3_eigs, axis=0)
-    bad = np.flatnonzero(~(np.maximum(rq, rk) <= EIGEN_TOL))
+    q_eig = (-1.0 if which == "F" else 1.0) * (j + 0.5)
+    # B diag(k3): column m of every key times its K3 eigenvalue (-1)^m (m + 1/2)
+    b_k3 = Operator._keyed(space, {key: coef * (-1.0) ** m * (m + 0.5) for key, coef in b.terms.items()})
+    rq, rk = (np.sqrt(np.sum(np.abs(_entries(r)[1]) ** 2, axis=0))
+              for r in (q @ b - q_eig * b, k3 @ b - b_k3))
+    bad = np.argwhere(~(np.maximum(rq, rk) <= EIGEN_TOL))
     if bad.size:
-        kb = int(bad[0])
-        oracle = joint_diagonalize(q, k3)
-        overlaps = np.abs(oracle.matrix().conj().T @ v[:, kb])
+        (r, col), top = bad[0], space.j
+        j, kb = int(np.ravel(j)[r]), int(col - top)
+        one = (lambda a: a.at(j)) if isinstance(space, DegreeStack) else (lambda a: a)
+        overlaps = np.abs(joint_diagonalize(one(q), one(k3)).matrix().conj().T @ one(b).matrix[:, j + kb])
         raise VerificationError(
             f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: "
-            f"|Qv - qv| = {rq[kb]:.3e}, |K3v - k3v| = {rk[kb]:.3e} (tolerance {EIGEN_TOL}); "
+            f"|Qv - qv| = {rq[r, col]:.3e}, |K3v - k3v| = {rk[r, col]:.3e} (tolerance {EIGEN_TOL}); "
             f"best oracle overlap modulus {overlaps.max():.6f}"
         )
-    labels = [{"k": int(i), "q": q_eig, "k3": float(k3_eigs[i])} for i in k]
-    return LabeledBasis(space=space, family=which, coeffs=v, labels=labels)
+    return b
+
+
+def _fg_basis(b: Operator, which: str) -> LabeledBasis:
+    """The (2j+1, n) columns and labels of a keyed F or G of one degree."""
+    j = b.space.j
+    n, q_eig = (j + 1, -(j + 0.5)) if which == "F" else (j, j + 0.5)
+    labels = [{"k": k, "q": q_eig, "k3": (-1.0) ** k * (k + 0.5)} for k in range(n)]
+    return LabeledBasis(space=b.space, family=which, labels=labels,
+                        coeffs=_columns(b.space, [(key, c[j:j + n]) for key, c in b.terms.items()], n))
 
 
 def f_basis(space: HarmonicSpace) -> LabeledBasis:
@@ -254,11 +268,12 @@ def f_basis(space: HarmonicSpace) -> LabeledBasis:
             + i (-1)^{j+k+1} sqrt((j+k+1)/(2j+1)) M_j^{k,(-1)^k}.
 
     Every vector is eigen-verified against Q and K3 before being returned,
-    by applying their closed-form actions: O(j^2) time and memory, with no
-    dense operator.  Failure raises VerificationError with a diagnostic
-    against the joint-diagonalization oracle.
+    in keyed algebra on the four entries of each vector (O(j) time and
+    memory); only the returned (2j+1, j+1) columns are dense.  Failure
+    raises VerificationError with a diagnostic against the
+    joint-diagonalization oracle.
     """
-    return _verified_fg_basis(space, "F", supercharge(space), symmetry_generator(3, space))
+    return _fg_basis(_fg_operator(space, "F", supercharge(space), symmetry_generator(3, space)), "F")
 
 
 def g_basis(space: HarmonicSpace) -> LabeledBasis:
@@ -267,9 +282,9 @@ def g_basis(space: HarmonicSpace) -> LabeledBasis:
     G_j^k = sqrt((j+k+1)/(2j+1)) M_j^{k+1,(-1)^k}
             + i (-1)^{j+k} sqrt((j-k)/(2j+1)) M_j^{k,(-1)^k}.
 
-    Eigen-verified as f_basis is, in O(j^2).  Empty at j = 0.
+    Eigen-verified as f_basis is.  Empty at j = 0.
     """
-    return _verified_fg_basis(space, "G", supercharge(space), symmetry_generator(3, space))
+    return _fg_basis(_fg_operator(space, "G", supercharge(space), symmetry_generator(3, space)), "G")
 
 
 def closed_form_tridiagonal(family: str, j: int):
@@ -294,31 +309,31 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
 
     Checks that the matrix <b_k' | op | b_k> is real symmetric tridiagonal
     within EIGEN_TOL and that its entries equal the closed-form coefficients
-    for the basis family; mismatch raises VerificationError.
+    for the basis family; mismatch raises VerificationError.  It reads the
+    basis columns densely, in O(j^2): the Z basis (F W) has no keyed form,
+    and decompose reads the F and G blocks from their keys instead.
     """
     if basis.family not in ("F", "G", "Z"):
         raise ValueError(f"tridiagonal extraction expects an F/G/Z basis, got {basis.family!r}")
     v = basis.matrix()
     if v.shape[1] == 0:
         raise ValueError("cannot extract tridiagonal data from an empty basis")
-    return _tridiagonal_data(v.conj().T @ k1_op.apply(v), basis.family, basis.space.j)
+    t = v.conj().T @ k1_op.apply(v)
+    stray = np.abs(np.subtract.outer(np.arange(len(t)), np.arange(len(t)))) > 1
+    return _tridiagonal_data(t.diagonal().real.copy(), t.diagonal(1).real.copy(),
+                             float(np.max(np.abs(t[stray]), initial=0.0)),
+                             float(np.max(np.abs(t.imag))), basis.family, basis.space.j)
 
 
-def _tridiagonal_data(t, family: str, j: int) -> TridiagonalData:
-    """The matrix elements t of K1 in the family's basis, checked real
-    tridiagonal and equal to closed_form_tridiagonal (see tridiagonal_extract)."""
-    n = t.shape[0]
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    stray = float(np.max(np.abs(t[mask]), initial=0.0))
-    imag = float(np.max(np.abs(t.imag)))
+def _tridiagonal_data(diag, off, stray, imag, family: str, j: int) -> TridiagonalData:
+    """K1 in the family's basis from its diagonal, its off-diagonal
+    <b_k|K1|b_{k+1}>, its largest entry off the band and its largest
+    imaginary part: checked real tridiagonal and equal to the closed form."""
     if not (stray <= EIGEN_TOL and imag <= EIGEN_TOL):
         raise VerificationError(
             f"matrix is not real tridiagonal in the {family}-basis "
             f"(stray {stray:.3e}, imaginary {imag:.3e})"
         )
-    diag = t.diagonal().real.copy()
-    off = t.diagonal(1).real.copy()
-
     exp_diag, exp_off = closed_form_tridiagonal(family, j)
     dev = float(np.max(np.abs(np.concatenate((diag - exp_diag, off - exp_off)))))
     if not dev <= EIGEN_TOL:
@@ -326,7 +341,64 @@ def _tridiagonal_data(t, family: str, j: int) -> TridiagonalData:
             f"extracted tridiagonal data deviate from the closed form by {dev:.3e} "
             f"({family}-basis, j={j})"
         )
-    return TridiagonalData(diag=diag, offdiag=off, N=n)
+    return TridiagonalData(diag=diag, offdiag=off, N=len(diag))
+
+
+def _tridiagonal_blocks(t: Operator, family: str) -> list:
+    """_tridiagonal_data of t = B^H K1 B for the keyed F or G vectors B, read
+    from its keys in O(j): the diagonal is the key (1, 0), <b_k|K1|b_{k+1}>
+    the key (1, -1) at column k+1, and every other key is off the band.  One
+    per degree, None where the family is empty (G at j = 0)."""
+    keys, coefs = _entries(t, diagonals=(-1, 0, 1))
+    band = [keys.index((1, c)) for c in (-1, 0, 1)]
+    stray = np.max(np.abs(np.delete(coefs, band, axis=0)), axis=(0, 2), initial=0.0)
+    imag = np.max(np.abs(coefs.imag), axis=(0, 2), initial=0.0)
+    off, diag, top = coefs[band[0]].real, coefs[band[1]].real, t.space.j
+    return [_tridiagonal_data(diag[r, top:top + n], off[r, top + 1:top + n], stray[r], imag[r], family, j)
+            if (n := j + 1 if family == "F" else j) else None
+            for r, j in enumerate(np.ravel(t.space.degrees).tolist())]
+
+
+def _decomposition(ops: dict) -> list:
+    """decompose's report for every degree of the space of ops = {"Q", "K1",
+    "K2", "K3"}, from one round of keyed algebra.  F and G are eigen-verified
+    against Q and K3; completeness is the largest entry of F^H F - P_F,
+    G^H G - P_G and G^H F (P the (1, 0) projector onto a family's columns);
+    the off-block residual of O is that of G^H O F and F^H O G; the K1
+    blocks are F^H K1 F and G^H K1 G."""
+    space, m = ops["Q"].space, ops["Q"].space.m_values()
+    f, g = (_fg_operator(space, which, ops["Q"], ops["K3"]) for which in ("F", "G"))
+    fh, gh = adjoint(f), adjoint(g)
+    p_f, p_g = (Operator(space, {(1, 0): np.where((m >= 0) & (m < n), 1.0, 0.0)})
+                for n in (space.degrees + 1, space.degrees))
+    completeness = np.maximum.reduce([_max_abs(fh @ f - p_f), _max_abs(gh @ g - p_g), _max_abs(gh @ f)])
+    offblock = {}
+    for name, o in ops.items():
+        of, og = o @ f, o @ g
+        offblock[name] = np.maximum(_max_abs(gh @ of), _max_abs(fh @ og))
+        if name == "K1":
+            blocks = zip(_tridiagonal_blocks(fh @ of, "F"), _tridiagonal_blocks(gh @ og, "G"))
+    reports = []
+    for r, (f_tri, g_tri) in enumerate(blocks):
+        j = r if isinstance(space, DegreeStack) else space.j
+        report = {"j": j, "dims": [j + 1, j], "q_eigenvalues": [-(j + 0.5), j + 0.5],
+                  "completeness_residual": float(completeness[r]),
+                  "offblock_residuals": {name: float(res[r]) for name, res in offblock.items()},
+                  "f_block": {"diag": f_tri.diag.tolist(), "offdiag": f_tri.offdiag.tolist()},
+                  "offdiag_positive": bool(np.all(f_tri.offdiag > 0)),
+                  "block_label": "blocks are labeled by the supercharge eigenvalue: -(j+1/2) on the "
+                                 "(j+1)-dimensional block, +(j+1/2) on the j-dimensional block; the "
+                                 "-(N+1/2) label used on the polynomial side is this same supercharge "
+                                 "eigenvalue, not a separate operator"}
+        if j:
+            lower_diag, lower_off = closed_form_tridiagonal("F", j - 1)
+            report["g_block"] = {"diag": g_tri.diag.tolist(), "offdiag": g_tri.offdiag.tolist()}
+            report["offdiag_positive"] &= bool(np.all(g_tri.offdiag > 0))
+            report["g_matches_f_pattern_one_degree_lower"] = bool(
+                np.allclose(g_tri.diag, lower_diag, atol=EIGEN_TOL)
+                and np.allclose(g_tri.offdiag, lower_off, atol=EIGEN_TOL))
+        reports.append(report)
+    return reports
 
 
 def decompose(space: HarmonicSpace) -> dict:
@@ -337,57 +409,10 @@ def decompose(space: HarmonicSpace) -> dict:
     in the combined F+G basis, and the check that the G-block data equal
     the F-block pattern one dimension lower.
 
-    O(j^2) time and memory, with no dense operator: Q and the K_i act on F
-    and G by their closed-form actions (Operator.apply), and F^H X, G^H X
-    apply the adjoint of the F and G closed forms (operators._columns_adjoint),
-    all on contiguous slices.  Q and the K_i are built once, and F and G are
-    eigen-verified against the same Q and K3.  F is treated first, then G.
+    O(j) time and memory, with no dense array: F and G are keyed operators
+    with four entries per vector, eigen-verified against the same Q and K3,
+    and every residual is read from the keys of a product such as G^H Q F
+    (_decomposition, which verify runs on a stack of degrees).
     """
-    j = space.j
-    fg = {which: _fg_terms(space, which) for which in ("F", "G")}
-
-    def bra(which, x):
-        return _columns_adjoint(space, *fg[which], x)
-
-    def max_abs(x):
-        return float(np.max(np.abs(x), initial=0.0))
-
-    ops = {"Q": supercharge(space), **{f"K{i}": symmetry_generator(i, space) for i in (1, 2, 3)}}
-    completeness, offblock, k1 = 0.0, dict.fromkeys(ops, 0.0), {}
-    for which, other in (("F", "G"), ("G", "F")):
-        b = _verified_fg_basis(space, which, ops["Q"], ops["K3"]).matrix()
-        completeness = max(completeness, max_abs(bra(which, b) - np.eye(b.shape[1])),
-                           max_abs(bra(other, b)))
-        for name, o in ops.items():
-            x = o.apply(b)
-            if name == "K1":
-                k1[which] = bra(which, x)
-            offblock[name] = max(offblock[name], max_abs(bra(other, x)))
-            del x  # one action at a time
-        del b  # F's vectors are freed before G's are built
-
-    f_tri = _tridiagonal_data(k1["F"], "F", j)
-    report = {
-        "j": j,
-        "dims": [j + 1, j],
-        "q_eigenvalues": [-(j + 0.5), j + 0.5],
-        "completeness_residual": completeness,
-        "offblock_residuals": offblock,
-        "f_block": {"diag": f_tri.diag.tolist(), "offdiag": f_tri.offdiag.tolist()},
-        "offdiag_positive": bool(np.all(f_tri.offdiag > 0)),
-        "block_label": (
-            "blocks are labeled by the supercharge eigenvalue: -(j+1/2) on the "
-            "(j+1)-dimensional block, +(j+1/2) on the j-dimensional block; the "
-            "-(N+1/2) label used on the polynomial side is this same supercharge "
-            "eigenvalue, not a separate operator"
-        ),
-    }
-    if j:
-        g_tri = _tridiagonal_data(k1["G"], "G", j)
-        lower_diag, lower_off = closed_form_tridiagonal("F", j - 1)
-        report["g_block"] = {"diag": g_tri.diag.tolist(), "offdiag": g_tri.offdiag.tolist()}
-        report["offdiag_positive"] &= bool(np.all(g_tri.offdiag > 0))
-        report["g_matches_f_pattern_one_degree_lower"] = bool(
-            np.allclose(g_tri.diag, lower_diag, atol=EIGEN_TOL)
-            and np.allclose(g_tri.offdiag, lower_off, atol=EIGEN_TOL))
-    return report
+    return _decomposition({"Q": supercharge(space),
+                           **{f"K{i}": symmetry_generator(i, space) for i in (1, 2, 3)}})[0]

@@ -128,11 +128,17 @@ class Operator:
 
     def at(self, j: int) -> "Operator":
         """Degree j of an operator on a DegreeStack, on HarmonicSpace(j)."""
+        return self._window(j, j, HarmonicSpace)
+
+    def upto(self, j: int) -> "Operator":
+        """Degrees 0..j of an operator on a DegreeStack, on DegreeStack(j), as views."""
+        return self._window(slice(j + 1), j, DegreeStack)
+
+    def _window(self, rows, j, space):
         top = self.space.j
         if not (isinstance(self.space, DegreeStack) and 0 <= j <= top):
             raise ValueError(f"degree {j!r} is not in the stack {self.space}")
-        return Operator._keyed(HarmonicSpace(j), {k: v[j, top - j:top + j + 1]
-                                                  for k, v in self.terms.items()})
+        return Operator._keyed(space(j), {k: v[rows, top - j:top + j + 1] for k, v in self.terms.items()})
 
     def _one_degree(self):
         """(j, 2j+1) of an operator on one degree; ValueError on a DegreeStack."""
@@ -302,17 +308,6 @@ def _columns(space: HarmonicSpace, terms, n: int, first: int = 0) -> np.ndarray:
     return out
 
 
-def _columns_adjoint(space: HarmonicSpace, terms, n: int, x) -> np.ndarray:
-    """b^H x for b = _columns(space, terms, n), without b: each key adds
-    conj(coef) * x[rows] to out[cols].  einsum rounds each real product (numpy's
-    multiply may fuse them): the bits of np.einsum("rn,rc->nc", b.conj(), x)."""
-    out = np.zeros((n,) + np.shape(x)[1:], dtype=complex)
-    for (s, c), coef in terms:
-        cols, rows = _slices(space.j, s, c, n, 0)
-        out[cols] += np.einsum("n,n...->n...", coef[cols].conj(), x[rows])
-    return out
-
-
 def identity(space: HarmonicSpace) -> Operator:
     """Identity operator."""
     return Operator(space, {(1, 0): 1.0})
@@ -389,15 +384,17 @@ def adjoint(a: Operator) -> Operator:
     return Operator._keyed(a.space, out)
 
 
-def op_norm(a: Operator):
-    """Frobenius norm, read from the keys: a float, or on a DegreeStack an
-    array of one norm per degree.  Keys of one sign s never share an entry;
-    a diagonal key (1, c) and an anti-diagonal key (-1, c') share at most
-    the entry of column m = (c' - c)/2, which counts once, as the sum of the
-    two.  Each degree's norm is taken over its own (keys, 2j+1) block, so it
-    has the bits of the norm on that degree alone."""
-    j, keys, degrees = a.space.j, list(a.terms), np.ravel(a.space.degrees)
-    coefs = np.array(list(a.terms.values())).reshape(len(keys), degrees.size, 2 * j + 1)
+def _entries(a: Operator, diagonals=()):
+    """(keys, coefs): the keys of a and the diagonal keys (1, c), c in
+    diagonals, that it lacks, and a (keys, degrees, 2j+1) copy of their
+    coefficients that holds every entry once.  Keys of one sign never share
+    an entry; (1, c) and (-1, c') share the entry of column m = (c' - c)/2,
+    which moves into (1, c).  So entry (r, k) is coef_(1,r-k)[k] +
+    coef_(-1,r+k)[k], read once."""
+    j, shape = a.space.j, (np.size(a.space.degrees), 2 * a.space.j + 1)
+    keys = list(a.terms) + [(1, c) for c in diagonals if (1, c) not in a.terms]
+    coefs = np.zeros((len(keys),) + shape, dtype=complex)
+    coefs[:len(a.terms)] = np.reshape(list(a.terms.values()), (-1,) + shape)
     anti = [(y, c) for y, (s, c) in enumerate(keys) if s == -1]
     for x, (s, c) in enumerate(keys):
         for y, c_anti in anti if s == 1 else ():
@@ -405,6 +402,16 @@ def op_norm(a: Operator):
             if (c_anti - c) % 2 == 0 and 0 <= i <= 2 * j:
                 coefs[x, :, i] += coefs[y, :, i]
                 coefs[y, :, i] = 0.0
+    return keys, coefs
+
+
+def op_norm(a: Operator):
+    """Frobenius norm, read from the keys with every entry once (_entries):
+    a float, or on a DegreeStack an array of one norm per degree.  Each
+    degree's norm is taken over its own (keys, 2j+1) block, so it has the
+    bits of the norm on that degree alone."""
+    j, degrees = a.space.j, np.ravel(a.space.degrees)
+    coefs = _entries(a)[1]
     norms = [float(np.linalg.norm(coefs[:, r, j - d:j + d + 1])) for r, d in enumerate(degrees)]
     return np.array(norms) if np.ndim(a.space.degrees) else norms[0]
 

@@ -533,8 +533,10 @@ def _q_in_m_basis(js, run):
 
 @_check("eigenbases.closed_form_eigen", 20, 1e-10, "matches joint-diagonalization oracle, j <= {top}")
 def _closed_form_eigen(js, run):
+    q, k3 = run.s.q.upto(js[-1]), run.s.k3.upto(js[-1])
+    f, g = (eb._fg_operator(q.space, which, q, k3) for which in ("F", "G"))
     for j in js:
-        fb, gb = eb.f_basis(HarmonicSpace(j)), eb.g_basis(HarmonicSpace(j))
+        fb, gb = eb._fg_basis(f.at(j), "F"), eb._fg_basis(g.at(j), "G")
         oracle = eb.joint_diagonalize(run.o.q.at(j), run.o.k3.at(j))
         t = np.column_stack([fb.matrix(), gb.matrix()])
         yield float(np.max(np.abs(t.conj().T @ t - np.eye(2 * j + 1))))
@@ -548,21 +550,20 @@ def _closed_form_eigen(js, run):
 
 @_check("eigenbases.tridiagonal_data", 20, 1e-10, "matches closed forms, j <= {top}")
 def _tridiagonal_data(js, run):
-    for j in js:
-        for basis in (eb.f_basis(HarmonicSpace(j)), eb.g_basis(HarmonicSpace(j))):
-            if not len(basis):
-                continue
-            data = eb.tridiagonal_extract(run.o.k1.at(j), basis)
-            exp_d, exp_o = eb.closed_form_tridiagonal(basis.family, j)
-            yield float(np.max(np.abs(data.diag - exp_d)))
-            if len(exp_o):
-                yield float(np.max(np.abs(data.offdiag - exp_o)))
+    # F and G eigen-verified against the closed forms, K1 from the product oracle
+    q, k3, k1 = run.s.q.upto(js[-1]), run.s.k3.upto(js[-1]), run.o.k1.upto(js[-1])
+    for which in ("F", "G"):
+        b = eb._fg_operator(k1.space, which, q, k3)
+        for j, data in enumerate(eb._tridiagonal_blocks(op.adjoint(b) @ (k1 @ b), which)):
+            if data is not None:
+                exp_d, exp_o = eb.closed_form_tridiagonal(which, j)
+                yield float(np.max(np.abs(np.concatenate((data.diag - exp_d, data.offdiag - exp_o)))))
 
 
 @_check("eigenbases.block_structure", 20, 1e-10, "invariant blocks, sizes (j+1, j), j <= {top}")
 def _block_structure(js, run):
-    for j in js:
-        report = eb.decompose(HarmonicSpace(j))
+    for j, report in enumerate(eb._decomposition({name: getattr(run.s, name.lower()).upto(js[-1])
+                                                  for name in ("Q", "K1", "K2", "K3")})):
         yield report["completeness_residual"]
         yield from report["offblock_residuals"].values()
         if not report["offdiag_positive"]:

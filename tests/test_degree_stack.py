@@ -28,12 +28,15 @@ from rotorsusy import (
     supercharge_alt,
     symmetry_generator,
 )
+from rotorsusy.eigenbases import _fg_operator
 
 _BUILDERS = {"J+": jplus, "J-": jminus, "J1": j1, "J2": j2, "J3": j3,
              **{f"R{i}": (lambda space, i=i: reflection(i, space)) for i in (1, 2, 3)},
              "I": identity, "H": hamiltonian, "Q": supercharge, "Q'": supercharge_alt,
              **{f"K{i}": (lambda space, i=i: symmetry_generator(i, space)) for i in (1, 2, 3)},
-             "C": casimir}
+             "C": casimir,
+             **{which: (lambda space, which=which: _fg_operator(
+                 space, which, supercharge(space), symmetry_generator(3, space))) for which in "FG"}}
 
 
 def _assert_same_bits(got: Operator, want: Operator, msg=""):
@@ -80,6 +83,18 @@ def test_op_norm_gives_one_norm_per_degree_and_at_checks_its_degree():
         q.at(6)
     with pytest.raises(ValueError, match="not in the stack"):
         supercharge(HarmonicSpace(2)).at(2)
+    # upto(j) is degrees 0..j on DegreeStack(j), as views of the stack
+    low = q.upto(3)
+    assert low.space == DegreeStack(3)
+    for j in range(4):
+        _assert_same_bits(low.at(j), q.at(j))
+    assert all(np.shares_memory(low.terms[key], q.terms[key]) for key in q.terms)
+    _assert_same_bits(q.upto(5), q)
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="not in the stack"):
+            q.upto(bad)
+    with pytest.raises(ValueError, match="not in the stack"):
+        supercharge(HarmonicSpace(2)).upto(2)
     with pytest.raises(ValueError, match="mismatch"):
         q + supercharge(DegreeStack(4))
     # a stack has no single matrix: apply, .matrix and spectrum take one degree

@@ -4,14 +4,18 @@ from numpy.testing import assert_allclose
 
 from rotorsusy import (
     ContractViolation,
+    DegreeStack,
     HarmonicSpace,
     LabeledBasis,
+    Operator,
     TridiagonalData,
     VerificationError,
+    adjoint,
     closed_form_tridiagonal,
     decompose,
     f_basis,
     g_basis,
+    identity,
     j3,
     joint_diagonalize,
     m_basis,
@@ -21,7 +25,7 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
-from rotorsusy.eigenbases import _verified_fg_basis
+from rotorsusy.eigenbases import _fg_operator, _tridiagonal_blocks
 
 
 def test_m_basis_order_and_eigenvalues():
@@ -241,9 +245,9 @@ def test_eigen_verification_reports_the_first_failing_vector():
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
-        _verified_fg_basis(space, "F", -supercharge(space), k3)
-    passed = _verified_fg_basis(space, "F", supercharge(space), k3)
-    np.testing.assert_array_equal(passed.matrix(), f_basis(space).matrix())
+        _fg_operator(space, "F", -supercharge(space), k3)
+    passed = _fg_operator(space, "F", supercharge(space), k3)
+    np.testing.assert_array_equal(passed.matrix[:, 2:], f_basis(space).matrix())
 
 
 def _dense_decompose(space):
@@ -266,9 +270,18 @@ def _dense_decompose(space):
     return completeness, offblock, blocks
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 5, 64, 256])
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 20, 64, 256, 2000])
 def test_decompose_matches_dense_products(j):
     report = decompose(HarmonicSpace(j))
+    if j == 2000:
+        # dense products take seconds here: the closed forms and the bound only
+        assert report["completeness_residual"] <= 1e-10
+        assert all(r <= 1e-10 for r in report["offblock_residuals"].values())
+        for key, family in (("f_block", "F"), ("g_block", "G")):
+            diag, off = closed_form_tridiagonal(family, j)
+            assert_allclose(report[key]["diag"], diag, rtol=0, atol=1e-10)
+            assert_allclose(report[key]["offdiag"], off, rtol=0, atol=1e-10)
+        return
     completeness, offblock, blocks = _dense_decompose(HarmonicSpace(j))
     assert abs(report["completeness_residual"] - completeness) <= 1e-13
     assert report["offblock_residuals"].keys() == offblock.keys()
@@ -278,3 +291,47 @@ def test_decompose_matches_dense_products(j):
     for key, tri in blocks.items():
         assert_allclose(report[key]["diag"], tri.diag, rtol=1e-13, atol=1e-13)
         assert_allclose(report[key]["offdiag"], tri.offdiag, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("j", range(13))
+def test_keyed_fg_columns_are_the_basis_columns(j):
+    space = HarmonicSpace(j)
+    for which, build, n in (("F", f_basis, j + 1), ("G", g_basis, j)):
+        dense = _fg_operator(space, which, supercharge(space), symmetry_generator(3, space)).matrix
+        # vector k is column j + k, byte for byte; every other column is zero
+        assert dense[:, j:j + n].tobytes() == build(space).matrix().tobytes()
+        assert not np.any(np.delete(dense, np.s_[j:j + n], axis=1))
+
+
+def test_stacked_eigen_verification_reports_the_first_failing_degree():
+    stack = DegreeStack(5)
+    q, k3 = supercharge(stack), symmetry_generator(3, stack)
+    # Q shifted by 1e-6 at degree 3 alone: degrees 0..2 pass, 3 is reported
+    shift = np.zeros((6, 11))
+    shift[3] = 1e-6
+    shifted = q + Operator(stack, {(1, 0): shift})
+    with pytest.raises(VerificationError, match=r"F-basis closed form failed "
+                       r"eigen-verification at j=3, k=0: .*best oracle overlap modulus 1\.0"):
+        _fg_operator(stack, "F", shifted, k3)
+    # K3 + 1e-9 fails through its own residual; G is empty at j = 0
+    with pytest.raises(VerificationError, match=r"G-basis .* at j=1, k=0: .*\|K3v - k3v\| = 1\.000e-09"):
+        _fg_operator(stack, "G", q, k3 + 1e-9 * identity(stack))
+
+
+@pytest.mark.parametrize("space", [HarmonicSpace(6), DegreeStack(6)], ids=["one degree", "stack"])
+def test_keyed_k1_blocks_reject_stray_and_imaginary_entries(space):
+    q, k1, k3 = supercharge(space), symmetry_generator(1, space), symmetry_generator(3, space)
+    f = _fg_operator(space, "F", q, k3)
+    t = adjoint(f) @ (k1 @ f)
+    last = _tridiagonal_blocks(t, "F")[-1]
+    assert_allclose(last.diag, closed_form_tridiagonal("F", 6)[0], rtol=0, atol=1e-13)
+    assert_allclose(last.offdiag, closed_form_tridiagonal("F", 6)[1], rtol=0, atol=1e-13)
+    # an entry two off the band from j = 2 on, then an imaginary diagonal
+    m, j = space.m_values(), space.degrees
+    stray = Operator(space, {(1, 2): np.where((m >= 0) & (m + 2 <= j), 1e-6, 0.0)})
+    with pytest.raises(VerificationError, match=r"not real tridiagonal in the F-basis "
+                       r"\(stray 1\.000e-06, imaginary [0-9.]+e[-+][0-9]+\)"):
+        _tridiagonal_blocks(t + stray, "F")
+    imaginary = Operator(space, {(1, 0): np.where(m >= 0, 1e-6j, 0.0)})
+    with pytest.raises(VerificationError, match=r"\(stray 0\.000e\+00, imaginary 1\.000e-06\)"):
+        _tridiagonal_blocks(t + imaginary, "F")

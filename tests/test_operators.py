@@ -25,8 +25,7 @@ from rotorsusy import (
 )
 from rotorsusy import (casimir, f_basis, g_basis, supercharge, supercharge_alt,
                        symmetry_generators)
-from rotorsusy.eigenbases import _fg_terms
-from rotorsusy.operators import _columns_adjoint
+from rotorsusy.eigenbases import _fg_operator
 
 
 def test_j3_matrix_entries():
@@ -337,12 +336,13 @@ def test_fg_adjoint_equals_the_dense_bra(j):
     rng = np.random.default_rng(j)
     x = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
     for which, n in (("F", j + 1), ("G", j)):
-        terms, size = _fg_terms(space, which)
-        assert size == n
-        b = _looped_columns(space, terms, n, 0)
+        keyed = _fg_operator(space, which, supercharge(space), symmetry_generators(space)[2])
+        b = _looped_columns(space, [(key, coef[j:j + n]) for key, coef in keyed.terms.items()], n, 0)
         assert_array_equal(b, {"F": f_basis, "G": g_basis}[which](space).matrix())
-        got = _columns_adjoint(space, terms, n, x)
-        assert_allclose(got, b.conj().T @ x, rtol=0, atol=1e-14 * np.abs(x).max())
-        # bit for bit the dense contraction with einsum's unfused complex products
-        assert_array_equal(got, np.einsum("rn,rc->nc", b.conj(), x))
-        assert_allclose(_columns_adjoint(space, terms, n, b), np.eye(n), atol=1e-15)
+        # the keyed adjoint acts as the dense bra b^H on the rows of the
+        # family's columns j..j+n-1, and sends x nowhere else
+        got = adjoint(keyed).apply(x)
+        assert_allclose(got[j:j + n], b.conj().T @ x, rtol=0, atol=1e-14 * np.abs(x).max())
+        assert_array_equal(np.delete(got, np.s_[j:j + n], axis=0), 0.0)
+        projector = np.diag(np.r_[np.zeros(j), np.ones(n), np.zeros(j + 1 - n)])
+        assert_allclose((adjoint(keyed) @ keyed).matrix, projector, atol=1e-15)

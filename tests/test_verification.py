@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -91,13 +92,15 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     # Python's max(0.0, nan) is 0.0: a NaN residual folded that way is
     # dropped, and the check passes on the residuals that are left.  The
     # NaN comes after finite residuals of j = 0, so no fold starts on it.
-    right_decompose, right_norm = eigenbases.decompose, operators.op_norm
+    # block_structure reads the reports of all its degrees from one stacked
+    # _decomposition, the helper behind decompose
+    right_decomposition, right_norm = eigenbases._decomposition, operators.op_norm
 
-    def decompose(space):
-        report = right_decompose(space)
-        return dict(report, completeness_residual=math.nan) if space.j == 2 else report
+    def decomposition(ops):
+        return [dict(report, completeness_residual=math.nan) if report["j"] == 2 else report
+                for report in right_decomposition(ops)]
 
-    monkeypatch.setattr(eigenbases, "decompose", decompose)
+    monkeypatch.setattr(eigenbases, "_decomposition", decomposition)
     # on a DegreeStack, dim and op_norm hold one entry per degree
     monkeypatch.setattr(operators, "op_norm",
                         lambda a: np.where(a.space.dim > 1, math.nan, right_norm(a)))
@@ -122,16 +125,16 @@ def test_empty_range_rows_pass_at_their_declared_tolerance(j_max, n_empty):
         assert c.detail == f"empty range (j_max < {declared[c.name].first})"
 
 
-def _at_degree_17(build, change):
-    """build, with change(coef) applied to degree 17 of the key (1, 0) of
-    every stacked result that holds degree 17."""
+def _at_degree(build, change, degree=17, key=(1, 0)):
+    """build, with change(coef) applied to the given degree of the key of
+    every stacked result that holds that degree."""
     def faulty(space):
         op = build(space)
-        if np.ndim(space.degrees) == 0 or space.j < 17:
+        if np.ndim(space.degrees) == 0 or space.j < degree:
             return op
-        coef = np.array(op.terms[1, 0])
-        change(coef[17, space.j - 17:space.j + 18])
-        return Operator(space, {**op.terms, (1, 0): coef})
+        coef = np.array(op.terms[key])
+        change(coef[degree, space.j - degree:space.j + degree + 1])
+        return Operator(space, {**op.terms, key: coef})
     return faulty
 
 
@@ -140,7 +143,7 @@ def test_a_fault_at_one_degree_fails_only_from_that_degree(monkeypatch):
 
     def perturbed(space):
         k1, k2, k3 = right(space)
-        return k1, k2, _at_degree_17(lambda space: k3, lambda c: c.__iadd__(1e-6))(space)
+        return k1, k2, _at_degree(lambda space: k3, lambda c: c.__iadd__(1e-6))(space)
 
     monkeypatch.setattr(susy, "symmetry_generators", perturbed)
     assert run_verification(16, suite_filter="susy").all_passed
@@ -151,7 +154,7 @@ def test_a_fault_at_one_degree_fails_only_from_that_degree(monkeypatch):
 
 
 def test_a_nan_at_one_degree_fails_its_stacked_check(monkeypatch):
-    monkeypatch.setattr(operators, "j3", _at_degree_17(operators.j3, lambda c: c.fill(math.nan)))
+    monkeypatch.setattr(operators, "j3", _at_degree(operators.j3, lambda c: c.fill(math.nan)))
     assert run_verification(16, suite_filter="operators").all_passed
     checks = {c.name: c for c in run_verification(17, suite_filter="operators").checks}
     for name in ("operators.so3_commutators", "operators.ladder_relations",
@@ -177,3 +180,89 @@ def test_the_susy_suite_runs_its_algebra_once_for_all_degrees(monkeypatch):
         assert run_verification(j_max, suite_filter="susy").all_passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _k1_at_degree(monkeypatch, change, degree=7):
+    """Apply change(coef) to one degree of the key (-1, 0) of both stacked
+    K1s: the closed form and the product oracle."""
+    right_generators, right_oracle = susy.symmetry_generators, verification._product_operators
+
+    def generators(space):
+        k1, k2, k3 = right_generators(space)
+        return _at_degree(lambda space: k1, change, degree, (-1, 0))(space), k2, k3
+
+    def oracle(space):
+        bundle = right_oracle(space)
+        faulty = _at_degree(lambda space: bundle.k1, change, degree, (-1, 0))
+        return dataclasses.replace(bundle, k1=faulty(space))
+
+    monkeypatch.setattr(susy, "symmetry_generators", generators)
+    monkeypatch.setattr(verification, "_product_operators", oracle)
+
+
+_STACKED = ("eigenbases.tridiagonal_data", "eigenbases.block_structure")
+
+
+def test_a_fault_in_the_stacked_k1_fails_the_eigenbases_checks_from_its_degree(monkeypatch):
+    # K1 + 1e-6 R1 at degree 7 stays self-adjoint but leaves the F/G blocks
+    _k1_at_degree(monkeypatch, lambda c: c.__iadd__(1e-6))
+    assert run_verification(6, suite_filter="eigenbases").all_passed
+    for j_max in (7, 20):
+        checks = {c.name: c for c in run_verification(j_max, suite_filter="eigenbases").checks}
+        for name in _STACKED:
+            assert not checks[name].passed, (j_max, name)
+            assert "(F-basis, j=7)" in checks[name].detail, (j_max, name)
+
+
+def test_the_eigenbases_checks_cut_the_shared_stack_to_their_range(monkeypatch):
+    # the susy checks stretch the run's stack to j = 25; a fault there is
+    # outside the eigenbases checks' range j <= 20
+    _k1_at_degree(monkeypatch, lambda c: c.__iadd__(1e-6), degree=25)
+    checks = {c.name: c for c in run_verification(25).checks}
+    assert not checks["susy.anticommutator_algebra"].passed
+    for name in _STACKED + ("eigenbases.closed_form_eigen",):
+        assert checks[name].passed, name
+
+
+def test_a_nan_at_one_degree_fails_the_stacked_eigenbases_checks(monkeypatch):
+    with monkeypatch.context() as patch:
+        _k1_at_degree(patch, lambda c: c.fill(math.nan))
+        assert run_verification(6, suite_filter="eigenbases").all_passed
+        checks = {c.name: c for c in run_verification(7, suite_filter="eigenbases").checks}
+        # the self-adjoint gate of each bundle rejects the NaN first
+        for name in _STACKED:
+            assert not checks[name].passed, name
+            assert "not self-adjoint (deviation nan)" in checks[name].detail, name
+    # a NaN in one degree's residuals reaches the fold, which keeps it
+    right_max_abs = eigenbases._max_abs
+
+    def max_abs(a):
+        top = right_max_abs(a)
+        return np.where(np.arange(top.size) == 7, math.nan, top)
+
+    monkeypatch.setattr(eigenbases, "_max_abs", max_abs)
+    assert run_verification(6, suite_filter="eigenbases").all_passed
+    check = {c.name: c for c in run_verification(7, suite_filter="eigenbases").checks}[
+        "eigenbases.block_structure"]
+    assert not check.passed
+    assert math.isnan(check.residual)
+
+
+def test_the_stacked_eigenbases_checks_run_their_algebra_once_for_all_degrees(monkeypatch):
+    # one round of algebra per degree would scale these counts with j_max
+    current, calls = [None], []
+    right_run, right_matmul = verification._run_check, Operator.__matmul__
+
+    def run_check(check, j_max, run):
+        current[0] = check.name
+        return right_run(check, j_max, run)
+
+    monkeypatch.setattr(verification, "_run_check", run_check)
+    monkeypatch.setattr(Operator, "__matmul__", lambda a, b: calls.append(current[0]) or right_matmul(a, b))
+    counts = []
+    for j_max in (10, 20):
+        calls.clear()
+        assert run_verification(j_max, suite_filter="eigenbases").all_passed
+        counts.append([calls.count(name) for name in _STACKED])
+    assert counts[0] == counts[1]
+    assert all(counts[0])
