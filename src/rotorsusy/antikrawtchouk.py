@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigenbases import LabeledBasis, f_basis
+from .eigenbases import LabeledBasis, _fg_operator, _fg_transpose, f_basis
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace, build_grid, harmonic_values
 from .susy import supercharge, symmetry_generator
@@ -279,20 +279,14 @@ def weights(N: int) -> WeightTable:
     )
 
 
-def _permuted_f_values(N: int, quad) -> np.ndarray:
-    """Point values of Z_N^k: the F-basis functions evaluated at the
-    cyclically permuted point (x2, x3, (-1)^{N+1} x1), shape (N+1,) + mesh."""
-    space = HarmonicSpace(N)
-    theta_mesh, phi_mesh = quad.mesh()
-    st = np.sin(theta_mesh)
-    p1 = st * np.cos(phi_mesh)
-    p2 = st * np.sin(phi_mesh)
-    p3 = np.cos(theta_mesh)
-    q3 = (-1.0) ** (N + 1) * p1
-    theta_p = np.arccos(np.clip(q3, -1.0, 1.0))
-    phi_p = np.arctan2(p3, p2)
-    yv = harmonic_values(space, theta=theta_p, phi=phi_p)
-    return np.einsum("ak,a...->k...", f_basis(space).matrix(), yv)
+def _permuted_f_values(f, quad) -> np.ndarray:
+    """Point values of Z_N^k, shape (N+1,) + mesh: F^T (_fg_transpose, for the
+    keyed F of degree N) times the harmonic values at the cyclically permuted
+    point (x2, x3, (-1)^{N+1} x1) of each mesh point, with no dense F."""
+    theta, phi = quad.mesh()
+    x1, x2, x3 = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+    theta_p = np.arccos(np.clip((-1.0) ** (f.space.j + 1) * x1, -1.0, 1.0))
+    return _fg_transpose(f, harmonic_values(f.space, theta=theta_p, phi=np.arctan2(x3, x2)))
 
 
 def z_basis(N: int) -> LabeledBasis:
@@ -333,19 +327,23 @@ def z_basis(N: int) -> LabeledBasis:
 def overlaps_via_integral(N: int) -> OverlapMatrix:
     """Overlap matrix W[n, k] = integral of F_N^n conj(Z_N^k) by quadrature.
 
-    Both families enter as point values (the Z functions are the permuted
-    F functions evaluated directly, not re-projected coefficients).  This
-    is the oracle of overlaps_via_recurrence and z_basis.  Supported range:
-    bounded by memory, not by the harmonics, which are right at every
-    degree: it builds dense (2N+1, N+1, 4N+2) complex harmonic stacks,
-    16 (2N+1)(N+1)(4N+2) bytes each, 1.0 GiB at N = 200.
+    The oracle of overlaps_via_recurrence and z_basis: both families enter as
+    point values of harmonics and the closed-form F, with no Jacobi or recurrence
+    data.  With F keyed and eigen-verified, and Y, w the harmonic values and
+    weights on the grid, W = F^T G for G = (Y w) conj(Z)^T, one (2N+1, N+1) GEMM
+    over the mesh; both F^T products read one view of the values per key
+    (_fg_transpose).  Supported range: bounded by memory, not by the harmonics:
+    the dense (2N+1, N+1, 4N+2) complex harmonic stacks, built one at a time,
+    take 16 (2N+1)(N+1)(4N+2) bytes each, 1.0 GiB at N = 200.
     """
-    space = HarmonicSpace(N)
-    quad = build_grid(N)
-    zvals = _permuted_f_values(N, quad)
-    fvals = np.einsum("ak,a...->k...", f_basis(space).matrix(), harmonic_values(space, quad))
-    W = np.einsum("ntp,ktp,tp->nk", fvals, np.conj(zvals), quad.weight_mesh)
-    return OverlapMatrix(N=int(N), W=W, method="integral")
+    space, quad = HarmonicSpace(N), build_grid(N)
+    f = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space))
+    zvals = _permuted_f_values(f, quad)
+    np.conj(zvals, out=zvals)
+    yw = harmonic_values(space, quad)
+    yw *= quad.weight_mesh
+    g = yw.reshape(2 * N + 1, -1) @ zvals.reshape(N + 1, -1).T
+    return OverlapMatrix(N=int(N), W=_fg_transpose(f, g), method="integral")
 
 
 def overlaps_via_recurrence(N: int) -> OverlapMatrix:

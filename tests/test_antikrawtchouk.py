@@ -29,6 +29,7 @@ from rotorsusy import (
     z_basis,
 )
 from rotorsusy.antikrawtchouk import QUAD_TOL, grid
+from rotorsusy.harmonics import build_grid, harmonic_values
 from rotorsusy.verification import _exact_weights
 
 
@@ -205,7 +206,7 @@ def test_second_generator_tridiagonal_on_permuted_basis():
     assert_allclose(tri.offdiag, off_u, atol=1e-9)
 
 
-@pytest.mark.parametrize("N", [*range(1, 13), 39])
+@pytest.mark.parametrize("N", [*range(1, 13), 30, 39])
 def test_overlap_duality(N):
     wi = overlaps_via_integral(N)
     wr = overlaps_via_recurrence(N)
@@ -216,6 +217,26 @@ def test_overlap_duality(N):
     # row zero is the weight row: |omega_k|^2 = w_k
     wt = weights(N)
     assert_allclose(np.abs(wi.W[0]) ** 2, wt.derived, atol=1e-8)
+
+
+def _dense_integral_w(N):
+    """W by the dense formula: the F matrix contracted with the harmonic
+    values on the grid and at the permuted points, then the three-operand
+    weighted sum over the mesh."""
+    space, quad = HarmonicSpace(N), build_grid(N)
+    theta, phi = quad.mesh()
+    x1, x2, x3 = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+    permuted = harmonic_values(space, theta=np.arccos(np.clip((-1.0) ** (N + 1) * x1, -1.0, 1.0)),
+                               phi=np.arctan2(x3, x2))
+    f = f_basis(space).matrix()
+    zvals = np.einsum("ak,a...->k...", f, permuted)
+    fvals = np.einsum("ak,a...->k...", f, harmonic_values(space, quad))
+    return np.einsum("ntp,ktp,tp->nk", fvals, np.conj(zvals), quad.weight_mesh)
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), 30, 40])
+def test_integral_overlaps_equal_the_dense_f_formula(N):
+    assert_allclose(overlaps_via_integral(N).W, _dense_integral_w(N), rtol=0, atol=1e-14)
 
 
 def test_overlap_rows_follow_recurrence():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import HarmonicSpace, decompose, f_basis, spectrum, supercharge
+from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
 from rotorsusy.cli import _emit, _json_chunks, main
 
 
@@ -337,17 +337,20 @@ def _traced_peak_mib(run_op):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, limit_mib",
-                         [("decompose", 2.0), ("f_basis", 8.0), ("spectrum", 10.0)])
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 8.0),
+                                             ("spectrum", 10.0), ("overlaps_via_integral", 8.0)])
 def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # gathered (2j+1, n) copies per term and a (4, n, n) bra stack peaked
     # at 22.4 and 10.3 MiB, and a dense m - m^H check at 12.2 MiB; slices
     # leave one temporary per term, and the check works on row blocks.
     # decompose on dense (2j+1, n) bases peaked at 8.4 MiB; keyed, it holds
-    # O(j) coefficients and peaks under 1 MiB
+    # O(j) coefficients and peaks under 1 MiB.  overlaps_via_integral(30)
+    # peaks at 7.5 MiB (7.1 with the dense F), and gathered copies of the
+    # harmonic rows per key would take it to 9.0
     run_op = {"decompose": lambda: decompose(HarmonicSpace(256)),
               "f_basis": lambda: f_basis(HarmonicSpace(256)),
-              "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256)))}[name]
+              "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256))),
+              "overlaps_via_integral": lambda: overlaps_via_integral(30)}[name]
     assert _traced_peak_mib(run_op) <= limit_mib
 
 
@@ -366,10 +369,11 @@ _GOLDEN_SHA256 = {
     # the 130 K1 block entries moved in their last bits
     ("decompose", "64"):
         "789ce73d998db575fbaefcd60adc9644a1094abdf23437f7a74a8c9fa33316cb",
-    # taken again when the reflection-product oracle moved onto the keyed
-    # algebra: its sums run in another order, and 5 residuals moved in the last bits
+    # taken again when the integral-route overlaps moved onto the keyed F and
+    # one GEMM: its sums run in another order, and overlaps.unitarity and
+    # overlaps.duality moved down in the last bits
     ("verify", "--jmax", "3"):
-        "f9d3ed181b0b6e57b11d0a1f7a6dd3df2938af52efc1bf88f1aa1a45da252581",
+        "3ebaef0bef945d84ae4e07a991c780da7cd429c859b9d9d447975ea8d7e96302",
 }
 
 

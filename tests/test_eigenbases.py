@@ -25,7 +25,7 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
-from rotorsusy.eigenbases import _fg_operator, _tridiagonal_blocks
+from rotorsusy.eigenbases import _fg_operator, _fg_transpose, _tridiagonal_blocks, _tridiagonal_data
 
 
 def test_m_basis_order_and_eigenvalues():
@@ -248,6 +248,43 @@ def test_eigen_verification_reports_the_first_failing_vector():
         _fg_operator(space, "F", -supercharge(space), k3)
     passed = _fg_operator(space, "F", supercharge(space), k3)
     np.testing.assert_array_equal(passed.matrix[:, 2:], f_basis(space).matrix())
+
+
+def test_eigen_verification_names_the_failing_vector_when_the_oracle_raises():
+    space = HarmonicSpace(3)
+    # -K3 has eigenvalues off (-1)^k (k+1/2), so the joint-diagonalization
+    # oracle raises; its text follows the diagnostic instead of replacing it
+    with pytest.raises(VerificationError, match=r"F-basis closed form failed eigen-verification "
+                       r"at j=3, k=0: \|Qv - qv\| = .*, \|K3v - k3v\| = 1\.000e\+00 .*; "
+                       r"oracle unavailable: K3 eigenvalue -2\.5\d* is not of the form"):
+        _fg_operator(space, "F", supercharge(space), -symmetry_generator(3, space))
+
+
+def test_block_faults_raise_while_the_blocks_are_read():
+    # so decompose's offdiag_positive and g_matches_f_pattern_one_degree_lower
+    # are True in every report it returns
+    diag, off = closed_form_tridiagonal("F", 3)
+    for bad in (np.r_[off[:-1], 0.0], -off):
+        with pytest.raises(VerificationError, match="strictly positive"):
+            TridiagonalData(diag=diag, offdiag=bad, N=4)
+    for j in range(1, 40):
+        g, f_lower = closed_form_tridiagonal("G", j), closed_form_tridiagonal("F", j - 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g, f_lower))
+    g_diag, g_off = closed_form_tridiagonal("G", 4)
+    assert _tridiagonal_data(g_diag, g_off, 0.0, 0.0, "G", 4).N == 4
+    with pytest.raises(VerificationError, match=r"deviate from the closed form .*\(G-basis, j=4\)"):
+        _tridiagonal_data(g_diag, g_off + 1e-9, 0.0, 0.0, "G", 4)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 7, 30])
+def test_keyed_f_transpose_is_the_dense_product(j):
+    space = HarmonicSpace(j)
+    f = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space))
+    rng = np.random.default_rng(j)
+    for shape in ((2 * j + 1,), (2 * j + 1, 3, 2)):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expect = np.tensordot(f_basis(space).matrix(), v, axes=(0, 0))
+        assert_allclose(_fg_transpose(f, v), expect, rtol=0, atol=1e-14)
 
 
 def _dense_decompose(space):
