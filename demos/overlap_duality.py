@@ -5,7 +5,7 @@ Z of the same branch.  The overlap matrix between them can be computed by
 spherical quadrature, or written in closed form from the eigenvectors of the
 polynomial recurrence's Jacobi matrix times one sign per column.  The two
 constructions agree to machine precision, and the squared moduli of the
-first row reproduce the orthogonality weights.
+first row reproduce the closed-form orthogonality weights.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ def main():
 
     wt = weights(N)
     print()
-    print("|first row|^2 vs derived weights:")
+    print("|first row|^2 vs closed-form weights:")
     print(" ", np.array2string(np.abs(wi.W[0]) ** 2, precision=8))
     print(" ", np.array2string(wt.derived, precision=8))
 

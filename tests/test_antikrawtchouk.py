@@ -1,5 +1,6 @@
 """Recurrence data, weights, the permuted eigenbasis, and overlap duality."""
 
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
-    ContractViolation,
     HarmonicSpace,
     OverlapMatrix,
     VerificationError,
@@ -112,13 +112,10 @@ def test_monic_table_rows_match_pointwise_evaluation(N):
 def test_weights_frozen_small_cases():
     wt = weights(2)
     assert_allclose(wt.derived, [0.25, 0.125, 0.625])
-    assert_allclose(wt.closed_form, [1.0, -1.0, 10.0])
-    assert wt.discrepant is True
-    assert_allclose(wt.norms, [0.5, 0.15625])
+    assert_allclose(wt.log2_norms, np.log2([0.5, 0.15625]))
 
     wt = weights(1)
     assert_allclose(wt.derived, [0.25, 0.75])
-    assert_allclose(wt.closed_form, [1.0, -1.0])
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 12])
@@ -133,21 +130,78 @@ def test_weights_properties(N):
     assert_allclose(np.sum(wt.derived * p1 * p1), t.monic_c[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("N", [30, 60, 100, 115])
+def _rising(a, i):
+    out = Fraction(1)
+    for n in range(i):
+        out *= a + n
+    return out
+
+
+def _closed_form_weights(N):
+    """The closed form of antikrawtchouk.weights, term by term in Fraction."""
+    M, half = N // 2, Fraction(1, 2)
+
+    def c(a):
+        return Fraction(math.comb(2 * a, a), 4**a)
+
+    if N % 2 == 0:
+        w1 = c(M) ** 2 * Fraction(M, M + 1)
+        even = [c(M) ** 2 * _rising(-M, i) * _rising(M + 3 * half, i)
+                / (_rising(M + 1, i) * _rising(half - M, i)) for i in range(M + 1)]
+        odd = [w1 * _rising(1 - M, i) * _rising(M + 3 * half, i)
+               / (_rising(M + 2, i) * _rising(half - M, i)) for i in range(M)]
+    else:
+        w1 = c(M + 1) ** 2 * Fraction(N + 2, N)
+        even = [c(M + 1) ** 2 * _rising(-M, i) * _rising(M + 3 * half, i)
+                / (_rising(M + 2, i) * _rising(-half - M, i)) for i in range(M + 1)]
+        odd = [w1 * _rising(-M, i) * _rising(M + 5 * half, i)
+               / (_rising(M + 2, i) * _rising(half - M, i)) for i in range(M + 1)]
+    out = [None] * (N + 1)
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+def test_closed_form_equals_the_exact_weights():
+    for N in range(1, 61):
+        assert _closed_form_weights(N) == _exact_weights(N), N
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 60, 100, 115, 200])
 def test_weights_match_exact_oracle_at_large_size(N):
     wt = weights(N)
-    assert_allclose(wt.derived, np.array(_exact_weights(N), dtype=float), rtol=0, atol=1e-13)
+    assert_allclose(wt.derived, np.array(_exact_weights(N), dtype=float), rtol=1e-14, atol=0)
     assert abs(wt.derived.sum() - 1.0) <= 1e-12
-    assert np.all(np.isfinite(wt.norms)) and np.all(np.isfinite(wt.closed_form))
 
 
-@pytest.mark.parametrize("N", [116, 150])
-def test_weights_raise_past_supported_range(N):
-    # the norms overflow a float from N = 116 on; no overflow warning may leak
+@pytest.mark.parametrize("N", [400, 2000])
+def test_weights_are_the_squared_first_row_of_w(N):
+    # the Jacobi route's own error: 2e-13 at N = 400 and 5e-13 at 2000
+    amp = np.abs(overlaps_via_recurrence(N).W[0]) ** 2
+    assert_allclose(amp, weights(N).derived, rtol=1e-12, atol=0)
+
+
+def _exact_log2_norms(N):
+    """log2 u_n for n = 1..N from the exact integers U_n = 16^n u_n."""
+    out, u16 = [], 1
+    for n, c16 in enumerate(16 * recurrence_coeffs(N).monic_c, 1):
+        u16 *= int(c16)
+        out.append(math.log2(u16) - 4 * n)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N, tol", [*((n, 1e-12) for n in (1, 2, 5, 20, 41, 60)), (400, 1e-11)])
+def test_log2_norms_match_the_exact_norms(N, tol):
+    assert_allclose(weights(N).log2_norms, _exact_log2_norms(N), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("N", [116, 150, 2000])
+def test_weights_hold_past_the_float_range_of_the_norms(N):
+    # the plain norms u_n overflow a float from N = 116 on; their logs do not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ContractViolation, match="N <= 115"):
-            weights(N)
+        wt = weights(N)
+    assert np.all(wt.derived > 0) and abs(wt.derived.sum() - 1.0) <= 1e-12
+    assert np.all(np.isfinite(wt.log2_norms)) and wt.log2_norms[-1] > 1024
 
 
 def test_exact_weights_small_cases():

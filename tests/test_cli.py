@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
-from rotorsusy.cli import _emit, _json_chunks, main
+from rotorsusy.cli import _emit, _json_chunks, build_parser, main
 
 
 def run(capsys, *argv):
@@ -61,7 +62,7 @@ def test_verify_report_file_takes_the_requested_format(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(target.read_text())))
     assert rows[0] == ["check", "status", "residual", "tolerance", "detail"]
-    assert len(rows) == 1 + 29
+    assert len(rows) == 1 + 28
     assert "susy.square_identity" in out
 
 
@@ -110,9 +111,8 @@ def test_poly_frozen_payloads(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert_allclose(payload["derived"], [0.25, 0.125, 0.625], atol=1e-12)
-    assert_allclose(payload["closed_form"], [1.0, -1.0, 10.0], atol=1e-12)
-    assert payload["discrepant"] is True
-    assert_allclose(payload["norms"], [0.5, 0.15625], atol=1e-14)
+    assert_allclose(payload["log2_norms"], np.log2([0.5, 0.15625]), atol=1e-14)
+    assert set(payload) == {"N", "x", "derived", "log2_norms"}
 
     code, out, _ = run(capsys, "poly", "--N", "2", "--what", "params", "--format", "json")
     assert code == 0
@@ -310,11 +310,28 @@ def test_json_exports_round_trip_through_indented_dumps(argv, tmp_path, capsys):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def test_weights_export_past_supported_range_exits_1(capsys):
+def test_weights_export_past_the_float_range_of_the_norms_exits_0(capsys):
     code, out, err = run(capsys, "poly", "--what", "weights", "--N", "116", "--format", "json")
-    assert code == 1
-    assert out == ""
-    assert "N <= 115" in err
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert len(payload["derived"]) == 117 and payload["log2_norms"][-1] > 1024
+
+
+def test_main_reuses_one_parser_without_leaking_defaults(capsys):
+    # the verify table ends each row with the check's time, which is masked
+    def untimed(code, out, err):
+        return code, re.sub(r"\d+\.\d+s$", "<time>", out, flags=re.M), err
+
+    sequence = [["verify", "--jmax", "2", "--format", "csv"], ["verify", "--jmax", "2"],
+                ["spectrum", "--j", "2", "--op", "Q"]]
+    reused = [untimed(*run(capsys, *argv)) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        fresh.append(untimed(code, *capsys.readouterr()))
+    assert reused == fresh
+    assert reused[0][1].startswith("check,status") and "<time>" in reused[1][1]
 
 
 @pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 12.0)])
@@ -369,11 +386,27 @@ _GOLDEN_SHA256 = {
     # the 130 K1 block entries moved in their last bits
     ("decompose", "64"):
         "789ce73d998db575fbaefcd60adc9644a1094abdf23437f7a74a8c9fa33316cb",
-    # taken again when the integral-route overlaps moved onto the keyed F and
-    # one GEMM: its sums run in another order, and overlaps.unitarity and
-    # overlaps.duality moved down in the last bits
+    # taken again when the weights became the closed form: the
+    # polynomials.closed_form_column row is gone, discrete_orthogonality
+    # (4.4e-16 -> 2.2e-16) and weight_consistency (3.3e-16 -> 0) moved down,
+    # and overlaps.duality, which now holds the integral route's |W[0]|^2
+    # against the exact-to-rounding weights instead of the Jacobi ones, reads
+    # 1.0e-15 for 7.8e-16 (unchanged at --jmax 30)
     ("verify", "--jmax", "3"):
-        "3ebaef0bef945d84ae4e07a991c780da7cd429c859b9d9d447975ea8d7e96302",
+        "ca7df61bb111a63d3069d79d7b9a4e625ca5bad7c5f9f6678fb95fe77a34da06",
+    # taken before the weights became the closed form, which leaves them as
+    # they were
+    ("poly", "--what", "coeffs", "--N", "120"):
+        "ccd3a63d90cdf06bb6d348a159dd04617d6395a98003fa723bb48d155fd39303",
+    ("poly", "--what", "values", "--N", "40"):
+        "e44736ca50bb0cd9ca98fc4b5df2f15d62d69341967b94a82c6f9a431e178380",
+    ("poly", "--what", "params", "--N", "7"):
+        "99f8a8cd127cc17de68e6ee0218e88b1d77372fb211e6743c944bca9b804da83",
+    ("overlaps", "--N", "30", "--method", "recurrence"):
+        "c5e87b2f97c04ad6b4bb8049748db760a9def76fc2390225b65685f1397c7db8",
+    # the closed-form weights and the log2 norms
+    ("poly", "--what", "weights", "--N", "30"):
+        "0524645a6c1c7ab1eb9d4be28cebac029ecf7068e6ba50c74a5e6d285b311051",
 }
 
 
