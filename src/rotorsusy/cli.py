@@ -57,6 +57,25 @@ def _pairs(a):
     return np.stack([a.real, a.imag], -1)
 
 
+def _sparse_rows(flat, template):
+    """Each row of the 2-d float array flat filled into template, as the
+    all-0.0 row text with the repr of each entry that is nonzero or carries
+    the sign bit (-0.0) spliced in at its placeholder."""
+    pieces = template.split("%r")
+    zero = "0.0".join(pieces)
+    starts = np.cumsum([len(p) + 3 for p in pieces[:-1]]) - 3
+    rows, cols = np.nonzero((flat != 0) | np.signbit(flat))
+    bounds = np.searchsorted(rows, np.arange(len(flat) + 1)).tolist()
+    at, values = starts[cols].tolist(), flat[rows, cols].tolist()
+    for b0, b1 in zip(bounds, bounds[1:]):
+        parts, last = [], 0
+        for a, v in zip(at[b0:b1], values[b0:b1]):
+            parts += (zero[last:a], repr(v))
+            last = a + 3
+        parts.append(zero[last:])
+        yield "".join(parts)
+
+
 def _json_chunks(obj, level=0):
     """obj in the layout json.dumps gives it with an indent of 2, byte for
     byte, where every ndarray counts as its tolist(), as a stream of strings.
@@ -66,7 +85,10 @@ def _json_chunks(obj, level=0):
     time, filled into one template of the row's layout whose %r renders each
     float with float.__repr__ (json's spelling of finite floats); the
     template joins its placeholders one axis at a time from the innermost
-    out.  Other arrays, and arrays holding NaN or infinities, go through the
+    out.  An array with at most a quarter of its entries nonzero (an F, G or
+    M basis row has at most 4 nonzero complex entries of 2j+1) fills it by
+    _sparse_rows instead, which is faster there and slower on dense arrays.
+    Other arrays, and arrays holding NaN or infinities, go through the
     generic path as lists.
     """
     inner = "\n" + "  " * (level + 1)
@@ -77,8 +99,12 @@ def _json_chunks(obj, level=0):
                 sub = "\n" + "  " * (level + axis + 1)
                 head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
                 strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * obj.shape[axis])]
-            for i, row in enumerate(obj):
-                yield ("[" if i == 0 else ",") + inner + strs[0] % tuple(row.ravel().tolist())
+            if 4 * np.count_nonzero(obj) > obj.size:
+                rows = (strs[0] % tuple(row.ravel().tolist()) for row in obj)
+            else:
+                rows = _sparse_rows(obj.reshape(len(obj), -1), strs[0])
+            for i, text in enumerate(rows):
+                yield ("[" if i == 0 else ",") + inner + text
             yield "\n" + "  " * level + "]"
             return
         obj = obj.tolist()
@@ -404,49 +430,50 @@ def _cmd_overlaps(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "table"), default="table",
-                        help="output format (default: table)")
-    common.add_argument("--output", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
+def _subcommand(sub, name, text, format_default="table", format_help="table"):
+    """A subparser with its own --format and --output.  Parent parsers share
+    their actions, so a default set on one subparser would be every one's."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("--format", choices=("json", "csv", "table"), default=format_default,
+                   help=f"output format (default: {format_help})")
+    p.add_argument("--output", metavar="PATH", default=None,
+                   help="write output to PATH instead of stdout")
+    return p
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotorsusy",
         description="Rigid-rotor supersymmetry toolkit: verification suites and data exports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the invariant suites")
+    p_verify = _subcommand(sub, "verify", "run the invariant suites", None,
+                           "json with --output, else table")
     p_verify.add_argument("--jmax", type=int, default=20, help="largest degree (default 20)")
     p_verify.add_argument("--suite", choices=SUITES, default=None,
                           help="restrict to one suite")
     p_verify.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0,
                           metavar="FLOAT", help="multiply all default tolerances")
-    p_verify.set_defaults(func=_cmd_verify, format=None)  # json with --output, else table
+    p_verify.set_defaults(func=_cmd_verify)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
-                            help="eigenvalues and multiplicities of a named operator")
+    p_spec = _subcommand(sub, "spectrum", "eigenvalues and multiplicities of a named operator")
     p_spec.add_argument("--j", type=int, required=True)
     p_spec.add_argument("--op", choices=_OPERATOR_NAMES, required=True)
     p_spec.set_defaults(func=_cmd_spectrum)
 
-    p_basis = sub.add_parser("basis", parents=[common],
-                             help="export an eigenbasis family")
+    p_basis = _subcommand(sub, "basis", "export an eigenbasis family")
     p_basis.add_argument("--j", type=int, required=True)
     p_basis.add_argument("--family", choices=tuple(_BASES), required=True)
     p_basis.set_defaults(func=_cmd_basis)
 
-    p_poly = sub.add_parser("poly", parents=[common],
-                            help="anti-Krawtchouk tables")
+    p_poly = _subcommand(sub, "poly", "anti-Krawtchouk tables")
     p_poly.add_argument("--N", type=int, required=True)
     p_poly.add_argument("--what", choices=("coeffs", "values", "weights", "params"),
                         required=True)
     p_poly.set_defaults(func=_cmd_poly)
 
-    p_over = sub.add_parser("overlaps", parents=[common],
-                            help="overlap matrix between the two eigenbases")
+    p_over = _subcommand(sub, "overlaps", "overlap matrix between the two eigenbases")
     p_over.add_argument("--N", type=int, required=True)
     p_over.add_argument("--method", choices=("integral", "recurrence", "both"),
                         default="both")

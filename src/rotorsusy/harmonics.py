@@ -171,10 +171,10 @@ class QuadratureGrid:
         return complex(np.sum(values * self.weight_mesh))
 
 
-def _legendre_scaled(j: int, z: np.ndarray):
-    """Fully normalized Legendre functions of degree j at the 1-d z, as
-    (mantissa, scale) arrays of shape (j+1, z.size) with the value
-    mantissa * 2^scale; see _legendre_table for the normalization.
+def _legendre_steps(j: int, z: np.ndarray):
+    """After each degree l = 0..j, the live (mantissa, scale) arrays of shape
+    (j+1, z.size) whose rows m <= l hold Pbar_l^m(z) = mantissa * 2^scale
+    at the 1-d z, poles aside (_at_poles); see _legendre_table.
 
     Order m starts from the sectoral value
     Pbar_m^m = (-1)^m sqrt((2m+1)/(4 pi) prod_{i<=m} (2i-1)/(2i)) s^m,
@@ -184,23 +184,21 @@ def _legendre_scaled(j: int, z: np.ndarray):
         Pbar_l^m = a_lm z Pbar_{l-1}^m - b_lm Pbar_{l-2}^m,
 
     runs for all m at once on mantissas that start at (-1)^m.  Nothing under-
-    or overflows on the way, and every m > 0 mantissa at the poles (s = 0)
-    is exactly 0.  Rounding stays near 1e-13 relative to j = 2000 away from
-    the poles.  At z = +-1 the m = 0 row, where the recurrence is only
-    neutrally stable and would lose about j^2 eps, is set to its closed form
-    Pbar_j^0(+-1) = (+-1)^j sqrt((2j+1)/(4 pi)).
+    or overflows on the way.  Rounding stays near 1e-13 relative to j = 2000
+    away from the poles.  Rows m > l are 0, so rows m <= l have the bits of
+    a run to degree l.
     """
     s = np.sqrt((1.0 - z) * (1.0 + z))
-    pole = s == 0.0
     m = np.arange(j + 1)
     seed = 0.5 * np.log2((2 * m + 1) / (4 * pi))
     seed[1:] += 0.5 * np.cumsum(np.log2(1.0 - 0.5 / m[1:]))
-    # m log2(s) at s = 1 in place of the poles avoids 0 * log(0); their m > 0 rows are zeroed below
-    scale = seed[:, None] + m[:, None] * np.log2(np.where(pole, 1.0, s))
+    # m log2(s) at s = 1 in place of the poles avoids 0 * log(0); _at_poles overwrites them
+    scale = seed[:, None] + m[:, None] * np.log2(np.where(s == 0.0, 1.0, s))
     cur = np.zeros((j + 1, z.size))
     prev = np.zeros_like(cur)
     tmp = np.empty_like(cur)  # reused: a new, larger temporary every step fragments the heap
     cur[0] = 1.0
+    yield cur, scale
     for l in range(1, j + 1):
         # rows m < l step from degree l-1 to l; b vanishes for m = l-1, whose prev row is 0
         k = m[:l, None]
@@ -218,10 +216,34 @@ def _legendre_scaled(j: int, z: np.ndarray):
             cur[big] *= 2.0**-512
             prev[big] *= 2.0**-512
             scale[big] += 512
-    cur[1:, pole] = 0.0
-    cur[0, pole] = z[pole] ** j
-    scale[0, pole] = 0.5 * np.log2((2 * j + 1) / (4 * pi))
-    return cur, scale
+        yield cur, scale
+
+
+def _at_poles(l: int, mantissa: np.ndarray, scale: np.ndarray, z: np.ndarray):
+    """Degree l's rows m <= l with the pole columns set in place: 0 for m > 0,
+    and for m = 0, where the recurrence is only neutrally stable and would
+    lose about l^2 eps, the closed form (+-1)^l sqrt((2l+1)/(4 pi))."""
+    pole = (1.0 - z) * (1.0 + z) == 0.0
+    mantissa[1:, pole] = 0.0
+    mantissa[0, pole] = z[pole] ** l
+    scale[0, pole] = 0.5 * np.log2((2 * l + 1) / (4 * pi))
+    return mantissa, scale
+
+
+def _legendre_scaled(j: int, z: np.ndarray):
+    """Degree j's (mantissa, scale) arrays at the 1-d z, shape (j+1, z.size)."""
+    *_, (mantissa, scale) = _legendre_steps(j, z)
+    return _at_poles(j, mantissa, scale, z)
+
+
+def _legendre_degrees(j: int, z: np.ndarray) -> np.ndarray:
+    """Pbar_l^m(z) of every degree l <= j at the 1-d z from one run of the
+    recurrence, shape (j+1, j+1, z.size): entry [l, m] equals row m of
+    _legendre_table(l, z) bit for bit, and is 0 for m > l."""
+    out = np.zeros((j + 1, j + 1, z.size))
+    for l, (mantissa, scale) in enumerate(_legendre_steps(j, z)):
+        out[l, :l + 1] = _from_log2(*_at_poles(l, mantissa[:l + 1].copy(), scale[:l + 1].copy(), z))
+    return out
 
 
 def _from_log2(mantissa: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -315,7 +337,8 @@ def ylm_eval(idx: BasisIndex, theta, phi):
         Y_j^m values; orthonormal on the unit sphere.
 
     One row of harmonic_values, so it is finite and accurate at every
-    degree; it costs as much as all 2j+1 orders, O(j^2) per point.
+    degree; it costs as much as all 2j+1 orders, O(j^2) per distinct polar
+    angle.
     """
     out = harmonic_values(HarmonicSpace(idx.j), theta=theta, phi=phi)[idx.flat]
     if np.ndim(theta) == 0 and np.ndim(phi) == 0:
@@ -349,23 +372,23 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
     (shape (2j+1,) + broadcast shape); theta must lie in [0, pi], else
     ValueError.
 
-    The values are one normalized Legendre table (_legendre_table), on the
-    theta nodes of a grid or at each scattered point, times exp(i m phi),
-    so they are finite and orthonormal at every degree; the cost is O(j^3)
-    on a grid and O(j^2) per scattered point.  The grid stack is dense
-    complex, 16 (2j+1) n_theta n_phi bytes: 55 MB on build_grid(75) and
-    1.0 GiB on build_grid(200).  project does not build it.
+    The values are one normalized Legendre table (_legendre_table) on
+    theta's own shape times exp(i m phi) on phi's, both padded to a common
+    ndim, so they are finite and orthonormal at every degree; only the
+    product is broadcast, and the cost is O(j^2) per distinct polar angle.
+    The grid stack is dense complex, 16 (2j+1) n_theta n_phi bytes: 55 MB on
+    build_grid(75) and 1.0 GiB on build_grid(200).  project does not build it.
     """
     j = space.j
     if grid is not None:
-        theta_mesh, phi_mesh = grid.theta[:, None], grid.phi[None, :]
-    else:
-        if theta is None or phi is None:
-            raise ValueError("pass either a grid or both theta and phi")
-        theta_mesh, phi_mesh = np.broadcast_arrays(_polar(theta), np.asarray(phi, dtype=float))
-    p = _legendre_table(j, np.cos(theta_mesh))
-    m = np.arange(j + 1).reshape((-1,) + (1,) * np.ndim(phi_mesh))
-    e = np.exp(1j * m * phi_mesh)
+        theta, phi = grid.theta[:, None], grid.phi[None, :]
+    elif theta is None or phi is None:
+        raise ValueError("pass either a grid or both theta and phi")
+    theta, phi = _polar(theta), np.asarray(phi, dtype=float)
+    nd = max(theta.ndim, phi.ndim)
+    p = _legendre_table(j, np.cos(theta.reshape((1,) * (nd - theta.ndim) + theta.shape)))
+    m = np.arange(j + 1).reshape((-1,) + (1,) * nd)
+    e = np.exp(1j * m * phi.reshape((1,) * (nd - phi.ndim) + phi.shape))
     out = np.empty((2 * j + 1,) + np.broadcast_shapes(p.shape[1:], e.shape[1:]), dtype=complex)
     np.multiply(p, e, out=out[j:])
     # Y_j^{-m} = (-1)^m conj(Y_j^m), written to rows j-1 down to 0

@@ -22,6 +22,7 @@ degree's norm over that degree's own block, so the residuals have the bits
 of a run degree by degree.
 """
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +34,7 @@ import numpy as np
 from . import antikrawtchouk as ak
 from . import eigenbases as eb
 from . import operators as op
-from .harmonics import (
-    BasisIndex,
-    HarmonicSpace,
-    build_grid,
-    harmonic_values,
-    ylm_eval,
-)
+from .harmonics import HarmonicSpace, _legendre_degrees, build_grid, harmonic_values
 from . import susy
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "SUITES"]
@@ -170,11 +165,25 @@ def _ladder_pointwise(space, theta, phi):
     }
 
 
-_REFLECTED_ANGLES = {
-    1: lambda th, ph: (th, pi - ph),
-    2: lambda th, ph: (th, -ph),
-    3: lambda th, ph: (pi - th, ph),
-}
+def _reflected(values, axis):
+    """Values on a build_grid mesh (last two axes theta, phi) at the points
+    reflected by R_axis, as an index permutation.  The Gauss nodes are
+    symmetric, so theta -> pi - theta reverses them; n_phi is even, so
+    phi_p -> -phi_p is p -> -p and phi_p -> pi - phi_p is p -> n_phi/2 - p,
+    mod n_phi."""
+    if axis == 3:
+        return values[..., ::-1, :]
+    n = values.shape[-1]
+    return values[..., (n // 2 * (axis == 1) - np.arange(n)) % n]
+
+
+def _theta_grams(top):
+    """Per order m = 0..top, the Gram 2 pi sum_t w_t Pbar_l^m(z_t) Pbar_l'^m(z_t)
+    of the degrees l, l' = m..top (entry [l-m, l'-m]) on build_grid(top),
+    read from one all-degree Legendre table; 2 pi is the phi integral."""
+    grid = build_grid(top)
+    table = _legendre_degrees(top, grid.theta_nodes)
+    return [2 * pi * (table[m:, m] * grid.theta_weights) @ table[m:, m].T for m in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +229,13 @@ class _Run:
     """What the checks of one run share: the tolerance scale, the stack of
     degrees 0..top, the closed-form bundle s and the product oracle o on that
     stack (each built on first use; .at(j) is one degree), and the
-    integral-route overlap matrices w(N)."""
+    integral-route overlap matrices w(N) and the per-order theta-Grams
+    grams(top)."""
 
     def __init__(self, scale, top):
         self.scale, self.stack = scale, op.DegreeStack(top)
         self.w = lru_cache(maxsize=None)(ak.overlaps_via_integral)
+        self.grams = lru_cache(maxsize=None)(_theta_grams)
 
     @cached_property
     def s(self):
@@ -333,50 +344,42 @@ def _run_check(check, j_max, run):
 
 @_check("harmonics.gram_identity", 20, 1e-12, "Gram vs identity, j <= {top}")
 def _gram_identity(js, run):
-    grid = build_grid(js[-1])
-    w = grid.weight_mesh.ravel()
-    for j in js:
-        yv = harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1)
-        g = (yv * w) @ yv.conj().T
-        yield float(np.max(np.abs(g - np.eye(2 * j + 1))))
+    # the theta-Gram diagonals hold every degree and order; one full-mesh
+    # Gram at the top degree tests the phi factor and the negative orders
+    for g in run.grams(js[-1]):
+        yield float(np.max(np.abs(np.diagonal(g) - 1.0)))
+    grid, j = build_grid(js[-1]), js[-1]
+    yv = harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1)
+    yield float(np.max(np.abs((yv * grid.weight_mesh.ravel()) @ yv.conj().T - np.eye(2 * j + 1))))
 
 
 @_check("harmonics.reflection_point_parity", 8, 1e-10, "pointwise R_i vs matrix, j <= {top}")
 def _reflection_point_parity(js, run):
     grid = build_grid(max(js[-1], 1))
-    th, ph = grid.mesh()
     for j in js:
         space = HarmonicSpace(j)
         yv = harmonic_values(space, grid)
         for axis in (1, 2, 3):
-            tt, pp = _REFLECTED_ANGLES[axis](th, ph)
-            moved = harmonic_values(space, theta=np.abs(tt), phi=pp)
-            r = op.reflection(axis, space).matrix
-            combo = np.einsum("ba,btp->atp", r, yv)
-            yield float(np.max(np.abs(moved - combo)))
+            combo = np.einsum("ba,btp->atp", op.reflection(axis, space).matrix, yv)
+            yield float(np.max(np.abs(_reflected(yv, axis) - combo)))
 
 
 @_check("harmonics.direct_evaluation", 6, 1e-10, "recurrence vs series, j <= {top}")
 def _direct_evaluation(js, run):
-    rng = np.random.default_rng(12345)
-    theta = rng.uniform(0.1, pi - 0.1, size=20)
-    phi = rng.uniform(0.0, 2 * pi, size=20)
+    rng = random.Random(12345)
+    theta = np.array([rng.uniform(0.1, pi - 0.1) for _ in range(20)])
+    phi = np.array([rng.uniform(0.0, 2 * pi) for _ in range(20)])
     for j in js:
+        values = harmonic_values(HarmonicSpace(j), theta=theta, phi=phi)
         for m in range(-j, j + 1):
-            a = ylm_eval(BasisIndex(j, m), theta, phi)
-            b = _ylm_direct(j, m, theta, phi)
-            yield float(np.max(np.abs(a - b)))
+            yield float(np.max(np.abs(values[m + j] - _ylm_direct(j, m, theta, phi))))
 
 
-@_check("harmonics.cross_degree_orthogonality", 10, 1e-12, "cross-degree overlaps, j <= {top}")
+@_check("harmonics.cross_degree_orthogonality", 20, 1e-12, "cross-degree overlaps, j <= {top}")
 def _cross_degree(js, run):
-    grid = build_grid(js[-1])
-    vals = [harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1) for j in js]
-    w = grid.weight_mesh.ravel()
-    for j in js:
-        for jp in range(j + 1, len(vals)):
-            g = (vals[j] * w) @ vals[jp].conj().T
-            yield float(np.max(np.abs(g)))
+    # the theta-Gram entries off the diagonal: two degrees of one order m
+    for g in run.grams(js[-1]):
+        yield float(np.max(np.abs(g - np.diag(np.diagonal(g)))))
 
 
 @_check("operators.so3_commutators", 30, 1e-12, "scaled by dim, j <= {top}")
@@ -428,21 +431,19 @@ def _hamiltonian_identity(js, run):
 @_check("operators.quadrature_matrix_elements", 8, 1e-8, "derivative/parity oracle, j <= {top}")
 def _quadrature_matrix_elements(js, run):
     grid = build_grid(max(js[-1], 1))
-    th, ph = grid.mesh()
     w = grid.weight_mesh.ravel()
     for j in js:
         space = HarmonicSpace(j)
+        yv = harmonic_values(space, grid)
         # bra @ moved.T is the quadrature of conj(Y_j^b) times each moved harmonic
-        bra = np.conj(harmonic_values(space, grid).reshape(space.dim, -1)) * w
+        bra = np.conj(yv.reshape(space.dim, -1)) * w
+        moved = _ladder_pointwise(space, grid.theta[:, None], grid.phi[None, :])
         mats = {"J3": op.j3(space), "J+": op.jplus(space), "J-": op.jminus(space)}
-        for which, moved in _ladder_pointwise(space, th, ph).items():
-            got = bra @ moved.reshape(space.dim, -1).T
-            yield float(np.max(np.abs(got - mats[which].matrix)))
         for axis in (1, 2, 3):
-            tt, pp = _REFLECTED_ANGLES[axis](th, ph)
-            moved = harmonic_values(space, theta=np.abs(tt), phi=pp)
-            got = bra @ moved.reshape(space.dim, -1).T
-            yield float(np.max(np.abs(got - op.reflection(axis, space).matrix)))
+            moved[axis], mats[axis] = _reflected(yv, axis), op.reflection(axis, space)
+        for which, values in moved.items():
+            got = bra @ values.reshape(space.dim, -1).T
+            yield float(np.max(np.abs(got - mats[which].matrix)))
 
 
 @_check("susy.square_identity", 30, 1e-12, "both supercharges square to H, j <= {top}")

@@ -36,7 +36,14 @@ from rotorsusy import (
     weights,
 )
 from rotorsusy.antikrawtchouk import grid as poly_grid
-from rotorsusy.verification import _REFLECTED_ANGLES, _exact_weights
+from rotorsusy.verification import _exact_weights, _reflected
+
+# the points that R_1, R_2 and R_3 move (theta, phi) to
+_REFLECTED_ANGLES = {
+    1: lambda th, ph: (th, np.pi - ph),
+    2: lambda th, ph: (th, -ph),
+    3: lambda th, ph: (np.pi - th, ph),
+}
 
 
 def announce(capsys, ok, n, text):
@@ -271,17 +278,32 @@ def test_criterion_8_quadrature_oracle(capsys):
             got = np.einsum("btp,atp,tp->ba", np.conj(yv), moved, grid.weight_mesh)
             dev = float(np.max(np.abs(got - reflection(axis, space).matrix)))
             worst_reflection = max(worst_reflection, dev)
+    # verify reads the reflected values as index permutations of its mesh:
+    # each permuted mesh point is the reflected point (phi mod 2 pi)
+    worst_point = 0.0
+    for j_max in (*range(9), 20, 64, 65):
+        grid = build_grid(j_max)
+        assert np.array_equal(grid.theta_nodes, -grid.theta_nodes[::-1])
+        th, ph = grid.mesh()
+        for axis in (1, 2, 3):
+            tt, pp = _REFLECTED_ANGLES[axis](th, ph)
+            dphi = np.angle(np.exp(1j * (_reflected(ph, axis) - pp)))
+            worst_point = max(worst_point, float(np.max(np.abs(_reflected(th, axis) - tt))),
+                              float(np.max(np.abs(dphi))))
     # the derivative (ladder and J3) side runs through the library oracle
     report = run_verification(j_max=8, suite_filter="operators")
     check = {c.name: c for c in report.checks}["operators.quadrature_matrix_elements"]
-    ok = worst_reflection <= 1e-8 and check.passed and check.residual <= 1e-8
+    ok = (worst_reflection <= 1e-8 and worst_point <= 1e-14 and check.passed
+          and check.residual <= 1e-8)
     announce(
         capsys, ok, 8,
         f"quadrature cross-validation for j <= 8: reflection matrices "
-        f"{worst_reflection:.3e} <= 1e-8, derivative oracle residual "
+        f"{worst_reflection:.3e} <= 1e-8, mesh permutations off the reflected "
+        f"points by {worst_point:.3e} <= 1e-14, derivative oracle residual "
         f"{check.residual:.3e} <= 1e-8",
     )
     assert worst_reflection <= 1e-8
+    assert worst_point <= 1e-14
     assert check.passed
     assert check.residual <= 1e-8
 

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
-from rotorsusy.cli import _emit, _json_chunks, build_parser, main
+from rotorsusy.cli import _emit, _json_chunks, _pairs, build_parser, main
 
 
 def run(capsys, *argv):
@@ -283,6 +283,13 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
     np.array([7.0]),
     np.full((2, 2, 2), -0.0),
     np.linspace(0.0, 1.0, 16).reshape(2, 2, 2, 2),
+    # mostly zero: filled into the all-0.0 row text
+    np.zeros((3, 4)),
+    np.array([0.0, 0.0, -0.0, 3.0, 0.0, 0.0, 0.0, 0.0]),
+    np.array([[0.0, -0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 1e-300],
+              [0.0, 0.0, 0.0, 0.0]]),
+    np.eye(5).reshape(5, 5, 1) * -1.0,
+    _pairs(f_basis(HarmonicSpace(7)).matrix().T),
 ])
 def test_json_renderer_matches_indented_dumps(obj):
     assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)
@@ -315,6 +322,17 @@ def test_weights_export_past_the_float_range_of_the_norms_exits_0(capsys):
     assert code == 0, err
     payload = json.loads(out)["payload"]
     assert len(payload["derived"]) == 117 and payload["log2_norms"][-1] > 1024
+
+
+def test_each_subcommand_parses_its_own_format_default():
+    # verify picks json with --output, else table; the others default to table
+    parser = build_parser()
+    argvs = {"verify": [], "spectrum": ["--j", "2", "--op", "Q"],
+             "basis": ["--j", "2", "--family", "F"], "poly": ["--N", "2", "--what", "coeffs"],
+             "overlaps": ["--N", "2"]}
+    formats = {name: parser.parse_args([name, *argv]).format for name, argv in argvs.items()}
+    assert formats == {"verify": None, "spectrum": "table", "basis": "table", "poly": "table",
+                       "overlaps": "table"}
 
 
 def test_main_reuses_one_parser_without_leaking_defaults(capsys):
@@ -386,14 +404,14 @@ _GOLDEN_SHA256 = {
     # the 130 K1 block entries moved in their last bits
     ("decompose", "64"):
         "789ce73d998db575fbaefcd60adc9644a1094abdf23437f7a74a8c9fa33316cb",
-    # taken again when the weights became the closed form: the
-    # polynomials.closed_form_column row is gone, discrete_orthogonality
-    # (4.4e-16 -> 2.2e-16) and weight_consistency (3.3e-16 -> 0) moved down,
-    # and overlaps.duality, which now holds the integral route's |W[0]|^2
-    # against the exact-to-rounding weights instead of the Jacobi ones, reads
-    # 1.0e-15 for 7.8e-16 (unchanged at --jmax 30)
+    # taken again when the harmonic oracles moved onto tables:
+    # reflection_point_parity reads the reflected values as permutations of
+    # the grid mesh, whose phi nodes carry their own rounding, 4.6e-16 ->
+    # 1.6e-15; direct_evaluation draws its angles with random.Random,
+    # 3.3e-16 -> 2.2e-16; cross_degree_orthogonality reads the per-order
+    # theta-Grams, 7.2e-16 -> 6.3e-16.  Every other row is unchanged
     ("verify", "--jmax", "3"):
-        "ca7df61bb111a63d3069d79d7b9a4e625ca5bad7c5f9f6678fb95fe77a34da06",
+        "bd88f6d6fa27849ca8b0252a183b539e1f19d58cbd2517f97e8313e6339523df",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):

@@ -23,7 +23,7 @@ from rotorsusy import (
     project,
     ylm_eval,
 )
-from rotorsusy.harmonics import _legendre_table
+from rotorsusy.harmonics import _legendre_degrees, _legendre_steps, _legendre_table
 from rotorsusy.verification import _ylm_direct
 
 
@@ -213,6 +213,38 @@ def test_grid_values_match_scattered_points(j):
     grid = build_grid(j)
     theta, phi = grid.mesh()
     assert_array_equal(harmonic_values(space, grid), harmonic_values(space, theta=theta, phi=phi))
+
+
+@pytest.mark.parametrize("j", [0, 1, 7, 30])
+@pytest.mark.parametrize("theta_shape", [(-1, 1), (8, -1, 1)])
+def test_separable_angles_equal_the_full_mesh_call(j, theta_shape):
+    # the Legendre table runs on theta's points and exp(i m phi) on phi's
+    rng = np.random.default_rng(j)
+    theta = rng.uniform(0.0, np.pi, size=40).reshape(theta_shape)
+    phi = rng.uniform(-7.0, 7.0, size=(1, 9))
+    space, mesh = HarmonicSpace(j), np.broadcast_shapes(theta.shape, phi.shape)
+    assert_array_equal(harmonic_values(space, theta=theta, phi=phi),
+                       harmonic_values(space, theta=np.broadcast_to(theta, mesh),
+                                       phi=np.broadcast_to(phi, mesh)))
+
+
+def test_all_degree_rows_equal_the_single_degree_tables():
+    z = np.concatenate((np.polynomial.legendre.leggauss(65)[0], [1.0, -1.0, 0.0]))
+    table = _legendre_degrees(64, z)
+    for l in range(65):
+        assert_array_equal(table[l, :l + 1], _legendre_table(l, z), err_msg=f"l={l}")
+        assert_array_equal(table[l, l + 1:], 0.0)
+
+
+def test_all_degree_rows_hold_their_bits_across_a_rescale():
+    # near the poles the mantissas first pass 2^512, and are rescaled, at degree 768
+    z = np.array([1.0 - 2.0**-53, -(1.0 - 1e-12), 0.999, -1.0])
+    steps = _legendre_steps(800, z)
+    first = next(steps)[1].copy()
+    assert any(np.any(scale != first) for _, scale in steps)
+    table = _legendre_degrees(800, z)
+    for l in (767, 768, 769, 800):
+        assert_array_equal(table[l, :l + 1], _legendre_table(l, z), err_msg=f"l={l}")
 
 
 def test_unit_norm_of_single_harmonic():
