@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import DegreeStack, Operator, _columns, _entries, _slices, adjoint, commutator, op_norm
+from .operators import (DegreeStack, Operator, _columns, _entries, _transpose_apply, adjoint, commutator,
+                        op_norm)
 from .susy import supercharge, symmetry_generator
 
 __all__ = [
@@ -168,7 +169,7 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
         raise ContractViolation("inputs do not commute; joint eigenbasis undefined")
 
     q_vals, q_vecs = np.linalg.eigh(q_op.matrix)
-    m_mat = m_basis(space).matrix()
+    m_h = m_basis(space).matrix().conj().T
 
     entries = []
     start = 0
@@ -179,13 +180,13 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
             sub = block.conj().T @ k3_op.apply(block)
             k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
             vecs = block @ rot
+            # each column's phase from its first M-basis coefficient with |c| > 1e-6; a unit
+            # column has one, as M is unitary and some |c| >= 1/sqrt(2j+1)
+            coeffs_m = m_h @ vecs
+            first = np.argmax(np.abs(coeffs_m) > 1e-6, axis=0)
             for col in range(vecs.shape[1]):
-                v = vecs[:, col]
-                coeffs_m = m_mat.conj().T @ v
-                nz = np.flatnonzero(np.abs(coeffs_m) > 1e-6)
-                if nz.size:
-                    phase = coeffs_m[nz[0]] / abs(coeffs_m[nz[0]])
-                    v = v * np.conj(phase)
+                lead = coeffs_m[first[col], col]
+                v = vecs[:, col] * np.conj(lead / abs(lead))
                 k3v = float(k3_vals[col])
                 k = round(abs(k3v) - 0.5)
                 if abs((-1.0) ** k * (k + 0.5) - k3v) > 1e-8:
@@ -264,15 +265,10 @@ def _fg_basis(b: Operator, which: str) -> LabeledBasis:
 
 
 def _fg_transpose(b: Operator, values) -> np.ndarray:
-    """B^T values = sum over a of B[a, k] values[a], shape (j+1, ...), for a keyed F of
-    one degree and values of shape (2j+1, ...): each key (s, c) adds coef(k)
-    values[s k + c + j] for the k whose target is in -j..j, from one view."""
-    j = b.space.j
-    out = np.zeros((j + 1,) + values.shape[1:], dtype=complex)
-    for (s, c), coef in b.terms.items():
-        cols, rows = _slices(j, s, c, j + 1, 0)
-        out[cols] += coef[j:][cols].reshape((-1,) + (1,) * (out.ndim - 1)) * values[rows]
-    return out
+    """B^T values = sum over a of B[a, k] values[a], shape (j+1, ...), for a keyed F
+    of one degree and values of shape (2j+1, ...): its columns k = 0..j, one view
+    of values per key."""
+    return _transpose_apply(b, values, b.space.j + 1, 0)
 
 
 def f_basis(space: HarmonicSpace) -> LabeledBasis:

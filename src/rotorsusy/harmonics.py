@@ -387,10 +387,18 @@ def harmonic_values(space: HarmonicSpace, grid=None, theta=None, phi=None):
     theta, phi = _polar(theta), np.asarray(phi, dtype=float)
     nd = max(theta.ndim, phi.ndim)
     p = _legendre_table(j, np.cos(theta.reshape((1,) * (nd - theta.ndim) + theta.shape)))
-    m = np.arange(j + 1).reshape((-1,) + (1,) * nd)
-    e = np.exp(1j * m * phi.reshape((1,) * (nd - phi.ndim) + phi.shape))
-    out = np.empty((2 * j + 1,) + np.broadcast_shapes(p.shape[1:], e.shape[1:]), dtype=complex)
-    np.multiply(p, e, out=out[j:])
+    return _orders(p, phi.reshape((1,) * (nd - phi.ndim) + phi.shape))
+
+
+def _orders(p: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (2j+1,) + shape stack of Y_j^m = Pbar_j^|m| exp(i m phi), m = -j..j, from
+    the Legendre rows p of shape (j+1, ...) and phi broadcastable against p[0]."""
+    j = p.shape[0] - 1
+    out = np.empty((2 * j + 1,) + np.broadcast_shapes(p.shape[1:], phi.shape), dtype=complex)
+    # exp(i m phi) and the product with p formed in place, with no stack-sized temporary
+    np.multiply(1j * np.arange(j + 1).reshape((-1,) + (1,) * phi.ndim), phi, out=out[j:])
+    np.exp(out[j:], out=out[j:])
+    out[j:] *= p
     # Y_j^{-m} = (-1)^m conj(Y_j^m), written to rows j-1 down to 0
     negative = out[:j][::-1]
     np.conj(out[j + 1:], out=negative)

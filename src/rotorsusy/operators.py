@@ -308,6 +308,19 @@ def _columns(space: HarmonicSpace, terms, n: int, first: int = 0) -> np.ndarray:
     return out
 
 
+def _transpose_apply(a: Operator, values, n: int, first: int) -> np.ndarray:
+    """Rows m = first..first+n-1 of a^T values, for a on one degree and values of
+    shape (2j+1, ...): row i is the sum over the keys (s, c) of
+    coef(first + i) values[s (first + i) + c + j], one view of values per key,
+    in O(keys * n * values[0].size)."""
+    j = a.space.j
+    out = np.zeros((n,) + np.shape(values)[1:], dtype=complex)
+    for (s, c), coef in a.terms.items():
+        cols, rows = _slices(j, s, c, n, first)
+        out[cols] += coef[first + j:][cols].reshape((-1,) + (1,) * (out.ndim - 1)) * values[rows]
+    return out
+
+
 def identity(space: HarmonicSpace) -> Operator:
     """Identity operator."""
     return Operator(space, {(1, 0): 1.0})

@@ -360,7 +360,8 @@ def _reflection_point_parity(js, run):
         space = HarmonicSpace(j)
         yv = harmonic_values(space, grid)
         for axis in (1, 2, 3):
-            combo = np.einsum("ba,btp->atp", op.reflection(axis, space).matrix, yv)
+            # R^T Y from the keys: a sign per order, and m reversed for R1 and R2
+            combo = op._transpose_apply(op.reflection(axis, space), yv, space.dim, -j)
             yield float(np.max(np.abs(_reflected(yv, axis) - combo)))
 
 

@@ -28,6 +28,7 @@ from rotorsusy import (
     weights,
     z_basis,
 )
+from rotorsusy import antikrawtchouk as ak
 from rotorsusy.antikrawtchouk import QUAD_TOL, grid
 from rotorsusy.harmonics import build_grid, harmonic_values
 from rotorsusy.verification import _exact_weights
@@ -288,9 +289,20 @@ def _dense_integral_w(N):
     return np.einsum("ntp,ktp,tp->nk", fvals, np.conj(zvals), quad.weight_mesh)
 
 
-@pytest.mark.parametrize("N", [*range(1, 13), 30, 40])
+@pytest.mark.parametrize("N", [*range(1, 13), 30, 40, 60])
 def test_integral_overlaps_equal_the_dense_f_formula(N):
     assert_allclose(overlaps_via_integral(N).W, _dense_integral_w(N), rtol=0, atol=1e-14)
+
+
+def test_integral_route_reads_no_recurrence_data(monkeypatch):
+    # the route is the oracle of the closed forms, so it must not read them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integral route read recurrence data")
+
+    expect = overlaps_via_recurrence(7).W
+    for name in ("_jacobi", "recurrence_coeffs", "grid", "weights", "overlaps_via_recurrence"):
+        monkeypatch.setattr(ak, name, refuse)
+    assert_allclose(overlaps_via_integral(7).W, expect, rtol=0, atol=1e-14)
 
 
 def test_overlap_rows_follow_recurrence():

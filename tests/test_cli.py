@@ -3,7 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,8 @@ from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
 from rotorsusy.cli import _emit, _json_chunks, _pairs, build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -373,20 +378,32 @@ def _traced_peak_mib(run_op):
 
 
 @pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 8.0),
-                                             ("spectrum", 10.0), ("overlaps_via_integral", 8.0)])
+                                             ("spectrum", 10.0), ("overlaps_via_integral", 4.5),
+                                             ("overlaps_via_integral_100", 64.0)])
 def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # gathered (2j+1, n) copies per term and a (4, n, n) bra stack peaked
     # at 22.4 and 10.3 MiB, and a dense m - m^H check at 12.2 MiB; slices
     # leave one temporary per term, and the check works on row blocks.
     # decompose on dense (2j+1, n) bases peaked at 8.4 MiB; keyed, it holds
-    # O(j) coefficients and peaks under 1 MiB.  overlaps_via_integral(30)
-    # peaks at 7.5 MiB (7.1 with the dense F), and gathered copies of the
-    # harmonic rows per key would take it to 9.0
+    # O(j) coefficients and peaks under 1 MiB.  overlaps_via_integral held
+    # two dense (2N+1, N+1, 4N+2) stacks over the mesh, 7.4 MiB at N = 30
+    # and 252 MiB at N = 100; streamed over blocks of theta-rings it peaks
+    # at 2.8 and 8.5 MiB
     run_op = {"decompose": lambda: decompose(HarmonicSpace(256)),
               "f_basis": lambda: f_basis(HarmonicSpace(256)),
               "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256))),
-              "overlaps_via_integral": lambda: overlaps_via_integral(30)}[name]
+              "overlaps_via_integral": lambda: overlaps_via_integral(30),
+              "overlaps_via_integral_100": lambda: overlaps_via_integral(100)}[name]
     assert _traced_peak_mib(run_op) <= limit_mib
+
+
+def test_verify_does_not_import_numpy_fft():
+    # numpy.fft loads on first use; its import alone raises ru_maxrss by about 0.26 MiB
+    code = ("import sys; from rotorsusy.verification import run_verification; "
+            "assert run_verification(10).all_passed; print('numpy.fft' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # SHA-256 of exports written before the actions moved onto slices (x86-64,
@@ -409,9 +426,13 @@ _GOLDEN_SHA256 = {
     # the grid mesh, whose phi nodes carry their own rounding, 4.6e-16 ->
     # 1.6e-15; direct_evaluation draws its angles with random.Random,
     # 3.3e-16 -> 2.2e-16; cross_degree_orthogonality reads the per-order
-    # theta-Grams, 7.2e-16 -> 6.3e-16.  Every other row is unchanged
+    # theta-Grams, 7.2e-16 -> 6.3e-16.  Taken again when overlaps_via_integral
+    # streamed the mesh over theta-rings and read the Legendre rows at the
+    # permuted points from their mirror-symmetric parts, with a different sum
+    # order: overlaps.unitarity 1.777e-15 -> 2.228e-15, overlaps.duality
+    # 9.992e-16 -> 7.791e-16.  Every other row is unchanged
     ("verify", "--jmax", "3"):
-        "bd88f6d6fa27849ca8b0252a183b539e1f19d58cbd2517f97e8313e6339523df",
+        "ce7f959045e50662d154f238e003483a55cec0f1911be8b3f28a4561dd12c404",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):

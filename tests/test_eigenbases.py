@@ -91,6 +91,17 @@ def test_joint_diagonalization_labels():
     assert basis.orthonormality_residual() < 1e-12
 
 
+@pytest.mark.parametrize("j", [1, 4, 9, 20])
+def test_joint_diagonalization_fixes_each_phase_on_the_first_m_coefficient(j):
+    # the first M-basis coefficient above 1e-6 in modulus of every column is positive real
+    space = HarmonicSpace(j)
+    basis = joint_diagonalize(supercharge(space), symmetry_generator(3, space))
+    coeffs = m_basis(space).matrix().conj().T @ basis.matrix()
+    for col in coeffs.T:
+        lead = col[np.flatnonzero(np.abs(col) > 1e-6)[0]]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15
+
+
 def test_joint_diagonalization_requires_commuting_inputs():
     space = HarmonicSpace(2)
     with pytest.raises(ContractViolation):

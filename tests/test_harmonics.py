@@ -23,6 +23,7 @@ from rotorsusy import (
     project,
     ylm_eval,
 )
+from rotorsusy.antikrawtchouk import _permuted_blocks
 from rotorsusy.harmonics import _legendre_degrees, _legendre_steps, _legendre_table
 from rotorsusy.verification import _ylm_direct
 
@@ -245,6 +246,42 @@ def test_all_degree_rows_hold_their_bits_across_a_rescale():
     table = _legendre_degrees(800, z)
     for l in (767, 768, 769, 800):
         assert_array_equal(table[l, :l + 1], _legendre_table(l, z), err_msg=f"l={l}")
+
+
+def _mirrored(l, z):
+    """(-1)^(l+m) times _legendre_table(l, z), row m."""
+    table = _legendre_table(l, z)
+    return table * (-1.0) ** (l + np.arange(l + 1)).reshape((-1,) + (1,) * z.ndim)
+
+
+def test_legendre_rows_at_minus_z_are_signed_rows_bit_for_bit():
+    # negation is exact and (1 - z)(1 + z) commutes, so every step of the recurrence mirrors
+    z = np.concatenate((np.polynomial.legendre.leggauss(65)[0], [1.0, -1.0]))
+    for l in range(65):
+        assert_array_equal(_legendre_table(l, -z), _mirrored(l, z), err_msg=f"l={l}")
+    # near the poles the mantissas are first rescaled by 2^-512 at degree 768
+    z = np.array([1.0 - 2.0**-53, 1.0 - 1e-12, 0.999, 0.3])
+    for l in (767, 768, 769):
+        assert_array_equal(_legendre_table(l, -z), _mirrored(l, z), err_msg=f"l={l}")
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 30, 31])
+def test_permuted_mesh_rows_equal_direct_tables_at_every_point(N):
+    # the integral route's Legendre rows, shared across the mesh's mirror symmetries
+    quad, n = build_grid(N), N + 1
+    theta, phi = quad.mesh()
+    x1, x2, x3 = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+    seen = []
+    for rings, z, phi_p, rows in _permuted_blocks(N, quad):
+        assert_array_equal(rows, _legendre_table(N, z))
+        # ring t and its mirror n-1-t: the same z, and phi negated
+        s = np.sqrt((1.0 - z) * (1.0 + z))
+        for t, sign in ((rings, 1.0), (n - 1 - rings, -1.0)):
+            point = np.stack((s * np.cos(sign * phi_p), s * np.sin(sign * phi_p), z))
+            assert_allclose(point, np.stack((x2[t], x3[t], (-1.0) ** (N + 1) * x1[t])),
+                            rtol=0, atol=2e-15)
+        seen.extend(rings.tolist() + (n - 1 - rings).tolist())
+    assert sorted(set(seen)) == list(range(n))
 
 
 def test_unit_norm_of_single_harmonic():
