@@ -457,3 +457,77 @@ def test_exports_match_their_golden_digests(argv, tmp_path):
     else:
         assert main(list(argv) + ["--format", "json", "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_SHA256[argv]
+
+
+# SHA-256 of the csv and table exports, taken before the two formats were
+# rendered from one row list per command; the last item of each key is the
+# format, and the verify table's timings are masked
+_TEXT_SHA256 = {
+    ("spectrum", "--op", "Q", "--j", "5", "csv"):
+        "f1cc31552d8daa11c34c28c76462ca4fb3d1772655f92ae13b07ca9dd67f90ec",
+    ("spectrum", "--op", "Q", "--j", "5", "table"):
+        "c3ae439594bb3a6ea8b4996f85459fb852e5284558178c8f1807a780b1618d5b",
+    ("spectrum", "--op", "H", "--j", "3", "csv"):
+        "181823a8d23cc2ab35d34a4b0089ca0b384960013bae3f7039386f91c8e55fd9",
+    ("spectrum", "--op", "H", "--j", "3", "table"):
+        "524c102f39402aeb5b54d8add6d06bd201cefa18dedd2d52e87c3f3c05aaf620",
+    ("basis", "--family", "F", "--j", "3", "csv"):
+        "c1581222d87a20b557e6d73998084f4477cdcbf335b1b093b620816c409ed1d6",
+    ("basis", "--family", "F", "--j", "3", "table"):
+        "4a8b8ba9354e2e5fb8c1378ad9fbc60902e50eef512eb15d8e65eabf56062c00",
+    ("basis", "--family", "G", "--j", "3", "csv"):
+        "065356e6519c3d84238cf1ab240096f62345e93cf1d7aed1db46152fba435f1f",
+    ("basis", "--family", "G", "--j", "3", "table"):
+        "7090ac09c6603a9599cc0cbe13b1939bfcbdc25782f564dea025fc3cfc49ef62",
+    ("basis", "--family", "M", "--j", "3", "csv"):
+        "12fe6810ea4d4498f85e74b3ab1373b5342fdbc4001059e9b9f678ae68fa38fe",
+    ("basis", "--family", "M", "--j", "3", "table"):
+        "3d56f1a00e9969ce8ea5a9ef7a37b2c3d7760c645b587430573723844407ba11",
+    ("basis", "--family", "Z", "--j", "3", "csv"):
+        "1ee6d18df430669a1aa3f554515b0b0fc45b722c87ecead7b2b8a891d256d705",
+    ("basis", "--family", "Z", "--j", "3", "table"):
+        "7ece7fdbabe610f8c9cc106d8fb2b8b30e85483984605fd41d782a56be1794bf",
+    ("basis", "--family", "G", "--j", "0", "csv"):
+        "8f5291e475aa61d2c6263fb81e32b95c62bdd0d0218b25fe63d715f33db91dea",
+    ("basis", "--family", "G", "--j", "0", "table"):
+        "9a98572f6607b3bcf6f61c4cd3acdc27e142efb66344dadbeaea2d7a430e6e96",
+    ("poly", "--what", "coeffs", "--N", "7", "csv"):
+        "62dae2373106fce0202aa2346446329798af7b18350fd66ab08b3e65b8d41e37",
+    ("poly", "--what", "coeffs", "--N", "7", "table"):
+        "85983cdb984394c3e8fbf23ec51743bd19a648402a3283077e4b5e849adfa1b6",
+    ("poly", "--what", "values", "--N", "5", "csv"):
+        "a35c2ad1668eb3b8d81abb09d01b1f5f975ce9dab4d85299e2412512317d3c06",
+    ("poly", "--what", "values", "--N", "5", "table"):
+        "33817690bffaf54ce756fdaa9aa13072b14a6709d529d598b7c33993758c285c",
+    ("poly", "--what", "weights", "--N", "6", "csv"):
+        "0e4c3f7c8d93d03687cd201c61872ff5453714d5238d11a4a2f083cafaf5f393",
+    ("poly", "--what", "weights", "--N", "6", "table"):
+        "e348f45d997d0b52615b2e666d21b9a0921587c1a5d0b233db708c6b31ac9bf5",
+    ("poly", "--what", "params", "--N", "7", "csv"):
+        "82021ea4d95127f2478d444a1181ac70de93e188fcc08b310bed731d913e9d05",
+    ("poly", "--what", "params", "--N", "7", "table"):
+        "876b86991f7ccade9b7c2cb2378e08e8de99a0105d3e946d3e96a52ac7546d2f",
+    ("overlaps", "--N", "3", "--method", "both", "csv"):
+        "8bb3620bdc70812a67ccf09a1d2095ae1598d755d55ab3d7d929ac7296831db1",
+    ("overlaps", "--N", "3", "--method", "both", "table"):
+        "901557ac5d2940bd6056af14a48dc9c6e2b8f2858601e73749699a7235cca1a8",
+    ("overlaps", "--N", "2", "--method", "integral", "csv"):
+        "71aee393cb7de07371d3a26a2532d2da5c167a3a4a359c8c4ff3118a6a330895",
+    ("overlaps", "--N", "2", "--method", "integral", "table"):
+        "25f10c18778a82098e8cd4762e180717805edcb8930708c97b465bfe9bd73efe",
+    ("overlaps", "--N", "4", "--method", "recurrence", "csv"):
+        "9626ab56fe82ca6394897ff1fd48be43da5604a4330c6bddbb12aa1b9e0f58a6",
+    ("overlaps", "--N", "4", "--method", "recurrence", "table"):
+        "c43c3865e52473460bf2170e8aa33442dc8dea918419c6b52f5195e2e615ddd9",
+    ("verify", "--jmax", "2", "csv"):
+        "5646c994d7faf6624b2b72031a21788928a5078ad0d72225bbb9ec654c68f67a",
+    ("verify", "--jmax", "2", "table"):
+        "56e454edd9485243e77d6eb61d9f7df2de74c7fb2aa8d0de9575948c9de5ceb5",
+}
+
+
+@pytest.mark.parametrize("argv", list(_TEXT_SHA256), ids=" ".join)
+def test_csv_and_table_exports_match_their_golden_digests(argv, capsys):
+    assert main(list(argv[:-1]) + ["--format", argv[-1]]) == 0
+    text = re.sub(r"\d+\.\d{3}s", "TIME", capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == _TEXT_SHA256[argv]
