@@ -9,140 +9,17 @@ against an independent numerical oracle at construction or in the
 verification suite.
 """
 
-from .errors import ContractViolation, VerificationError
-from .harmonics import (
-    BasisIndex,
-    HarmonicSpace,
-    QuadratureGrid,
-    StateVector,
-    assoc_legendre,
-    build_grid,
-    evaluate_on_grid,
-    harmonic_values,
-    inner_product,
-    project,
-    ylm_eval,
-)
-from .operators import (
-    DegreeStack,
-    Operator,
-    SpectrumReport,
-    adjoint,
-    anticommutator,
-    commutator,
-    hamiltonian,
-    identity,
-    j1,
-    j2,
-    j3,
-    jminus,
-    jplus,
-    op_norm,
-    reflection,
-    spectrum,
-)
-from .susy import (
-    SusyOperators,
-    casimir,
-    non_symmetry_report,
-    supercharge,
-    supercharge_alt,
-    susy_operators,
-    symmetry_generator,
-    symmetry_generators,
-)
-from .eigenbases import (
-    LabeledBasis,
-    TridiagonalData,
-    closed_form_tridiagonal,
-    decompose,
-    f_basis,
-    g_basis,
-    joint_diagonalize,
-    m_basis,
-    q_action_on_m,
-    tridiagonal_extract,
-)
-from .antikrawtchouk import (
-    OverlapMatrix,
-    RecurrenceTable,
-    SpectralGrid,
-    WeightTable,
-    bannai_ito_params,
-    eval_monic,
-    monic_table,
-    overlaps_via_integral,
-    overlaps_via_recurrence,
-    recurrence_coeffs,
-    weights,
-    z_basis,
-)
-from .verification import CheckResult, VerificationReport, run_verification
+from .errors import *
+from .harmonics import *
+from .operators import *
+from .susy import *
+from .eigenbases import *
+from .antikrawtchouk import *
+from .verification import *
+from . import errors, harmonics, operators, susy, eigenbases, antikrawtchouk, verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContractViolation",
-    "VerificationError",
-    "BasisIndex",
-    "HarmonicSpace",
-    "QuadratureGrid",
-    "StateVector",
-    "assoc_legendre",
-    "build_grid",
-    "evaluate_on_grid",
-    "harmonic_values",
-    "inner_product",
-    "project",
-    "ylm_eval",
-    "DegreeStack",
-    "Operator",
-    "SpectrumReport",
-    "adjoint",
-    "anticommutator",
-    "commutator",
-    "hamiltonian",
-    "identity",
-    "j1",
-    "j2",
-    "j3",
-    "jminus",
-    "jplus",
-    "op_norm",
-    "reflection",
-    "spectrum",
-    "SusyOperators",
-    "casimir",
-    "non_symmetry_report",
-    "supercharge",
-    "supercharge_alt",
-    "susy_operators",
-    "symmetry_generator",
-    "symmetry_generators",
-    "LabeledBasis",
-    "TridiagonalData",
-    "closed_form_tridiagonal",
-    "decompose",
-    "f_basis",
-    "g_basis",
-    "joint_diagonalize",
-    "m_basis",
-    "q_action_on_m",
-    "tridiagonal_extract",
-    "OverlapMatrix",
-    "RecurrenceTable",
-    "SpectralGrid",
-    "WeightTable",
-    "bannai_ito_params",
-    "eval_monic",
-    "monic_table",
-    "overlaps_via_integral",
-    "overlaps_via_recurrence",
-    "recurrence_coeffs",
-    "weights",
-    "z_basis",
-    "CheckResult",
-    "VerificationReport",
-    "run_verification",
-    "__version__",
-]
+# the package's public names are its submodules' __all__ lists
+__all__ = [name for module in (errors, harmonics, operators, susy, eigenbases, antikrawtchouk, verification)
+           for name in module.__all__] + ["__version__"]

@@ -13,9 +13,10 @@ verify also takes --tolerance-scale FLOAT; with --output it writes JSON
 unless --format says otherwise, and prints its table to stdout too.  JSON
 is the canonical machine format: every export is wrapped in an envelope
 {schema_version, kind, metadata, payload} with complex numbers as
-[re, im] pairs.  Exports are deterministic byte-for-byte across runs.
+[re, im] pairs.  Exports are deterministic byte-for-byte across runs.  The
+CSV and the table render one list of raw rows per command.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable --output.
 """
 
 import argparse
@@ -45,10 +46,6 @@ _CONVENTIONS = {
     "condon_shortley": True,
     "complex_format": "[re, im]",
 }
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _pairs(a):
@@ -135,14 +132,31 @@ def _envelope(kind, metadata, payload):
     }
 
 
-def _render_csv(rows) -> str:
+def _csv_text(header, rows) -> str:
+    """The header and rows as CSV: a float cell as format(v, ".17g"), None as
+    an empty cell, any other cell by str."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
+
+
+class _Dash:
+    """An absent table value: a dash, right-aligned in its field's width."""
+
+    def __format__(self, spec):
+        return "-".rjust(len(format(0.0, spec)))
+
+
+def _grid(head_lines, template):
+    """A table function: head_lines, then template filled with each row by
+    str.format, a None cell printed as a dash."""
+    return lambda rows: head_lines + [template.format(*(_Dash() if v is None else v for v in row))
+                                      for row in rows]
 
 
 def _deliver(args, chunks) -> None:
@@ -155,15 +169,16 @@ def _deliver(args, chunks) -> None:
         fh.write("" if last.endswith("\n") else "\n")
 
 
-def _emit(args, kind, metadata, payload, table_lines, csv_rows) -> None:
-    """Render and deliver one export; payload, table_lines and csv_rows are
-    callables, and only the one the requested format needs is called."""
+def _emit(args, kind, metadata, payload, header, rows, table) -> None:
+    """Render and deliver one export: payload() for JSON, or the raw rows()
+    as CSV under header or as table(rows) lines; only what the requested
+    format needs is called."""
     if args.format == "json":
         chunks = _json_chunks(_envelope(kind, metadata, payload()))
     elif args.format == "csv":
-        chunks = [_render_csv(csv_rows())]
+        chunks = [_csv_text(header, rows())]
     else:
-        chunks = ["\n".join(table_lines()) + "\n"]
+        chunks = ["\n".join(table(rows())) + "\n"]
     _deliver(args, chunks)
 
 
@@ -180,15 +195,13 @@ def _cmd_verify(args) -> int:
         "tolerance_scale": args.tolerance_scale,
     }
 
-    def csv_rows():
-        rows = [["check", "status", "residual", "tolerance", "detail"]]
-        for c in report.checks:
-            rows.append([c.name, "pass" if c.passed else "fail", _f17(c.residual),
-                         _f17(c.tolerance), c.detail])
-        return rows
+    def rows():
+        return [(c.name, "pass" if c.passed else "fail", c.residual, c.tolerance, c.detail)
+                for c in report.checks]
 
     args.format = args.format or ("json" if args.output else "table")
-    _emit(args, "report", metadata, report.as_dict, report.table_lines, csv_rows)
+    _emit(args, "report", metadata, report.as_dict, ["check", "status", "residual", "tolerance", "detail"],
+          rows, lambda rows: report.table_lines())
     if args.output:
         print(f"report written to {args.output}")
         print("\n".join(report.table_lines()))
@@ -211,7 +224,6 @@ def _named_operator(name, space):
 
 def _cmd_spectrum(args) -> int:
     rep = spectrum(_named_operator(args.op, HarmonicSpace(args.j)))
-    pairs = list(zip(rep.eigenvalues, rep.multiplicities))
 
     def payload():
         return {
@@ -221,14 +233,10 @@ def _cmd_spectrum(args) -> int:
             "multiplicities": [int(m) for m in rep.multiplicities],
         }
 
-    def table():
-        return [f"spectrum of {args.op} at j={args.j}", "eigenvalue      multiplicity"] + [
-            f"{v:>12.6f}    x{m}" for v, m in pairs]
-
-    def csv_rows():
-        return [["eigenvalue", "multiplicity"]] + [[_f17(v), str(int(m))] for v, m in pairs]
-
-    _emit(args, "spectrum", {"j": args.j, "operator": args.op}, payload, table, csv_rows)
+    _emit(args, "spectrum", {"j": args.j, "operator": args.op}, payload, ["eigenvalue", "multiplicity"],
+          lambda: list(zip(rep.eigenvalues.tolist(), rep.multiplicities.tolist())),
+          _grid([f"spectrum of {args.op} at j={args.j}", "eigenvalue      multiplicity"],
+                "{:>12.6f}    x{}"))
     return 0
 
 
@@ -240,6 +248,8 @@ _BASES = {"M": eb.m_basis, "F": eb.f_basis, "G": eb.g_basis, "Z": lambda space: 
 
 def _cmd_basis(args) -> int:
     basis = _BASES[args.family](HarmonicSpace(args.j))
+    first_label = basis.labels[0] if basis.labels else {}
+    keys = sorted(first_label)
 
     def payload():
         return {
@@ -249,136 +259,53 @@ def _cmd_basis(args) -> int:
             "vectors": _pairs(basis.matrix().T),
         }
 
-    def table():
-        lines = [f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"]
-        for lab, v in zip(basis.labels, basis.matrix().T):
-            lines.append("  " + ", ".join(f"{k}={lab[k]}" for k in lab))
-            lines.append("    " + "  ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in v))
-        return lines
+    def rows():
+        return [(n, *(lab[k] for k in keys), *p.ravel().tolist())
+                for n, (lab, p) in enumerate(zip(basis.labels, _pairs(basis.matrix().T)))]
 
-    def csv_rows():
-        label_keys = sorted(basis.labels[0]) if basis.labels else []
-        rows = [["index"] + label_keys + [f"c{i}_{p}" for i in range(2 * args.j + 1)
-                                          for p in ("re", "im")]]
-        for n, (lab, v) in enumerate(zip(basis.labels, basis.matrix().T)):
-            rows.append([str(n)] + [_f17(lab[k]) if isinstance(lab[k], float) else str(lab[k])
-                                    for k in label_keys]
-                        + [_f17(x) for c in v for x in (c.real, c.imag)])
-        return rows
-
-    _emit(args, "basis", {"j": args.j, "family": args.family}, payload, table, csv_rows)
+    header = ["index", *keys, *(f"c{i}_{p}" for i in range(2 * args.j + 1) for p in ("re", "im"))]
+    labels = ", ".join(f"{k}={{{1 + keys.index(k)}}}" for k in first_label)
+    cells = "  ".join(f"{{{i}:+.6f}}{{{i + 1}:+.6f}}i" for i in range(1 + len(keys), len(header), 2))
+    table = _grid([f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"], f"  {labels}\n    {cells}")
+    _emit(args, "basis", {"j": args.j, "family": args.family}, payload, header, rows, table)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # poly
 
-def _poly_coeffs(n_max):
-    t = ak.recurrence_coeffs(n_max)
-
-    def payload():
-        return {
-            "N": n_max,
-            "A": t.A,
-            "C": t.C,
-            "monic_b": t.monic_b,
-            "monic_c": t.monic_c,
-        }
-
-    def table():
-        lines = [f"recurrence coefficients at N={n_max}", "n       A_n       C_n       b_n       c_n"]
-        for n in range(n_max + 1):
-            c_txt = f"{t.monic_c[n - 1]:>9.5f}" if n >= 1 else "        -"
-            lines.append(f"{n:<3} {t.A[n]:>9.5f} {t.C[n]:>9.5f} {t.monic_b[n]:>9.5f} {c_txt}")
-        return lines
-
-    def csv_rows():
-        rows = [["n", "A", "C", "monic_b", "monic_c"]]
-        for n in range(n_max + 1):
-            rows.append(
-                [str(n), _f17(t.A[n]), _f17(t.C[n]), _f17(t.monic_b[n]),
-                 _f17(t.monic_c[n - 1]) if n >= 1 else ""]
-            )
-        return rows
-
-    return payload, table, csv_rows
-
-
-def _poly_values(n_max):
-    t = ak.recurrence_coeffs(n_max)
-    g = ak.grid(n_max)
-    vals = ak.monic_table(t, n_max + 1, g.x)
-
-    def payload():
-        return {
-            "N": n_max,
-            "x": g.x,
-            "y": g.y,
-            "P": vals,
-        }
-
-    def table():
-        lines = [f"monic values P_n(x_k) at N={n_max}",
-                 "k/n " + " ".join(f"{n:>10}" for n in range(n_max + 2))]
-        for k in range(n_max + 1):
-            lines.append(
-                f"{k:<3} " + " ".join(f"{vals[n][k]:>10.5f}" for n in range(n_max + 2))
-            )
-        return lines
-
-    def csv_rows():
-        rows = [["k", "x", "y"] + [f"P{n}" for n in range(n_max + 2)]]
-        for k in range(n_max + 1):
-            rows.append([str(k), _f17(g.x[k]), _f17(g.y[k])]
-                        + [_f17(vals[n][k]) for n in range(n_max + 2)])
-        return rows
-
-    return payload, table, csv_rows
-
-
-def _poly_weights(n_max):
-    wt = ak.weights(n_max)
-
-    def payload():
-        return {"N": n_max, "x": wt.x, "derived": wt.derived, "log2_norms": wt.log2_norms}
-
-    def table():
-        lines = [f"closed-form weights at N={n_max}", "k          x    derived"]
-        for k in range(n_max + 1):
-            lines.append(f"{k:<3} {wt.x[k]:>8.4f} {wt.derived[k]:>10.6f}")
-        return lines
-
-    def csv_rows():
-        return [["k", "x", "derived"]] + [[str(k), _f17(wt.x[k]), _f17(wt.derived[k])]
-                                         for k in range(n_max + 1)]
-
-    return payload, table, csv_rows
-
-
-def _poly_params(n_max):
-    p = ak.bannai_ito_params(n_max)
-
-    def payload():
-        return {"N": n_max, **p}
-
-    def table():
-        return [f"Bannai-Ito parameters at N={n_max}"] + [f"  {k} = {v}" for k, v in p.items()]
-
-    def csv_rows():
-        return [["rho1", "rho2", "r1", "r2"],
-                [_f17(p["rho1"]), _f17(p["rho2"]), _f17(p["r1"]), _f17(p["r2"])]]
-
-    return payload, table, csv_rows
-
-
-_POLY_EXPORTS = {"coeffs": _poly_coeffs, "values": _poly_values,
-                 "weights": _poly_weights, "params": _poly_params}
-
-
 def _cmd_poly(args) -> int:
-    payload, table, csv_rows = _POLY_EXPORTS[args.what](args.N)
-    _emit(args, "weights" if args.what == "weights" else "recurrence",
-          {"N": args.N, "what": args.what}, payload, table, csv_rows)
+    n_max = args.N
+    if args.what == "coeffs":
+        t = ak.recurrence_coeffs(n_max)
+        payload = {"N": n_max, "A": t.A, "C": t.C, "monic_b": t.monic_b, "monic_c": t.monic_c}
+        header = ["n", "A", "C", "monic_b", "monic_c"]
+        columns = [range(n_max + 1), t.A, t.C, t.monic_b, [None, *t.monic_c[:n_max]]]
+        table = _grid([f"recurrence coefficients at N={n_max}", "n       A_n       C_n       b_n       c_n"],
+                      "{:<3} {:>9.5f} {:>9.5f} {:>9.5f} {:>9.5f}")
+    elif args.what == "values":
+        t = ak.recurrence_coeffs(n_max)
+        g = ak.grid(n_max)
+        vals = ak.monic_table(t, n_max + 1, g.x)
+        payload = {"N": n_max, "x": g.x, "y": g.y, "P": vals}
+        header = ["k", "x", "y", *(f"P{n}" for n in range(n_max + 2))]
+        columns = [range(n_max + 1), g.x, g.y, *vals]
+        table = _grid([f"monic values P_n(x_k) at N={n_max}",
+                       "k/n " + " ".join(f"{n:>10}" for n in range(n_max + 2))],
+                      "{0:<3} " + " ".join(f"{{{n + 3}:>10.5f}}" for n in range(n_max + 2)))
+    elif args.what == "weights":
+        wt = ak.weights(n_max)
+        payload = {"N": n_max, "x": wt.x, "derived": wt.derived, "log2_norms": wt.log2_norms}
+        header, columns = ["k", "x", "derived"], [range(n_max + 1), wt.x, wt.derived]
+        table = _grid([f"closed-form weights at N={n_max}", "k          x    derived"],
+                      "{:<3} {:>8.4f} {:>10.6f}")
+    else:
+        p = ak.bannai_ito_params(n_max)
+        payload = {"N": n_max, **p}
+        header, columns = list(p), [[v] for v in p.values()]
+        table = _grid([f"Bannai-Ito parameters at N={n_max}"], "\n".join(f"  {k} = {{}}" for k in p))
+    _emit(args, "weights" if args.what == "weights" else "recurrence", {"N": n_max, "what": args.what},
+          lambda: payload, header, lambda: list(zip(*columns)), table)
     return 0
 
 
@@ -395,6 +322,7 @@ def _cmd_overlaps(args) -> int:
     dev = None
     if args.method == "both":
         dev = float(np.max(np.abs(results["integral"].W - results["recurrence"].W)))
+    header = ["method", "n", *(f"k{k}_{p}" for k in range(n + 1) for p in ("re", "im"))]
 
     def payload():
         out = {"N": n, "method": args.method}
@@ -405,25 +333,22 @@ def _cmd_overlaps(args) -> int:
             out["max_deviation"] = dev
         return out
 
-    def table():
+    def rows():
+        return [(name, r, *parts) for name, om in results.items()
+                for r, parts in enumerate(_pairs(om.W).reshape(n + 1, -1).tolist())]
+
+    def table(rows):
         lines = [f"overlap matrix at N={n} (method: {args.method})"]
-        for name, om in results.items():
-            lines.append(f"[{name}] unitarity residual {om.unitarity_residual:.3e}")
-            for row in om.W:
-                lines.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row))
+        template = "  " + "  ".join(f"{{{i}:+.6f}}{{{i + 1}:+.6f}}i" for i in range(2, len(header), 2))
+        for row in rows:
+            if row[1] == 0:
+                lines.append(f"[{row[0]}] unitarity residual {results[row[0]].unitarity_residual:.3e}")
+            lines.append(template.format(*row))
         if dev is not None:
             lines.append(f"max entrywise deviation between methods: {dev:.3e}")
         return lines
 
-    def csv_rows():
-        rows = [["method", "n"] + sum([[f"k{k}_re", f"k{k}_im"] for k in range(n + 1)], [])]
-        for name, om in results.items():
-            for r, row in enumerate(om.W):
-                rows.append([name, str(r)]
-                            + sum([[_f17(z.real), _f17(z.imag)] for z in row], []))
-        return rows
-
-    _emit(args, "overlaps", {"N": n, "method": args.method}, payload, table, csv_rows)
+    _emit(args, "overlaps", {"N": n, "method": args.method}, payload, header, rows, table)
     return 0
 
 
@@ -509,6 +434,11 @@ def main(argv=None) -> int:
     except (VerificationError, ContractViolation) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if not args.output or exc.filename != args.output:
+            raise
+        print(f"rotorsusy: error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

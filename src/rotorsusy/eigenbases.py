@@ -35,6 +35,7 @@ __all__ = [
     "joint_diagonalize",
     "f_basis",
     "g_basis",
+    "closed_form_tridiagonal",
     "tridiagonal_extract",
     "decompose",
 ]

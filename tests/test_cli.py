@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
-from rotorsusy.cli import _emit, _json_chunks, _pairs, build_parser, main
+from rotorsusy.cli import _emit, _grid, _json_chunks, _pairs, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -232,22 +232,26 @@ def test_exports_are_deterministic(capsys):
 def test_emit_renders_only_the_requested_format(fmt, tmp_path):
     called = []
 
-    def builder(name, value):
-        def build():
+    def builder(name, build):
+        def call(*a):
             called.append(name)
-            return value
-        return build
+            return build(*a)
+        return call
 
     args = argparse.Namespace(format=fmt, output=str(tmp_path / "out"))
-    _emit(args, "spectrum", {"j": 0}, builder("json", {"x": 1}),
-          builder("table", ["line"]), builder("csv", [["a", "b"]]))
-    assert called == [fmt]
+    _emit(args, "spectrum", {"j": 0}, builder("payload", lambda: {"x": 1}), ["p", "q", "r", "s"],
+          builder("rows", lambda: [(1.5, None, 3, "a")]),
+          builder("table", _grid(["head"], "{:>5}|{:>9.5f}|{}|{}")))
     text = (tmp_path / "out").read_text()
-    expected = {"table": "line\n", "csv": "a,b\n"}
     if fmt == "json":
+        assert called == ["payload"]
         assert json.loads(text)["payload"] == {"x": 1}
+    elif fmt == "csv":
+        assert called == ["rows"]
+        assert text == "p,q,r,s\n1.5,,3,a\n"
     else:
-        assert text == expected[fmt]
+        assert called == ["rows", "table"]
+        assert text == "head\n  1.5|        -|3|a\n"
 
 
 def _as_lists(obj):
@@ -397,13 +401,40 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     assert _traced_peak_mib(run_op) <= limit_mib
 
 
+def _fresh_python(code):
+    """The stdout of code run in a fresh interpreter that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_verify_does_not_import_numpy_fft():
     # numpy.fft loads on first use; its import alone raises ru_maxrss by about 0.26 MiB
     code = ("import sys; from rotorsusy.verification import run_verification; "
             "assert run_verification(10).all_passed; print('numpy.fft' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_json_exports_do_not_import_csv():
+    # the csv module is the CSV writer's alone; JSON exports must not load it
+    code = ("import os, sys; from rotorsusy.cli import main\n"
+            "for argv in (['basis', '--family', 'F', '--j', '3'],\n"
+            "             ['poly', '--what', 'coeffs', '--N', '7']):\n"
+            "    assert main(argv + ['--format', 'json', '--output', os.devnull]) == 0\n"
+            "print('csv' in sys.modules)")
+    assert _fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--j", "1", "--op", "Q", "--format", "json"),
+    ("verify", "--jmax", "1"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert err.count("\n") == 1 and str(target) in err
+    assert not target.parent.exists()
 
 
 # SHA-256 of exports written before the actions moved onto slices (x86-64,
