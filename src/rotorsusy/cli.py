@@ -234,7 +234,7 @@ def _cmd_spectrum(args) -> int:
         }
 
     _emit(args, "spectrum", {"j": args.j, "operator": args.op}, payload, ["eigenvalue", "multiplicity"],
-          lambda: list(zip(rep.eigenvalues.tolist(), rep.multiplicities.tolist())),
+          lambda: list(zip(rep.eigenvalues, rep.multiplicities)),
           _grid([f"spectrum of {args.op} at j={args.j}", "eigenvalue      multiplicity"],
                 "{:>12.6f}    x{}"))
     return 0
