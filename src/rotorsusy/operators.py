@@ -29,6 +29,17 @@ gives one norm per degree, and Operator.at(j) is degree j on its own.
 J- is the adjoint of J+, J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).  The
 product formula H = J1^2 + J2^2 + J3^2 + 1/4 lives in verification.py,
 where it serves as the oracle of the closed form.
+
+Complex conjugation of functions, Theta Y_j^m = (-1)^m Y_j^{-m}, commutes
+with the reflections and with -i J_k, so with Q, Q', K1-K3, H and C (not
+with J1, J2 or J3).  On the keys that is one exact identity,
+
+    coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)),
+
+and such an operator is a real matrix in the real spherical-harmonic basis
+S^0 = Y^0, S^m = (Y^{-m} + (-1)^m Y^m)/sqrt2 and
+S^{-m} = i (Y^{-m} - (-1)^m Y^m)/sqrt2 (m > 0).  spectrum solves the
+self-adjoint ones there, as real symmetric matrices.
 """
 
 from collections.abc import Mapping
@@ -429,22 +440,103 @@ def op_norm(a: Operator):
     return np.array(norms) if np.ndim(a.space.degrees) else norms[0]
 
 
+@lru_cache(maxsize=256)
+def _mirrors(keys: tuple):
+    """(mirror, sign, lone) for the conjugation identity on these keys: the
+    index of each key's mirror (s, -c), or its own where it has none; the
+    sign (-1)^c of each key, shaped to scale a stack of coefficients; and
+    the keys that have no mirror."""
+    where = {key: x for x, key in enumerate(keys)}
+    plan = (np.array([where.get((s, -c), x) for x, (s, c) in enumerate(keys)], dtype=int),
+            np.array([1 - 2 * (c % 2) for _, c in keys], dtype=float).reshape(-1, 1, 1),
+            np.array([x for x, (s, c) in enumerate(keys) if (s, -c) not in where], dtype=int))
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _conjugation_even(keys, coefs) -> bool:
+    """Whether the entries (keys, coefs) of _entries satisfy
+    coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)) exactly, with no
+    tolerance, at every degree: the operator commutes with Theta (see the
+    module docstring).  A key whose mirror (s, -c) is missing must be zero."""
+    mirror, sign, lone = _mirrors(tuple(keys))
+    if lone.size and np.any(coefs[lone]):
+        return False
+    return bool(np.all(coefs[mirror, :, ::-1] == sign * coefs.conj()))
+
+
+@lru_cache(maxsize=64)
+def _real_phases(j: int):
+    """(row, col) over m = -j..j: col holds the unit phase u(m) =
+    sqrt2 T[m, m] of the real basis T of the module docstring, (-1)^m for
+    m > 0 and i for m < 0, and row holds conj(u(m)).  At m = 0 col holds 2
+    and row 1, the doubling that _real_matrix scales back."""
+    m = np.arange(-j, j + 1)
+    col = np.where(m > 0, (-1.0) ** m, np.where(m < 0, 1j, 2.0))
+    row = np.where(m == 0, 1.0, col.conj())
+    for p in (row, col):
+        p.setflags(write=False)
+    return row, col
+
+
+def _real_matrix(j: int, keys, coefs) -> np.ndarray:
+    """T^H A T, the float64 (2j+1, 2j+1) matrix of the operator A with one
+    degree's entries (keys, coefs) (coefs of shape (keys, 2j+1)) in the real
+    basis T, written straight from the keys.  Requires _conjugation_even.
+
+    Entry (m', m) of A reaches the rows m', -m' and the columns m, -m of
+    T^H A T.  Under Theta its part in row -m' equals the mirror entry's part
+    in row m', so each key writes only its part in row m', twice over.  With
+    the unit phases of _real_phases, w = conj(u(m')) A[m', m] u(m) is exact;
+    Re w goes to column m and, as sqrt2 T[m, -m] = -i u(m), Im w to column
+    -m, each as one strided slice.  At m = 0 the two columns are one: w is
+    doubled there and its Im dropped.  Row and column m = 0 thus come out
+    doubled and are scaled back: the centre by 1/2, the rest by sqrt(1/2)."""
+    n = 2 * j + 1
+    row, col = _real_phases(j)
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for (s, c), coef in zip(keys, coefs):
+        cols, rows = _slices(j, s, c, n, -j)
+        count, first = cols.stop - cols.start, rows.start * n
+        w = row[rows] * coef[cols] * col[cols]
+        if cols.start <= j < cols.stop:
+            w.imag[j - cols.start] = 0.0
+        # flat step 0 only at n = 1, where a key has at most one entry
+        flat[_span(first + cols.start, rows.step * n + 1 or 1, count)] += w.real
+        flat[_span(first + 2 * j - cols.start, rows.step * n - 1 or 1, count)] += w.imag
+    centre = out[j, j] / 2
+    out[j] *= np.sqrt(0.5)
+    out[:, j] *= np.sqrt(0.5)
+    out[j, j] = centre
+    return out
+
+
 def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
-    """Eigenvalues of an operator, grouped into clusters of width CLUSTER_TOL.
+    """Eigenvalues of an operator on one degree, grouped into clusters of
+    width CLUSTER_TOL.
 
     With self_adjoint=True (the default) the operator must be Hermitian
     within 1e-10 (relative to its norm); violation raises ContractViolation.
+    An operator whose keys satisfy the conjugation identity exactly (see the
+    module docstring; Q, Q', K1-K3, H, C and R1-R3 do) is solved as the real
+    symmetric matrix T^H A T in the real basis; any other (J1, J2, J3, ...)
+    as its dense complex matrix.
     """
-    matrix = a.matrix
+    j = a._one_degree()[0]
     if self_adjoint:
+        keys, coefs = _entries(a)
         herm = op_norm(a - adjoint(a))
-        if herm > 1e-10 * max(1.0, op_norm(a)):
+        # the bits of op_norm(a), from the same entries
+        if herm > 1e-10 * max(1.0, float(np.linalg.norm(coefs))):
             raise ContractViolation(
                 f"matrix is not self-adjoint (deviation {herm:.3e}) but self_adjoint=True"
             )
-        vals = np.linalg.eigvalsh(matrix)
+        real = _conjugation_even(keys, coefs)
+        vals = np.linalg.eigvalsh(_real_matrix(j, keys, coefs[:, 0]) if real else a.matrix)
     else:
-        raw = np.linalg.eigvals(matrix)
+        raw = np.linalg.eigvals(a.matrix)
         order = np.lexsort((raw.imag, raw.real))
         raw = raw[order]
         vals = raw.real if np.max(np.abs(raw.imag)) < 1e-10 else raw

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
     ContractViolation,
+    DegreeStack,
     HarmonicSpace,
     Operator,
     adjoint,
@@ -23,8 +24,9 @@ from rotorsusy import (
     reflection,
     spectrum,
 )
-from rotorsusy import (casimir, f_basis, g_basis, supercharge, supercharge_alt,
-                       symmetry_generators)
+from rotorsusy import (casimir, f_basis, g_basis, operators, supercharge, supercharge_alt,
+                       symmetry_generators, verification)
+from rotorsusy.cli import _named_operator
 from rotorsusy.eigenbases import _fg_operator
 
 
@@ -346,3 +348,70 @@ def test_fg_adjoint_equals_the_dense_bra(j):
         assert_array_equal(np.delete(got, np.s_[j:j + n], axis=0), 0.0)
         projector = np.diag(np.r_[np.zeros(j), np.ones(n), np.zeros(j + 1 - n)])
         assert_allclose((adjoint(keyed) @ keyed).matrix, projector, atol=1e-15)
+
+
+def _real_basis(j):
+    """The dense real basis: column mu + j is S^mu, S^0 = Y^0,
+    S^m = (Y^{-m} + (-1)^m Y^m)/sqrt2, S^{-m} = i (Y^{-m} - (-1)^m Y^m)/sqrt2."""
+    t = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
+    t[j, j] = 1.0
+    for m in range(1, j + 1):
+        t[j - m, j + m], t[j + m, j + m] = np.sqrt(0.5), (-1) ** m * np.sqrt(0.5)
+        t[j - m, j - m], t[j + m, j - m] = 1j * np.sqrt(0.5), -1j * (-1) ** m * np.sqrt(0.5)
+    return t
+
+
+_REAL = ("H", "Q", "Q'", "K1", "K2", "K3", "C", "R1", "R2", "R3")
+_PRODUCT_FIELDS = ("h", "q", "q_alt", "k1", "k2", "k3", "c")
+
+
+@pytest.mark.parametrize("space", [HarmonicSpace(j) for j in (0, 1, 2, 7, 10, 64)] + [DegreeStack(30)],
+                         ids=str)
+def test_the_conjugation_identity_holds_exactly_for_the_real_operators(space):
+    def even(a):
+        return operators._conjugation_even(*operators._entries(a))
+
+    ops = _keyed_operators(space)
+    product = verification._product_operators(space)
+    assert all(even(ops[name]) for name in _REAL)
+    assert all(even(getattr(product, field)) for field in _PRODUCT_FIELDS)
+    # the J_k anticommute with conjugation, and J+ lacks the mirror key
+    # (1, -1); at j = 0 all four are zero.  A zero key needs no mirror
+    assert not space.j or not any(even(ops[name]) for name in ("J1", "J2", "J3", "J+"))
+    assert even(Operator(space, {**ops["Q"].terms, (1, 2 * space.j + 1): 0.0}))
+    if isinstance(space, DegreeStack) or space.j > 10:
+        return
+    # the float writer is T^H A T in the real basis, and keeps H's scalar exact
+    j, t = space.j, _real_basis(space.j)
+    keys, coefs = operators._entries(ops["H"])
+    assert_array_equal(operators._real_matrix(j, keys, coefs[:, 0]), (j + 0.5) ** 2 * np.eye(2 * j + 1))
+    for a in [ops[name] for name in _REAL] + [getattr(product, f) for f in _PRODUCT_FIELDS]:
+        dense = t.conj().T @ a.matrix @ t
+        keys, coefs = operators._entries(a)
+        assert np.max(np.abs(dense.imag)) <= 1e-15 * op_norm(a)
+        assert np.max(np.abs(operators._real_matrix(j, keys, coefs[:, 0]) - dense.real)) <= 1e-15 * op_norm(a)
+
+
+def _clustered(vals):
+    """The rule of spectrum: a value within CLUSTER_TOL of the last kept one joins its cluster."""
+    uniq, mult = [], []
+    for v in vals:
+        if uniq and abs(v - uniq[-1]) <= operators.CLUSTER_TOL:
+            mult[-1] += 1
+        else:
+            uniq.append(v)
+            mult.append(1)
+    return np.array(uniq), mult
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 20])
+@pytest.mark.parametrize("name", ["H", "Q", "Qalt", "K1", "K2", "K3", "C", "J3"])
+def test_spectrum_agrees_with_the_dense_complex_solve(name, j):
+    a = _named_operator(name, HarmonicSpace(j))
+    want, mult = _clustered(np.linalg.eigvalsh(a.matrix))
+    rep = spectrum(a)
+    assert list(rep.multiplicities) == mult
+    if name == "J3":  # no conjugation identity for j >= 1: the dense complex solve, bit for bit
+        assert rep.eigenvalues.tobytes() == want.tobytes()
+    else:
+        assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-12 * (j + 1) ** 2)
