@@ -43,11 +43,12 @@ integrates over the sphere, is the oracle of both.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import pi
 
 import numpy as np
 
-from .eigenbases import LabeledBasis, _fg_operator, _fg_transpose, f_basis
+from .eigenbases import LabeledBasis, _fg_operator, _fg_transpose
 from .errors import VerificationError
 from .harmonics import HarmonicSpace, _legendre_table, _orders, build_grid
 from .susy import supercharge, symmetry_generator
@@ -170,26 +171,37 @@ class OverlapMatrix:
 
 
 def recurrence_coeffs(N: int) -> RecurrenceTable:
-    """Recurrence table for the size-(N+1) family; N must be a positive int."""
+    """Recurrence table for the size-(N+1) family; N must be a positive int.
+    Built once per N and kept, as grid is: both are O(N) and read-only."""
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    return _recurrence_coeffs(int(N))
+
+
+@lru_cache(maxsize=128)
+def _recurrence_coeffs(N):
     n = np.arange(N + 1)
     A = ((-1.0) ** (n + N + 1) * (N + 1) + n + 1) / 4.0
     C = ((-1.0) ** (N + n) * (N + 1) - n) / 4.0
     C[0] = 0.0
     b = -(A + C)
     c = A[:-1] * C[1:]
-    return RecurrenceTable(N=int(N), A=A, C=C, monic_b=b, monic_c=c)
+    return RecurrenceTable(N=N, A=A, C=C, monic_b=b, monic_c=c)
 
 
 def grid(N: int) -> SpectralGrid:
     """Spectral grid: x_k = (-1)^k (k/2 + 1/4) - 1/4 and y_k = (-1)^k (k + 1/2)."""
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    return _grid(int(N))
+
+
+@lru_cache(maxsize=128)
+def _grid(N):
     k = np.arange(N + 1)
     x = (-1.0) ** k * (k / 2.0 + 0.25) - 0.25
     y = (-1.0) ** k * (k + 0.5)
-    return SpectralGrid(N=int(N), x=x, y=y)
+    return SpectralGrid(N=N, x=x, y=y)
 
 
 def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
@@ -307,9 +319,11 @@ def _permuted_blocks(N: int, quad):
 def z_basis(N: int) -> LabeledBasis:
     """The permuted eigenbasis Z_N^k as coefficient vectors over Y_N^m.
 
-    Z = F W: the F-basis matrix times the closed-form overlap matrix of
-    overlaps_via_recurrence, so no harmonics or quadrature enter.  The
-    family is verified orthonormal and to satisfy, at QUAD_TOL,
+    Z = F W: the keyed F (the closed form of f_basis, eigen-verified) applied
+    to the closed-form overlap matrix W of overlaps_via_recurrence, padded to
+    the rows m = -N..N (zero for m < 0), in O(N^2) with no dense F; no
+    harmonics or quadrature enter.  The family is verified orthonormal and
+    to satisfy, at QUAD_TOL,
 
         K1 Z_N^k = (-1)^k (k + 1/2) Z_N^k,
         Q  Z_N^k = -(N + 1/2) Z_N^k,
@@ -319,8 +333,16 @@ def z_basis(N: int) -> LabeledBasis:
     Supported range: every N >= 1, with no bound in principle; tested to
     N = 200 (and overlaps_via_integral checks the same W against quadrature).
     """
+    return _z_basis(overlaps_via_recurrence(N))
+
+
+def _z_basis(w: OverlapMatrix) -> LabeledBasis:
+    """z_basis from its overlap matrix w."""
+    N = w.N
     space = HarmonicSpace(N)
-    mat = f_basis(space).matrix() @ overlaps_via_recurrence(N).W
+    padded = np.zeros((2 * N + 1, N + 1), dtype=complex)
+    padded[N:] = w.W
+    mat = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space)).apply(padded)
 
     gram_res = float(np.max(np.abs(mat.conj().T @ mat - np.eye(N + 1))))
     if not gram_res <= QUAD_TOL:
@@ -353,7 +375,12 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
     tracemalloc peaks: 2.8 MiB at N = 30, 8.5 MiB at N = 100 and 21 MiB at
     N = 200 (11 s there, within 1.7e-13 of overlaps_via_recurrence).
     """
-    space, quad = HarmonicSpace(N), build_grid(N)
+    return _overlaps_via_integral(N, build_grid(N))
+
+
+def _overlaps_via_integral(N: int, quad) -> OverlapMatrix:
+    """overlaps_via_integral on the mesh of quad = build_grid(N)."""
+    space = HarmonicSpace(N)
     f = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space))
     m = np.arange(-N, N + 1)
     # conj(Y_N^m) on the mesh: (-1)^m Pbar_N^|m|(z_t) exp(-i m phi_p) for m < 0, times the weights

@@ -16,6 +16,7 @@ decompose are keyed algebra in O(j), on one degree or a DegreeStack; dense
 columns are written only where a LabeledBasis is returned.
 """
 
+import weakref
 from dataclasses import dataclass
 from math import sqrt
 
@@ -172,37 +173,32 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
         raise ContractViolation("inputs do not commute; joint eigenbasis undefined")
 
     q_vals, q_vecs = np.linalg.eigh(q_op.matrix)
-    m_h = m_basis(space).matrix().conj().T
-
-    entries = []
-    start = 0
-    for i in range(1, len(q_vals) + 1):
-        if i == len(q_vals) or q_vals[i] - q_vals[start] > 1e-8:
-            block = q_vecs[:, start:i]
-            qv = float(np.mean(q_vals[start:i]))
-            sub = block.conj().T @ k3_op.apply(block)
-            k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-            vecs = block @ rot
-            # each column's phase from its first M-basis coefficient with |c| > 1e-6; a unit
-            # column has one, as M is unitary and some |c| >= 1/sqrt(2j+1)
-            coeffs_m = m_h @ vecs
-            first = np.argmax(np.abs(coeffs_m) > 1e-6, axis=0)
-            for col in range(vecs.shape[1]):
-                lead = coeffs_m[first[col], col]
-                v = vecs[:, col] * np.conj(lead / abs(lead))
-                k3v = float(k3_vals[col])
-                k = round(abs(k3v) - 0.5)
-                if abs((-1.0) ** k * (k + 0.5) - k3v) > 1e-8:
-                    raise VerificationError(
-                        f"K3 eigenvalue {k3v} is not of the form (-1)^k (k+1/2)"
-                    )
-                entries.append((qv, k, k3v, v))
-            start = i
-
-    entries.sort(key=lambda t: (t[0], t[1]))
-    labels = [{"k": k, "q": qv, "k3": k3v} for (qv, k, k3v, _) in entries]
-    return LabeledBasis(space=space, family="joint",
-                        coeffs=np.column_stack([v for (_, _, _, v) in entries]), labels=labels)
+    vals, starts = q_vals.tolist(), [0]
+    for i, v in enumerate(vals):
+        if v - vals[starts[-1]] > 1e-8:
+            starts.append(i)
+    vecs, qv, k3v = [], [], []
+    for start, stop in zip(starts, starts[1:] + [len(vals)]):
+        block = q_vecs[:, start:stop]
+        sub = block.conj().T @ k3_op.apply(block)
+        k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+        vecs.append(block @ rot)
+        qv += [float(np.mean(q_vals[start:stop]))] * (stop - start)
+        k3v.append(k3_vals)
+    vecs, qv, k3v = np.hstack(vecs), np.array(qv), np.concatenate(k3v)
+    # each column's phase from its first M-basis coefficient with |c| > 1e-6; a unit column has
+    # one, as M is unitary and some |c| >= 1/sqrt(2j+1).  M^H v from the two entries of each M vector
+    _, m, eps = _m_labels(space.j)
+    coeffs_m = (vecs[space.j - m] - 1j * eps[:, None] * vecs[space.j + m]) / sqrt(2.0)
+    lead = coeffs_m[np.argmax(np.abs(coeffs_m) > 1e-6, axis=0), np.arange(len(vals))]
+    vecs = vecs * np.conj(lead / np.abs(lead))
+    k = np.round(np.abs(k3v) - 0.5)
+    bad = np.abs((-1.0) ** k * (k + 0.5) - k3v) > 1e-8
+    if bad.any():
+        raise VerificationError(f"K3 eigenvalue {k3v[bad][0]} is not of the form (-1)^k (k+1/2)")
+    order = np.lexsort((k, qv))
+    labels = [{"k": int(a), "q": float(b), "k3": float(c)} for a, b, c in zip(k[order], qv[order], k3v[order])]
+    return LabeledBasis(space=space, family="joint", coeffs=vecs[:, order], labels=labels)
 
 
 def _max_abs(a: Operator) -> np.ndarray:
@@ -210,7 +206,23 @@ def _max_abs(a: Operator) -> np.ndarray:
     return np.max(np.abs(_entries(a)[1]), axis=(0, 2), initial=0.0)
 
 
+# what _fg_operator verified, per Q: an entry goes when its Q does
+_FG_KEPT = weakref.WeakKeyDictionary()
+
+
 def _fg_operator(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Operator:
+    """_fg_build, kept for identical inputs while Q lives.  Operators compare
+    by identity, and supercharge and symmetry_generator return one object per
+    degree, so f_basis, g_basis, decompose, z_basis and the integral route
+    build and verify F or G once per degree; verify's stacked F and G last as
+    long as its run."""
+    kept = _FG_KEPT.setdefault(q, {})
+    if kept.get((space, which), (None,))[0] is not k3:
+        kept[space, which] = (k3, _fg_build(space, which, q, k3))
+    return kept[space, which][1]
+
+
+def _fg_build(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Operator:
     """F or G as a keyed Operator, eigen-verified against the given Q and K3.
 
     It sends Y_j^k to vector k (f_basis, g_basis), k = 0..n-1, and every
@@ -258,13 +270,18 @@ def _fg_operator(space: HarmonicSpace, which: str, q: Operator, k3: Operator) ->
     return b
 
 
+def _fg_labels(j: int, which: str) -> list:
+    """The labels (k, q, k3) of the F or G vectors of degree j."""
+    n, q_eig = (j + 1, -(j + 0.5)) if which == "F" else (j, j + 0.5)
+    return [{"k": k, "q": q_eig, "k3": (-1.0) ** k * (k + 0.5)} for k in range(n)]
+
+
 def _fg_basis(b: Operator, which: str) -> LabeledBasis:
     """The (2j+1, n) columns and labels of a keyed F or G of one degree."""
-    j = b.space.j
-    n, q_eig = (j + 1, -(j + 0.5)) if which == "F" else (j, j + 0.5)
-    labels = [{"k": k, "q": q_eig, "k3": (-1.0) ** k * (k + 0.5)} for k in range(n)]
+    j, labels = b.space.j, _fg_labels(b.space.j, which)
     return LabeledBasis(space=b.space, family=which, labels=labels,
-                        coeffs=_columns(b.space, [(key, c[j:j + n]) for key, c in b.terms.items()], n))
+                        coeffs=_columns(b.space, [(key, c[j:j + len(labels)]) for key, c in b.terms.items()],
+                                        len(labels)))
 
 
 def _fg_transpose(b: Operator, values) -> np.ndarray:

@@ -17,7 +17,7 @@ in cos theta crossed with a uniform (trapezoidal) grid in phi, which is
 exact for spherical polynomials up to the grid's stated degree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lgamma, log, log2, pi
 
@@ -27,16 +27,13 @@ from .errors import ContractViolation
 
 __all__ = [
     "HarmonicSpace",
-    "BasisIndex",
     "StateVector",
     "QuadratureGrid",
     "assoc_legendre",
-    "ylm_eval",
     "build_grid",
     "harmonic_values",
     "evaluate_on_grid",
     "project",
-    "inner_product",
 ]
 
 
@@ -62,25 +59,6 @@ class HarmonicSpace:
     def m_values(self):
         """Orders m = -j..j in the canonical (ascending) coefficient order."""
         return np.arange(-self.j, self.j + 1)
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """A single basis label (j, m) with |m| <= j."""
-
-    j: int
-    m: int
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError(f"degree j must be non-negative, got {self.j}")
-        if abs(self.m) > self.j:
-            raise ValueError(f"order m={self.m} out of range for j={self.j}")
-
-    @property
-    def flat(self) -> int:
-        """Position of this basis vector in a coefficient array (m ascending)."""
-        return self.m + self.j
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +269,7 @@ def assoc_legendre(j: int, m: int, z):
     Since |P_m^m(z)| = (2m-1)!! (1-z^2)^{m/2}, that first fails at m = 151
     for z = 0, and at larger m as |z| nears 1; there it raises ValueError.
     A |P_j^m(z)| below the double range comes out 0 or subnormal.
-    Normalized values, finite at every degree, come from harmonic_values
-    and ylm_eval.
+    Normalized values, finite at every degree, come from harmonic_values.
     """
     if not (0 <= m <= j):
         raise ValueError(f"order must satisfy 0 <= m <= j, got j={j}, m={m}")
@@ -318,32 +295,6 @@ def _polar(theta) -> np.ndarray:
     if not np.all((theta_arr >= -1e-12) & (theta_arr <= pi + 1e-12)):
         raise ValueError("theta must lie in [0, pi]")
     return theta_arr
-
-
-def ylm_eval(idx: BasisIndex, theta, phi):
-    """Evaluate the spherical harmonic Y_j^m at angles (theta, phi).
-
-    Parameters
-    ----------
-    idx : BasisIndex
-        Degree and order.
-    theta, phi : float or ndarray
-        Polar angle in [0, pi] and azimuthal angle (any real, 2 pi periodic).
-        Arrays broadcast together.
-
-    Returns
-    -------
-    complex or ndarray
-        Y_j^m values; orthonormal on the unit sphere.
-
-    One row of harmonic_values, so it is finite and accurate at every
-    degree; it costs as much as all 2j+1 orders, O(j^2) per distinct polar
-    angle.
-    """
-    out = harmonic_values(HarmonicSpace(idx.j), theta=theta, phi=phi)[idx.flat]
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return complex(out)
-    return out
 
 
 def build_grid(j_max: int) -> QuadratureGrid:
@@ -463,10 +414,3 @@ def project(f, j: int, grid: QuadratureGrid) -> StateVector:
     legendre[:j] *= (-1.0) ** m[:j, None]
     coeffs = np.einsum("mt,tm->m", legendre, F[:, m % grid.n_phi])
     return StateVector(space=space, coeffs=coeffs)
-
-
-def inner_product(f, g, grid: QuadratureGrid) -> complex:
-    """Hermitian inner product <f, g> = integral of f * conj(g) by quadrature."""
-    fv = f if isinstance(f, np.ndarray) else evaluate_on_grid(f, grid)
-    gv = g if isinstance(g, np.ndarray) else evaluate_on_grid(g, grid)
-    return complex(np.sum(fv * np.conj(gv) * grid.weight_mesh))

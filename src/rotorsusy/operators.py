@@ -116,14 +116,14 @@ class Operator:
         if not isinstance(self.terms, Mapping):
             raise TypeError(f"terms must map keys (s, c) to coefficients, got "
                             f"{type(self.terms).__name__}")
-        m, j = self.space.m_values(), self.space.degrees
-        pad = np.abs(m) > j  # all False on one degree
+        pad = np.abs(self.space.m_values()) > self.space.degrees  # all False on one degree
         checked = {}
         for (s, c), coef in self.terms.items():
             if s not in (1, -1) or c != int(c):
                 raise ValueError(f"key ({s!r}, {c!r}) is not (+-1, integer)")
-            coef = np.where(pad, 0.0, np.full(pad.shape, coef, dtype=complex))
-            if np.count_nonzero(coef[np.broadcast_to(np.abs(s * m + c) > j, pad.shape)]):
+            coef = np.full(pad.shape, coef, dtype=complex)
+            coef[pad] = 0.0
+            if np.count_nonzero(coef[_stray(self.space, int(s), int(c))]):
                 raise ValueError(f"nonzero coefficient of key ({s}, {c}) on a target outside -j..j")
             checked[int(s), int(c)] = coef
         object.__setattr__(self, "terms", _frozen(checked))
@@ -216,7 +216,7 @@ class Operator:
     def __matmul__(self, other):
         self._check_space(other)
         j = self.space.j
-        keys, slots, starts = _product_plan(tuple(self.terms), tuple(other.terms))
+        keys, slots, blocks = _product_plan(tuple(self.terms), tuple(other.terms))
         if not keys:
             return Operator._keyed(self.space, {})
         a = np.array(list(self.terms.values()))
@@ -224,25 +224,62 @@ class Operator:
         for y, ((sb, cb), b) in enumerate(other.terms.items()):
             cols, rows = _slices(j, sb, cb, 2 * j + 1, -j)
             prod[slots[y], ..., cols] = a[..., rows] * b[..., cols]
-        sums = np.add.reduceat(prod.reshape(slots.size, -1), starts, axis=0)
-        return Operator._keyed(self.space, dict(zip(keys, sums.reshape((-1,) + a.shape[1:]))))
+        sums = {}
+        for start, n, groups in blocks:
+            part = prod[start:start + n * len(groups)].reshape((n, len(groups)) + a.shape[1:])
+            if n > 1:  # the order of np.add.reduceat: the first pair plus the pairwise sum of the rest
+                _pairwise(part[1:])
+            sums.update(zip(groups, part[0] + part[1] if n > 1 else part[0]))
+        return Operator._keyed(self.space, {key: sums[g] for g, key in enumerate(keys)})
 
 
 @lru_cache(maxsize=1024)
 def _product_plan(a_keys: tuple, b_keys: tuple):
     """How a @ b sums its key pairs: the keys (s_a s_b, s_a c_b + c_a) of the
     product, in order of first appearance; slots[y, x], the row of the pair
-    of key y of b and key x of a in the stack of pair products, which holds
-    the rows of each key together, in pair order; and where each key's run
-    of rows starts."""
+    of key y of b and key x of a in the stack of pair products; and its
+    blocks (start, n, groups), one per count n of pairs, whose row start +
+    i len(groups) + g holds pair i, in pair order, of the key groups[g]."""
     keys, pairs = {}, []
     for y, (sb, cb) in enumerate(b_keys):
         for x, (sa, ca) in enumerate(a_keys):
-            pairs.append((keys.setdefault((sa * sb, sa * cb + ca), len(keys)), y * len(a_keys) + x))
-    pairs.sort()
-    starts = [n for n, (g, _) in enumerate(pairs) if n == 0 or g != pairs[n - 1][0]]
-    slots = np.argsort([pair for _, pair in pairs]).reshape(len(b_keys), len(a_keys))
-    return tuple(keys), slots, np.array(starts, dtype=int)
+            g = keys.setdefault((sa * sb, sa * cb + ca), len(keys))
+            if g == len(pairs):
+                pairs.append([])
+            pairs[g].append(y * len(a_keys) + x)
+    slots, blocks, start = np.empty(len(a_keys) * len(b_keys), dtype=int), [], 0
+    for n in sorted({len(p) for p in pairs}):
+        groups = [g for g, p in enumerate(pairs) if len(p) == n]
+        for i in range(n):
+            slots[[pairs[g][i] for g in groups]] = range(start + i * len(groups), start + (i + 1) * len(groups))
+        blocks.append((start, n, tuple(groups)))
+        start += n * len(groups)
+    slots = slots.reshape(len(b_keys), len(a_keys))
+    slots.setflags(write=False)
+    return tuple(keys), slots, tuple(blocks)
+
+
+def _pairwise(p: np.ndarray):
+    """p[0] += p[1:] in the order of numpy's pairwise sum of r = len(p)
+    complex terms: in sequence for r < 4; for r <= 64, four running sums of
+    every fourth term to the last multiple of 4, added as (s0 + s1) +
+    (s2 + s3), then the rest in sequence; above, two halves summed so."""
+    r, tail = len(p), 1
+    if r > 64:
+        half = r // 2 - r // 2 % 4
+        _pairwise(p[:half])
+        _pairwise(p[half:])
+        p[0] += p[half]
+        return
+    if r >= 4:
+        tail = r - r % 4
+        for i in range(4, tail):
+            p[i % 4] += p[i]
+        p[0] += p[1]
+        p[2] += p[3]
+        p[0] += p[2]
+    for i in range(tail, r):
+        p[0] += p[i]
 
 
 def _frozen(terms: dict) -> dict:
@@ -250,6 +287,16 @@ def _frozen(terms: dict) -> dict:
     for coef in terms.values():
         coef.setflags(write=False)
     return terms
+
+
+@lru_cache(maxsize=1024)
+def _stray(space, s: int, c: int) -> np.ndarray:
+    """The read-only mask of the orders m, padding aside, whose target s m + c
+    of the key (s, c) lies outside -j..j."""
+    m, j = space.m_values(), space.degrees
+    mask = (np.abs(m) <= j) & (np.abs(s * m + c) > j)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,25 +466,55 @@ def _entries(a: Operator, diagonals=()):
     keys = list(a.terms) + [(1, c) for c in diagonals if (1, c) not in a.terms]
     coefs = np.zeros((len(keys),) + shape, dtype=complex)
     coefs[:len(a.terms)] = np.reshape(list(a.terms.values()), (-1,) + shape)
-    anti = [(y, c) for y, (s, c) in enumerate(keys) if s == -1]
-    for x, (s, c) in enumerate(keys):
-        for y, c_anti in anti if s == 1 else ():
-            i = (c_anti - c) // 2 + j
-            if (c_anti - c) % 2 == 0 and 0 <= i <= 2 * j:
-                coefs[x, :, i] += coefs[y, :, i]
-                coefs[y, :, i] = 0.0
+    plus, anti, cols = _crossings(tuple(keys), j)
+    if cols.size:
+        coefs[plus, :, cols] += coefs[anti, :, cols]
+        coefs[anti, :, cols] = 0.0
     return keys, coefs
+
+
+@lru_cache(maxsize=1024)
+def _crossings(keys: tuple, j: int):
+    """(plus, anti, cols): the keys (1, c) at plus[i] and (-1, c') at anti[i]
+    share the entry of column cols[i]; no (key, column) occurs twice."""
+    plan = np.array([(x, y, (c_anti - c) // 2 + j) for x, (s, c) in enumerate(keys) if s == 1
+                     for y, (s_anti, c_anti) in enumerate(keys)
+                     if s_anti == -1 and (c_anti - c) % 2 == 0 and abs(c_anti - c) // 2 <= j], dtype=int)
+    plan = plan.reshape(-1, 3).T
+    plan.setflags(write=False)
+    return plan
+
+
+def _frobenius(coefs: np.ndarray) -> np.ndarray:
+    """Per row r of coefs (keys, rows, n), the Frobenius norm of coefs[:, r],
+    its squares added in sequence (np.cumsum) in the order (m, key): the zero
+    padding of a stack adds 0, so each row has the bits of its degree alone."""
+    sq = coefs.real ** 2 + coefs.imag ** 2
+    flat = sq.transpose(1, 2, 0).reshape(sq.shape[1], -1)
+    return np.sqrt(np.cumsum(flat, axis=1)[:, -1]) if flat.size else np.zeros(sq.shape[1])
 
 
 def op_norm(a: Operator):
     """Frobenius norm, read from the keys with every entry once (_entries):
-    a float, or on a DegreeStack an array of one norm per degree.  Each
-    degree's norm is taken over its own (keys, 2j+1) block, so it has the
-    bits of the norm on that degree alone."""
-    j, degrees = a.space.j, np.ravel(a.space.degrees)
-    coefs = _entries(a)[1]
-    norms = [float(np.linalg.norm(coefs[:, r, j - d:j + d + 1])) for r, d in enumerate(degrees)]
-    return np.array(norms) if np.ndim(a.space.degrees) else norms[0]
+    a float, or on a DegreeStack an array of one norm per degree, with the
+    bits of the norm on that degree alone (_frobenius)."""
+    norms = _frobenius(_entries(a)[1])
+    return norms if np.ndim(a.space.degrees) else float(norms[0])
+
+
+def _adjoint_gap(a: Operator):
+    """(keys, coefs, gap): the entries of a (_entries) with the key (1, -c)
+    of each of its keys (1, c), and from them the Frobenius norm of a - a^H
+    per degree.  Entry (r, k) is held by (1, r - k) if a has that key, else
+    by (-1, r + k), and (k, r) by (1, k - r) or (-1, r + k); so with both of
+    (1, +-c) at hand the transpose of (s, c) is the key (s, -s c)."""
+    keys, coefs = _entries(a, diagonals=[-c for s, c in a.terms if s == 1])
+    where, j = {key: x for x, key in enumerate(keys)}, a.space.j
+    diff = coefs.copy()
+    for x, (s, c) in enumerate(keys):
+        cols, rows = _slices(j, s, c, 2 * j + 1, -j)
+        diff[x, :, cols] -= coefs[where[s, -s * c], :, rows].conj()
+    return keys, coefs, _frobenius(diff)
 
 
 @lru_cache(maxsize=256)
@@ -526,12 +603,10 @@ def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
     """
     j = a._one_degree()[0]
     if self_adjoint:
-        keys, coefs = _entries(a)
-        herm = op_norm(a - adjoint(a))
-        # the bits of op_norm(a), from the same entries
-        if herm > 1e-10 * max(1.0, float(np.linalg.norm(coefs))):
+        keys, coefs, herm = _adjoint_gap(a)
+        if herm[0] > 1e-10 * max(1.0, _frobenius(coefs)[0]):
             raise ContractViolation(
-                f"matrix is not self-adjoint (deviation {herm:.3e}) but self_adjoint=True"
+                f"matrix is not self-adjoint (deviation {herm[0]:.3e}) but self_adjoint=True"
             )
         real = _conjugation_even(keys, coefs)
         vals = np.linalg.eigvalsh(_real_matrix(j, keys, coefs[:, 0]) if real else a.matrix)

@@ -18,26 +18,21 @@ Every builder takes one HarmonicSpace or an operators.DegreeStack, where
 j and s are a column over the degrees.  The product formulas live in
 verification.py, where they are evaluated on the same keyed algebra and
 serve as the oracle of every closed form below.
+
+supercharge and symmetry_generator keep what they build on one degree, in
+a bounded lru_cache behind the public function: it is O(j) and read-only,
+so one build per degree serves every caller.  A DegreeStack, O(J^2), is
+built anew on each call and goes with its caller.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import VerificationError
 from .harmonics import HarmonicSpace
-from .operators import (
-    Operator,
-    _ladder,
-    adjoint,
-    commutator,
-    hamiltonian,
-    j1,
-    j2,
-    j3,
-    op_norm,
-    reflection,
-)
+from .operators import Operator, _adjoint_gap, _ladder, commutator, hamiltonian, j1, j2, j3, op_norm, reflection
 
 __all__ = [
     "SusyOperators",
@@ -59,8 +54,14 @@ def supercharge(space: HarmonicSpace) -> Operator:
         Q Y_j^m = -i s t (a Y^{m+1} + b Y^{m-1}) / 2 + s (b Y^{1-m} - a Y^{-1-m}) / 2
                   + i t m Y^{-m} - Y^m / 2.
 
-    Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.
+    Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.  Kept per
+    degree (see the module docstring).
     """
+    return (_supercharge if isinstance(space, HarmonicSpace) else _supercharge.__wrapped__)(space)
+
+
+@lru_cache(maxsize=64)
+def _supercharge(space):
     m, a, b = _ladder(space)
     s, t = (-1.0) ** space.degrees, (-1.0) ** m
     return Operator(space, {(1, 1): -0.5j * s * t * a, (1, -1): -0.5j * s * t * b,
@@ -93,10 +94,17 @@ def symmetry_generator(i: int, space: HarmonicSpace) -> Operator:
         K3 Y_j^m = -i m Y^{-m} + t Y^m / 2.
 
     The sign of the J3 term in K3 is pinned by the algebra itself:
-    {K1, K2} = K3 and [K3, Q] = 0 both fail for the opposite sign.
+    {K1, K2} = K3 and [K3, Q] = 0 both fail for the opposite sign.  Kept per
+    degree (see the module docstring).
     """
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i!r}")
+    build = _symmetry_generator if isinstance(space, HarmonicSpace) else _symmetry_generator.__wrapped__
+    return build(i, space)
+
+
+@lru_cache(maxsize=64)
+def _symmetry_generator(i, space):
     m, a, b = _ladder(space)
     s, t = (-1.0) ** space.degrees, (-1.0) ** m
     if i == 1:
@@ -136,8 +144,7 @@ class SusyOperators:
     def __post_init__(self):
         tol = 1e-12 * self.space.dim
         for name in ("h", "q", "q_alt", "k1", "k2", "k3", "c"):
-            op = getattr(self, name)
-            dev = op_norm(op - adjoint(op))
+            dev = _adjoint_gap(getattr(self, name))[2]
             if not np.all(dev <= tol):
                 raise VerificationError(f"{name} is not self-adjoint (deviation {np.max(dev):.3e})")
 

@@ -20,6 +20,16 @@ The operator and susy algebra checks run once on an operators.DegreeStack
 of all their degrees and yield one residual per degree; op_norm takes each
 degree's norm over that degree's own block, so the residuals have the bits
 of a run degree by degree.
+
+One run builds each object once.  What is O(j) and read-only is memoized
+process-wide behind the library's builders: the keyed closed forms of
+supercharge and symmetry_generator on one degree and the tables of
+recurrence_coeffs and grid (bounded lru_caches), and the keyed F and G of
+eigenbases._fg_operator, eigen-verified once for identical inputs and kept
+while their Q lives.  The rest, the dense objects (O(j^2) per degree or
+more) and the stack's operators (O(J^2)), are shared only inside the run's
+_Run and go with it: held past the run, they would raise the resident
+memory of every later call.
 """
 
 import random
@@ -34,7 +44,7 @@ import numpy as np
 from . import antikrawtchouk as ak
 from . import eigenbases as eb
 from . import operators as op
-from .harmonics import HarmonicSpace, _legendre_degrees, build_grid, harmonic_values
+from .harmonics import HarmonicSpace, _legendre_degrees, _orders, build_grid, harmonic_values
 from . import susy
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "SUITES"]
@@ -142,27 +152,13 @@ _FD = ((1, 4.0 / 5.0), (2, -1.0 / 5.0), (3, 4.0 / 105.0), (4, -1.0 / 280.0))
 _FD_H = 0.01
 
 
-def _ladder_pointwise(space, theta, phi):
-    """J3, J+ and J- applied to every Y_j^m of one degree as differential
-    operators, each stacked over m like harmonic_values.  The theta and phi
-    derivatives are taken once and shared by all three."""
-    steps = _FD_H * np.array([off for off, _ in _FD] + [-off for off, _ in _FD])[:, None, None]
-
-    def derivative(shifted):
-        # shifted[:, i] holds the values at the angle moved by steps[i]
-        acc = 0.0
-        for i, (_, w) in enumerate(_FD):
-            acc = acc + w * (shifted[:, i] - shifted[:, i + len(_FD)])
-        return acc / _FD_H
-
-    dt = derivative(harmonic_values(space, theta=theta + steps, phi=phi))
-    dp = derivative(harmonic_values(space, theta=theta, phi=phi + steps))
-    cot_dp = 1j * (np.cos(theta) / np.sin(theta)) * dp
-    return {
-        "J3": -1j * dp,
-        "J+": np.exp(1j * phi) * (dt + cot_dp),
-        "J-": np.exp(-1j * phi) * (-dt + cot_dp),
-    }
+def _derivative(shifted):
+    """The stencil's derivative from shifted[:, i], the values at the angle moved by _FD_H times
+    the i-th of the offsets (1, 2, 3, 4, -1, -2, -3, -4)."""
+    acc = 0.0
+    for i, (_, w) in enumerate(_FD):
+        acc = acc + w * (shifted[:, i] - shifted[:, i + len(_FD)])
+    return acc / _FD_H
 
 
 def _reflected(values, axis):
@@ -177,11 +173,11 @@ def _reflected(values, axis):
     return values[..., (n // 2 * (axis == 1) - np.arange(n)) % n]
 
 
-def _theta_grams(top):
+def _theta_grams(grid):
     """Per order m = 0..top, the Gram 2 pi sum_t w_t Pbar_l^m(z_t) Pbar_l'^m(z_t)
-    of the degrees l, l' = m..top (entry [l-m, l'-m]) on build_grid(top),
+    of the degrees l, l' = m..top (entry [l-m, l'-m]) on grid = build_grid(top),
     read from one all-degree Legendre table; 2 pi is the phi integral."""
-    grid = build_grid(top)
+    top = grid.theta_nodes.size - 1
     table = _legendre_degrees(top, grid.theta_nodes)
     return [2 * pi * (table[m:, m] * grid.theta_weights) @ table[m:, m].T for m in range(top + 1)]
 
@@ -226,16 +222,27 @@ def _fold(values, lower=False):
 
 
 class _Run:
-    """What the checks of one run share: the tolerance scale, the stack of
-    degrees 0..top, the closed-form bundle s and the product oracle o on that
-    stack (each built on first use; .at(j) is one degree), and the
-    integral-route overlap matrices w(N) and the per-order theta-Grams
-    grams(top)."""
+    """What the checks of one run share, each built on first use: the
+    tolerance scale, the stack of degrees 0..top with the closed-form bundle
+    s and the product oracle o on it (.at(j) is one degree), the views
+    upto(name, top) of s and the distances of the closed forms from the
+    oracle (gap), and the grids grid(n), the
+    overlap matrices w(N) and wr(N) of both routes, the M-bases m(j) and the
+    theta-Grams grams(top).  No cache refers back to the run, so all of it
+    goes when run_verification returns."""
 
     def __init__(self, scale, top):
-        self.scale, self.stack = scale, op.DegreeStack(top)
-        self.w = lru_cache(maxsize=None)(ak.overlaps_via_integral)
-        self.grams = lru_cache(maxsize=None)(_theta_grams)
+        self.scale, self.stack, self._kept = scale, op.DegreeStack(top), {}
+        grid = self.grid = lru_cache(maxsize=None)(build_grid)
+        self.w = lru_cache(maxsize=None)(lambda n: ak._overlaps_via_integral(n, grid(n)))
+        self.wr = lru_cache(maxsize=None)(ak.overlaps_via_recurrence)
+        self.m = lru_cache(maxsize=None)(lambda j: eb.m_basis(HarmonicSpace(j)))
+        self.grams = lru_cache(maxsize=None)(lambda top: _theta_grams(grid(top)))
+
+    def _once(self, key, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     @cached_property
     def s(self):
@@ -245,9 +252,15 @@ class _Run:
     def o(self):
         return _product_operators(self.stack)
 
+    def upto(self, name, top):
+        """Degrees 0..top of the closed form name, one object per run, so that
+        eigenbases._fg_operator verifies the stacked F and G once."""
+        return self._once((name, top), lambda: getattr(self.s, name).upto(top))
+
     def gap(self, *names):
         """Per degree, the largest Frobenius distance of the named closed forms from the oracle."""
-        return np.max([op.op_norm(getattr(self.s, n) - getattr(self.o, n)) for n in names], axis=0)
+        return np.max([self._once(n, lambda n=n: op.op_norm(getattr(self.s, n) - getattr(self.o, n)))
+                       for n in names], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +361,14 @@ def _gram_identity(js, run):
     # Gram at the top degree tests the phi factor and the negative orders
     for g in run.grams(js[-1]):
         yield float(np.max(np.abs(np.diagonal(g) - 1.0)))
-    grid, j = build_grid(js[-1]), js[-1]
+    grid, j = run.grid(js[-1]), js[-1]
     yv = harmonic_values(HarmonicSpace(j), grid).reshape(2 * j + 1, -1)
     yield float(np.max(np.abs((yv * grid.weight_mesh.ravel()) @ yv.conj().T - np.eye(2 * j + 1))))
 
 
 @_check("harmonics.reflection_point_parity", 8, 1e-10, "pointwise R_i vs matrix, j <= {top}")
 def _reflection_point_parity(js, run):
-    grid = build_grid(max(js[-1], 1))
+    grid = run.grid(max(js[-1], 1))
     for j in js:
         space = HarmonicSpace(j)
         yv = harmonic_values(space, grid)
@@ -431,14 +444,24 @@ def _hamiltonian_identity(js, run):
 # stencil alone is off by 3.1e-6 at j = 30 and 4.0e-5 at 40
 @_check("operators.quadrature_matrix_elements", 8, 1e-8, "derivative/parity oracle, j <= {top}")
 def _quadrature_matrix_elements(js, run):
-    grid = build_grid(max(js[-1], 1))
-    w = grid.weight_mesh.ravel()
+    # J3, J+ and J- act on Y_j^m = Pbar_j^|m|(cos theta) exp(i m phi) (times (-1)^m,
+    # conjugated, for m < 0) as differential operators, with the stencil on the separable
+    # parts: theta on one all-degree Legendre table at the 8 shifted theta sets, and phi on
+    # exp(i m phi), where it is one factor per order
+    grid = run.grid(max(js[-1], 1))
+    theta, phi, w = grid.theta[:, None], grid.phi[None, :], grid.weight_mesh.ravel()
+    steps = _FD_H * np.array([off for off, _ in _FD] + [-off for off, _ in _FD])
+    z = np.cos(grid.theta + steps[:, None])
+    table = _legendre_degrees(js[-1], z.ravel()).reshape(js[-1] + 1, js[-1] + 1, *z.shape)
     for j in js:
         space = HarmonicSpace(j)
         yv = harmonic_values(space, grid)
+        dt = _orders(_derivative(table[j, :j + 1])[..., None], phi)
+        dp = yv * _derivative(np.exp(1j * np.outer(space.m_values(), steps)))[:, None, None]
+        cot_dp = 1j * (np.cos(theta) / np.sin(theta)) * dp
+        moved = {"J3": -1j * dp, "J+": np.exp(1j * phi) * (dt + cot_dp), "J-": np.exp(-1j * phi) * (-dt + cot_dp)}
         # bra @ moved.T is the quadrature of conj(Y_j^b) times each moved harmonic
         bra = np.conj(yv.reshape(space.dim, -1)) * w
-        moved = _ladder_pointwise(space, grid.theta[:, None], grid.phi[None, :])
         mats = {"J3": op.j3(space), "J+": op.jplus(space), "J-": op.jminus(space)}
         for axis in (1, 2, 3):
             moved[axis], mats[axis] = _reflected(yv, axis), op.reflection(axis, space)
@@ -511,7 +534,7 @@ def _non_symmetry(js, run):
 @_check("eigenbases.m_basis", 20, 1e-10, "orthonormal, invertible, K3-diagonal, j <= {top}")
 def _m_basis(js, run):
     for j in js:
-        basis = eb.m_basis(HarmonicSpace(j))
+        basis = run.m(j)
         v = basis.matrix()
         yield basis.orthonormality_residual()
         yield float(np.max(np.abs(v @ v.conj().T - np.eye(2 * j + 1))))
@@ -522,14 +545,14 @@ def _m_basis(js, run):
 @_check("eigenbases.q_in_m_basis", 20, 1e-12, "closed-form three-term action, j <= {top}")
 def _q_in_m_basis(js, run):
     for j in js:
-        v = eb.m_basis(HarmonicSpace(j)).matrix()
+        v = run.m(j).matrix()
         conj = v.conj().T @ run.o.q.at(j).apply(v)
         yield float(np.max(np.abs(conj - eb.q_action_on_m(HarmonicSpace(j))))) / (2 * j + 1)
 
 
 @_check("eigenbases.closed_form_eigen", 20, 1e-10, "matches joint-diagonalization oracle, j <= {top}")
 def _closed_form_eigen(js, run):
-    q, k3 = run.s.q.upto(js[-1]), run.s.k3.upto(js[-1])
+    q, k3 = run.upto("q", js[-1]), run.upto("k3", js[-1])
     f, g = (eb._fg_operator(q.space, which, q, k3) for which in ("F", "G"))
     for j in js:
         fb, gb = eb._fg_basis(f.at(j), "F"), eb._fg_basis(g.at(j), "G")
@@ -547,7 +570,7 @@ def _closed_form_eigen(js, run):
 @_check("eigenbases.tridiagonal_data", 20, 1e-10, "matches closed forms, j <= {top}")
 def _tridiagonal_data(js, run):
     # F and G eigen-verified against the closed forms, K1 from the product oracle
-    q, k3, k1 = run.s.q.upto(js[-1]), run.s.k3.upto(js[-1]), run.o.k1.upto(js[-1])
+    q, k3, k1 = run.upto("q", js[-1]), run.upto("k3", js[-1]), run.o.k1.upto(js[-1])
     for which in ("F", "G"):
         b = eb._fg_operator(k1.space, which, q, k3)
         for j, data in enumerate(eb._tridiagonal_blocks(op.adjoint(b) @ (k1 @ b), which)):
@@ -559,8 +582,8 @@ def _tridiagonal_data(js, run):
 @_check("eigenbases.block_structure", 20, 1e-10, "invariant blocks, sizes (j+1, j), j <= {top}")
 def _block_structure(js, run):
     # a non-positive off-diagonal or a G block off the F pattern raises in _decomposition
-    for report in eb._decomposition({name: getattr(run.s, name.lower()).upto(js[-1])
-                                     for name in ("Q", "K1", "K2", "K3")}):
+    ops = {name: run.upto(name.lower(), js[-1]) for name in ("Q", "K1", "K2", "K3")}
+    for report in eb._decomposition(ops):
         yield report["completeness_residual"]
         yield from report["offblock_residuals"].values()
 
@@ -623,8 +646,7 @@ def _monic_reduction(ns, run):
         "both W constructions, three-term residual, N <= {top}", first=1)
 def _unitarity(ns, run):
     for n in ns:
-        wi = run.w(n)
-        wr = ak.overlaps_via_recurrence(n)
+        wi, wr = run.w(n), run.wr(n)
         yield wi.unitarity_residual
         yield wr.unitarity_residual
         # W diagonalizes the K1 block: J W = W diag(y)
@@ -637,8 +659,7 @@ def _unitarity(ns, run):
         "integral vs recurrence, |omega_k|^2 = w_k, N <= {top}", first=1)
 def _duality(ns, run):
     for n in ns:
-        wi = run.w(n)
-        wr = ak.overlaps_via_recurrence(n)
+        wi, wr = run.w(n), run.wr(n)
         yield float(np.max(np.abs(wi.W - wr.W)))
         amp = np.abs(wi.W[0]) ** 2
         yield float(np.max(np.abs(amp - ak.weights(n).derived)))
@@ -648,10 +669,9 @@ def _duality(ns, run):
         "permuted block mirrors the original, N <= {top}", first=1)
 def _z_block_spectrum(ns, run):
     for n in ns:
-        zb = ak.z_basis(n)
-        fb = eb.f_basis(HarmonicSpace(n))
+        zb = ak._z_basis(run.wr(n))
         k1_on_z = np.sort(np.array([lab["k1"] for lab in zb.labels]))
-        k3_on_f = np.sort(np.array([lab["k3"] for lab in fb.labels]))
+        k3_on_f = np.sort(np.array([lab["k3"] for lab in eb._fg_labels(n, "F")]))
         yield float(np.max(np.abs(k1_on_z - k3_on_f)))
         data = eb.tridiagonal_extract(run.o.k2.at(n), zb)
         exp_d, exp_o = eb.closed_form_tridiagonal("F", n)

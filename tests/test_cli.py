@@ -468,9 +468,12 @@ _GOLDEN_SHA256 = {
     # streamed the mesh over theta-rings and read the Legendre rows at the
     # permuted points from their mirror-symmetric parts, with a different sum
     # order: overlaps.unitarity 1.777e-15 -> 2.228e-15, overlaps.duality
-    # 9.992e-16 -> 7.791e-16.  Every other row is unchanged
+    # 9.992e-16 -> 7.791e-16.  Taken again when the quadrature oracle took
+    # its stencils on the separable theta and phi parts of the harmonics:
+    # operators.quadrature_matrix_elements 4.396517874357244e-14 ->
+    # 3.375082624936456e-14.  Every other row is unchanged
     ("verify", "--jmax", "3"):
-        "ce7f959045e50662d154f238e003483a55cec0f1911be8b3f28a4561dd12c404",
+        "9de67f0c5ea5a9301cd1c5f502db6adda3f8c5ac21aa9ba9f750545bccb83006",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):
@@ -560,11 +563,14 @@ _TEXT_SHA256 = {
     ("overlaps", "--N", "4", "--method", "recurrence", "table"):
         "c43c3865e52473460bf2170e8aa33442dc8dea918419c6b52f5195e2e615ddd9",
     # both taken again when spectrum solved Q in the real basis:
-    # susy.q_spectrum 1.3322676295501878e-15 -> 8.8817841970012523e-16
+    # susy.q_spectrum 1.3322676295501878e-15 -> 8.8817841970012523e-16; and
+    # again when the quadrature oracle took its stencils on the separable
+    # theta and phi parts: operators.quadrature_matrix_elements
+    # 4.019048729078911e-14 -> 3.4639032395189048e-14
     ("verify", "--jmax", "2", "csv"):
-        "e8d2696dcb099c1759448932af7aff6bbaca369876c7fa24435215cdbf9acb11",
+        "976957da80cadef51067a92cb47fda3598404c9e4de6028597af46a705e4f5a2",
     ("verify", "--jmax", "2", "table"):
-        "36be9578e8d4aedbdce85d4f0f566aea4572eb8cce5d52b6fb8bb904f4a54294",
+        "444b11a44b4fec3da904a4c91aa2a322163e79b0ad599d1a1f1fd1562c885153",
 }
 
 

@@ -28,6 +28,7 @@ from rotorsusy import (
     supercharge_alt,
     symmetry_generator,
 )
+from rotorsusy import operators
 from rotorsusy.eigenbases import _fg_operator
 
 _BUILDERS = {"J+": jplus, "J-": jminus, "J1": j1, "J2": j2, "J3": j3,
@@ -142,3 +143,85 @@ def test_stacked_algebra_matches_the_algebra_degree_by_degree(a, b):
             assert_allclose(stacked.at(j).matrix, want.matrix, rtol=0, atol=atol)
             assert norms[j] == op_norm(stacked.at(j))
             assert_allclose(norms[j], np.linalg.norm(want.matrix), rtol=1e-14)
+
+
+# entries far from underflow, where a norm of squares would vanish; -0.0 included
+_NORMAL_ENTRY = _ENTRY.filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+_KEYS_UP_TO_6 = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-5, 5)),
+                         min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def _keyed_operator(draw, space):
+    """A random keyed operator on one degree or a stack, as _stacked_operator
+    draws it, with up to 6 keys; entries may be -0.0."""
+    m, j, terms = space.m_values(), space.degrees, {}
+    shape = np.shape(np.abs(m) <= j)
+    for s, c in draw(_KEYS_UP_TO_6):
+        re, im = draw(arrays(np.float64, (2,) + shape, elements=_NORMAL_ENTRY))
+        terms[s, c] = np.where((np.abs(m) <= j) & (np.abs(s * m + c) <= j), re + 1j * im, 0.0)
+    return Operator(space, terms)
+
+
+def _reduceat_product(a, b):
+    """a @ b as the keyed product once summed it: the pair products of each
+    key of the product in pair order (key y of b, then key x of a), formed as
+    the library forms them and added by one np.add.reduceat per key."""
+    j, groups = a.space.j, {}
+    coefs = np.array(list(a.terms.values()))
+    for (sb, cb), coef in b.terms.items():
+        cols, rows = operators._slices(j, sb, cb, 2 * j + 1, -j)
+        pairs = np.zeros(coefs.shape, dtype=complex)
+        pairs[..., cols] = coefs[..., rows] * coef[..., cols]
+        for (sa, ca), pair in zip(a.terms, pairs):
+            groups.setdefault((sa * sb, sa * cb + ca), []).append(pair)
+    return {key: np.add.reduceat(np.reshape(p, (len(p), -1)), [0], axis=0).reshape(p[0].shape)
+            for key, p in groups.items()}
+
+
+def _assert_reduceat_bits(got, a, b):
+    want = _reduceat_product(a, b)
+    assert list(got.terms) == list(want)
+    for key, coef in want.items():
+        assert got.terms[key].tobytes() == coef.tobytes(), key
+
+
+@pytest.mark.parametrize("space", [HarmonicSpace(3), _STACK], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_keyed_products_match_the_dense_product_in_the_reduceat_order(space, data):
+    a, b = data.draw(_keyed_operator(space)), data.draw(_keyed_operator(space))
+    got = a @ b
+    _assert_reduceat_bits(got, a, b)
+    stacked = isinstance(space, DegreeStack)
+    for x, y, p in ([(a.at(j), b.at(j), got.at(j)) for j in range(space.j + 1)] if stacked else [(a, b, got)]):
+        bound = 1e-15 * np.linalg.norm(x.matrix) * np.linalg.norm(y.matrix)
+        assert np.max(np.abs(p.matrix - x.matrix @ y.matrix)) <= bound
+
+
+def test_a_product_of_many_keys_adds_each_key_in_the_reduceat_order():
+    # up to 81 pairs land on one key: numpy's pairwise sum runs four running
+    # sums from 5 terms on and splits in halves past 65
+    space, rng = HarmonicSpace(40), np.random.default_rng(7)
+    m = space.m_values()
+
+    def many_keys():
+        keys = [(1, c) for c in range(-40, 41)] + [(-1, c) for c in range(-40, 41, 3)]
+        return Operator(space, {(s, c): np.where(np.abs(s * m + c) <= 40, rng.standard_normal(m.size)
+                                                 + 1j * rng.standard_normal(m.size), 0.0) for s, c in keys})
+
+    a, b = many_keys(), many_keys()
+    _assert_reduceat_bits(a @ b, a, b)
+
+
+@pytest.mark.parametrize("space", [HarmonicSpace(3), _STACK], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_adjoint_gap_is_the_norm_of_the_dense_difference(space, data):
+    # spectrum's self-adjoint gate and SusyOperators read a - a^H from the entries
+    a = data.draw(_keyed_operator(space))
+    gap = operators._adjoint_gap(a)[2]
+    degrees = [a.at(j) for j in range(space.j + 1)] if isinstance(space, DegreeStack) else [a]
+    for r, one in enumerate(degrees):
+        dense = one.matrix
+        assert_allclose(gap[r], np.linalg.norm(dense - dense.conj().T), rtol=1e-14, atol=1e-15)

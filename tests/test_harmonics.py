@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import sph_harm_y
 
 from rotorsusy import (
-    BasisIndex,
     ContractViolation,
     HarmonicSpace,
     StateVector,
@@ -19,13 +18,16 @@ from rotorsusy import (
     build_grid,
     evaluate_on_grid,
     harmonic_values,
-    inner_product,
     project,
-    ylm_eval,
 )
 from rotorsusy.antikrawtchouk import _permuted_blocks
 from rotorsusy.harmonics import _legendre_degrees, _legendre_steps, _legendre_table
 from rotorsusy.verification import _ylm_direct
+
+
+def _ylm(j, m, theta, phi):
+    """Y_j^m at (theta, phi): row m + j of harmonic_values."""
+    return harmonic_values(HarmonicSpace(j), theta=theta, phi=phi)[m + j]
 
 
 def _legendre_derivative_route(j, m, x):
@@ -102,14 +104,14 @@ def test_assoc_legendre_argument_validation():
 
 
 def test_lowest_harmonics_pointwise():
-    assert_allclose(ylm_eval(BasisIndex(0, 0), 0.7, 1.3), 1.0 / np.sqrt(4.0 * np.pi))
+    assert_allclose(_ylm(0, 0, 0.7, 1.3), 1.0 / np.sqrt(4.0 * np.pi))
     theta, phi = 0.9, 0.4
     assert_allclose(
-        ylm_eval(BasisIndex(1, 0), theta, 2.0),
+        _ylm(1, 0, theta, 2.0),
         np.sqrt(3.0 / (4.0 * np.pi)) * np.cos(theta),
     )
     assert_allclose(
-        ylm_eval(BasisIndex(1, 1), theta, phi),
+        _ylm(1, 1, theta, phi),
         -np.sqrt(3.0 / (8.0 * np.pi)) * np.sin(theta) * np.exp(1j * phi),
     )
 
@@ -120,7 +122,7 @@ def test_matches_scipy_on_random_angles():
     phi = rng.uniform(0.0, 2.0 * np.pi, size=12)
     for j in range(7):
         for m in range(-j, j + 1):
-            ours = ylm_eval(BasisIndex(j, m), theta, phi)
+            ours = _ylm(j, m, theta, phi)
             ref = sph_harm_y(j, m, theta, phi)
             assert_allclose(ours, ref, atol=1e-12, err_msg=f"j={j} m={m}")
 
@@ -188,8 +190,8 @@ def test_legendre_table_is_normalized_on_the_grid(j):
 def test_conjugation_symmetry(j, theta, phi):
     # Y_j^{-m} = (-1)^m conj(Y_j^m) holds for every admissible order.
     for m in range(j + 1):
-        plus = ylm_eval(BasisIndex(j, m), theta, phi)
-        minus = ylm_eval(BasisIndex(j, -m), theta, phi)
+        plus = _ylm(j, m, theta, phi)
+        minus = _ylm(j, -m, theta, phi)
         assert_allclose(minus, (-1.0) ** m * np.conj(plus), atol=1e-12)
 
 
@@ -287,15 +289,15 @@ def test_permuted_mesh_rows_equal_direct_tables_at_every_point(N):
 def test_unit_norm_of_single_harmonic():
     grid = build_grid(2)
     theta, phi = grid.mesh()
-    vals = ylm_eval(BasisIndex(2, 1), theta, phi)
+    vals = _ylm(2, 1, theta, phi)
     assert_allclose(grid.integrate(np.abs(vals) ** 2), 1.0)
 
 
 def test_cross_degree_orthogonality():
     grid = build_grid(10)
     theta, phi = grid.mesh()
-    a = ylm_eval(BasisIndex(3, 2), theta, phi)
-    b = ylm_eval(BasisIndex(7, 2), theta, phi)
+    a = _ylm(3, 2, theta, phi)
+    b = _ylm(7, 2, theta, phi)
     assert abs(grid.integrate(a * np.conj(b))) < 1e-12
 
 
@@ -313,8 +315,8 @@ def test_projection_reproduces_coefficients():
 def test_projection_is_linear():
     grid = build_grid(6)
     theta, phi = grid.mesh()
-    f = ylm_eval(BasisIndex(3, 1), theta, phi)
-    g = ylm_eval(BasisIndex(3, -2), theta, phi)
+    f = _ylm(3, 1, theta, phi)
+    g = _ylm(3, -2, theta, phi)
     combo = project(2.0 * f + 1j * g, 3, grid)
     expected = 2.0 * project(f, 3, grid).coeffs + 1j * project(g, 3, grid).coeffs
     assert_allclose(combo.coeffs, expected, atol=1e-13)
@@ -323,7 +325,7 @@ def test_projection_is_linear():
 def test_projection_of_cross_degree_content_vanishes():
     grid = build_grid(9)
     theta, phi = grid.mesh()
-    f = ylm_eval(BasisIndex(6, -4), theta, phi)
+    f = _ylm(6, -4, theta, phi)
     out = project(f, 3, grid)
     assert_allclose(out.coeffs, np.zeros(7), atol=1e-12)
 
@@ -367,7 +369,7 @@ def test_polar_angles_outside_zero_to_pi_are_rejected():
     with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
         harmonic_values(HarmonicSpace(1), theta=[-0.5, 4.0], phi=[0.3, 0.3])
     with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
-        ylm_eval(BasisIndex(1, 0), [np.nan], 0.3)
+        harmonic_values(HarmonicSpace(1), theta=[np.nan], phi=0.3)
 
 
 def test_projection_needs_enough_quadrature_degree():
@@ -384,26 +386,6 @@ def test_evaluate_on_grid_matches_mesh():
     assert_allclose(vals, np.cos(theta))
     with pytest.raises(ValueError):
         evaluate_on_grid(lambda t, p: np.array(1.0), grid)
-
-
-def test_inner_product_conjugates_second_argument():
-    grid = build_grid(3)
-    theta, phi = grid.mesh()
-    f = ylm_eval(BasisIndex(2, 1), theta, phi)
-    g = ylm_eval(BasisIndex(2, -1), theta, phi)
-    assert_allclose(inner_product(f, f, grid), 1.0)
-    assert abs(inner_product(f, g, grid)) < 1e-13
-    h = f + 0.5 * g
-    assert_allclose(inner_product(1j * f, h, grid), 1j * inner_product(f, h, grid))
-    assert_allclose(inner_product(f, 1j * h, grid), -1j * inner_product(f, h, grid))
-
-
-def test_basis_index_validation():
-    with pytest.raises(ValueError):
-        BasisIndex(2, 3)
-    with pytest.raises(ValueError):
-        BasisIndex(-1, 0)
-    assert BasisIndex(3, -1).flat == 2
 
 
 def test_state_vector_shape_and_norm_flag():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,25 @@ def test_spectrum_self_adjoint_gate_catches_a_perturbed_key():
     coef[70] += 1e-6
     with pytest.raises(ContractViolation):
         spectrum(Operator(space, {**q.terms, (1, 1): coef}))
+
+
+# the deviations the gate reported at j = 3 when it formed a - a^H as keyed
+# operators and took its op_norm: read from the entries, they print the same
+@pytest.mark.parametrize("name, build, deviation", [
+    ("J+", jplus, "1.058e+01"),
+    ("J3 + i R1 / 4 + J+", lambda s: j3(s) + 0.25j * reflection(1, s) + jplus(s), "1.067e+01"),
+    ("(-1, 1) alone", lambda s: Operator(s, {(-1, 1): (np.arange(7.0) + 0.5j) * (s.m_values() >= -2)}),
+     "8.718e+00")])
+def test_spectrum_gate_reports_the_deviation_of_the_keyed_gate(name, build, deviation):
+    with pytest.raises(ContractViolation, match=rf"\(deviation {re.escape(deviation)}\) but"):
+        spectrum(build(HarmonicSpace(3)))
+
+
+@pytest.mark.parametrize("j", [0, 2, 256])
+def test_spectrum_gate_passes_q_h_and_c(j):
+    space = HarmonicSpace(j)
+    for a in (supercharge(space), hamiltonian(space), casimir(space)):
+        assert spectrum(a).dim == space.dim
 
 
 def _keyed_operators(space):

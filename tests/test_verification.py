@@ -1,10 +1,14 @@
+import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rotorsusy import eigenbases, operators, run_verification, susy, verification
+from rotorsusy import antikrawtchouk as ak
+from rotorsusy import eigenbases, harmonics, operators, run_verification, susy, verification
+from rotorsusy.harmonics import HarmonicSpace
 from rotorsusy.operators import Operator
 
 
@@ -266,3 +270,74 @@ def test_the_stacked_eigenbases_checks_run_their_algebra_once_for_all_degrees(mo
         counts.append([calls.count(name) for name in _STACKED])
     assert counts[0] == counts[1]
     assert all(counts[0])
+
+
+def test_one_run_builds_each_dense_object_once_per_size(monkeypatch):
+    counts = collections.Counter()
+
+    def counted(name, build, size):
+        def wrapper(*args):
+            counts[name, size(*args)] += 1
+            return build(*args)
+        return wrapper
+
+    grid = counted("build_grid", harmonics.build_grid, lambda n: n)
+    for module in (harmonics, ak, verification):
+        monkeypatch.setattr(module, "build_grid", grid)
+    monkeypatch.setattr(ak, "overlaps_via_recurrence",
+                        counted("overlaps_via_recurrence", ak.overlaps_via_recurrence, lambda n: n))
+    monkeypatch.setattr(eigenbases, "m_basis", counted("m_basis", eigenbases.m_basis, lambda s: s.j))
+    monkeypatch.setattr(eigenbases, "_fg_build", counted(
+        "_fg_build", eigenbases._fg_build, lambda space, which, q, k3: (which, str(space))))
+    eigenbases._FG_KEPT.clear()  # so that this run verifies F and G itself
+    assert run_verification(30).all_passed
+    assert max(counts.values()) == 1, [key for key, n in counts.items() if n > 1]
+    # the sizes each builder serves: the overlaps N <= 10, the M-bases and the
+    # stacked F and G j <= 20, and the grids of the harmonics and overlaps
+    assert {n for name, n in counts if name == "overlaps_via_recurrence"} == set(range(1, 11))
+    assert {n for name, n in counts if name == "m_basis"} == set(range(21))
+    assert {n for name, n in counts if name == "build_grid"} == set(range(1, 11)) | {20}
+    assert {n for name, n in counts if name == "_fg_build"} == (
+        {("F", str(HarmonicSpace(n))) for n in range(1, 11)}
+        | {(which, str(operators.DegreeStack(20))) for which in "FG"})
+
+
+def test_memoized_builders_are_bounded_and_return_read_only_objects():
+    caches = {name: fn for module in (harmonics, operators, susy, eigenbases, ak, verification)
+              for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+    assert {"_supercharge", "_symmetry_generator", "_recurrence_coeffs", "_grid"} <= set(caches)
+    assert all(fn.cache_info().maxsize is not None for fn in caches.values())
+    for space in (HarmonicSpace(3), operators.DegreeStack(4)):
+        q, k3 = susy.supercharge(space), susy.symmetry_generator(3, space)
+        # one object per degree; a stack is built anew
+        assert (q is susy.supercharge(space)) == (k3 is susy.symmetry_generator(3, space)) == (space.j == 3)
+        fg = [eigenbases._fg_operator(space, which, q, k3) for which in "FG"]
+        assert fg[0] is eigenbases._fg_operator(space, "F", q, k3)
+        ops = [q, *susy.symmetry_generators(space), *fg]
+        assert all(not coef.flags.writeable for o in ops for coef in o.terms.values())
+    table, g = ak.recurrence_coeffs(5), ak.grid(5)
+    assert table is ak.recurrence_coeffs(np.int64(5)) and g is ak.grid(5)
+    assert not any(a.flags.writeable for a in (table.A, table.C, table.monic_b, table.monic_c, g.x, g.y))
+    # the kept F and G go with their Q: after a run, none on a stack is left
+    del q, k3, fg, ops
+    run_verification(20)
+    assert not any(isinstance(space, operators.DegreeStack)
+                   for kept in eigenbases._FG_KEPT.values() for space, _ in kept)
+
+
+def test_a_run_stays_within_its_memory_budget():
+    # after a warm-up, verify --jmax 30 peaked at 3.44 MiB of tracemalloc
+    # heap with each dense object built where it was read, and at 3.30 MiB
+    # with the run's shared grids, overlap matrices and M-bases; a dense
+    # result kept past its check, or a dense cache, would show here.  What
+    # stays after the run is the process-wide memos, about 10 KiB a run
+    run_verification(30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_verification(30)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 2**20 <= 3.6
+    assert (after - before) / 2**20 <= 0.1
