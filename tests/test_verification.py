@@ -326,11 +326,10 @@ def test_memoized_builders_are_bounded_and_return_read_only_objects():
 
 
 def test_a_run_stays_within_its_memory_budget():
-    # after a warm-up, verify --jmax 30 peaked at 3.44 MiB of tracemalloc
-    # heap with each dense object built where it was read, and at 3.30 MiB
-    # with the run's shared grids, overlap matrices and M-bases; a dense
-    # result kept past its check, or a dense cache, would show here.  What
-    # stays after the run is the process-wide memos, about 10 KiB a run
+    # after a warm-up, verify --jmax 30 peaks at 3.46 MiB of tracemalloc
+    # heap (3.44 with each dense object built where it was read); a dense
+    # result kept past its check would show in the peak.  A run leaves about
+    # 10 KiB behind: a cache that grew with every run would show there
     run_verification(30)
     tracemalloc.start()
     try:
