@@ -48,9 +48,10 @@ from math import pi
 
 import numpy as np
 
-from .eigenbases import LabeledBasis, _fg_operator, _fg_transpose
+from .eigenbases import LabeledBasis, _fg_operator
 from .errors import VerificationError
 from .harmonics import HarmonicSpace, _legendre_table, _orders, build_grid
+from .operators import _transpose_apply
 from .susy import supercharge, symmetry_generator
 
 __all__ = [
@@ -154,7 +155,7 @@ class OverlapMatrix:
     N: int
     W: np.ndarray
     method: str
-    unitarity_residual: float = field(default=0.0)
+    unitarity_residual: float = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.W, dtype=complex)
@@ -342,7 +343,7 @@ def _z_basis(w: OverlapMatrix) -> LabeledBasis:
     space = HarmonicSpace(N)
     padded = np.zeros((2 * N + 1, N + 1), dtype=complex)
     padded[N:] = w.W
-    mat = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space)).apply(padded)
+    mat = _fg_operator(space, "F").apply(padded)
 
     gram_res = float(np.max(np.abs(mat.conj().T @ mat - np.eye(N + 1))))
     if not gram_res <= QUAD_TOL:
@@ -367,7 +368,7 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
     The oracle of overlaps_via_recurrence and z_basis: both families enter as
     point values of harmonics and the closed-form F, with no Jacobi, recurrence
     or rotation data.  The mesh is streamed in blocks of theta-rings
-    (_permuted_blocks): Z = F^T Y at the block's permuted points (_fg_transpose),
+    (_permuted_blocks): Z = F^T Y at the block's permuted points (_transpose_apply),
     its phi sums against an exp(-i m phi_p) table, and the Gauss-weighted theta
     sum add into acc[k, m] = integral of Z_N^k conj(Y_N^m); then W = F^T conj(acc)^T.
     No stack spans the mesh.  Supported range: every N >= 1, bounded by time,
@@ -381,7 +382,7 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
 def _overlaps_via_integral(N: int, quad) -> OverlapMatrix:
     """overlaps_via_integral on the mesh of quad = build_grid(N)."""
     space = HarmonicSpace(N)
-    f = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space))
+    f = _fg_operator(space, "F")
     m = np.arange(-N, N + 1)
     # conj(Y_N^m) on the mesh: (-1)^m Pbar_N^|m|(z_t) exp(-i m phi_p) for m < 0, times the weights
     theta_part = _legendre_table(N, quad.theta_nodes)[np.abs(m)].T * np.where(m < 0, (-1.0) ** m, 1.0)
@@ -392,10 +393,10 @@ def _overlaps_via_integral(N: int, quad) -> OverlapMatrix:
         values = _orders(rows, phi)
         # ring n-1-t holds the conjugate values; the middle ring of odd n is its own mirror
         for t, keep in ((rings, 1.0), (n - 1 - rings, (2 * rings < n - 1)[:, None])):
-            sums = _fg_transpose(f, values).reshape(-1, quad.n_phi) @ phi_part
+            sums = _transpose_apply(f, values, N + 1, 0).reshape(-1, quad.n_phi) @ phi_part
             acc += np.einsum("krm,rm->km", sums.reshape(N + 1, rings.size, -1), theta_part[t] * keep)
             np.conj(values, out=values)
-    return OverlapMatrix(N=int(N), W=_fg_transpose(f, acc.conj().T), method="integral")
+    return OverlapMatrix(N=int(N), W=_transpose_apply(f, acc.conj().T, N + 1, 0), method="integral")
 
 
 def overlaps_via_recurrence(N: int) -> OverlapMatrix:

@@ -256,12 +256,12 @@ def _cmd_basis(args) -> int:
             "j": args.j,
             "family": args.family,
             "labels": [dict(lab) for lab in basis.labels],
-            "vectors": _pairs(basis.matrix().T),
+            "vectors": _pairs(basis.coeffs.T),
         }
 
     def rows():
         return [(n, *(lab[k] for k in keys), *p.ravel().tolist())
-                for n, (lab, p) in enumerate(zip(basis.labels, _pairs(basis.matrix().T)))]
+                for n, (lab, p) in enumerate(zip(basis.labels, _pairs(basis.coeffs.T)))]
 
     header = ["index", *keys, *(f"c{i}_{p}" for i in range(2 * args.j + 1) for p in ("re", "im"))]
     labels = ", ".join(f"{k}={{{1 + keys.index(k)}}}" for k in first_label)

@@ -16,16 +16,15 @@ decompose are keyed algebra in O(j), on one degree or a DegreeStack; dense
 columns are written only where a LabeledBasis is returned.
 """
 
-import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace
-from .operators import (DegreeStack, Operator, _columns, _entries, _transpose_apply, adjoint, commutator,
-                        op_norm)
+from .operators import DegreeStack, Operator, _columns, _entries, adjoint, commutator, op_norm
 from .susy import supercharge, symmetry_generator
 
 __all__ = [
@@ -78,10 +77,6 @@ class LabeledBasis:
 
     def __len__(self):
         return len(self.labels)
-
-    def matrix(self):
-        """Coefficients stacked column-wise, shape (2j+1, len(self))."""
-        return self.coeffs
 
     def orthonormality_residual(self) -> float:
         v = self.coeffs
@@ -206,20 +201,13 @@ def _max_abs(a: Operator) -> np.ndarray:
     return np.max(np.abs(_entries(a)[1]), axis=(0, 2), initial=0.0)
 
 
-# what _fg_operator verified, per Q: an entry goes when its Q does
-_FG_KEPT = weakref.WeakKeyDictionary()
-
-
-def _fg_operator(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Operator:
-    """_fg_build, kept for identical inputs while Q lives.  Operators compare
-    by identity, and supercharge and symmetry_generator return one object per
-    degree, so f_basis, g_basis, decompose, z_basis and the integral route
-    build and verify F or G once per degree; verify's stacked F and G last as
-    long as its run."""
-    kept = _FG_KEPT.setdefault(q, {})
-    if kept.get((space, which), (None,))[0] is not k3:
-        kept[space, which] = (k3, _fg_build(space, which, q, k3))
-    return kept[space, which][1]
+@lru_cache(maxsize=128)
+def _fg_operator(space: HarmonicSpace, which: str) -> Operator:
+    """_fg_build on one degree against supercharge and symmetry_generator(3),
+    kept as they are (bounded lru_cache, read-only and O(j)), so f_basis,
+    g_basis, decompose, z_basis and the integral route build and verify F or
+    G once per degree.  verify builds its stacked F and G once per run."""
+    return _fg_build(space, which, supercharge(space), symmetry_generator(3, space))
 
 
 def _fg_build(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Operator:
@@ -260,7 +248,7 @@ def _fg_build(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Op
         j, kb = int(np.ravel(j)[r]), int(col - top)
         one = (lambda a: a.at(j)) if isinstance(space, DegreeStack) else (lambda a: a)
         try:
-            overlaps = np.abs(joint_diagonalize(one(q), one(k3)).matrix().conj().T @ one(b).matrix[:, j + kb])
+            overlaps = np.abs(joint_diagonalize(one(q), one(k3)).coeffs.conj().T @ one(b).matrix[:, j + kb])
             oracle = f"best oracle overlap modulus {overlaps.max():.6f}"
         except (ContractViolation, VerificationError) as err:  # e.g. a K3 off its spectrum
             oracle = f"oracle unavailable: {err}"
@@ -284,13 +272,6 @@ def _fg_basis(b: Operator, which: str) -> LabeledBasis:
                                         len(labels)))
 
 
-def _fg_transpose(b: Operator, values) -> np.ndarray:
-    """B^T values = sum over a of B[a, k] values[a], shape (j+1, ...), for a keyed F
-    of one degree and values of shape (2j+1, ...): its columns k = 0..j, one view
-    of values per key."""
-    return _transpose_apply(b, values, b.space.j + 1, 0)
-
-
 def f_basis(space: HarmonicSpace) -> LabeledBasis:
     """Closed-form joint eigenbasis on the Q = -(j+1/2) branch (j+1 vectors).
 
@@ -303,7 +284,7 @@ def f_basis(space: HarmonicSpace) -> LabeledBasis:
     raises VerificationError with a diagnostic against the
     joint-diagonalization oracle.
     """
-    return _fg_basis(_fg_operator(space, "F", supercharge(space), symmetry_generator(3, space)), "F")
+    return _fg_basis(_fg_operator(space, "F"), "F")
 
 
 def g_basis(space: HarmonicSpace) -> LabeledBasis:
@@ -314,7 +295,7 @@ def g_basis(space: HarmonicSpace) -> LabeledBasis:
 
     Eigen-verified as f_basis is.  Empty at j = 0.
     """
-    return _fg_basis(_fg_operator(space, "G", supercharge(space), symmetry_generator(3, space)), "G")
+    return _fg_basis(_fg_operator(space, "G"), "G")
 
 
 def closed_form_tridiagonal(family: str, j: int):
@@ -345,7 +326,7 @@ def tridiagonal_extract(k1_op: Operator, basis: LabeledBasis) -> TridiagonalData
     """
     if basis.family not in ("F", "G", "Z"):
         raise ValueError(f"tridiagonal extraction expects an F/G/Z basis, got {basis.family!r}")
-    v = basis.matrix()
+    v = basis.coeffs
     if v.shape[1] == 0:
         raise ValueError("cannot extract tridiagonal data from an empty basis")
     t = v.conj().T @ k1_op.apply(v)
@@ -389,15 +370,14 @@ def _tridiagonal_blocks(t: Operator, family: str) -> list:
             for r, j in enumerate(np.ravel(t.space.degrees).tolist())]
 
 
-def _decomposition(ops: dict) -> list:
+def _decomposition(ops: dict, f: Operator, g: Operator) -> list:
     """decompose's report for every degree of the space of ops = {"Q", "K1",
-    "K2", "K3"}, from one round of keyed algebra.  F and G are eigen-verified
-    against Q and K3; completeness is the largest entry of F^H F - P_F,
-    G^H G - P_G and G^H F (P the (1, 0) projector onto a family's columns);
-    the off-block residual of O is that of G^H O F and F^H O G; the K1
-    blocks are F^H K1 F and G^H K1 G."""
+    "K2", "K3"}, from one round of keyed algebra on that space's keyed F and
+    G (_fg_build, eigen-verified against Q and K3).  Completeness is the
+    largest entry of F^H F - P_F, G^H G - P_G and G^H F (P the (1, 0)
+    projector onto a family's columns); the off-block residual of O is that
+    of G^H O F and F^H O G; the K1 blocks are F^H K1 F and G^H K1 G."""
     space, m = ops["Q"].space, ops["Q"].space.m_values()
-    f, g = (_fg_operator(space, which, ops["Q"], ops["K3"]) for which in ("F", "G"))
     fh, gh = adjoint(f), adjoint(g)
     p_f, p_g = (Operator(space, {(1, 0): np.where((m >= 0) & (m < n), 1.0, 0.0)})
                 for n in (space.degrees + 1, space.degrees))
@@ -445,4 +425,5 @@ def decompose(space: HarmonicSpace) -> dict:
     (_decomposition, which verify runs on a stack of degrees).
     """
     return _decomposition({"Q": supercharge(space),
-                           **{f"K{i}": symmetry_generator(i, space) for i in (1, 2, 3)}})[0]
+                           **{f"K{i}": symmetry_generator(i, space) for i in (1, 2, 3)}},
+                          _fg_operator(space, "F"), _fg_operator(space, "G"))[0]

@@ -19,7 +19,7 @@ exact for spherical polynomials up to the grid's stated degree.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lgamma, log, log2, pi
+from math import pi
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "HarmonicSpace",
     "StateVector",
     "QuadratureGrid",
-    "assoc_legendre",
     "build_grid",
     "harmonic_values",
     "evaluate_on_grid",
@@ -67,7 +66,6 @@ class StateVector:
 
     space: HarmonicSpace
     coeffs: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
@@ -79,13 +77,6 @@ class StateVector:
             raise ValueError(f"coefficients for j={self.space.j} are not all finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if self.normalized:
-            nrm = np.linalg.norm(c)
-            if abs(nrm - 1.0) > 1e-10:
-                raise ValueError(f"vector flagged normalized but has norm {nrm!r}")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +129,6 @@ class QuadratureGrid:
     def mesh(self):
         """(theta, phi) meshes of shape (n_theta, n_phi)."""
         return np.meshgrid(self.theta, self.phi, indexing="ij")
-
-    def integrate(self, values) -> complex:
-        """Integrate point values of shape (n_theta, n_phi) over the sphere."""
-        values = np.asarray(values)
-        if values.shape != self.weight_mesh.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.weight_mesh.shape}"
-            )
-        return complex(np.sum(values * self.weight_mesh))
 
 
 def _legendre_steps(j: int, z: np.ndarray):
@@ -208,12 +190,6 @@ def _at_poles(l: int, mantissa: np.ndarray, scale: np.ndarray, z: np.ndarray):
     return mantissa, scale
 
 
-def _legendre_scaled(j: int, z: np.ndarray):
-    """Degree j's (mantissa, scale) arrays at the 1-d z, shape (j+1, z.size)."""
-    *_, (mantissa, scale) = _legendre_steps(j, z)
-    return _at_poles(j, mantissa, scale, z)
-
-
 def _legendre_degrees(j: int, z: np.ndarray) -> np.ndarray:
     """Pbar_l^m(z) of every degree l <= j at the 1-d z from one run of the
     recurrence, shape (j+1, j+1, z.size): entry [l, m] equals row m of
@@ -236,57 +212,14 @@ def _legendre_table(j: int, z) -> np.ndarray:
     Row m holds Pbar_j^m(z) = sqrt((2j+1)/(4 pi) (j-m)!/(j+m)!) P_j^m(z),
     Condon-Shortley phase included, so Y_j^m = Pbar_j^m(cos theta) e^{i m phi}
     and 2 pi * integral of Pbar_j^m(z)^2 dz = 1.  z must lie in [-1, 1].
-    Computed by _legendre_scaled; a value below the double range comes out
-    0 (or subnormal), which no orthonormal sum can notice.
+    Computed by the last step of _legendre_steps, poles set by _at_poles; a
+    value below the double range comes out 0 (or subnormal), which no
+    orthonormal sum can notice.
     """
     z = np.asarray(z, dtype=float)
-    return _from_log2(*_legendre_scaled(j, z.reshape(-1))).reshape((j + 1,) + z.shape)
-
-
-def assoc_legendre(j: int, m: int, z):
-    """Associated Legendre function P_j^m(z) with Condon-Shortley phase.
-
-    The row m of the normalized table (_legendre_scaled) divided by its
-    normalization sqrt((2j+1)/(4 pi) (j-m)!/(j+m)!), whose (j-m)!/(j+m)! is
-    taken through lgamma; the division is a shift of the row's base-2
-    scale, made before the value is rounded to a double, so a P_j^m in the
-    double range is returned even where Pbar_j^m is not.  The library has
-    one Legendre recurrence.
-
-    Parameters
-    ----------
-    j, m : int
-        Degree and order, 0 <= m <= j.
-    z : float or ndarray
-        Argument(s) in [-1, 1].
-
-    Returns
-    -------
-    float or ndarray
-        P_j^m evaluated at z (scalar in, scalar out).
-
-    Supported range: every 0 <= m <= j for which |P_j^m(z)| fits a double.
-    Since |P_m^m(z)| = (2m-1)!! (1-z^2)^{m/2}, that first fails at m = 151
-    for z = 0, and at larger m as |z| nears 1; there it raises ValueError.
-    A |P_j^m(z)| below the double range comes out 0 or subnormal.
-    Normalized values, finite at every degree, come from harmonic_values.
-    """
-    if not (0 <= m <= j):
-        raise ValueError(f"order must satisfy 0 <= m <= j, got j={j}, m={m}")
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) > 1.0 + 1e-12):
-        raise ValueError("argument of assoc_legendre must lie in [-1, 1]")
-    z_arr = np.clip(z_arr, -1.0, 1.0)
-
-    # 1 / normalization as 2^inv, added to the row's scale before the one rounding to a double,
-    # so that P_j^m under- or overflows only where it leaves the double range itself
-    inv = -0.5 * (log2((2 * j + 1) / (4 * pi)) + (lgamma(j - m + 1) - lgamma(j + m + 1)) / log(2))
-    mantissa, scale = _legendre_scaled(j, z_arr.reshape(-1))
-    with np.errstate(over="ignore"):
-        p = _from_log2(mantissa[m], scale[m] + inv).reshape(z_arr.shape)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"P_{j}^{m}(z) exceeds the double range at some of the given z")
-    return p if np.ndim(z) else float(p)
+    *_, (mantissa, scale) = _legendre_steps(j, z.reshape(-1))
+    del _  # it holds the other step buffer: free it before _from_log2 allocates
+    return _from_log2(*_at_poles(j, mantissa, scale, z.reshape(-1))).reshape((j + 1,) + z.shape)
 
 
 def _polar(theta) -> np.ndarray:

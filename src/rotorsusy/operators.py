@@ -590,31 +590,22 @@ def _real_matrix(j: int, keys, coefs) -> np.ndarray:
     return out
 
 
-def spectrum(a: Operator, self_adjoint: bool = True) -> SpectrumReport:
-    """Eigenvalues of an operator on one degree, grouped into clusters of
-    width CLUSTER_TOL.
+def spectrum(a: Operator) -> SpectrumReport:
+    """Eigenvalues of a self-adjoint operator on one degree, grouped into
+    clusters of width CLUSTER_TOL.
 
-    With self_adjoint=True (the default) the operator must be Hermitian
-    within 1e-10 (relative to its norm); violation raises ContractViolation.
-    An operator whose keys satisfy the conjugation identity exactly (see the
-    module docstring; Q, Q', K1-K3, H, C and R1-R3 do) is solved as the real
-    symmetric matrix T^H A T in the real basis; any other (J1, J2, J3, ...)
-    as its dense complex matrix.
+    The operator must be Hermitian within 1e-10 (relative to its norm);
+    violation raises ContractViolation.  An operator whose keys satisfy the
+    conjugation identity exactly (see the module docstring; Q, Q', K1-K3, H,
+    C and R1-R3 do) is solved as the real symmetric matrix T^H A T in the
+    real basis; any other (J1, J2, J3, ...) as its dense complex matrix.
     """
     j = a._one_degree()[0]
-    if self_adjoint:
-        keys, coefs, herm = _adjoint_gap(a)
-        if herm[0] > 1e-10 * max(1.0, _frobenius(coefs)[0]):
-            raise ContractViolation(
-                f"matrix is not self-adjoint (deviation {herm[0]:.3e}) but self_adjoint=True"
-            )
-        real = _conjugation_even(keys, coefs)
-        vals = np.linalg.eigvalsh(_real_matrix(j, keys, coefs[:, 0]) if real else a.matrix)
-    else:
-        raw = np.linalg.eigvals(a.matrix)
-        order = np.lexsort((raw.imag, raw.real))
-        raw = raw[order]
-        vals = raw.real if np.max(np.abs(raw.imag)) < 1e-10 else raw
+    keys, coefs, herm = _adjoint_gap(a)
+    if herm[0] > 1e-10 * max(1.0, _frobenius(coefs)[0]):
+        raise ContractViolation(f"matrix is not self-adjoint (deviation {herm[0]:.3e})")
+    real = _conjugation_even(keys, coefs)
+    vals = np.linalg.eigvalsh(_real_matrix(j, keys, coefs[:, 0]) if real else a.matrix)
 
     uniq, mult = [], []
     for v in vals:

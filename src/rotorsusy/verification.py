@@ -24,12 +24,12 @@ of a run degree by degree.
 One run builds each object once.  What is O(j) and read-only is memoized
 process-wide behind the library's builders: the keyed closed forms of
 supercharge and symmetry_generator on one degree and the tables of
-recurrence_coeffs and grid (bounded lru_caches), and the keyed F and G of
-eigenbases._fg_operator, eigen-verified once for identical inputs and kept
-while their Q lives.  The rest, the dense objects (O(j^2) per degree or
-more) and the stack's operators (O(J^2)), are shared only inside the run's
-_Run and go with it: held past the run, they would raise the resident
-memory of every later call.
+recurrence_coeffs and grid and the keyed F and G of eigenbases._fg_operator,
+each eigen-verified once per degree (bounded lru_caches).  The rest, the
+dense objects (O(j^2) per degree or more) and the stack's operators and
+its F and G (O(J^2)), are shared only inside the run's _Run and go with
+it: held past the run, they would raise the resident memory of every
+later call.
 """
 
 import random
@@ -226,7 +226,7 @@ class _Run:
     tolerance scale, the stack of degrees 0..top with the closed-form bundle
     s and the product oracle o on it (.at(j) is one degree), the views
     upto(name, top) of s and the distances of the closed forms from the
-    oracle (gap), and the grids grid(n), the
+    oracle (gap), the stacked F and G fg(top), and the grids grid(n), the
     overlap matrices w(N) and wr(N) of both routes, the M-bases m(j) and the
     theta-Grams grams(top).  No cache refers back to the run, so all of it
     goes when run_verification returns."""
@@ -253,9 +253,14 @@ class _Run:
         return _product_operators(self.stack)
 
     def upto(self, name, top):
-        """Degrees 0..top of the closed form name, one object per run, so that
-        eigenbases._fg_operator verifies the stacked F and G once."""
+        """Degrees 0..top of the closed form name, one object per run."""
         return self._once((name, top), lambda: getattr(self.s, name).upto(top))
+
+    def fg(self, top):
+        """The keyed F and G on degrees 0..top, eigen-verified once per run
+        against upto("q", top) and upto("k3", top) (eigenbases._fg_build)."""
+        q, k3 = self.upto("q", top), self.upto("k3", top)
+        return self._once(("FG", top), lambda: [eb._fg_build(q.space, which, q, k3) for which in "FG"])
 
     def gap(self, *names):
         """Per degree, the largest Frobenius distance of the named closed forms from the oracle."""
@@ -535,7 +540,7 @@ def _non_symmetry(js, run):
 def _m_basis(js, run):
     for j in js:
         basis = run.m(j)
-        v = basis.matrix()
+        v = basis.coeffs
         yield basis.orthonormality_residual()
         yield float(np.max(np.abs(v @ v.conj().T - np.eye(2 * j + 1))))
         k3v = np.array([lab["k3"] for lab in basis.labels])
@@ -545,34 +550,32 @@ def _m_basis(js, run):
 @_check("eigenbases.q_in_m_basis", 20, 1e-12, "closed-form three-term action, j <= {top}")
 def _q_in_m_basis(js, run):
     for j in js:
-        v = run.m(j).matrix()
+        v = run.m(j).coeffs
         conj = v.conj().T @ run.o.q.at(j).apply(v)
         yield float(np.max(np.abs(conj - eb.q_action_on_m(HarmonicSpace(j))))) / (2 * j + 1)
 
 
 @_check("eigenbases.closed_form_eigen", 20, 1e-10, "matches joint-diagonalization oracle, j <= {top}")
 def _closed_form_eigen(js, run):
-    q, k3 = run.upto("q", js[-1]), run.upto("k3", js[-1])
-    f, g = (eb._fg_operator(q.space, which, q, k3) for which in ("F", "G"))
+    f, g = run.fg(js[-1])
     for j in js:
         fb, gb = eb._fg_basis(f.at(j), "F"), eb._fg_basis(g.at(j), "G")
         oracle = eb.joint_diagonalize(run.o.q.at(j), run.o.k3.at(j))
-        t = np.column_stack([fb.matrix(), gb.matrix()])
+        t = np.column_stack([fb.coeffs, gb.coeffs])
         yield float(np.max(np.abs(t.conj().T @ t - np.eye(2 * j + 1))))
         # the oracle orders its columns by (q, k), as F then G are ordered
         if ([(round(lab["q"], 6), lab["k"]) for lab in oracle.labels]
                 != [(lab["q"], lab["k"]) for lab in fb.labels + gb.labels]):
             raise _Broken(f"oracle label mismatch at j={j}")
-        overlap = np.abs(np.sum(oracle.matrix().conj() * t, axis=0))
+        overlap = np.abs(np.sum(oracle.coeffs.conj() * t, axis=0))
         yield float(np.max(np.abs(overlap - 1.0)))
 
 
 @_check("eigenbases.tridiagonal_data", 20, 1e-10, "matches closed forms, j <= {top}")
 def _tridiagonal_data(js, run):
     # F and G eigen-verified against the closed forms, K1 from the product oracle
-    q, k3, k1 = run.upto("q", js[-1]), run.upto("k3", js[-1]), run.o.k1.upto(js[-1])
-    for which in ("F", "G"):
-        b = eb._fg_operator(k1.space, which, q, k3)
+    k1 = run.o.k1.upto(js[-1])
+    for which, b in zip("FG", run.fg(js[-1])):
         for j, data in enumerate(eb._tridiagonal_blocks(op.adjoint(b) @ (k1 @ b), which)):
             if data is not None:
                 exp_d, exp_o = eb.closed_form_tridiagonal(which, j)
@@ -583,7 +586,7 @@ def _tridiagonal_data(js, run):
 def _block_structure(js, run):
     # a non-positive off-diagonal or a G block off the F pattern raises in _decomposition
     ops = {name: run.upto(name.lower(), js[-1]) for name in ("Q", "K1", "K2", "K3")}
-    for report in eb._decomposition(ops):
+    for report in eb._decomposition(ops, *run.fg(js[-1])):
         yield report["completeness_residual"]
         yield from report["offblock_residuals"].values()
 

@@ -149,10 +149,10 @@ def test_criterion_5_decomposition(capsys):
         oracle = joint_diagonalize(q, k3)
         oracle_map = {
             (round(lbl["q"], 6), lbl["k"]): vec
-            for lbl, vec in zip(oracle.labels, oracle.matrix().T)
+            for lbl, vec in zip(oracle.labels, oracle.coeffs.T)
         }
         for basis in (f_basis(space), g_basis(space)):
-            for lbl, vec in zip(basis.labels, basis.matrix().T):
+            for lbl, vec in zip(basis.labels, basis.coeffs.T):
                 worst_eig = max(
                     worst_eig,
                     float(np.linalg.norm(q.matrix @ vec - lbl["q"] * vec)),

@@ -234,7 +234,7 @@ def test_permuted_basis_is_orthonormal_eigenbasis():
     space = HarmonicSpace(N)
     k1, _, _ = symmetry_generators(space)
     q = supercharge(space)
-    for lbl, vec in zip(zb.labels, zb.matrix().T):
+    for lbl, vec in zip(zb.labels, zb.coeffs.T):
         assert_allclose(k1.matrix @ vec, lbl["k1"] * vec, atol=1e-9)
         assert_allclose(q.matrix @ vec, -(N + 0.5) * vec, atol=1e-9)
     got = sorted(lbl["k1"] for lbl in zb.labels)
@@ -283,7 +283,7 @@ def _dense_integral_w(N):
     x1, x2, x3 = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
     permuted = harmonic_values(space, theta=np.arccos(np.clip((-1.0) ** (N + 1) * x1, -1.0, 1.0)),
                                phi=np.arctan2(x3, x2))
-    f = f_basis(space).matrix()
+    f = f_basis(space).coeffs
     zvals = np.einsum("ak,a...->k...", f, permuted)
     fvals = np.einsum("ak,a...->k...", f, harmonic_values(space, quad))
     return np.einsum("ntp,ktp,tp->nk", fvals, np.conj(zvals), quad.weight_mesh)
@@ -329,6 +329,14 @@ def test_recurrence_overlaps_are_finite_and_unitary_past_the_quadrature(N):
     wr = overlaps_via_recurrence(N)
     assert np.all(np.isfinite(wr.W))
     assert wr.unitarity_residual <= QUAD_TOL
+
+
+def test_the_unitarity_residual_is_computed_not_passed():
+    w = overlaps_via_recurrence(5).W
+    with pytest.raises(TypeError, match="unitarity_residual"):
+        OverlapMatrix(N=5, W=w, method="recurrence", unitarity_residual=0.0)
+    residual = OverlapMatrix(N=5, W=w, method="recurrence").unitarity_residual
+    assert residual == float(np.max(np.abs(w.conj().T @ w - np.eye(6)))) > 0.0
 
 
 def test_tables_reject_non_finite_entries():

@@ -298,7 +298,7 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
     np.array([[0.0, -0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 1e-300],
               [0.0, 0.0, 0.0, 0.0]]),
     np.eye(5).reshape(5, 5, 1) * -1.0,
-    _pairs(f_basis(HarmonicSpace(7)).matrix().T),
+    _pairs(f_basis(HarmonicSpace(7)).coeffs.T),
 ])
 def test_json_renderer_matches_indented_dumps(obj):
     assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)

@@ -29,14 +29,14 @@ from rotorsusy import (
     symmetry_generator,
 )
 from rotorsusy import operators
-from rotorsusy.eigenbases import _fg_operator
+from rotorsusy.eigenbases import _fg_build
 
 _BUILDERS = {"J+": jplus, "J-": jminus, "J1": j1, "J2": j2, "J3": j3,
              **{f"R{i}": (lambda space, i=i: reflection(i, space)) for i in (1, 2, 3)},
              "I": identity, "H": hamiltonian, "Q": supercharge, "Q'": supercharge_alt,
              **{f"K{i}": (lambda space, i=i: symmetry_generator(i, space)) for i in (1, 2, 3)},
              "C": casimir,
-             **{which: (lambda space, which=which: _fg_operator(
+             **{which: (lambda space, which=which: _fg_build(
                  space, which, supercharge(space), symmetry_generator(3, space))) for which in "FG"}}
 
 

@@ -25,7 +25,8 @@ from rotorsusy import (
     symmetry_generators,
     tridiagonal_extract,
 )
-from rotorsusy.eigenbases import _fg_operator, _fg_transpose, _tridiagonal_blocks, _tridiagonal_data
+from rotorsusy.eigenbases import _fg_build, _fg_operator, _tridiagonal_blocks, _tridiagonal_data
+from rotorsusy.operators import _transpose_apply
 
 
 def test_m_basis_order_and_eigenvalues():
@@ -41,7 +42,7 @@ def test_m_basis_diagonalizes_third_generator():
         space = HarmonicSpace(j)
         basis = m_basis(space)
         _, _, k3 = symmetry_generators(space)
-        v = basis.matrix()
+        v = basis.coeffs
         t = v.conj().T @ k3.matrix @ v
         expected = np.diag([lbl["k3"] for lbl in basis.labels])
         assert_allclose(t, expected, atol=1e-13)
@@ -50,7 +51,7 @@ def test_m_basis_diagonalizes_third_generator():
 def test_m_basis_explicit_degree_one_vector():
     basis = m_basis(HarmonicSpace(1))
     # m=1, eps=+1: (Y^{-1} + i Y^{1}) / sqrt(2)
-    assert_allclose(basis.matrix()[:, 1], [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
+    assert_allclose(basis.coeffs[:, 1], [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
 
 
 def test_supercharge_closed_form_on_m_basis():
@@ -59,7 +60,7 @@ def test_supercharge_closed_form_on_m_basis():
     assert mat[0, 0] == -0.5
     for j in (1, 2, 3, 7, 10):
         space = HarmonicSpace(j)
-        v = m_basis(space).matrix()
+        v = m_basis(space).coeffs
         direct = v.conj().T @ supercharge(space).matrix @ v
         assert_allclose(q_action_on_m(space), direct, atol=1e-12)
 
@@ -85,7 +86,7 @@ def test_joint_diagonalization_labels():
     basis = joint_diagonalize(q, k3)
     got = sorted((round(lbl["q"], 8), lbl["k"]) for lbl in basis.labels)
     assert got == [(-1.5, 0), (-1.5, 1), (1.5, 0)]
-    for lbl, vec in zip(basis.labels, basis.matrix().T):
+    for lbl, vec in zip(basis.labels, basis.coeffs.T):
         assert_allclose(q.matrix @ vec, lbl["q"] * vec, atol=1e-10)
         assert_allclose(k3.matrix @ vec, lbl["k3"] * vec, atol=1e-10)
     assert basis.orthonormality_residual() < 1e-12
@@ -96,7 +97,7 @@ def test_joint_diagonalization_fixes_each_phase_on_the_first_m_coefficient(j):
     # the first M-basis coefficient above 1e-6 in modulus of every column is positive real
     space = HarmonicSpace(j)
     basis = joint_diagonalize(supercharge(space), symmetry_generator(3, space))
-    coeffs = m_basis(space).matrix().conj().T @ basis.matrix()
+    coeffs = m_basis(space).coeffs.conj().T @ basis.coeffs
     for col in coeffs.T:
         lead = col[np.flatnonzero(np.abs(col) > 1e-6)[0]]
         assert lead.real > 0 and abs(lead.imag) <= 1e-15
@@ -113,8 +114,8 @@ def test_f_basis_structure():
     fb = f_basis(space)
     assert len(fb) == 2
     # F_1^1 has no upper term, so it is a pure M^{1,-1} state
-    m_mat = m_basis(space).matrix()
-    overlap = np.abs(m_mat.conj().T @ fb.matrix()[:, 1])
+    m_mat = m_basis(space).coeffs
+    overlap = np.abs(m_mat.conj().T @ fb.coeffs[:, 1])
     assert_allclose(overlap, [0.0, 0.0, 1.0], atol=1e-14)
 
 
@@ -124,7 +125,7 @@ def test_f_and_g_bases_are_joint_eigenvectors(j):
     q = supercharge(space)
     _, _, k3 = symmetry_generators(space)
     for basis, q_eig in ((f_basis(space), -(j + 0.5)), (g_basis(space), j + 0.5)):
-        for lbl, vec in zip(basis.labels, basis.matrix().T):
+        for lbl, vec in zip(basis.labels, basis.coeffs.T):
             assert lbl["q"] == q_eig
             assert_allclose(q.matrix @ vec, q_eig * vec, atol=1e-10)
             assert_allclose(k3.matrix @ vec, lbl["k3"] * vec, atol=1e-10)
@@ -135,14 +136,14 @@ def test_f_and_g_bases_span_everything(j):
     space = HarmonicSpace(j)
     fb, gb = f_basis(space), g_basis(space)
     assert (len(fb), len(gb)) == (j + 1, j)
-    t = np.column_stack([fb.matrix(), gb.matrix()])
+    t = np.column_stack([fb.coeffs, gb.coeffs])
     assert_allclose(t.conj().T @ t, np.eye(space.dim), atol=1e-12)
 
 
 def test_g_basis_empty_on_trivial_degree():
     gb = g_basis(HarmonicSpace(0))
     assert len(gb) == 0
-    assert gb.matrix().shape == (1, 0)
+    assert gb.coeffs.shape == (1, 0)
 
 
 def test_closed_form_tridiagonal_values():
@@ -206,7 +207,7 @@ def test_labeled_basis_rejects_columns_off_the_unit_sphere(column):
     with pytest.raises(ValueError, match="unit norm"):
         LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=coeffs, labels=[{}] * 3)
     basis = LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=np.eye(3), labels=[{}] * 3)
-    assert not basis.matrix().flags.writeable
+    assert not basis.coeffs.flags.writeable
 
 
 def test_decomposition_report_degree_three():
@@ -239,10 +240,10 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
     oracle = joint_diagonalize(q, k3)
     fb, gb = f_basis(space), g_basis(space)
     for basis in (fb, gb):
-        for lbl, vec in zip(basis.labels, basis.matrix().T):
+        for lbl, vec in zip(basis.labels, basis.coeffs.T):
             match = [
                 o_vec
-                for o_lbl, o_vec in zip(oracle.labels, oracle.matrix().T)
+                for o_lbl, o_vec in zip(oracle.labels, oracle.coeffs.T)
                 if abs(o_lbl["q"] - lbl["q"]) < 1e-8 and o_lbl["k"] == lbl["k"]
             ]
             assert len(match) == 1
@@ -256,9 +257,9 @@ def test_eigen_verification_reports_the_first_failing_vector():
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
-        _fg_operator(space, "F", -supercharge(space), k3)
-    passed = _fg_operator(space, "F", supercharge(space), k3)
-    np.testing.assert_array_equal(passed.matrix[:, 2:], f_basis(space).matrix())
+        _fg_build(space, "F", -supercharge(space), k3)
+    passed = _fg_build(space, "F", supercharge(space), k3)
+    np.testing.assert_array_equal(passed.matrix[:, 2:], f_basis(space).coeffs)
 
 
 def test_eigen_verification_names_the_failing_vector_when_the_oracle_raises():
@@ -268,7 +269,7 @@ def test_eigen_verification_names_the_failing_vector_when_the_oracle_raises():
     with pytest.raises(VerificationError, match=r"F-basis closed form failed eigen-verification "
                        r"at j=3, k=0: \|Qv - qv\| = .*, \|K3v - k3v\| = 1\.000e\+00 .*; "
                        r"oracle unavailable: K3 eigenvalue -2\.5\d* is not of the form"):
-        _fg_operator(space, "F", supercharge(space), -symmetry_generator(3, space))
+        _fg_build(space, "F", supercharge(space), -symmetry_generator(3, space))
 
 
 def test_block_faults_raise_while_the_blocks_are_read():
@@ -290,12 +291,12 @@ def test_block_faults_raise_while_the_blocks_are_read():
 @pytest.mark.parametrize("j", [0, 1, 2, 7, 30])
 def test_keyed_f_transpose_is_the_dense_product(j):
     space = HarmonicSpace(j)
-    f = _fg_operator(space, "F", supercharge(space), symmetry_generator(3, space))
+    f = _fg_operator(space, "F")
     rng = np.random.default_rng(j)
     for shape in ((2 * j + 1,), (2 * j + 1, 3, 2)):
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        expect = np.tensordot(f_basis(space).matrix(), v, axes=(0, 0))
-        assert_allclose(_fg_transpose(f, v), expect, rtol=0, atol=1e-14)
+        expect = np.tensordot(f_basis(space).coeffs, v, axes=(0, 0))
+        assert_allclose(_transpose_apply(f, v, j + 1, 0), expect, rtol=0, atol=1e-14)
 
 
 def _dense_decompose(space):
@@ -304,7 +305,7 @@ def _dense_decompose(space):
     q = supercharge(space)
     k1, k2, k3 = symmetry_generators(space)
     fb, gb = f_basis(space), g_basis(space)
-    t = np.column_stack([fb.matrix(), gb.matrix()])
+    t = np.column_stack([fb.coeffs, gb.coeffs])
     nf = len(fb)
     offblock = {}
     for name, op in (("Q", q), ("K1", k1), ("K2", k2), ("K3", k3)):
@@ -345,9 +346,9 @@ def test_decompose_matches_dense_products(j):
 def test_keyed_fg_columns_are_the_basis_columns(j):
     space = HarmonicSpace(j)
     for which, build, n in (("F", f_basis, j + 1), ("G", g_basis, j)):
-        dense = _fg_operator(space, which, supercharge(space), symmetry_generator(3, space)).matrix
+        dense = _fg_operator(space, which).matrix
         # vector k is column j + k, byte for byte; every other column is zero
-        assert dense[:, j:j + n].tobytes() == build(space).matrix().tobytes()
+        assert dense[:, j:j + n].tobytes() == build(space).coeffs.tobytes()
         assert not np.any(np.delete(dense, np.s_[j:j + n], axis=1))
 
 
@@ -360,16 +361,16 @@ def test_stacked_eigen_verification_reports_the_first_failing_degree():
     shifted = q + Operator(stack, {(1, 0): shift})
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
                        r"eigen-verification at j=3, k=0: .*best oracle overlap modulus 1\.0"):
-        _fg_operator(stack, "F", shifted, k3)
+        _fg_build(stack, "F", shifted, k3)
     # K3 + 1e-9 fails through its own residual; G is empty at j = 0
     with pytest.raises(VerificationError, match=r"G-basis .* at j=1, k=0: .*\|K3v - k3v\| = 1\.000e-09"):
-        _fg_operator(stack, "G", q, k3 + 1e-9 * identity(stack))
+        _fg_build(stack, "G", q, k3 + 1e-9 * identity(stack))
 
 
 @pytest.mark.parametrize("space", [HarmonicSpace(6), DegreeStack(6)], ids=["one degree", "stack"])
 def test_keyed_k1_blocks_reject_stray_and_imaginary_entries(space):
     q, k1, k3 = supercharge(space), symmetry_generator(1, space), symmetry_generator(3, space)
-    f = _fg_operator(space, "F", q, k3)
+    f = _fg_build(space, "F", q, k3)
     t = adjoint(f) @ (k1 @ f)
     last = _tridiagonal_blocks(t, "F")[-1]
     assert_allclose(last.diag, closed_form_tridiagonal("F", 6)[0], rtol=0, atol=1e-13)

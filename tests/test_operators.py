@@ -175,12 +175,8 @@ def test_spectrum_examples():
 
 def test_spectrum_self_adjoint_gate():
     up = jplus(HarmonicSpace(2))
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"^matrix is not self-adjoint \(deviation \S+\)$"):
         spectrum(up)
-    rep = spectrum(up, self_adjoint=False)
-    # a strictly triangular matrix only has the eigenvalue zero
-    assert_allclose(rep.eigenvalues, [0.0], atol=1e-12)
-    assert rep.dim == 5
 
 
 def test_spectrum_self_adjoint_gate_catches_a_perturbed_key():
@@ -201,7 +197,7 @@ def test_spectrum_self_adjoint_gate_catches_a_perturbed_key():
     ("(-1, 1) alone", lambda s: Operator(s, {(-1, 1): (np.arange(7.0) + 0.5j) * (s.m_values() >= -2)}),
      "8.718e+00")])
 def test_spectrum_gate_reports_the_deviation_of_the_keyed_gate(name, build, deviation):
-    with pytest.raises(ContractViolation, match=rf"\(deviation {re.escape(deviation)}\) but"):
+    with pytest.raises(ContractViolation, match=rf"\(deviation {re.escape(deviation)}\)"):
         spectrum(build(HarmonicSpace(3)))
 
 
@@ -359,9 +355,9 @@ def test_fg_adjoint_equals_the_dense_bra(j):
     rng = np.random.default_rng(j)
     x = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
     for which, n in (("F", j + 1), ("G", j)):
-        keyed = _fg_operator(space, which, supercharge(space), symmetry_generators(space)[2])
+        keyed = _fg_operator(space, which)
         b = _looped_columns(space, [(key, coef[j:j + n]) for key, coef in keyed.terms.items()], n, 0)
-        assert_array_equal(b, {"F": f_basis, "G": g_basis}[which](space).matrix())
+        assert_array_equal(b, {"F": f_basis, "G": g_basis}[which](space).coeffs)
         # the keyed adjoint acts as the dense bra b^H on the rows of the
         # family's columns j..j+n-1, and sends x nowhere else
         got = adjoint(keyed).apply(x)

@@ -100,9 +100,9 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     # _decomposition, the helper behind decompose
     right_decomposition, right_norm = eigenbases._decomposition, operators.op_norm
 
-    def decomposition(ops):
+    def decomposition(ops, f, g):
         return [dict(report, completeness_residual=math.nan) if report["j"] == 2 else report
-                for report in right_decomposition(ops)]
+                for report in right_decomposition(ops, f, g)]
 
     monkeypatch.setattr(eigenbases, "_decomposition", decomposition)
     # on a DegreeStack, dim and op_norm hold one entry per degree
@@ -289,7 +289,7 @@ def test_one_run_builds_each_dense_object_once_per_size(monkeypatch):
     monkeypatch.setattr(eigenbases, "m_basis", counted("m_basis", eigenbases.m_basis, lambda s: s.j))
     monkeypatch.setattr(eigenbases, "_fg_build", counted(
         "_fg_build", eigenbases._fg_build, lambda space, which, q, k3: (which, str(space))))
-    eigenbases._FG_KEPT.clear()  # so that this run verifies F and G itself
+    eigenbases._fg_operator.cache_clear()  # so that this run verifies F and G itself
     assert run_verification(30).all_passed
     assert max(counts.values()) == 1, [key for key, n in counts.items() if n > 1]
     # the sizes each builder serves: the overlaps N <= 10, the M-bases and the
@@ -305,24 +305,43 @@ def test_one_run_builds_each_dense_object_once_per_size(monkeypatch):
 def test_memoized_builders_are_bounded_and_return_read_only_objects():
     caches = {name: fn for module in (harmonics, operators, susy, eigenbases, ak, verification)
               for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
-    assert {"_supercharge", "_symmetry_generator", "_recurrence_coeffs", "_grid"} <= set(caches)
+    assert {"_supercharge", "_symmetry_generator", "_fg_operator", "_recurrence_coeffs",
+            "_grid"} <= set(caches)
     assert all(fn.cache_info().maxsize is not None for fn in caches.values())
     for space in (HarmonicSpace(3), operators.DegreeStack(4)):
         q, k3 = susy.supercharge(space), susy.symmetry_generator(3, space)
         # one object per degree; a stack is built anew
         assert (q is susy.supercharge(space)) == (k3 is susy.symmetry_generator(3, space)) == (space.j == 3)
-        fg = [eigenbases._fg_operator(space, which, q, k3) for which in "FG"]
-        assert fg[0] is eigenbases._fg_operator(space, "F", q, k3)
+        if space.j == 3:
+            fg = [eigenbases._fg_operator(space, which) for which in "FG"]
+            assert all(b is eigenbases._fg_operator(space, which) for b, which in zip(fg, "FG"))
+        else:
+            fg = [eigenbases._fg_build(space, which, q, k3) for which in "FG"]
         ops = [q, *susy.symmetry_generators(space), *fg]
         assert all(not coef.flags.writeable for o in ops for coef in o.terms.values())
     table, g = ak.recurrence_coeffs(5), ak.grid(5)
     assert table is ak.recurrence_coeffs(np.int64(5)) and g is ak.grid(5)
     assert not any(a.flags.writeable for a in (table.A, table.C, table.monic_b, table.monic_c, g.x, g.y))
-    # the kept F and G go with their Q: after a run, none on a stack is left
-    del q, k3, fg, ops
-    run_verification(20)
-    assert not any(isinstance(space, operators.DegreeStack)
-                   for kept in eigenbases._FG_KEPT.values() for space, _ in kept)
+    # a run's stacked F and G stay in the run: the eigenbases suite keeps no F or G
+    eigenbases._fg_operator.cache_clear()
+    assert run_verification(20, suite_filter="eigenbases").all_passed
+    assert eigenbases._fg_operator.cache_info().currsize == 0
+
+
+def test_the_public_routes_build_each_family_once_per_degree(monkeypatch):
+    builds = collections.Counter()
+
+    def counted(space, which, q, k3):
+        builds[which, space] += 1
+        return build(space, which, q, k3)
+
+    build = eigenbases._fg_build
+    monkeypatch.setattr(eigenbases, "_fg_build", counted)
+    eigenbases._fg_operator.cache_clear()
+    space = HarmonicSpace(5)
+    eigenbases.f_basis(space), eigenbases.g_basis(space), eigenbases.decompose(space)
+    ak.z_basis(5), ak.overlaps_via_integral(5)
+    assert builds == {("F", space): 1, ("G", space): 1}
 
 
 def test_a_run_stays_within_its_memory_budget():
