@@ -359,6 +359,7 @@ def _z_basis(w: OverlapMatrix) -> LabeledBasis:
         )
 
     labels = [{"k": int(i), "k1": float(k1_eigs[i]), "q": -(N + 0.5)} for i in range(N + 1)]
+    mat.setflags(write=False)
     return LabeledBasis(space=space, family="Z", coeffs=mat, labels=labels)
 
 

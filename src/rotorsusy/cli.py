@@ -13,14 +13,19 @@ verify also takes --tolerance-scale FLOAT; with --output it writes JSON
 unless --format says otherwise, and prints its table to stdout too.  JSON
 is the canonical machine format: every export is wrapped in an envelope
 {schema_version, kind, metadata, payload} with complex numbers as
-[re, im] pairs.  Exports are deterministic byte-for-byte across runs.  The
-CSV and the table render one list of raw rows per command.
+[re, im] pairs.  The payloads hold the library's own complex arrays (a
+basis's coefficients, an overlap matrix), and the JSON writer renders their
+[re, im] pairs itself, one outermost row at a time, so no export copies a
+whole basis.  Exports are deterministic byte-for-byte across runs.  The CSV
+and the table render one sequence of raw rows per command; the CSV is
+written one row at a time, a basis row from _pairs of its one column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable --output.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from contextlib import nullcontext
@@ -55,56 +60,71 @@ def _pairs(a):
 
 
 def _sparse_rows(flat, template):
-    """Each row of the 2-d float array flat filled into template, as the
-    all-0.0 row text with the repr of each entry that is nonzero or carries
-    the sign bit (-0.0) spliced in at its placeholder."""
+    """Each row of the 2-d float or complex array flat filled into template,
+    a complex entry as its [re, im] pair, as the all-0.0 row text with the
+    repr of each part that is nonzero or carries the sign bit (-0.0) spliced
+    in at its placeholder.  Each part is gathered from the .real or .imag
+    view of its entry: no pairs array is made."""
     pieces = template.split("%r")
     zero = "0.0".join(pieces)
     starts = np.cumsum([len(p) + 3 for p in pieces[:-1]]) - 3
-    rows, cols = np.nonzero((flat != 0) | np.signbit(flat))
+    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
+    mask = np.stack([(p != 0) | np.signbit(p) for p in parts], -1).reshape(len(flat), -1)
+    rows, cols = np.nonzero(mask)
     bounds = np.searchsorted(rows, np.arange(len(flat) + 1)).tolist()
-    at, values = starts[cols].tolist(), flat[rows, cols].tolist()
+    entry = cols // len(parts)
+    at = starts[cols].tolist()
+    values = np.choose(cols % len(parts), [p[rows, entry] for p in parts]).tolist()
     for b0, b1 in zip(bounds, bounds[1:]):
-        parts, last = [], 0
+        text, last = [], 0
         for a, v in zip(at[b0:b1], values[b0:b1]):
-            parts += (zero[last:a], repr(v))
+            text += (zero[last:a], repr(v))
             last = a + 3
-        parts.append(zero[last:])
-        yield "".join(parts)
+        text.append(zero[last:])
+        yield "".join(text)
 
 
 def _json_chunks(obj, level=0):
     """obj in the layout json.dumps gives it with an indent of 2, byte for
-    byte, where every ndarray counts as its tolist(), as a stream of strings.
+    byte, where every ndarray counts as its tolist() and a complex one as
+    the tolist() of its [re, im] pairs (shape + (2,)), as a stream of strings.
 
     json renders indented output with its pure-Python encoder, one call per
-    value.  A finite float array is instead yielded one outermost row at a
-    time, filled into one template of the row's layout whose %r renders each
-    float with float.__repr__ (json's spelling of finite floats); the
-    template joins its placeholders one axis at a time from the innermost
-    out.  An array with at most a quarter of its entries nonzero (an F, G or
-    M basis row has at most 4 nonzero complex entries of 2j+1) fills it by
-    _sparse_rows instead, which is faster there and slower on dense arrays.
-    Other arrays, and arrays holding NaN or infinities, go through the
-    generic path as lists.
+    value.  A finite float or complex array is instead yielded one outermost
+    row at a time, filled into one template of the row's layout whose %r
+    renders each float with float.__repr__ (json's spelling of finite
+    floats); the template joins its placeholders one axis at a time from the
+    innermost out, a complex array's [re, im] axis first.  Each row's values
+    are read from the row itself, a complex row through a float view of it
+    (of a contiguous copy of that one row where it is strided), so no copy
+    of the whole array is made.  An array with at most a quarter of its
+    float parts nonzero (an F, G or M basis row has at most 4 nonzero
+    complex entries of 2j+1) fills it by _sparse_rows instead, which is
+    faster there and slower on dense arrays.  Other arrays, and arrays
+    holding NaN or infinities, go through the generic path as lists, a
+    complex one as its _pairs.
     """
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
-            strs = ["%r"] * (obj.size // len(obj))
-            for axis in range(obj.ndim - 1, 0, -1):
+        if obj.dtype.kind in "fc" and obj.ndim and obj.size and np.isfinite(obj).all():
+            parts = (obj.real, obj.imag) if obj.dtype.kind == "c" else (obj,)
+            shape = obj.shape + (2,) * (len(parts) - 1)
+            strs = ["%r"] * (obj.size * len(parts) // len(obj))
+            for axis in range(len(shape) - 1, 0, -1):
                 sub = "\n" + "  " * (level + axis + 1)
                 head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
-                strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * obj.shape[axis])]
-            if 4 * np.count_nonzero(obj) > obj.size:
-                rows = (strs[0] % tuple(row.ravel().tolist()) for row in obj)
+                strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * shape[axis])]
+            if 4 * sum(map(np.count_nonzero, parts)) > obj.size * len(parts):
+                # a complex row as the float view of its [re, im] values; a float row as it is
+                source = obj if len(parts) == 1 else (row.ravel().view(parts[0].dtype) for row in obj)
+                rows = (strs[0] % tuple(row.ravel().tolist()) for row in source)
             else:
                 rows = _sparse_rows(obj.reshape(len(obj), -1), strs[0])
             for i, text in enumerate(rows):
                 yield ("[" if i == 0 else ",") + inner + text
             yield "\n" + "  " * level + "]"
             return
-        obj = obj.tolist()
+        obj = (_pairs(obj) if obj.dtype.kind == "c" else obj).tolist()
     if isinstance(obj, dict):
         brackets = "{}"
         items = [(json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
@@ -132,17 +152,19 @@ def _envelope(kind, metadata, payload):
     }
 
 
-def _csv_text(header, rows) -> str:
-    """The header and rows as CSV: a float cell as format(v, ".17g"), None as
-    an empty cell, any other cell by str."""
+def _csv_text(header, rows):
+    """The header and rows as CSV, yielded one line at a time: a float cell
+    as format(v, ".17g"), None as an empty cell, any other cell by str."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
-    return buf.getvalue()
+    for row in itertools.chain([header], rows):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
 class _Dash:
@@ -176,7 +198,7 @@ def _emit(args, kind, metadata, payload, header, rows, table) -> None:
     if args.format == "json":
         chunks = _json_chunks(_envelope(kind, metadata, payload()))
     elif args.format == "csv":
-        chunks = [_csv_text(header, rows())]
+        chunks = _csv_text(header, rows())
     else:
         chunks = ["\n".join(table(rows())) + "\n"]
     _deliver(args, chunks)
@@ -256,12 +278,12 @@ def _cmd_basis(args) -> int:
             "j": args.j,
             "family": args.family,
             "labels": [dict(lab) for lab in basis.labels],
-            "vectors": _pairs(basis.coeffs.T),
+            "vectors": basis.coeffs.T,
         }
 
     def rows():
-        return [(n, *(lab[k] for k in keys), *p.ravel().tolist())
-                for n, (lab, p) in enumerate(zip(basis.labels, _pairs(basis.coeffs.T)))]
+        return ((n, *(lab[k] for k in keys), *_pairs(v).ravel().tolist())
+                for n, (lab, v) in enumerate(zip(basis.labels, basis.coeffs.T)))
 
     header = ["index", *keys, *(f"c{i}_{p}" for i in range(2 * args.j + 1) for p in ("re", "im"))]
     labels = ", ".join(f"{k}={{{1 + keys.index(k)}}}" for k in first_label)
@@ -327,15 +349,15 @@ def _cmd_overlaps(args) -> int:
     def payload():
         out = {"N": n, "method": args.method}
         for name, om in results.items():
-            out[f"W_{name}"] = _pairs(om.W)
+            out[f"W_{name}"] = om.W
             out[f"unitarity_residual_{name}"] = om.unitarity_residual
         if dev is not None:
             out["max_deviation"] = dev
         return out
 
     def rows():
-        return [(name, r, *parts) for name, om in results.items()
-                for r, parts in enumerate(_pairs(om.W).reshape(n + 1, -1).tolist())]
+        return ((name, r, *_pairs(w).ravel().tolist()) for name, om in results.items()
+                for r, w in enumerate(om.W))
 
     def table(rows):
         lines = [f"overlap matrix at N={n} (method: {args.method})"]

@@ -49,6 +49,12 @@ class LabeledBasis:
     column i holds the coefficients of vector i over Y_j^m, and one label
     dict per column.  Every column must have unit norm (to 1e-10).
 
+    A read-only complex128 ndarray is kept as given, so a builder that
+    freezes the array it has just written hands it over without a copy;
+    any other input (a writeable array, another dtype, nested lists) is
+    copied into a new read-only array, so changing it later leaves the
+    basis as it was.
+
     family is one of "M", "F", "G", "Z" for the named bases, or "joint"
     for the output of joint_diagonalize.
     """
@@ -61,7 +67,10 @@ class LabeledBasis:
     def __post_init__(self):
         if self.family not in ("M", "F", "G", "Z", "joint"):
             raise ValueError(f"unknown basis family {self.family!r}")
-        c = np.array(self.coeffs, dtype=complex)
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.dtype == complex and not c.flags.writeable):
+            c = np.array(c, dtype=complex)
+            c.setflags(write=False)
         if c.shape != (self.space.dim, len(self.labels)):
             raise ValueError(
                 f"expected {self.space.dim} x {len(self.labels)} coefficients, got shape {c.shape}"
@@ -71,7 +80,6 @@ class LabeledBasis:
         dev = float(np.max(np.abs(norms - 1.0), initial=0.0))
         if not dev <= 1e-10:
             raise ValueError(f"basis vectors must have unit norm; worst deviation {dev!r}")
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -121,8 +129,9 @@ def m_basis(space: HarmonicSpace) -> LabeledBasis:
     # M^{m,eps} = (Y^{-m} + i eps Y^m) / sqrt(2); m = i on the first chain, i - j on the second
     terms = [((-1, 0), chain[0]), ((-1, j), chain[1]), ((1, 0), 1j * chain[0]),
              ((1, -j), -1j * chain[1])]
-    return LabeledBasis(space=space, family="M", coeffs=_columns(space, terms, space.dim),
-                        labels=labels)
+    coeffs = _columns(space, terms, space.dim)
+    coeffs.setflags(write=False)
+    return LabeledBasis(space=space, family="M", coeffs=coeffs, labels=labels)
 
 
 def q_action_on_m(space: HarmonicSpace):
@@ -193,7 +202,9 @@ def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
         raise VerificationError(f"K3 eigenvalue {k3v[bad][0]} is not of the form (-1)^k (k+1/2)")
     order = np.lexsort((k, qv))
     labels = [{"k": int(a), "q": float(b), "k3": float(c)} for a, b, c in zip(k[order], qv[order], k3v[order])]
-    return LabeledBasis(space=space, family="joint", coeffs=vecs[:, order], labels=labels)
+    vecs = vecs[:, order]
+    vecs.setflags(write=False)
+    return LabeledBasis(space=space, family="joint", coeffs=vecs, labels=labels)
 
 
 def _max_abs(a: Operator) -> np.ndarray:
@@ -267,9 +278,9 @@ def _fg_labels(j: int, which: str) -> list:
 def _fg_basis(b: Operator, which: str) -> LabeledBasis:
     """The (2j+1, n) columns and labels of a keyed F or G of one degree."""
     j, labels = b.space.j, _fg_labels(b.space.j, which)
-    return LabeledBasis(space=b.space, family=which, labels=labels,
-                        coeffs=_columns(b.space, [(key, c[j:j + len(labels)]) for key, c in b.terms.items()],
-                                        len(labels)))
+    coeffs = _columns(b.space, [(key, c[j:j + len(labels)]) for key, c in b.terms.items()], len(labels))
+    coeffs.setflags(write=False)
+    return LabeledBasis(space=b.space, family=which, coeffs=coeffs, labels=labels)
 
 
 def f_basis(space: HarmonicSpace) -> LabeledBasis:

@@ -153,7 +153,8 @@ def _legendre_steps(j: int, z: np.ndarray):
     seed = 0.5 * np.log2((2 * m + 1) / (4 * pi))
     seed[1:] += 0.5 * np.cumsum(np.log2(1.0 - 0.5 / m[1:]))
     # m log2(s) at s = 1 in place of the poles avoids 0 * log(0); _at_poles overwrites them
-    scale = seed[:, None] + m[:, None] * np.log2(np.where(s == 0.0, 1.0, s))
+    scale = np.multiply(m[:, None], np.log2(np.where(s == 0.0, 1.0, s)))
+    scale += seed[:, None]
     cur = np.zeros((j + 1, z.size))
     prev = np.zeros_like(cur)
     tmp = np.empty_like(cur)  # reused: a new, larger temporary every step fragments the heap
@@ -172,7 +173,7 @@ def _legendre_steps(j: int, z: np.ndarray):
         cur[l] = (-1.0) ** l
         if l % 32 == 0:
             # in 32 steps a mantissa grows by far less than the 2^511 left above 2^512
-            big = np.abs(cur) > 2.0**512
+            big = np.abs(cur, out=tmp) > 2.0**512
             cur[big] *= 2.0**-512
             prev[big] *= 2.0**-512
             scale[big] += 512
@@ -201,9 +202,12 @@ def _legendre_degrees(j: int, z: np.ndarray) -> np.ndarray:
 
 
 def _from_log2(mantissa: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """mantissa * 2^scale as a double: 0 or subnormal below the normal range, inf above."""
+    """mantissa * 2^scale as a double: 0 or subnormal below the normal range, inf above.
+    Computed in place: scale is overwritten and the result is mantissa."""
     e = np.floor(scale)
-    return np.ldexp(mantissa * np.exp2(scale - e), e.astype(int))
+    scale -= e
+    mantissa *= np.exp2(scale, out=scale)
+    return np.ldexp(mantissa, e.astype(np.int32), out=mantissa)
 
 
 def _legendre_table(j: int, z) -> np.ndarray:

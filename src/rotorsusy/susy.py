@@ -150,18 +150,16 @@ class SusyOperators:
 
 
 def susy_operators(space: HarmonicSpace) -> SusyOperators:
-    """Construct and validate the full bundle on one degree or a DegreeStack."""
+    """Construct and validate the full bundle on one degree or a DegreeStack.
+
+    H and Q are built once, and Q' = s Q and C = H - Q are formed from them
+    as supercharge_alt and casimir form them: a DegreeStack's Q, which no
+    cache keeps, is built once per bundle.
+    """
     k1, k2, k3 = symmetry_generators(space)
-    return SusyOperators(
-        space=space,
-        h=hamiltonian(space),
-        q=supercharge(space),
-        q_alt=supercharge_alt(space),
-        k1=k1,
-        k2=k2,
-        k3=k3,
-        c=casimir(space),
-    )
+    h, q = hamiltonian(space), supercharge(space)
+    return SusyOperators(space=space, h=h, q=q, q_alt=(-1.0) ** space.degrees * q,
+                         k1=k1, k2=k2, k3=k3, c=h - q)
 
 
 def non_symmetry_report(space: HarmonicSpace) -> dict:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import HarmonicSpace, decompose, f_basis, overlaps_via_integral, spectrum, supercharge
+from rotorsusy import HarmonicSpace, decompose, f_basis, m_basis, overlaps_via_integral, spectrum, supercharge
 from rotorsusy.cli import _emit, _grid, _json_chunks, _pairs, build_parser, main
+from rotorsusy.harmonics import _legendre_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -255,9 +256,10 @@ def test_emit_renders_only_the_requested_format(fmt, tmp_path):
 
 
 def _as_lists(obj):
-    """obj with every ndarray replaced by its tolist(), as json sees it."""
+    """obj with every ndarray replaced by its tolist(), a complex one by the
+    tolist() of its [re, im] pairs, as json sees it."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return (np.stack([obj.real, obj.imag], -1) if np.iscomplexobj(obj) else obj).tolist()
     if isinstance(obj, dict):
         return {k: _as_lists(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -299,6 +301,16 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
               [0.0, 0.0, 0.0, 0.0]]),
     np.eye(5).reshape(5, 5, 1) * -1.0,
     _pairs(f_basis(HarmonicSpace(7)).coeffs.T),
+    # complex: rendered as [re, im] pairs with no pairs array
+    np.linspace(-1.0, 1.0, 12).reshape(3, 4) * (1.0 + 2.0j) / 3.0,
+    f_basis(HarmonicSpace(7)).coeffs.T,
+    np.array([[complex(-0.0, 0.0), 0.0, complex(0.0, -0.0), 0.0],
+              [0.0, 0.0, 0.0, 0.0], [0.0, 3.0 - 1.0j, 0.0, complex(-0.0, -0.0)]]),
+    np.array([complex(-0.0, 1.5), complex(2.0, -0.0), 1.0 + 1.0j, -0.5j]),
+    np.linspace(0.0, 1.0, 8).reshape(2, 2, 2) * (0.25 - 1.0j),
+    np.array([[1.0 + 1.0j, complex(np.nan, 0.0)], [complex(0.0, np.inf), -np.inf]]),
+    np.array(1.0 - 2.0j),
+    np.empty((0, 3), dtype=complex),
 ])
 def test_json_renderer_matches_indented_dumps(obj):
     assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)
@@ -361,13 +373,20 @@ def test_main_reuses_one_parser_without_leaking_defaults(capsys):
     assert reused[0][1].startswith("check,status") and "<time>" in reused[1][1]
 
 
-@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 12.0)])
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 4.0), ("export_csv", 4.0)])
 def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
-    # dense 513 x 513 operators and their products peaked at 46.7 and 31.9 MiB
+    # dense 513 x 513 operators and their products peaked at 46.7 and 31.9 MiB.
+    # The F export at j = 256 held the (513, 257) basis three times (as
+    # written, as LabeledBasis's copy, as a float pairs array), 6.9 MiB in
+    # JSON, and 12.2 MiB in CSV, which also held the whole text; with the
+    # basis kept as written, rendered from its rows and streamed, both peak
+    # under 3 MiB.
     run_op = {
         "decompose": lambda: decompose(HarmonicSpace(256)),
         "export": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "json",
                                 "--output", str(tmp_path / "f.json")]),
+        "export_csv": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "csv",
+                                    "--output", str(tmp_path / "f.csv")]),
     }[name]
     assert _traced_peak_mib(run_op) <= limit_mib
 
@@ -381,9 +400,10 @@ def _traced_peak_mib(run_op):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 5.0),
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 2.5), ("m_basis", 5.0),
                                              ("spectrum", 3.0), ("overlaps_via_integral", 4.5),
-                                             ("overlaps_via_integral_100", 64.0)])
+                                             ("overlaps_via_integral_100", 64.0),
+                                             ("legendre_table", 5.2)])
 def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # gathered (2j+1, n) copies per term and a (4, n, n) bra stack peaked
     # at 22.4 and 10.3 MiB, and a dense m - m^H check at 12.2 MiB; slices
@@ -396,9 +416,15 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # 4.2 MiB; as a float64 one in the real basis it peaks at 2.1 MiB.
     # tracemalloc does not see the copy numpy's LAPACK call makes of it.
     # f_basis checked its unit norms on a complex |c|^2 copy, 6.1 MiB; from
-    # the real and imaginary views it peaks at 4.1 MiB, the basis itself.
+    # the real and imaginary views it peaked at 4.1 MiB, the basis as written
+    # and LabeledBasis's copy of it.  Handed over read-only and kept, the
+    # basis (2.0 MiB at j = 256) is held once: 2.1 MiB, and m_basis 4.2
+    # (8.2 with the copy).  _legendre_table peaked at six times its result,
+    # 7.0 MiB at j = 75 on 2,000 points; in place, 5.0 MiB.
     run_op = {"decompose": lambda: decompose(HarmonicSpace(256)),
               "f_basis": lambda: f_basis(HarmonicSpace(256)),
+              "m_basis": lambda: m_basis(HarmonicSpace(256)),
+              "legendre_table": lambda: _legendre_table(75, np.linspace(-1.0, 1.0, 2000)),
               "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256))),
               "overlaps_via_integral": lambda: overlaps_via_integral(30),
               "overlaps_via_integral_100": lambda: overlaps_via_integral(100)}[name]

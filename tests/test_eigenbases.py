@@ -24,6 +24,7 @@ from rotorsusy import (
     symmetry_generator,
     symmetry_generators,
     tridiagonal_extract,
+    z_basis,
 )
 from rotorsusy.eigenbases import _fg_build, _fg_operator, _tridiagonal_blocks, _tridiagonal_data
 from rotorsusy.operators import _transpose_apply
@@ -208,6 +209,21 @@ def test_labeled_basis_rejects_columns_off_the_unit_sphere(column):
         LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=coeffs, labels=[{}] * 3)
     basis = LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=np.eye(3), labels=[{}] * 3)
     assert not basis.coeffs.flags.writeable
+
+
+def test_labeled_basis_keeps_a_read_only_complex_array_and_copies_any_other():
+    frozen = np.eye(3, dtype=complex)
+    frozen.setflags(write=False)
+    assert LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=frozen, labels=[{}] * 3).coeffs is frozen
+    writeable = np.eye(3, dtype=complex)
+    basis = LabeledBasis(space=HarmonicSpace(1), family="M", coeffs=writeable, labels=[{}] * 3)
+    writeable[:, 0] = [0.0, 1j, 0.0]
+    assert basis.coeffs is not writeable and not basis.coeffs.flags.writeable
+    assert np.array_equal(basis.coeffs, np.eye(3))
+    # the builders hand over the array they wrote, already read-only
+    for b in (m_basis(HarmonicSpace(4)), f_basis(HarmonicSpace(4)), g_basis(HarmonicSpace(4)),
+              z_basis(4)):
+        assert not b.coeffs.flags.writeable and b.coeffs.base is None
 
 
 def test_decomposition_report_degree_three():
