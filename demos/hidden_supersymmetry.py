@@ -39,7 +39,7 @@ def main():
 
     print()
     print("what does NOT commute with Q (the hidden part of the symmetry):")
-    report = non_symmetry_report(HarmonicSpace(2))
+    report = non_symmetry_report(ops.q)
     for name, value in report["commutator_with_q"].items():
         print(f"  |[{name}, Q]| = {value:.3f}")
 

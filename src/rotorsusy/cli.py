@@ -17,7 +17,7 @@ is the canonical machine format: every export is wrapped in an envelope
 basis's coefficients, an overlap matrix), and the JSON writer renders their
 [re, im] pairs itself, one outermost row at a time, so no export copies a
 whole basis.  Exports are deterministic byte-for-byte across runs.  The CSV
-and the table render one sequence of raw rows per command; the CSV is
+and the table render one sequence of raw rows per command; both are
 written one row at a time, a basis row from _pairs of its one column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable --output.
@@ -27,8 +27,10 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -84,6 +86,24 @@ def _sparse_rows(flat, template):
         yield "".join(text)
 
 
+def _json_scalar(obj):
+    """obj as json.dumps spells it, with no encoder built for the common
+    scalars: None, bools, str (ASCII-escaped, as json's default), int and
+    finite float.  float.__repr__, not repr, keeps a numpy float bare, as
+    json does; anything else goes to json.dumps."""
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _json_chunks(obj, level=0):
     """obj in the layout json.dumps gives it with an indent of 2, byte for
     byte, where every ndarray counts as its tolist() and a complex one as
@@ -94,7 +114,8 @@ def _json_chunks(obj, level=0):
     row at a time, filled into one template of the row's layout whose %r
     renders each float with float.__repr__ (json's spelling of finite
     floats); the template joins its placeholders one axis at a time from the
-    innermost out, a complex array's [re, im] axis first.  Each row's values
+    innermost out, a complex array's [re, im] axis first.  A 1-d array is one
+    row: the whole array is one template, filled once.  Each row's values
     are read from the row itself, a complex row through a float view of it
     (of a contiguous copy of that one row where it is strided), so no copy
     of the whole array is made.  An array with at most a quarter of its
@@ -102,18 +123,23 @@ def _json_chunks(obj, level=0):
     complex entries of 2j+1) fills it by _sparse_rows instead, which is
     faster there and slower on dense arrays.  Other arrays, and arrays
     holding NaN or infinities, go through the generic path as lists, a
-    complex one as its _pairs.
+    complex one as its _pairs.  Scalars are spelled by _json_scalar.
     """
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "fc" and obj.ndim and obj.size and np.isfinite(obj).all():
             parts = (obj.real, obj.imag) if obj.dtype.kind == "c" else (obj,)
             shape = obj.shape + (2,) * (len(parts) - 1)
-            strs = ["%r"] * (obj.size * len(parts) // len(obj))
-            for axis in range(len(shape) - 1, 0, -1):
+            vector = obj.ndim == 1
+            strs = ["%r"] * (obj.size * len(parts) // (1 if vector else len(obj)))
+            for axis in range(len(shape) - 1, -1 if vector else 0, -1):
                 sub = "\n" + "  " * (level + axis + 1)
                 head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
                 strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * shape[axis])]
+            if vector:
+                flat = obj if len(parts) == 1 else np.ascontiguousarray(obj).view(parts[0].dtype)
+                yield strs[0] % tuple(flat.tolist())
+                return
             if 4 * sum(map(np.count_nonzero, parts)) > obj.size * len(parts):
                 # a complex row as the float view of its [re, im] values; a float row as it is
                 source = obj if len(parts) == 1 else (row.ravel().view(parts[0].dtype) for row in obj)
@@ -127,13 +153,13 @@ def _json_chunks(obj, level=0):
         obj = (_pairs(obj) if obj.dtype.kind == "c" else obj).tolist()
     if isinstance(obj, dict):
         brackets = "{}"
-        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+        items = [(encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": ", v)
                  for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
         items = [("", v) for v in obj]
     else:
-        yield json.dumps(obj)
+        yield _json_scalar(obj)
         return
     for i, (key, v) in enumerate(items):
         yield (brackets[0] if i == 0 else ",") + inner + key
@@ -176,9 +202,13 @@ class _Dash:
 
 def _grid(head_lines, template):
     """A table function: head_lines, then template filled with each row by
-    str.format, a None cell printed as a dash."""
-    return lambda rows: head_lines + [template.format(*(_Dash() if v is None else v for v in row))
-                                      for row in rows]
+    str.format, a None cell printed as a dash, one line at a time."""
+    def table(rows):
+        yield from head_lines
+        for row in rows:
+            yield template.format(*(_Dash() if v is None else v for v in row))
+
+    return table
 
 
 def _deliver(args, chunks) -> None:
@@ -194,13 +224,13 @@ def _deliver(args, chunks) -> None:
 def _emit(args, kind, metadata, payload, header, rows, table) -> None:
     """Render and deliver one export: payload() for JSON, or the raw rows()
     as CSV under header or as table(rows) lines; only what the requested
-    format needs is called."""
+    format needs is called, and every format is delivered as it renders."""
     if args.format == "json":
         chunks = _json_chunks(_envelope(kind, metadata, payload()))
     elif args.format == "csv":
         chunks = _csv_text(header, rows())
     else:
-        chunks = ["\n".join(table(rows())) + "\n"]
+        chunks = (line + "\n" for line in table(rows()))
     _deliver(args, chunks)
 
 
@@ -360,15 +390,14 @@ def _cmd_overlaps(args) -> int:
                 for r, w in enumerate(om.W))
 
     def table(rows):
-        lines = [f"overlap matrix at N={n} (method: {args.method})"]
+        yield f"overlap matrix at N={n} (method: {args.method})"
         template = "  " + "  ".join(f"{{{i}:+.6f}}{{{i + 1}:+.6f}}i" for i in range(2, len(header), 2))
         for row in rows:
             if row[1] == 0:
-                lines.append(f"[{row[0]}] unitarity residual {results[row[0]].unitarity_residual:.3e}")
-            lines.append(template.format(*row))
+                yield f"[{row[0]}] unitarity residual {results[row[0]].unitarity_residual:.3e}"
+            yield template.format(*row)
         if dev is not None:
-            lines.append(f"max entrywise deviation between methods: {dev:.3e}")
-        return lines
+            yield f"max entrywise deviation between methods: {dev:.3e}"
 
     _emit(args, "overlaps", {"N": n, "method": args.method}, payload, header, rows, table)
     return 0

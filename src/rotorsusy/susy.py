@@ -162,14 +162,15 @@ def susy_operators(space: HarmonicSpace) -> SusyOperators:
                          k1=k1, k2=k2, k3=k3, c=h - q)
 
 
-def non_symmetry_report(space: HarmonicSpace) -> dict:
-    """Frobenius norms showing J_i and R_i do NOT commute with Q.
+def non_symmetry_report(q: Operator) -> dict:
+    """Frobenius norms showing J_i and R_i do NOT commute with the
+    supercharge q = supercharge(space), which the caller passes as built.
 
     All six norms are strictly positive for j >= 1 (and vanish at j = 0,
     where every operator is a scalar).  On a DegreeStack each is an array
     of one norm per degree.
     """
-    q = supercharge(space)
+    space = q.space
     js = {"J1": j1(space), "J2": j2(space), "J3": j3(space)}
     rs = {f"R{i}": reflection(i, space) for i in (1, 2, 3)}
     return {

@@ -526,9 +526,9 @@ def _q_spectrum(js, run):
 @_check("susy.non_symmetry", 30, 1e-6, "lower bound: residual must EXCEED tolerance",
         first=1, lower=True)
 def _non_symmetry(js, run):
-    for norms in susy.non_symmetry_report(run.stack)["commutator_with_q"].values():
-        yield from norms[js[0]:js[-1] + 1]
     s = run.s
+    for norms in susy.non_symmetry_report(s.q)["commutator_with_q"].values():
+        yield from norms[js[0]:js[-1] + 1]
     control = np.max([*(op.op_norm(op.commutator(run.o.h, k)) for k in (s.k1, s.k2, s.k3)),
                       run.gap("q", "k1", "k2", "k3")], axis=0)
     for j in js:

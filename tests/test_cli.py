@@ -311,6 +311,13 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
     np.array([[1.0 + 1.0j, complex(np.nan, 0.0)], [complex(0.0, np.inf), -np.inf]]),
     np.array(1.0 - 2.0j),
     np.empty((0, 3), dtype=complex),
+    # a 1-d array is one template: strided, complex, float32, nested
+    np.linspace(-1.0, 1.0, 9)[::2],
+    f_basis(HarmonicSpace(3)).coeffs.T[1],
+    np.arange(4, dtype=np.float32) / 3,
+    {"v": [np.array([0.5, -0.0, 1e-310]), np.array([2.0 + 0.0j])]},
+    # numpy scalars json spells as floats; non-ASCII and control characters
+    [np.float64(0.1), np.float64(-0.0), np.float64("nan"), 2**70, -0.0, "\x7f\ud800", ""],
 ])
 def test_json_renderer_matches_indented_dumps(obj):
     assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)
@@ -322,6 +329,8 @@ def test_json_chunks_hold_one_outermost_row_of_a_float_array_each():
     assert len(chunks) == 5 and chunks[-1] == "\n]"
     for row, chunk in zip(a, chunks):
         assert chunk[0] in "[," and json.loads(chunk[1:]) == row.tolist()
+    # a 1-d array is one row: one chunk, not one per element
+    assert list(_json_chunks(a.ravel())) == [json.dumps(a.ravel().tolist(), indent=2)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,20 +382,24 @@ def test_main_reuses_one_parser_without_leaking_defaults(capsys):
     assert reused[0][1].startswith("check,status") and "<time>" in reused[1][1]
 
 
-@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 4.0), ("export_csv", 4.0)])
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 4.0), ("export_csv", 4.0),
+                                             ("export_table", 3.0)])
 def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
     # dense 513 x 513 operators and their products peaked at 46.7 and 31.9 MiB.
     # The F export at j = 256 held the (513, 257) basis three times (as
     # written, as LabeledBasis's copy, as a float pairs array), 6.9 MiB in
     # JSON, and 12.2 MiB in CSV, which also held the whole text; with the
     # basis kept as written, rendered from its rows and streamed, both peak
-    # under 3 MiB.
+    # under 3 MiB.  The table, joined into one string, peaked at 7.45 MiB;
+    # written line by line, at 2.2.
     run_op = {
         "decompose": lambda: decompose(HarmonicSpace(256)),
         "export": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "json",
                                 "--output", str(tmp_path / "f.json")]),
         "export_csv": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "csv",
                                     "--output", str(tmp_path / "f.csv")]),
+        "export_table": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "table",
+                                      "--output", str(tmp_path / "f.txt")]),
     }[name]
     assert _traced_peak_mib(run_op) <= limit_mib
 
@@ -445,6 +458,19 @@ def test_verify_does_not_import_numpy_fft():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_grids_do_not_import_numpy_polynomial():
+    # build_grid's own Gauss-Legendre rule needs no numpy.polynomial, whose
+    # lazy import took about 4.5 ms of each fresh interpreter
+    code = ("import sys; import numpy as np; from rotorsusy import build_grid, project\n"
+            "from rotorsusy.antikrawtchouk import overlaps_via_integral\n"
+            "from rotorsusy.verification import run_verification\n"
+            "assert run_verification(10).all_passed\n"
+            "overlaps_via_integral(5)\n"
+            "project(lambda theta, phi: np.cos(theta) + 0 * phi, 1, build_grid(20))\n"
+            "print('numpy.polynomial' in sys.modules)")
+    assert _fresh_python(code).strip() == "False"
+
+
 def test_json_exports_do_not_import_csv():
     # the csv module is the CSV writer's alone; JSON exports must not load it
     code = ("import os, sys; from rotorsusy.cli import main\n"
@@ -497,9 +523,16 @@ _GOLDEN_SHA256 = {
     # 9.992e-16 -> 7.791e-16.  Taken again when the quadrature oracle took
     # its stencils on the separable theta and phi parts of the harmonics:
     # operators.quadrature_matrix_elements 4.396517874357244e-14 ->
-    # 3.375082624936456e-14.  Every other row is unchanged
+    # 3.375082624936456e-14.  Taken again when build_grid's theta rule became
+    # the Newton-polished Gauss-Legendre rule in place of numpy's leggauss:
+    # harmonics.gram_identity 8.88186984253824e-16 -> 9.992007221626409e-16,
+    # harmonics.cross_degree_orthogonality 6.257549070130732e-16 ->
+    # 3.5487918836554815e-16, operators.quadrature_matrix_elements
+    # 3.375082624936456e-14 -> 3.463898386403255e-14, overlaps.unitarity
+    # 2.228414218624294e-15 -> 1.7850802924769544e-15.  Every other row is
+    # unchanged
     ("verify", "--jmax", "3"):
-        "9de67f0c5ea5a9301cd1c5f502db6adda3f8c5ac21aa9ba9f750545bccb83006",
+        "5e32d2f75ec1bab222868b104de7f2a4a929393696d51b4be4cb856208feb510",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):
@@ -576,14 +609,20 @@ _TEXT_SHA256 = {
         "82021ea4d95127f2478d444a1181ac70de93e188fcc08b310bed731d913e9d05",
     ("poly", "--what", "params", "--N", "7", "table"):
         "876b86991f7ccade9b7c2cb2378e08e8de99a0105d3e946d3e96a52ac7546d2f",
+    # the four integral-route digests taken again when build_grid's theta
+    # rule became the Newton-polished Gauss-Legendre rule: the integral W
+    # moves by at most 3.3e-16 at N = 3 and 6.7e-16 at N = 2 (and the signs
+    # of zero imaginary parts in the table), its unitarity residual
+    # 1.221e-15 -> 1.332e-15 at N = 3 and 4.441e-16 -> 9.992e-16 at N = 2;
+    # the recurrence rows are unchanged
     ("overlaps", "--N", "3", "--method", "both", "csv"):
-        "8bb3620bdc70812a67ccf09a1d2095ae1598d755d55ab3d7d929ac7296831db1",
+        "be4b5e52707d1e04267c374a324b7d16031fdc35f917b032530434010975edcd",
     ("overlaps", "--N", "3", "--method", "both", "table"):
-        "901557ac5d2940bd6056af14a48dc9c6e2b8f2858601e73749699a7235cca1a8",
+        "6851c7306b93cbfece8006619e84fb4928f5e7d5500920bf7c3961ed52dd9a16",
     ("overlaps", "--N", "2", "--method", "integral", "csv"):
-        "71aee393cb7de07371d3a26a2532d2da5c167a3a4a359c8c4ff3118a6a330895",
+        "c021cbff7cb63711683be461ac00f068ed8d59c39a18885ee726150e08e1131a",
     ("overlaps", "--N", "2", "--method", "integral", "table"):
-        "25f10c18778a82098e8cd4762e180717805edcb8930708c97b465bfe9bd73efe",
+        "9a36e27425d7ab9247a00e892cf3631bdff367da688330794b3eba8e6a3291e0",
     ("overlaps", "--N", "4", "--method", "recurrence", "csv"):
         "9626ab56fe82ca6394897ff1fd48be43da5604a4330c6bddbb12aa1b9e0f58a6",
     ("overlaps", "--N", "4", "--method", "recurrence", "table"):
@@ -592,11 +631,18 @@ _TEXT_SHA256 = {
     # susy.q_spectrum 1.3322676295501878e-15 -> 8.8817841970012523e-16; and
     # again when the quadrature oracle took its stencils on the separable
     # theta and phi parts: operators.quadrature_matrix_elements
-    # 4.019048729078911e-14 -> 3.4639032395189048e-14
+    # 4.019048729078911e-14 -> 3.4639032395189048e-14; and again when
+    # build_grid's theta rule became the Newton-polished Gauss-Legendre rule:
+    # harmonics.gram_identity 6.6613381477509392e-16 -> 6.661415493197138e-16,
+    # harmonics.cross_degree_orthogonality 2.553442375158526e-16 ->
+    # 1.5997199525064226e-16, operators.quadrature_matrix_elements
+    # 3.4639032395189048e-14 -> 3.6415317493416468e-14, overlaps.unitarity
+    # 8.8885578776101453e-16 -> 9.9920072216264089e-16, overlaps.duality
+    # 5.5511151231257827e-16 -> 6.6844277772883343e-16
     ("verify", "--jmax", "2", "csv"):
-        "976957da80cadef51067a92cb47fda3598404c9e4de6028597af46a705e4f5a2",
+        "23f88ce233618b7a11d8001579e8cc49cddf66bd700677480ec40250c5b631c4",
     ("verify", "--jmax", "2", "table"):
-        "444b11a44b4fec3da904a4c91aa2a322163e79b0ad599d1a1f1fd1562c885153",
+        "34800d7f5d604937bf81da54fc396db3f62675629e851b63775b55d4c0b599a9",
 }
 
 

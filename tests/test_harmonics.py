@@ -20,7 +20,7 @@ from rotorsusy import (
     project,
 )
 from rotorsusy.antikrawtchouk import _permuted_blocks
-from rotorsusy.harmonics import _from_log2, _legendre_degrees, _legendre_steps, _legendre_table
+from rotorsusy.harmonics import _from_log2, _gauss_legendre, _legendre_degrees, _legendre_steps, _legendre_table
 from rotorsusy.verification import _ylm_direct
 
 
@@ -128,14 +128,41 @@ def test_legendre_table_pole_values_are_exact(j):
     assert_array_equal(table[1:], 0.0)
 
 
-@pytest.mark.parametrize("j", [90, 152, 200, 400])
+@pytest.mark.parametrize("j", [90, 152, 200, 400, 500, 1000])
 def test_legendre_table_is_normalized_on_the_grid(j):
     # 2 pi sum_t w_t Pbar_j^m(z_t)^2 = 1 for every order: j = 90 and 152 are
-    # where the unnormalized recurrence first gave zero and NaN rows
+    # where the unnormalized recurrence first gave zero and NaN rows.  With
+    # numpy's leggauss weights j = 500 and 1000 read 5.1e-12 and 2.3e-11.
+    # Pbar^2 is even in z and the rule mirror-symmetric, so the table runs on
+    # the nodes z >= 0 only, each z > 0 counted twice
     grid = build_grid(j)
-    table = _legendre_table(j, grid.theta_nodes)
-    norms = 2.0 * np.pi * (table**2 @ grid.theta_weights)
+    z, w = grid.theta_nodes[(j + 1) // 2:], grid.theta_weights[(j + 1) // 2:]
+    table = _legendre_table(j, z)
+    norms = 2.0 * np.pi * (table**2 @ (w * np.where(z == 0.0, 1.0, 2.0)))
     assert_allclose(norms, np.ones(j + 1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 76, 401, 1001])
+def test_gauss_legendre_rule_integrates_even_powers_and_is_mirror_symmetric(n):
+    # sum_t w_t z_t^2k = 2/(2k+1) for every k < n; numpy's leggauss weights
+    # are off by 5.2e-11 (relative) at n = 401 and 4.3e-9 at n = 1001
+    z, w = _gauss_legendre(n)
+    assert np.all(np.diff(z) > 0) and np.all(w > 0)
+    assert_array_equal(z, -z[::-1])
+    assert_array_equal(w, w[::-1])
+    if n % 2:
+        assert z[n // 2] == 0.0 and not np.signbit(z[n // 2])
+    k = np.arange(n)
+    assert_allclose(z ** (2 * k[:, None]) @ w, 2.0 / (2 * k + 1), rtol=0, atol=1e-14)
+
+
+def test_gauss_legendre_rule_agrees_with_numpy_where_numpy_is_accurate():
+    # numpy's companion-matrix rule is right to about 1e-12 in the weights up to n = 50
+    for n in range(1, 51):
+        z, w = _gauss_legendre(n)
+        nz, nw = np.polynomial.legendre.leggauss(n)
+        assert_allclose(z, nz, rtol=0, atol=np.finfo(float).eps, err_msg=f"n={n}")
+        assert_allclose(w, nw, rtol=2e-12, atol=0, err_msg=f"n={n}")
 
 
 @settings(max_examples=40, deadline=None)

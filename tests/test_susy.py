@@ -131,7 +131,7 @@ def test_bundle_rejects_a_non_finite_operator():
 
 
 def test_rotations_and_reflections_do_not_commute_with_supercharge():
-    report = non_symmetry_report(HarmonicSpace(1))
+    report = non_symmetry_report(supercharge(HarmonicSpace(1)))
     assert report["j"] == 1
     norms = report["commutator_with_q"]
     assert set(norms) == {"J1", "J2", "J3", "R1", "R2", "R3"}
@@ -140,7 +140,7 @@ def test_rotations_and_reflections_do_not_commute_with_supercharge():
 
 
 def test_non_symmetry_degenerates_on_trivial_degree():
-    report = non_symmetry_report(HarmonicSpace(0))
+    report = non_symmetry_report(supercharge(HarmonicSpace(0)))
     for value in report["commutator_with_q"].values():
         assert value < 1e-14
 

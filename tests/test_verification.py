@@ -302,31 +302,23 @@ def test_one_run_builds_each_dense_object_once_per_size(monkeypatch):
         | {(which, str(operators.DegreeStack(20))) for which in "FG"})
 
 
-def test_one_run_builds_the_stacked_supercharge_twice(monkeypatch):
-    # the susy bundle builds Q once (Q' and C are formed from it); the other
-    # build is non_symmetry_report's.  Single degrees come from the cache.
-    builds, inside_report = [], [False]
-    cached, report = susy._supercharge, susy.non_symmetry_report
+def test_one_run_builds_the_stacked_supercharge_once(monkeypatch):
+    # the susy bundle builds Q once (Q' and C are formed from it), and the
+    # non-symmetry check reads the bundle's Q.  Single degrees come from the cache.
+    builds = []
+    cached = susy._supercharge
 
     def single(space):
         return cached(space)
 
     def stacked(space):
-        builds.append(inside_report[0])
+        builds.append(space.j)
         return cached.__wrapped__(space)
-
-    def counted_report(space):
-        inside_report[0] = True
-        try:
-            return report(space)
-        finally:
-            inside_report[0] = False
 
     single.__wrapped__ = stacked
     monkeypatch.setattr(susy, "_supercharge", single)
-    monkeypatch.setattr(susy, "non_symmetry_report", counted_report)
     assert run_verification(30).all_passed
-    assert sorted(builds) == [False, True]
+    assert len(builds) == 1
 
 
 def test_memoized_builders_are_bounded_and_return_read_only_objects():
