@@ -24,7 +24,7 @@ An Operator on a DegreeStack(J) holds the degrees 0..J together: each
 coefficient array is (J+1, 2J+1), row j being degree j over the shared
 orders m = -J..J, zero where |m| > j.  The algebra indexes coefficients as
 coef[..., cols], so one code path and one set of builders serve both; op_norm
-gives one norm per degree, and Operator.at(j) is degree j on its own.
+and spectrum give one result per degree, and Operator.at(j) is degree j alone.
 
 J- is the adjoint of J+, J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).  The
 product formula H = J1^2 + J2^2 + J3^2 + 1/4 lives in verification.py,
@@ -33,13 +33,16 @@ where it serves as the oracle of the closed form.
 Complex conjugation of functions, Theta Y_j^m = (-1)^m Y_j^{-m}, commutes
 with the reflections and with -i J_k, so with Q, Q', K1-K3, H and C (not
 with J1, J2 or J3).  On the keys that is one exact identity,
+coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)), and such an operator is a
+real matrix in the K3-adapted basis B^0 = Y^0 and, for m > 0,
 
-    coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)),
+    B^{+-m} = ((1 -+ i) Y^{-m} + (-1)^m (1 +- i) Y^m) / 2,
 
-and such an operator is a real matrix in the real spherical-harmonic basis
-S^0 = Y^0, S^m = (Y^{-m} + (-1)^m Y^m)/sqrt2 and
-S^{-m} = i (Y^{-m} - (-1)^m Y^m)/sqrt2 (m > 0).  spectrum solves the
-self-adjoint ones there, as real symmetric matrices.
+a unit phase times an eigenvector M_j^{m,eps} of K3, so an operator that
+commutes with K3 (Q, Q', H, C) splits there into blocks of size at most 2.
+spectrum forms U^H A U (U Y^mu = B^mu) with the keyed product; each stage
+adds two terms, with coefficients exact in binary, so every entry is real
+to the last bit.  It splits the result on its exact nonzero pattern.
 """
 
 from collections.abc import Mapping
@@ -307,14 +310,12 @@ class SpectrumReport:
     multiplicities: np.ndarray
 
     def __post_init__(self):
-        ev = np.array(self.eigenvalues)
-        mult = np.array(self.multiplicities, dtype=int)
+        ev, mult = np.array(self.eigenvalues), np.array(self.multiplicities, dtype=int)
         if ev.shape != mult.shape or ev.ndim != 1:
             raise ValueError("eigenvalues and multiplicities must be 1-d of equal length")
-        ev.setflags(write=False)
-        mult.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "multiplicities", mult)
+        for name, arr in (("eigenvalues", ev), ("multiplicities", mult)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -519,99 +520,110 @@ def _adjoint_gap(a: Operator):
 
 @lru_cache(maxsize=256)
 def _mirrors(keys: tuple):
-    """(mirror, sign, lone) for the conjugation identity on these keys: the
-    index of each key's mirror (s, -c), or its own where it has none; the
-    sign (-1)^c of each key, shaped to scale a stack of coefficients; and
-    the keys that have no mirror."""
+    """(mirror, sign) for the conjugation identity on these keys: the index
+    of each key's mirror (s, -c), or len(keys) where it has none, and the
+    sign (-1)^c of each key, shaped to scale a stack of coefficients."""
     where = {key: x for x, key in enumerate(keys)}
-    plan = (np.array([where.get((s, -c), x) for x, (s, c) in enumerate(keys)], dtype=int),
-            np.array([1 - 2 * (c % 2) for _, c in keys], dtype=float).reshape(-1, 1, 1),
-            np.array([x for x, (s, c) in enumerate(keys) if (s, -c) not in where], dtype=int))
+    plan = (np.array([where.get((s, -c), len(keys)) for s, c in keys], dtype=int),
+            np.array([1 - 2 * (c % 2) for _, c in keys], dtype=float).reshape(-1, 1, 1))
     for a in plan:
         a.setflags(write=False)
     return plan
 
 
-def _conjugation_even(keys, coefs) -> bool:
-    """Whether the entries (keys, coefs) of _entries satisfy
-    coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)) exactly, with no
-    tolerance, at every degree: the operator commutes with Theta (see the
-    module docstring).  A key whose mirror (s, -c) is missing must be zero."""
-    mirror, sign, lone = _mirrors(tuple(keys))
-    if lone.size and np.any(coefs[lone]):
-        return False
-    return bool(np.all(coefs[mirror, :, ::-1] == sign * coefs.conj()))
+def _conjugation_even(keys, coefs) -> np.ndarray:
+    """Per degree, whether the entries (keys, coefs) of _entries satisfy
+    coef_(s,-c)(-m) = (-1)^c conj(coef_(s,c)(m)) exactly, with no tolerance
+    (see the module docstring); a key without its mirror must be zero."""
+    mirror, sign = _mirrors(tuple(keys))
+    mirrors = np.concatenate([coefs, np.zeros_like(coefs[:1])])[mirror, :, ::-1]  # a zero row stands in
+    return np.all(mirrors == sign * coefs.conj(), axis=(0, 2))
+
+
+def _k3_basis(space):
+    """(U^H, U), U Y^mu = B^mu (module docstring); kept per degree, as supercharge is."""
+    return (_kept_k3_basis if isinstance(space, HarmonicSpace) else _kept_k3_basis.__wrapped__)(space)
 
 
 @lru_cache(maxsize=64)
-def _real_phases(j: int):
-    """(row, col) over m = -j..j: col holds the unit phase u(m) =
-    sqrt2 T[m, m] of the real basis T of the module docstring, (-1)^m for
-    m > 0 and i for m < 0, and row holds conj(u(m)).  At m = 0 col holds 2
-    and row 1, the doubling that _real_matrix scales back."""
-    m = np.arange(-j, j + 1)
-    col = np.where(m > 0, (-1.0) ** m, np.where(m < 0, 1j, 2.0))
-    row = np.where(m == 0, 1.0, col.conj())
-    for p in (row, col):
-        p.setflags(write=False)
-    return row, col
+def _kept_k3_basis(space):
+    m, t = space.m_values(), (-1.0) ** space.m_values()
+    u = Operator(space, {(1, 0): np.where(m == 0, 1.0, np.where(m > 0, t, 1.0) * (0.5 + 0.5j)),
+                         (-1, 0): np.where(m == 0, 0.0, np.where(m < 0, t, 1.0) * (0.5 - 0.5j))})
+    return adjoint(u), u
 
 
-def _real_matrix(j: int, keys, coefs) -> np.ndarray:
-    """T^H A T, the float64 (2j+1, 2j+1) matrix of the operator A with one
-    degree's entries (keys, coefs) (coefs of shape (keys, 2j+1)) in the real
-    basis T, written straight from the keys.  Requires _conjugation_even.
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least node of the component of each node 0..n-1 in the graph of
+    the edges (u, v): union-find, hooking roots and jumping pointers."""
+    root = np.arange(n)
+    while (join := root[u] != root[v]).any():
+        np.minimum.at(root, np.maximum(root[u], root[v])[join], np.minimum(root[u], root[v])[join])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root
 
-    Entry (m', m) of A reaches the rows m', -m' and the columns m, -m of
-    T^H A T.  Under Theta its part in row -m' equals the mirror entry's part
-    in row m', so each key writes only its part in row m', twice over.  With
-    the unit phases of _real_phases, w = conj(u(m')) A[m', m] u(m) is exact;
-    Re w goes to column m and, as sqrt2 T[m, -m] = -i u(m), Im w to column
-    -m, each as one strided slice.  At m = 0 the two columns are one: w is
-    doubled there and its Im dropped.  Row and column m = 0 thus come out
-    doubled and are scaled back: the centre by 1/2, the rest by sqrt(1/2)."""
-    n = 2 * j + 1
-    row, col = _real_phases(j)
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    for (s, c), coef in zip(keys, coefs):
-        cols, rows = _slices(j, s, c, n, -j)
-        count, first = cols.stop - cols.start, rows.start * n
-        w = row[rows] * coef[cols] * col[cols]
-        if cols.start <= j < cols.stop:
-            w.imag[j - cols.start] = 0.0
-        # flat step 0 only at n = 1, where a key has at most one entry
-        flat[_span(first + cols.start, rows.step * n + 1 or 1, count)] += w.real
-        flat[_span(first + 2 * j - cols.start, rows.step * n - 1 or 1, count)] += w.imag
-    centre = out[j, j] / 2
-    out[j] *= np.sqrt(0.5)
-    out[:, j] *= np.sqrt(0.5)
-    out[j, j] = centre
+
+def _k3_blocks(a: Operator, even: np.ndarray):
+    """The blocks of B = U^H A U on the degrees where even holds, the components
+    of its off-diagonal nonzero entries (no tolerance), as (nodes, mats) per block
+    size k: the flat nodes degree (2j+1) + mu + j of each block, ascending, in
+    (count, k), and its entries in (count, k, k).  An imaginary part raises."""
+    j, n, (uh, u) = a.space.j, 2 * a.space.j + 1, _k3_basis(a.space)
+    keys, b = _entries(uh @ (a @ u))
+    if np.any(b.imag[:, even]):
+        raise ContractViolation("an entry in the K3-adapted basis is not real")
+    x, deg, col = np.nonzero(np.where(even[:, None], b.real, 0.0))
+    s, c = np.array(keys, dtype=int).reshape(-1, 2).T
+    row, col, val = deg * n + s[x] * (col - j) + c[x] + j, deg * n + col, b.real[x, deg, col]
+    root = _components(even.size * n, row[row != col], col[row != col])
+    node = np.flatnonzero((np.abs(a.space.m_values()) <= a.space.degrees) & even[:, None])
+    size = np.bincount(root[node], minlength=root.size)[root]
+    node = node[np.lexsort((node, root[node], size[node]))]  # by block size, block, slot
+    rank = np.zeros(root.size, dtype=int)
+    rank[node] = np.arange(node.size)
+    out, start = [], 0
+    for k in np.flatnonzero(np.bincount(size[node])):
+        nodes, hit = node[size[node] == k].reshape(-1, k), size[col] == k
+        ri, ci = rank[row[hit]] - start, rank[col[hit]] - start
+        mats = np.zeros((len(nodes), k, k))
+        mats[ci // k, ri % k, ci % k] = val[hit]
+        out.append((nodes, mats))
+        start += nodes.size
     return out
 
 
-def spectrum(a: Operator) -> SpectrumReport:
-    """Eigenvalues of a self-adjoint operator on one degree, grouped into
-    clusters of width CLUSTER_TOL.
+def spectrum(a: Operator):
+    """Eigenvalues of a self-adjoint operator in clusters of width
+    CLUSTER_TOL: a SpectrumReport, or on a DegreeStack a tuple of one per
+    degree with the bits of spectrum(a.at(j)).  Any j >= 0.
 
-    The operator must be Hermitian within 1e-10 (relative to its norm);
-    violation raises ContractViolation.  An operator whose keys satisfy the
-    conjugation identity exactly (see the module docstring; Q, Q', K1-K3, H,
-    C and R1-R3 do) is solved as the real symmetric matrix T^H A T in the
-    real basis; any other (J1, J2, J3, ...) as its dense complex matrix.
-    """
-    j = a._one_degree()[0]
+    A degree not Hermitian within 1e-10 of its norm raises ContractViolation
+    naming its deviation.  A conjugation-even degree (Q, Q', K1-K3, H, C,
+    R1-R3) is solved in the exact real blocks of _k3_blocks: in O(j) if it
+    commutes with K3 (Q, Q', H, C, K3: blocks of size 1 or 2), else in
+    O(size^3) per block (K1, K2: one block).  Any other (J1, J2, J3, ...) is
+    solved as its dense complex matrix."""
     keys, coefs, herm = _adjoint_gap(a)
-    if herm[0] > 1e-10 * max(1.0, _frobenius(coefs)[0]):
-        raise ContractViolation(f"matrix is not self-adjoint (deviation {herm[0]:.3e})")
-    real = _conjugation_even(keys, coefs)
-    vals = np.linalg.eigvalsh(_real_matrix(j, keys, coefs[:, 0]) if real else a.matrix)
+    stacked = isinstance(a.space, DegreeStack)
+    bad = np.flatnonzero(herm > 1e-10 * np.maximum(1.0, _frobenius(coefs)))
+    if bad.size:
+        raise ContractViolation(f"matrix is not self-adjoint (deviation {herm[bad[0]]:.3e})"
+                                + f" at j={bad[0]}" * stacked)
+    even = _conjugation_even(keys, coefs)
+    blocks = _k3_blocks(a, even) if even.any() else []
+    degs = np.concatenate([nodes.ravel() for nodes, _ in blocks] or [[]]).astype(int) // (2 * a.space.j + 1)
+    vals = np.concatenate([np.linalg.eigvalsh(mats).ravel() for _, mats in blocks] or [[]])
+    parts = np.split(vals[np.lexsort((vals, degs))], np.cumsum(np.bincount(degs, minlength=even.size))[:-1])
+    reports = tuple(_clustered(part if ok else np.linalg.eigvalsh((a.at(d) if stacked else a).matrix))
+                    for d, (ok, part) in enumerate(zip(even, parts)))
+    return reports if stacked else reports[0]
 
-    uniq, mult = [], []
-    for v in vals:
-        if uniq and abs(v - uniq[-1]) <= CLUSTER_TOL:
-            mult[-1] += 1
-        else:
-            uniq.append(v)
-            mult.append(1)
-    return SpectrumReport(eigenvalues=np.array(uniq), multiplicities=np.array(mult))
+
+def _clustered(vals) -> SpectrumReport:
+    """Ascending values in clusters: one within CLUSTER_TOL of a cluster's first value joins it."""
+    firsts, floats = [], vals.tolist()  # Python floats: the same sums, compared faster
+    for i, v in enumerate(floats):
+        if not (firsts and abs(v - floats[firsts[-1]]) <= CLUSTER_TOL):
+            firsts.append(i)
+    return SpectrumReport(eigenvalues=np.take(vals, firsts), multiplicities=np.diff(firsts + [len(vals)]))

@@ -510,14 +510,12 @@ def _casimir_identity(js, run):
 @_check("susy.q_spectrum", 30, 1e-8, "split (j+1, j) at -(j+1/2), +(j+1/2), j <= {top}")
 def _q_spectrum(js, run):
     yield from _scaled(js, run.gap("q"))
-    for j in js:
-        rep = op.spectrum(run.s.q.at(j))
-        expected_vals = [-(j + 0.5)] + ([j + 0.5] if j else [])
+    # the closed-form H is exactly scalar; its product formula is not
+    reps = zip(op.spectrum(run.upto("q", js[-1])), op.spectrum(run.o.h.upto(js[-1])))
+    for j, (rep, hrep) in enumerate(reps):
         if list(rep.multiplicities) != [j + 1] + ([j] if j else []):
             raise _Broken(f"multiplicity split broken at j={j}")
-        yield float(np.max(np.abs(rep.eigenvalues - expected_vals)))
-        # the closed-form H is exactly scalar; its product formula is not
-        hrep = op.spectrum(run.o.h.at(j))
+        yield float(np.max(np.abs(rep.eigenvalues - [-(j + 0.5), j + 0.5][:1 + bool(j)])))
         if list(hrep.multiplicities) != [2 * j + 1]:
             raise _Broken(f"H degeneracy broken at j={j}")
         yield float(np.max(np.abs(hrep.eigenvalues - (j + 0.5) ** 2)))

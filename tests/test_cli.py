@@ -414,7 +414,8 @@ def _traced_peak_mib(run_op):
 
 
 @pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 2.5), ("m_basis", 5.0),
-                                             ("spectrum", 3.0), ("overlaps_via_integral", 4.5),
+                                             ("spectrum", 0.5), ("spectrum_1000", 2.0),
+                                             ("overlaps_via_integral", 4.5),
                                              ("overlaps_via_integral_100", 64.0),
                                              ("legendre_table", 5.2)])
 def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
@@ -426,8 +427,9 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # two dense (2N+1, N+1, 4N+2) stacks over the mesh, 7.4 MiB at N = 30
     # and 252 MiB at N = 100; streamed over blocks of theta-rings it peaks
     # at 2.8 and 8.5 MiB.  spectrum wrote Q as a complex (513, 513) matrix,
-    # 4.2 MiB; as a float64 one in the real basis it peaks at 2.1 MiB.
-    # tracemalloc does not see the copy numpy's LAPACK call makes of it.
+    # 4.2 MiB, then as a float64 one in the real basis, 2.1 MiB (30.8 MiB at
+    # j = 1000); in exact blocks of size 1 or 2 it holds O(j) entries, about
+    # 0.35 MiB at j = 256 and 1.3 MiB at j = 1000.
     # f_basis checked its unit norms on a complex |c|^2 copy, 6.1 MiB; from
     # the real and imaginary views it peaked at 4.1 MiB, the basis as written
     # and LabeledBasis's copy of it.  Handed over read-only and kept, the
@@ -439,6 +441,7 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
               "m_basis": lambda: m_basis(HarmonicSpace(256)),
               "legendre_table": lambda: _legendre_table(75, np.linspace(-1.0, 1.0, 2000)),
               "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256))),
+              "spectrum_1000": lambda: spectrum(supercharge(HarmonicSpace(1000))),
               "overlaps_via_integral": lambda: overlaps_via_integral(30),
               "overlaps_via_integral_100": lambda: overlaps_via_integral(100)}[name]
     assert _traced_peak_mib(run_op) <= limit_mib
@@ -468,6 +471,17 @@ def test_grids_do_not_import_numpy_polynomial():
             "overlaps_via_integral(5)\n"
             "project(lambda theta, phi: np.cos(theta) + 0 * phi, 1, build_grid(20))\n"
             "print('numpy.polynomial' in sys.modules)")
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_spectra_do_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma lazily (np.ma.is_masked), about 10 ms
+    # of a fresh interpreter; the block split of spectrum needs none
+    code = ("import sys; from rotorsusy import HarmonicSpace, spectrum, supercharge\n"
+            "from rotorsusy.verification import run_verification\n"
+            "assert run_verification(30).all_passed\n"
+            "spectrum(supercharge(HarmonicSpace(256)))\n"
+            "print('numpy.ma' in sys.modules)")
     assert _fresh_python(code).strip() == "False"
 
 
@@ -504,9 +518,11 @@ _GOLDEN_SHA256 = {
         "c229035559d5aa4354abff00718b1c9f1ce24a2593c1dc49c30d73a9c793f635",
     # taken again when spectrum solved Q as a real symmetric matrix in the
     # real basis: -64.50000000000017 -> -64.50000000000011 and
-    # 64.49999999999989 -> 64.49999999999986
+    # 64.49999999999989 -> 64.49999999999986; and again when it solved Q in
+    # exact 2x2 blocks of the K3-adapted basis: -64.50000000000011 ->
+    # -64.50000000000001 and 64.49999999999986 -> 64.49999999999999
     ("spectrum", "--op", "Q", "--j", "64"):
-        "d8ac9c615f80471c905c9c445cf9628e59d8145701d20b709b6da1fb8981eed2",
+        "de0bc2ef3c38b2eafa6dcb700c43c9c92bd5f516d51b9cbafd9b393e067524fc",
     # taken again when decompose moved onto keyed products F^H K1 F: 14 of
     # the 130 K1 block entries moved in their last bits
     ("decompose", "64"):
@@ -564,9 +580,11 @@ def test_exports_match_their_golden_digests(argv, tmp_path):
 # format, and the verify table's timings are masked
 _TEXT_SHA256 = {
     # taken again when spectrum solved Q as a real symmetric matrix in the
-    # real basis: 5.4999999999999956 -> 5.4999999999999982
+    # real basis: 5.4999999999999956 -> 5.4999999999999982; and again when
+    # it solved Q in exact 2x2 blocks of the K3-adapted basis:
+    # -5.5000000000000018 -> -5.5 and 5.4999999999999982 -> 5.5
     ("spectrum", "--op", "Q", "--j", "5", "csv"):
-        "7f7f67faa799aab83322cc7af29bf8f6bcced27dbb66b3e2e64b6c090e789093",
+        "9dd28faa56aeb23ab09b5dcd98198b17349489abc1a12c660f8be80eb4eddfc9",
     ("spectrum", "--op", "Q", "--j", "5", "table"):
         "c3ae439594bb3a6ea8b4996f85459fb852e5284558178c8f1807a780b1618d5b",
     ("spectrum", "--op", "H", "--j", "3", "csv"):

@@ -28,7 +28,7 @@ from rotorsusy import (
     supercharge_alt,
     symmetry_generator,
 )
-from rotorsusy import operators
+from rotorsusy import ContractViolation, operators
 from rotorsusy.eigenbases import _fg_build
 
 _BUILDERS = {"J+": jplus, "J-": jminus, "J1": j1, "J2": j2, "J3": j3,
@@ -98,8 +98,8 @@ def test_op_norm_gives_one_norm_per_degree_and_at_checks_its_degree():
         supercharge(HarmonicSpace(2)).upto(2)
     with pytest.raises(ValueError, match="mismatch"):
         q + supercharge(DegreeStack(4))
-    # a stack has no single matrix: apply, .matrix and spectrum take one degree
-    for one_degree in (lambda: q.apply(np.ones(11)), lambda: q.matrix, lambda: spectrum(q)):
+    # a stack has no single matrix: apply and .matrix take one degree
+    for one_degree in (lambda: q.apply(np.ones(11)), lambda: q.matrix):
         with pytest.raises(ValueError, match=r"take \.at\(j\)"):
             one_degree()
     # a column scales each degree by its own number; a wrong shape is refused
@@ -225,3 +225,49 @@ def test_the_adjoint_gap_is_the_norm_of_the_dense_difference(space, data):
     for r, one in enumerate(degrees):
         dense = one.matrix
         assert_allclose(gap[r], np.linalg.norm(dense - dense.conj().T), rtol=1e-14, atol=1e-15)
+
+
+def _assert_same_reports(got, want, msg=""):
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), msg
+    assert got.multiplicities.tobytes() == want.multiplicities.tobytes(), msg
+
+
+@pytest.mark.parametrize("name", ["J1", "J2", "J3", "R1", "R2", "R3", "I", "H", "Q", "Q'", "K1", "K2",
+                                  "K3", "C"])
+def test_spectrum_on_a_stack_gives_each_degree_the_bits_of_its_own_call(name):
+    stacked = _BUILDERS[name](DegreeStack(12))
+    reports = spectrum(stacked)
+    assert isinstance(reports, tuple) and len(reports) == 13
+    for j, rep in enumerate(reports):
+        _assert_same_reports(rep, spectrum(stacked.at(j)), f"{name} at j={j}")
+        _assert_same_reports(rep, spectrum(_BUILDERS[name](HarmonicSpace(j))), f"{name} at j={j}")
+        assert rep.dim == 2 * j + 1
+
+
+def test_spectrum_on_a_stack_mixes_the_block_and_the_dense_solves():
+    # J3 added at degree 2 alone breaks the conjugation identity there, and
+    # that degree takes the dense complex solve
+    stacked = supercharge(_STACK) + j3(_STACK) * (_STACK.degrees == 2)
+    assert operators._conjugation_even(*operators._entries(stacked)).tolist() == [True, True, False, True]
+    for j, rep in enumerate(spectrum(stacked)):
+        _assert_same_reports(rep, spectrum(stacked.at(j)), f"j={j}")
+
+
+@pytest.mark.parametrize("space", [HarmonicSpace(0), HarmonicSpace(5), DegreeStack(4)], ids=str)
+def test_spectrum_of_a_zero_operator_is_zero_with_full_multiplicity(space):
+    for zero in (Operator(space, {}), 0.0 * supercharge(space)):
+        reports = spectrum(zero)
+        for j, rep in enumerate(reports if isinstance(space, DegreeStack) else [reports]):
+            j = j if isinstance(space, DegreeStack) else space.j
+            assert rep.eigenvalues.tolist() == [0.0]
+            assert rep.multiplicities.tolist() == [2 * j + 1]
+
+
+def test_spectrum_on_a_stack_refuses_a_degree_that_is_not_self_adjoint():
+    q = supercharge(_STACK)
+    coef = q.terms[1, 1].copy()
+    coef[3, _STACK.j] += 1e-6  # degree 3, m = 0
+    faulty = Operator(_STACK, {**q.terms, (1, 1): coef})
+    with pytest.raises(ContractViolation, match=r"^matrix is not self-adjoint \(deviation \S+\) at j=3$"):
+        spectrum(faulty)
+    assert spectrum(faulty.upto(2))[2].dim == 5

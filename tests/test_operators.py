@@ -367,46 +367,103 @@ def test_fg_adjoint_equals_the_dense_bra(j):
         assert_allclose((adjoint(keyed) @ keyed).matrix, projector, atol=1e-15)
 
 
-def _real_basis(j):
-    """The dense real basis: column mu + j is S^mu, S^0 = Y^0,
-    S^m = (Y^{-m} + (-1)^m Y^m)/sqrt2, S^{-m} = i (Y^{-m} - (-1)^m Y^m)/sqrt2."""
-    t = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    t[j, j] = 1.0
-    for m in range(1, j + 1):
-        t[j - m, j + m], t[j + m, j + m] = np.sqrt(0.5), (-1) ** m * np.sqrt(0.5)
-        t[j - m, j - m], t[j + m, j - m] = 1j * np.sqrt(0.5), -1j * (-1) ** m * np.sqrt(0.5)
-    return t
-
-
 _REAL = ("H", "Q", "Q'", "K1", "K2", "K3", "C", "R1", "R2", "R3")
 _PRODUCT_FIELDS = ("h", "q", "q_alt", "k1", "k2", "k3", "c")
+
+
+# the largest block of each operator in the K3-adapted basis; those that
+# commute with K3 split into blocks of size 1 or 2, and K1, K2 stay whole
+_LARGEST_BLOCK = {"H": 1, "K3": 1, "R3": 1, "h": 1, "k3": 1, "Q": 2, "Q'": 2, "C": 2, "R1": 2, "R2": 2,
+                  "q": 2, "q_alt": 2, "c": 2}
+
+
+def _even(a):
+    return operators._conjugation_even(*operators._entries(a))
+
+
+def _k3_apply(j, v):
+    """U v for the K3-adapted basis U Y^mu = B^mu of the operators module,
+    B^0 = Y^0, B^m = ((1-i) Y^{-m} + (-1)^m (1+i) Y^m)/2 and
+    B^{-m} = ((1+i) Y^{-m} + (-1)^m (1-i) Y^m)/2, m > 0, pair by pair."""
+    m, out = np.arange(1, j + 1), np.array(v, dtype=complex)
+    t = ((-1.0) ** m).reshape((-1,) + (1,) * (np.ndim(v) - 1))
+    out[j - m] = ((1 - 1j) * v[j + m] + (1 + 1j) * v[j - m]) / 2
+    out[j + m] = t * ((1 + 1j) * v[j + m] + (1 - 1j) * v[j - m]) / 2
+    return out
+
+
+def _k3_adjoint_apply(j, w):
+    """U^H w, pair by pair: row mu is the inner product <B^mu, w>."""
+    m, out = np.arange(1, j + 1), np.array(w, dtype=complex)
+    t = ((-1.0) ** m).reshape((-1,) + (1,) * (np.ndim(w) - 1))
+    out[j + m] = ((1 + 1j) * w[j - m] + t * (1 - 1j) * w[j + m]) / 2
+    out[j - m] = ((1 - 1j) * w[j - m] + t * (1 + 1j) * w[j + m]) / 2
+    return out
+
+
+def _assert_exact_real_blocks(a, name):
+    """B = U^H A U, as spectrum forms it, is exactly real; it equals the
+    dense U^H A U to 1e-15 ||A|| (512 columns at a time); its blocks are no
+    larger than _LARGEST_BLOCK[name] and, up to j = 256, hold every entry."""
+    space = a.space
+    stacked = isinstance(space, DegreeStack)
+    uh, u = operators._k3_basis(space)
+    b = uh @ (a @ u)
+    assert not np.any(operators._entries(b)[1].imag), name
+    blocks = operators._k3_blocks(a, np.ones(space.j + 1 if stacked else 1, dtype=bool))
+    largest = max(nodes.shape[1] for nodes, _ in blocks)
+    assert largest <= _LARGEST_BLOCK.get(name, largest), name
+    if name in ("K1", "K2", "k1", "k2"):  # one block per degree
+        assert sum(len(nodes) for nodes, _ in blocks) == (space.j + 1 if stacked else 1), name
+    top = 2 * space.j + 1
+    for r, j in enumerate(range(space.j + 1) if stacked else [space.j]):
+        one, b_one, n = (a.at(j), b.at(j), 2 * j + 1) if stacked else (a, b, top)
+        for lo in range(0, n, 512):
+            eye = np.eye(n, min(512, n - lo), -lo)
+            want = _k3_adjoint_apply(j, one.apply(_k3_apply(j, eye)))
+            assert np.max(np.abs(b_one.apply(eye) - want)) <= 1e-15 * op_norm(one), name
+        if n > 513:
+            continue
+        whole = np.zeros((n, n))
+        for nodes, mats in blocks:
+            mine = nodes[:, 0] // top == r
+            slots = nodes[mine] % top - space.j + j
+            whole[slots[:, :, None], slots[:, None, :]] = mats[mine]
+        assert_array_equal(whole, b_one.matrix.real, err_msg=name)
 
 
 @pytest.mark.parametrize("space", [HarmonicSpace(j) for j in (0, 1, 2, 7, 10, 64)] + [DegreeStack(30)],
                          ids=str)
 def test_the_conjugation_identity_holds_exactly_for_the_real_operators(space):
-    def even(a):
-        return operators._conjugation_even(*operators._entries(a))
-
     ops = _keyed_operators(space)
     product = verification._product_operators(space)
-    assert all(even(ops[name]) for name in _REAL)
-    assert all(even(getattr(product, field)) for field in _PRODUCT_FIELDS)
+    assert all(np.all(_even(ops[name])) for name in _REAL)
+    assert all(np.all(_even(getattr(product, field))) for field in _PRODUCT_FIELDS)
     # the J_k anticommute with conjugation, and J+ lacks the mirror key
     # (1, -1); at j = 0 all four are zero.  A zero key needs no mirror
-    assert not space.j or not any(even(ops[name]) for name in ("J1", "J2", "J3", "J+"))
-    assert even(Operator(space, {**ops["Q"].terms, (1, 2 * space.j + 1): 0.0}))
-    if isinstance(space, DegreeStack) or space.j > 10:
-        return
-    # the float writer is T^H A T in the real basis, and keeps H's scalar exact
-    j, t = space.j, _real_basis(space.j)
-    keys, coefs = operators._entries(ops["H"])
-    assert_array_equal(operators._real_matrix(j, keys, coefs[:, 0]), (j + 0.5) ** 2 * np.eye(2 * j + 1))
-    for a in [ops[name] for name in _REAL] + [getattr(product, f) for f in _PRODUCT_FIELDS]:
-        dense = t.conj().T @ a.matrix @ t
-        keys, coefs = operators._entries(a)
-        assert np.max(np.abs(dense.imag)) <= 1e-15 * op_norm(a)
-        assert np.max(np.abs(operators._real_matrix(j, keys, coefs[:, 0]) - dense.real)) <= 1e-15 * op_norm(a)
+    degrees = range(space.j + 1) if isinstance(space, DegreeStack) else [space.j]
+    for name in ("J1", "J2", "J3", "J+"):
+        assert _even(ops[name]).tolist() == [j == 0 for j in degrees], name
+    assert np.all(_even(Operator(space, {**ops["Q"].terms, (1, 2 * space.j + 1): 0.0})))
+    for name in _REAL:
+        _assert_exact_real_blocks(ops[name], name)
+    for field in _PRODUCT_FIELDS:
+        _assert_exact_real_blocks(getattr(product, field), field)
+
+
+@pytest.mark.parametrize("j", [256, 1000])
+def test_the_supercharge_splits_into_exact_real_blocks_at_large_degree(j):
+    _assert_exact_real_blocks(supercharge(HarmonicSpace(j)), "Q")
+
+
+@pytest.mark.parametrize("j", [256, 1000])
+def test_the_supercharge_spectrum_is_accurate_to_a_few_ulps_at_large_degree(j):
+    # solved as one dense real symmetric matrix, the spectrum read
+    # -256.50000000000205 at j = 256 (about 16 ulps off) and was 6.9e-12 off
+    # at j = 1000
+    rep = spectrum(supercharge(HarmonicSpace(j)))
+    assert list(rep.multiplicities) == [j + 1, j]
+    assert np.all(np.abs(rep.eigenvalues - [-(j + 0.5), j + 0.5]) <= 4 * np.finfo(float).eps * (j + 0.5))
 
 
 def _clustered(vals):
@@ -421,14 +478,70 @@ def _clustered(vals):
     return np.array(uniq), mult
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 5, 20])
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 20, 64, "stack"])
 @pytest.mark.parametrize("name", ["H", "Q", "Qalt", "K1", "K2", "K3", "C", "J3"])
 def test_spectrum_agrees_with_the_dense_complex_solve(name, j):
-    a = _named_operator(name, HarmonicSpace(j))
-    want, mult = _clustered(np.linalg.eigvalsh(a.matrix))
-    rep = spectrum(a)
-    assert list(rep.multiplicities) == mult
-    if name == "J3":  # no conjugation identity for j >= 1: the dense complex solve, bit for bit
-        assert rep.eigenvalues.tobytes() == want.tobytes()
+    if j == "stack":  # one report per degree of DegreeStack(12)
+        a = _named_operator(name, DegreeStack(12))
+        cases = zip(range(13), spectrum(a), (a.at(d) for d in range(13)))
     else:
-        assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-12 * (j + 1) ** 2)
+        a = _named_operator(name, HarmonicSpace(j))
+        cases = [(j, spectrum(a), a)]
+    for j, rep, one in cases:
+        want, mult = _clustered(np.linalg.eigvalsh(one.matrix))
+        assert list(rep.multiplicities) == mult
+        if name == "J3":  # no conjugation identity for j >= 1: the dense complex solve, bit for bit
+            assert rep.eigenvalues.tobytes() == want.tobytes()
+        else:
+            assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-12 * (j + 1) ** 2)
+
+
+def _looped_components(n, u, v):
+    """The least node of each node's component, by a union-find loop."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in zip(u, v):
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_a_looped_union_find(seed):
+    # random graphs, a long chain in scrambled order and isolated nodes
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    u, v = rng.integers(0, n, size=(2, int(rng.integers(0, n + 1))))
+    chain = rng.permutation(n)
+    for a, b in ((u, v), (chain[:-1], chain[1:])):
+        assert operators._components(n, a, b).tolist() == _looped_components(n, a, b)
+
+
+def test_the_block_split_has_no_tolerance():
+    # K1 couples every slot of B, however small its weight, while Q alone
+    # splits into blocks of size 1 and 2
+    space = HarmonicSpace(5)
+    q, k1 = supercharge(space), symmetry_generators(space)[0]
+    for weight in (1e-16, 1e-9):
+        a = q + weight * k1
+        assert [nodes.shape for nodes, _ in operators._k3_blocks(a, _even(a))] == [(1, 11)]
+        want, mult = _clustered(np.linalg.eigvalsh(a.matrix))
+        rep = spectrum(a)
+        assert list(rep.multiplicities) == mult
+        assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-13)
+
+
+def test_an_imaginary_part_in_the_k3_adapted_basis_raises(monkeypatch):
+    # B of a conjugation-even operator is real to the last bit; a basis off
+    # by one rounding leaves imaginary parts, which spectrum refuses
+    space = HarmonicSpace(3)
+    u = operators._k3_basis(space)[1]
+    skewed = Operator(space, {key: coef * (1 + 1e-15j) for key, coef in u.terms.items()})
+    monkeypatch.setattr(operators, "_k3_basis", lambda s: (adjoint(skewed), skewed))
+    with pytest.raises(ContractViolation, match="not real"):
+        spectrum(supercharge(space))
