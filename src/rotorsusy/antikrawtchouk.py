@@ -49,7 +49,7 @@ from math import pi
 import numpy as np
 
 from .eigenbases import LabeledBasis, _fg_operator
-from .errors import VerificationError
+from .errors import ContractViolation, VerificationError
 from .harmonics import HarmonicSpace, _legendre_table, _orders, build_grid
 from .operators import _transpose_apply
 from .susy import supercharge, symmetry_generator
@@ -210,6 +210,8 @@ def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
 
     One pass of the three-term recurrence over all points; returns an array
     of shape (n+1,) + x.shape whose row i holds P_i(x).  Cost O(n * x.size).
+    Supported range: finite values, on grid(N).x every N <= 177 (P_{N+1}
+    overflows from N = 178); one that is not finite raises ContractViolation.
     """
     if not 0 <= n <= table.N + 1:
         raise ValueError(f"polynomial index {n} outside 0..{table.N + 1}")
@@ -217,10 +219,13 @@ def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
     rows = np.empty((n + 1,) + x.shape)
     prev = np.zeros_like(x)
     rows[0] = 1.0
-    for i in range(n):
-        c_i = table.monic_c[i - 1] if i >= 1 else 0.0
-        rows[i + 1] = (x - table.monic_b[i]) * rows[i] - c_i * prev
-        prev = rows[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for i in range(n):
+            c_i = table.monic_c[i - 1] if i >= 1 else 0.0
+            rows[i + 1] = (x - table.monic_b[i]) * rows[i] - c_i * prev
+            prev = rows[i]
+    if not np.isfinite(rows).all():
+        raise ContractViolation(f"monic values P_0..P_{n} at N={table.N} are not finite in float64")
     return rows
 
 
@@ -228,7 +233,7 @@ def eval_monic(table: RecurrenceTable, n: int, x):
     """Evaluate the monic polynomial P_n at x (scalar or array), 0 <= n <= N+1.
 
     P_{N+1} is the characteristic polynomial of the Jacobi matrix and
-    vanishes identically on the spectral grid.
+    vanishes identically on the spectral grid.  Range and raise: monic_table's.
     """
     cur = monic_table(table, n, x)[n]
     return cur if cur.ndim else float(cur)

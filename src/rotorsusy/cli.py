@@ -49,7 +49,12 @@ SCHEMA_VERSION = "1"
 _CONVENTIONS = {
     "index_ordering": "coefficients over Y_j^m with m ascending; flat index i = m + j",
     "m_basis_order": "epsilon=+1 chain for m=0..j, then epsilon=-1 chain for m=1..j",
-    "phase_rule": "first nonzero coefficient in the M-basis expansion is positive real",
+    "phase_rule": {
+        "M": "M_j^{m,eps} = (Y_j^{-m} + i eps Y_j^m) / sqrt(2), so M_j^{0,+1} = (1 + i) Y_j^0 / sqrt(2)",
+        "F": "vector k = a M_j^{k+1,(-1)^k} + i (-1)^(j+k+1) b M_j^{k,(-1)^k} with a >= 0 and b > 0",
+        "G": "vector k = a M_j^{k+1,(-1)^k} + i (-1)^(j+k) b M_j^{k,(-1)^k} with a > 0 and b > 0",
+        "Z": "Z_j^k = sum_n W[n,k] F_j^n, W real, sign W[0,k] = (-1)^(j/2) (j even), (-1)^((j+1)/2+k) (j odd)",
+    },
     "condon_shortley": True,
     "complex_format": "[re, im]",
 }

@@ -13,7 +13,8 @@ K1 is real tridiagonal in each of the F- and G-bases; the two blocks carry
 the same closed-form coefficients at sizes j+1 and j.  F and G are keyed
 operators (Y_j^k -> vector k, four entries each), so their eigen-checks and
 decompose are keyed algebra in O(j), on one degree or a DegreeStack; dense
-columns are written only where a LabeledBasis is returned.
+columns are written only where a LabeledBasis is returned.  No eigensolver
+runs here: the eigh oracle of F and G lives in verification.py.
 """
 
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import ContractViolation, VerificationError
+from .errors import VerificationError
 from .harmonics import HarmonicSpace
-from .operators import DegreeStack, Operator, _columns, _entries, adjoint, commutator, op_norm
+from .operators import DegreeStack, Operator, _columns, _entries, adjoint
 from .susy import supercharge, symmetry_generator
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "TridiagonalData",
     "m_basis",
     "q_action_on_m",
-    "joint_diagonalize",
     "f_basis",
     "g_basis",
     "closed_form_tridiagonal",
@@ -55,8 +55,7 @@ class LabeledBasis:
     copied into a new read-only array, so changing it later leaves the
     basis as it was.
 
-    family is one of "M", "F", "G", "Z" for the named bases, or "joint"
-    for the output of joint_diagonalize.
+    family is one of the closed-form families "M", "F", "G" and "Z" (z_basis).
     """
 
     space: HarmonicSpace
@@ -65,7 +64,7 @@ class LabeledBasis:
     labels: tuple
 
     def __post_init__(self):
-        if self.family not in ("M", "F", "G", "Z", "joint"):
+        if self.family not in ("M", "F", "G", "Z"):
             raise ValueError(f"unknown basis family {self.family!r}")
         c = self.coeffs
         if not (isinstance(c, np.ndarray) and c.dtype == complex and not c.flags.writeable):
@@ -159,54 +158,6 @@ def q_action_on_m(space: HarmonicSpace):
     return _columns(space, [((1, -j), diag), ((1, 1 - j), up), ((1, -1 - j), down)], space.dim)
 
 
-def joint_diagonalize(q_op: Operator, k3_op: Operator) -> LabeledBasis:
-    """Numerically joint-diagonalize the commuting pair (Q, K3).
-
-    Eigenvectors are grouped by clustered Q eigenvalue, rotated inside each
-    cluster to diagonalize K3, and phase-fixed so that the first nonzero
-    coefficient in the M-basis expansion is positive real.  Labels carry
-    (k, q, k3) with k recovered from k3 = (-1)^k (k + 1/2).
-
-    Raises ContractViolation if the inputs do not commute.
-    """
-    if q_op.space != k3_op.space:
-        raise ValueError("operators live on different spaces")
-    space = q_op.space
-    tol = 1e-10 * space.dim
-    if not op_norm(commutator(q_op, k3_op)) <= tol:
-        raise ContractViolation("inputs do not commute; joint eigenbasis undefined")
-
-    q_vals, q_vecs = np.linalg.eigh(q_op.matrix)
-    vals, starts = q_vals.tolist(), [0]
-    for i, v in enumerate(vals):
-        if v - vals[starts[-1]] > 1e-8:
-            starts.append(i)
-    vecs, qv, k3v = [], [], []
-    for start, stop in zip(starts, starts[1:] + [len(vals)]):
-        block = q_vecs[:, start:stop]
-        sub = block.conj().T @ k3_op.apply(block)
-        k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-        vecs.append(block @ rot)
-        qv += [float(np.mean(q_vals[start:stop]))] * (stop - start)
-        k3v.append(k3_vals)
-    vecs, qv, k3v = np.hstack(vecs), np.array(qv), np.concatenate(k3v)
-    # each column's phase from its first M-basis coefficient with |c| > 1e-6; a unit column has
-    # one, as M is unitary and some |c| >= 1/sqrt(2j+1).  M^H v from the two entries of each M vector
-    _, m, eps = _m_labels(space.j)
-    coeffs_m = (vecs[space.j - m] - 1j * eps[:, None] * vecs[space.j + m]) / sqrt(2.0)
-    lead = coeffs_m[np.argmax(np.abs(coeffs_m) > 1e-6, axis=0), np.arange(len(vals))]
-    vecs = vecs * np.conj(lead / np.abs(lead))
-    k = np.round(np.abs(k3v) - 0.5)
-    bad = np.abs((-1.0) ** k * (k + 0.5) - k3v) > 1e-8
-    if bad.any():
-        raise VerificationError(f"K3 eigenvalue {k3v[bad][0]} is not of the form (-1)^k (k+1/2)")
-    order = np.lexsort((k, qv))
-    labels = [{"k": int(a), "q": float(b), "k3": float(c)} for a, b, c in zip(k[order], qv[order], k3v[order])]
-    vecs = vecs[:, order]
-    vecs.setflags(write=False)
-    return LabeledBasis(space=space, family="joint", coeffs=vecs, labels=labels)
-
-
 def _max_abs(a: Operator) -> np.ndarray:
     """The largest entry modulus of a, per degree (operators._entries)."""
     return np.max(np.abs(_entries(a)[1]), axis=(0, 2), initial=0.0)
@@ -231,8 +182,7 @@ def _fg_build(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Op
     are one, on (-1, 0).  The keys do not depend on j, so one build serves a
     HarmonicSpace and a DegreeStack.  The column norms of Q B - q B and
     K3 B - B diag(k3) verify it in O(j) per degree; the first failing
-    vector, by degree and k, raises VerificationError with a diagnostic
-    against the joint-diagonalization oracle on its degree (or its error).
+    vector, by degree and k, raises VerificationError naming both residuals.
     """
     j, m = space.degrees, space.m_values()
     inside = (m >= 0) & (m < (j + 1 if which == "F" else j))
@@ -255,17 +205,10 @@ def _fg_build(space: HarmonicSpace, which: str, q: Operator, k3: Operator) -> Op
               for r in (q @ b - q_eig * b, k3 @ b - b_k3))
     bad = np.argwhere(~(np.maximum(rq, rk) <= EIGEN_TOL))
     if bad.size:
-        (r, col), top = bad[0], space.j
-        j, kb = int(np.ravel(j)[r]), int(col - top)
-        one = (lambda a: a.at(j)) if isinstance(space, DegreeStack) else (lambda a: a)
-        try:
-            overlaps = np.abs(joint_diagonalize(one(q), one(k3)).coeffs.conj().T @ one(b).matrix[:, j + kb])
-            oracle = f"best oracle overlap modulus {overlaps.max():.6f}"
-        except (ContractViolation, VerificationError) as err:  # e.g. a K3 off its spectrum
-            oracle = f"oracle unavailable: {err}"
+        r, col = bad[0]
         raise VerificationError(
-            f"{which}-basis closed form failed eigen-verification at j={j}, k={kb}: |Qv - qv| = "
-            f"{rq[r, col]:.3e}, |K3v - k3v| = {rk[r, col]:.3e} (tolerance {EIGEN_TOL}); {oracle}")
+            f"{which}-basis closed form failed eigen-verification at j={np.ravel(j)[r]}, k={col - space.j}: "
+            f"|Qv - qv| = {rq[r, col]:.3e}, |K3v - k3v| = {rk[r, col]:.3e} (tolerance {EIGEN_TOL})")
     return b
 
 
@@ -292,8 +235,7 @@ def f_basis(space: HarmonicSpace) -> LabeledBasis:
     Every vector is eigen-verified against Q and K3 before being returned,
     in keyed algebra on the four entries of each vector (O(j) time and
     memory); only the returned (2j+1, j+1) columns are dense.  Failure
-    raises VerificationError with a diagnostic against the
-    joint-diagonalization oracle.
+    raises VerificationError naming the failing vector.
     """
     return _fg_basis(_fg_operator(space, "F"), "F")
 

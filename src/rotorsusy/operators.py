@@ -39,10 +39,10 @@ real matrix in the K3-adapted basis B^0 = Y^0 and, for m > 0,
     B^{+-m} = ((1 -+ i) Y^{-m} + (-1)^m (1 +- i) Y^m) / 2,
 
 a unit phase times an eigenvector M_j^{m,eps} of K3, so an operator that
-commutes with K3 (Q, Q', H, C) splits there into blocks of size at most 2.
-spectrum forms U^H A U (U Y^mu = B^mu) with the keyed product; each stage
-adds two terms, with coefficients exact in binary, so every entry is real
-to the last bit.  It splits the result on its exact nonzero pattern.
+commutes with K3 (Q, Q', H, C) splits there into blocks of size at most 2,
+as J3 does.  spectrum forms U^H A U (U Y^mu = B^mu) of any operator with the
+keyed product and splits it on its exact nonzero pattern; each stage adds two
+terms, exact in binary, so for the operators above every entry is real.
 """
 
 from collections.abc import Mapping
@@ -540,13 +540,14 @@ def _conjugation_even(keys, coefs) -> np.ndarray:
     return np.all(mirrors == sign * coefs.conj(), axis=(0, 2))
 
 
-def _k3_basis(space):
-    """(U^H, U), U Y^mu = B^mu (module docstring); kept per degree, as supercharge is."""
-    return (_kept_k3_basis if isinstance(space, HarmonicSpace) else _kept_k3_basis.__wrapped__)(space)
+def _per_degree(kept, *args):
+    """kept(*args): from its bounded lru_cache on one degree args[-1], built anew on a DegreeStack."""
+    return (kept if isinstance(args[-1], HarmonicSpace) else kept.__wrapped__)(*args)
 
 
 @lru_cache(maxsize=64)
-def _kept_k3_basis(space):
+def _k3_basis(space):
+    """(U^H, U), U Y^mu = B^mu (module docstring); called through _per_degree."""
     m, t = space.m_values(), (-1.0) ** space.m_values()
     u = Operator(space, {(1, 0): np.where(m == 0, 1.0, np.where(m > 0, t, 1.0) * (0.5 + 0.5j)),
                          (-1, 0): np.where(m == 0, 0.0, np.where(m < 0, t, 1.0) * (0.5 - 0.5j))})
@@ -565,19 +566,19 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _k3_blocks(a: Operator, even: np.ndarray):
-    """The blocks of B = U^H A U on the degrees where even holds, the components
-    of its off-diagonal nonzero entries (no tolerance), as (nodes, mats) per block
-    size k: the flat nodes degree (2j+1) + mu + j of each block, ascending, in
-    (count, k), and its entries in (count, k, k).  An imaginary part raises."""
-    j, n, (uh, u) = a.space.j, 2 * a.space.j + 1, _k3_basis(a.space)
+    """The blocks of B = U^H A U, the components of its off-diagonal nonzero
+    entries (no tolerance), as (nodes, mats) per block size k: the flat nodes
+    degree (2j+1) + mu + j of each block, ascending, in (count, k), and its
+    entries in (count, k, k), real if all are.  An imaginary part where even holds raises."""
+    j, n, (uh, u) = a.space.j, 2 * a.space.j + 1, _per_degree(_k3_basis, a.space)
     keys, b = _entries(uh @ (a @ u))
     if np.any(b.imag[:, even]):
         raise ContractViolation("an entry in the K3-adapted basis is not real")
-    x, deg, col = np.nonzero(np.where(even[:, None], b.real, 0.0))
+    x, deg, col = np.nonzero(b)
     s, c = np.array(keys, dtype=int).reshape(-1, 2).T
-    row, col, val = deg * n + s[x] * (col - j) + c[x] + j, deg * n + col, b.real[x, deg, col]
+    row, col, val = deg * n + s[x] * (col - j) + c[x] + j, deg * n + col, b[x, deg, col]
     root = _components(even.size * n, row[row != col], col[row != col])
-    node = np.flatnonzero((np.abs(a.space.m_values()) <= a.space.degrees) & even[:, None])
+    node = np.flatnonzero(np.abs(a.space.m_values()) <= a.space.degrees)
     size = np.bincount(root[node], minlength=root.size)[root]
     node = node[np.lexsort((node, root[node], size[node]))]  # by block size, block, slot
     rank = np.zeros(root.size, dtype=int)
@@ -586,9 +587,9 @@ def _k3_blocks(a: Operator, even: np.ndarray):
     for k in np.flatnonzero(np.bincount(size[node])):
         nodes, hit = node[size[node] == k].reshape(-1, k), size[col] == k
         ri, ci = rank[row[hit]] - start, rank[col[hit]] - start
-        mats = np.zeros((len(nodes), k, k))
+        mats = np.zeros((len(nodes), k, k), dtype=complex)
         mats[ci // k, ri % k, ci % k] = val[hit]
-        out.append((nodes, mats))
+        out.append((nodes, mats if mats.imag.any() else mats.real))
         start += nodes.size
     return out
 
@@ -598,25 +599,22 @@ def spectrum(a: Operator):
     CLUSTER_TOL: a SpectrumReport, or on a DegreeStack a tuple of one per
     degree with the bits of spectrum(a.at(j)).  Any j >= 0.
 
-    A degree not Hermitian within 1e-10 of its norm raises ContractViolation
-    naming its deviation.  A conjugation-even degree (Q, Q', K1-K3, H, C,
-    R1-R3) is solved in the exact real blocks of _k3_blocks: in O(j) if it
-    commutes with K3 (Q, Q', H, C, K3: blocks of size 1 or 2), else in
-    O(size^3) per block (K1, K2: one block).  Any other (J1, J2, J3, ...) is
-    solved as its dense complex matrix."""
+    One path for every operator, with no dense matrix: the exact blocks of
+    _k3_blocks, one eigvalsh call per block size.  O(j) where the blocks have
+    size 1 or 2 (Q, Q', H, C, K3, J3, R1-R3), O(j^3) for one block (K1, K2,
+    J1, J2).  ContractViolation for a degree not Hermitian within 1e-10 of its
+    norm (naming its deviation) or conjugation-even with a block not real."""
     keys, coefs, herm = _adjoint_gap(a)
     stacked = isinstance(a.space, DegreeStack)
     bad = np.flatnonzero(herm > 1e-10 * np.maximum(1.0, _frobenius(coefs)))
     if bad.size:
         raise ContractViolation(f"matrix is not self-adjoint (deviation {herm[bad[0]]:.3e})"
                                 + f" at j={bad[0]}" * stacked)
-    even = _conjugation_even(keys, coefs)
-    blocks = _k3_blocks(a, even) if even.any() else []
-    degs = np.concatenate([nodes.ravel() for nodes, _ in blocks] or [[]]).astype(int) // (2 * a.space.j + 1)
-    vals = np.concatenate([np.linalg.eigvalsh(mats).ravel() for _, mats in blocks] or [[]])
-    parts = np.split(vals[np.lexsort((vals, degs))], np.cumsum(np.bincount(degs, minlength=even.size))[:-1])
-    reports = tuple(_clustered(part if ok else np.linalg.eigvalsh((a.at(d) if stacked else a).matrix))
-                    for d, (ok, part) in enumerate(zip(even, parts)))
+    blocks = _k3_blocks(a, _conjugation_even(keys, coefs))
+    degs = np.concatenate([nodes.ravel() for nodes, _ in blocks]) // (2 * a.space.j + 1)
+    vals = np.concatenate([np.linalg.eigvalsh(mats).ravel() for _, mats in blocks])
+    parts = np.split(vals[np.lexsort((vals, degs))], np.cumsum(np.bincount(degs))[:-1])
+    reports = tuple(_clustered(part) for part in parts)
     return reports if stacked else reports[0]
 
 

@@ -19,10 +19,8 @@ j and s are a column over the degrees.  The product formulas live in
 verification.py, where they are evaluated on the same keyed algebra and
 serve as the oracle of every closed form below.
 
-supercharge and symmetry_generator keep what they build on one degree, in
-a bounded lru_cache behind the public function: it is O(j) and read-only,
-so one build per degree serves every caller.  A DegreeStack, O(J^2), is
-built anew on each call and goes with its caller.
+supercharge and symmetry_generator keep what they build on one degree
+(operators._per_degree): it is O(j) and read-only, so one build serves every caller.
 """
 
 from dataclasses import dataclass
@@ -32,7 +30,8 @@ import numpy as np
 
 from .errors import VerificationError
 from .harmonics import HarmonicSpace
-from .operators import Operator, _adjoint_gap, _ladder, commutator, hamiltonian, j1, j2, j3, op_norm, reflection
+from .operators import (Operator, _adjoint_gap, _ladder, _per_degree, commutator, hamiltonian, j1, j2, j3,
+                        op_norm, reflection)
 
 __all__ = [
     "SusyOperators",
@@ -57,7 +56,7 @@ def supercharge(space: HarmonicSpace) -> Operator:
     Self-adjoint, squares to the shifted Hamiltonian (j + 1/2)^2.  Kept per
     degree (see the module docstring).
     """
-    return (_supercharge if isinstance(space, HarmonicSpace) else _supercharge.__wrapped__)(space)
+    return _per_degree(_supercharge, space)
 
 
 @lru_cache(maxsize=64)
@@ -99,8 +98,7 @@ def symmetry_generator(i: int, space: HarmonicSpace) -> Operator:
     """
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i!r}")
-    build = _symmetry_generator if isinstance(space, HarmonicSpace) else _symmetry_generator.__wrapped__
-    return build(i, space)
+    return _per_degree(_symmetry_generator, i, space)
 
 
 @lru_cache(maxsize=64)

@@ -35,7 +35,6 @@ later call.
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, inf, isnan, nan, pi, sqrt
 
@@ -115,9 +114,9 @@ class VerificationReport:
 # independent point-evaluation oracle (explicit series, no recurrences)
 
 def _ylm_prefactor(j: int, am: int) -> float:
-    # exact rational (j-am)!/(j+am)! -> correctly rounded double; it turns
+    # exact integer ratio (j-am)!/(j+am)!, correctly rounded by int division; it turns
     # subnormal past j + am = 170 and 0 from 178, far above the oracle's j <= 10
-    ratio = float(Fraction(factorial(j - am), factorial(j + am)))
+    ratio = factorial(j - am) / factorial(j + am)
     return sqrt((2 * j + 1) / (4.0 * pi) * ratio)
 
 
@@ -183,7 +182,7 @@ def _theta_grams(grid):
 
 
 # ---------------------------------------------------------------------------
-# reflection-product oracle of the closed-form operators
+# the oracles of the closed-form operators and of F and G
 
 def _product_operators(space):
     """The paper's product formulas, evaluated literally on the keyed algebra.
@@ -211,6 +210,21 @@ def _product_operators(space):
         k3=k3,
         c=k1 @ k1 + k2 @ k2 + k3 @ k3,
     )
+
+
+def _joint_oracle(q, k3):
+    """The eigh oracle of F and G on one degree: eigh of Q, cut where its eigenvalues jump by > 1e-8,
+    then eigh of K3 per cluster.  The columns (eigh's phases), ordered by (q, |k3|), and their (q, k3)."""
+    q_vals, q_vecs = np.linalg.eigh(q.matrix)
+    cuts = np.flatnonzero(np.diff(q_vals) > 1e-8) + 1
+    vecs, labels = [], []
+    for vals, block in zip(np.split(q_vals, cuts), np.split(q_vecs, cuts, axis=1)):
+        sub = block.conj().T @ k3.apply(block)
+        k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+        vecs.append(block @ rot)
+        labels += [(round(float(np.mean(vals)), 6), round(v, 6)) for v in k3_vals.tolist()]
+    order = sorted(range(len(labels)), key=lambda i: (labels[i][0], abs(labels[i][1])))
+    return np.hstack(vecs)[:, order], [labels[i] for i in order]
 
 
 def _fold(values, lower=False):
@@ -279,14 +293,18 @@ def _integers(values):
     return out
 
 
-def _exact_weights(N):
-    """Exact weights w_k = 1 / sum_n P_n(x_k)^2 / u_n as fractions.Fraction.
+def _exact_weights(N, ratio=None):
+    """Exact weights w_k = 1 / sum_n P_n(x_k)^2 / u_n as fractions.Fraction, or as
+    ratio(numerator, denominator) of their integers: verify passes int division,
+    correctly rounded, and so never loads fractions or decimal.
 
     With Q_n = 4^n P_n and U_n = prod_{i<=n} 16 c_i (so P_n^2 / u_n =
     Q_n^2 / U_n) every quantity is an integer, because 4 x_k, 4 b_n and
     16 c_n are: w_k = U_N / sum_n Q_n(x_k)^2 (U_N / U_n).  Independent of
     the production closed form, antikrawtchouk.weights.
     """
+    if ratio is None:
+        from fractions import Fraction as ratio
     table, g = ak.recurrence_coeffs(N), ak.grid(N)
     b4, c16, x4 = _integers(4 * table.monic_b), _integers(16 * table.monic_c), _integers(4 * g.x)
     tail = [1] * (N + 1)  # tail[n] = U_N / U_n
@@ -298,7 +316,7 @@ def _exact_weights(N):
         for n in range(N):
             prev, cur = cur, (x - b4[n]) * cur - (c16[n - 1] * prev if n else 0)
             total += cur * cur * tail[n + 1]
-        out.append(Fraction(tail[0], total))
+        out.append(ratio(tail[0], total))
     return out
 
 
@@ -558,14 +576,13 @@ def _closed_form_eigen(js, run):
     f, g = run.fg(js[-1])
     for j in js:
         fb, gb = eb._fg_basis(f.at(j), "F"), eb._fg_basis(g.at(j), "G")
-        oracle = eb.joint_diagonalize(run.o.q.at(j), run.o.k3.at(j))
+        vecs, labels = _joint_oracle(run.o.q.at(j), run.o.k3.at(j))
         t = np.column_stack([fb.coeffs, gb.coeffs])
         yield float(np.max(np.abs(t.conj().T @ t - np.eye(2 * j + 1))))
-        # the oracle orders its columns by (q, k), as F then G are ordered
-        if ([(round(lab["q"], 6), lab["k"]) for lab in oracle.labels]
-                != [(lab["q"], lab["k"]) for lab in fb.labels + gb.labels]):
+        if labels != [(lab["q"], lab["k3"]) for lab in fb.labels + gb.labels]:
             raise _Broken(f"oracle label mismatch at j={j}")
-        overlap = np.abs(np.sum(oracle.coeffs.conj() * t, axis=0))
+        # the modulus of each overlap: the oracle's phases are arbitrary
+        overlap = np.abs(np.sum(vecs.conj() * t, axis=0))
         yield float(np.max(np.abs(overlap - 1.0)))
 
 
@@ -629,7 +646,7 @@ def _weight_consistency(ns, run):
         if np.any(wt.derived <= 0):
             raise _Broken(f"nonpositive weight at N={n}")
         yield abs(float(np.sum(wt.derived)) - 1.0)
-        exact = np.array(_exact_weights(n), dtype=float)
+        exact = np.array(_exact_weights(n, lambda a, b: a / b))
         yield float(np.max(np.abs(wt.derived - exact)))
 
 

@@ -21,7 +21,6 @@ from rotorsusy import (
     g_basis,
     hamiltonian,
     harmonic_values,
-    joint_diagonalize,
     op_norm,
     overlaps_via_integral,
     overlaps_via_recurrence,
@@ -36,7 +35,7 @@ from rotorsusy import (
     weights,
 )
 from rotorsusy.antikrawtchouk import grid as poly_grid
-from rotorsusy.verification import _exact_weights, _reflected
+from rotorsusy.verification import _exact_weights, _joint_oracle, _reflected
 
 # the points that R_1, R_2 and R_3 move (theta, phi) to
 _REFLECTED_ANGLES = {
@@ -146,11 +145,8 @@ def test_criterion_5_decomposition(capsys):
         space = HarmonicSpace(j)
         q = supercharge(space)
         k1, _, k3 = symmetry_generators(space)
-        oracle = joint_diagonalize(q, k3)
-        oracle_map = {
-            (round(lbl["q"], 6), lbl["k"]): vec
-            for lbl, vec in zip(oracle.labels, oracle.coeffs.T)
-        }
+        vecs, labels = _joint_oracle(q, k3)
+        oracle_map = dict(zip(labels, vecs.T))
         for basis in (f_basis(space), g_basis(space)):
             for lbl, vec in zip(basis.labels, basis.coeffs.T):
                 worst_eig = max(
@@ -158,7 +154,7 @@ def test_criterion_5_decomposition(capsys):
                     float(np.linalg.norm(q.matrix @ vec - lbl["q"] * vec)),
                     float(np.linalg.norm(k3.matrix @ vec - lbl["k3"] * vec)),
                 )
-                partner = oracle_map[(round(lbl["q"], 6), lbl["k"])]
+                partner = oracle_map[(lbl["q"], lbl["k3"])]
                 worst_overlap = max(
                     worst_overlap, abs(abs(np.vdot(partner, vec)) - 1.0)
                 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotorsusy import (
+    ContractViolation,
     HarmonicSpace,
     OverlapMatrix,
     VerificationError,
@@ -91,6 +92,19 @@ def test_monic_evaluation_range_check():
         eval_monic(t, 4, 0.0)
     with pytest.raises(ValueError):
         eval_monic(t, -1, 0.0)
+
+
+def test_monic_values_that_are_not_finite_raise():
+    # on the grid P_{N+1} stays finite to N = 177 and overflows from 178
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        assert np.all(np.isfinite(monic_table(recurrence_coeffs(177), 178, grid(177).x)))
+        with pytest.raises(ContractViolation, match=r"^monic values P_0\.\.P_179 at N=178 are not finite"):
+            monic_table(recurrence_coeffs(178), 179, grid(178).x)
+        with pytest.raises(ContractViolation, match=r"P_0\.\.P_50 at N=50 are not finite"):
+            eval_monic(recurrence_coeffs(50), 50, 1e100)
+        with pytest.raises(ContractViolation, match=r"P_0\.\.P_3 at N=2 are not finite"):
+            eval_monic(recurrence_coeffs(2), 3, [0.0, np.nan])
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 40])

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import HarmonicSpace, decompose, f_basis, m_basis, overlaps_via_integral, spectrum, supercharge
+from rotorsusy import (HarmonicSpace, decompose, f_basis, j3, m_basis, overlaps_via_integral, spectrum,
+                       supercharge)
 from rotorsusy.cli import _emit, _grid, _json_chunks, _pairs, build_parser, main
 from rotorsusy.harmonics import _legendre_table
 
@@ -106,6 +107,41 @@ def test_spectrum_json_envelope(capsys):
     assert doc["payload"]["multiplicities"] == [3, 2]
 
 
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_basis_exports_follow_their_stated_phase_rule(j, tmp_path):
+    docs = {}
+    for family in "MFGZ":
+        path = tmp_path / f"{family}.json"
+        assert main(["basis", "--family", family, "--j", str(j), "--format", "json", "--output", str(path)]) == 0
+        docs[family] = json.loads(path.read_text())
+    assert all(set(doc["metadata"]["conventions"]["phase_rule"]) == set("MFGZ") for doc in docs.values())
+    vecs = {family: np.array(doc["payload"]["vectors"]) @ [1.0, 1.0j] for family, doc in docs.items()}
+    # M: (Y^{-m} + i eps Y^m) / sqrt(2) as written, m = 0 included
+    slot = {}
+    for i, (lab, v) in enumerate(zip(docs["M"]["payload"]["labels"], vecs["M"])):
+        m, eps = lab["m"], lab["epsilon"]
+        want = np.zeros(2 * j + 1, dtype=complex)
+        want[j - m] += 1 / np.sqrt(2.0)
+        want[j + m] += 1j * eps / np.sqrt(2.0)
+        assert_allclose(v, want, rtol=0, atol=1e-15)
+        slot[m, eps] = i
+    # F and G: a M^{k+1,eps} + i sign b M^{k,eps}, eps = (-1)^k, with a, b >= 0 and nothing else
+    for family, shift in (("F", 1), ("G", 0)):
+        coefs = vecs[family] @ vecs["M"].conj().T
+        for k, c in enumerate(coefs):
+            eps, sign = (-1) ** k, (-1) ** (j + k + shift)
+            upper, lower = c[slot[k + 1, eps]] if k < j else 0.0, c[slot[k, eps]]
+            assert upper.real >= 0 and abs(upper.imag) <= 1e-15, (family, k)
+            assert abs(lower.real) <= 1e-15 and sign * lower.imag > 0, (family, k)
+            assert abs(abs(upper) ** 2 + abs(lower) ** 2 - 1.0) <= 1e-14, (family, k)
+    # Z: a real combination of the F vectors whose F_j^0 coefficient has the sign s_k
+    w = vecs["F"].conj() @ vecs["Z"].T
+    k = np.arange(j + 1)
+    s = (-1) ** (j // 2) * np.ones(j + 1) if j % 2 == 0 else (-1.0) ** ((j + 1) // 2 + k)
+    assert np.max(np.abs(w.imag)) <= 1e-15
+    assert np.all(np.sign(w[0].real) == s)
+
+
 def test_spectrum_hamiltonian_table(capsys):
     code, out, _ = run(capsys, "spectrum", "--j", "3", "--op", "H")
     assert code == 0
@@ -143,6 +179,17 @@ def test_poly_values_grid(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert_allclose(payload["x"], [0.0, -1.0, 1.0])
+
+
+def test_poly_values_refuse_values_that_are_not_finite(capsys, tmp_path):
+    # P_{N+1} on the grid overflows float64 from N = 178 on: one line on stderr, exit 1, no output
+    path = tmp_path / "values.json"
+    argv = ["poly", "--what", "values", "--format", "json"]
+    assert run(capsys, *argv, "--N", "177", "--output", str(path)) == (0, "", "")
+    assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+    code, out, err = run(capsys, *argv, "--N", "178")
+    assert (code, out) == (1, "")
+    assert err == "verification failure: monic values P_0..P_179 at N=178 are not finite in float64\n"
 
 
 def test_basis_csv_reconstructs_eigenvectors(capsys):
@@ -415,6 +462,7 @@ def _traced_peak_mib(run_op):
 
 @pytest.mark.parametrize("name, limit_mib", [("decompose", 2.0), ("f_basis", 2.5), ("m_basis", 5.0),
                                              ("spectrum", 0.5), ("spectrum_1000", 2.0),
+                                             ("spectrum_j3_1000", 1.0),
                                              ("overlaps_via_integral", 4.5),
                                              ("overlaps_via_integral_100", 64.0),
                                              ("legendre_table", 5.2)])
@@ -429,7 +477,9 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # at 2.8 and 8.5 MiB.  spectrum wrote Q as a complex (513, 513) matrix,
     # 4.2 MiB, then as a float64 one in the real basis, 2.1 MiB (30.8 MiB at
     # j = 1000); in exact blocks of size 1 or 2 it holds O(j) entries, about
-    # 0.35 MiB at j = 256 and 1.3 MiB at j = 1000.
+    # 0.35 MiB at j = 256 and 1.3 MiB at j = 1000.  J3 at j = 1000, solved
+    # as its dense complex matrix, peaked at 61.2 MiB; in blocks of size 1 or
+    # 2, at 0.48 MiB.
     # f_basis checked its unit norms on a complex |c|^2 copy, 6.1 MiB; from
     # the real and imaginary views it peaked at 4.1 MiB, the basis as written
     # and LabeledBasis's copy of it.  Handed over read-only and kept, the
@@ -442,6 +492,7 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
               "legendre_table": lambda: _legendre_table(75, np.linspace(-1.0, 1.0, 2000)),
               "spectrum": lambda: spectrum(supercharge(HarmonicSpace(256))),
               "spectrum_1000": lambda: spectrum(supercharge(HarmonicSpace(1000))),
+              "spectrum_j3_1000": lambda: spectrum(j3(HarmonicSpace(1000))),
               "overlaps_via_integral": lambda: overlaps_via_integral(30),
               "overlaps_via_integral_100": lambda: overlaps_via_integral(100)}[name]
     assert _traced_peak_mib(run_op) <= limit_mib
@@ -458,6 +509,14 @@ def test_verify_does_not_import_numpy_fft():
     # numpy.fft loads on first use; its import alone raises ru_maxrss by about 0.26 MiB
     code = ("import sys; from rotorsusy.verification import run_verification; "
             "assert run_verification(10).all_passed; print('numpy.fft' in sys.modules)")
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_verify_does_not_import_fractions():
+    # the exact-integer oracles divide their integers themselves: fractions, and the
+    # decimal module it imports, raised ru_maxrss by about 0.4 MiB
+    code = ("import sys; from rotorsusy.verification import run_verification; "
+            "assert run_verification(30).all_passed; print('fractions' in sys.modules)")
     assert _fresh_python(code).strip() == "False"
 
 
@@ -508,21 +567,24 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
 
 
 # SHA-256 of exports written before the actions moved onto slices (x86-64,
-# numpy 2.4, OpenBLAS); the slices must leave every byte as it was
+# numpy 2.4, OpenBLAS); the slices must leave every byte as it was.  Every
+# digest but decompose's taken again when the envelope's phase_rule became
+# one statement per family of the phases the closed forms have; each
+# payload is unchanged, but for the verify row named there
 _GOLDEN_SHA256 = {
     ("basis", "--family", "F", "--j", "64"):
-        "6e8a6bde46e6af736f35b61a871c3150b44a23db7a8aa4be186c6f5270bdd410",
+        "d3185dd8614d12a1373846c9ec74ecd79f280c6d3273766a874a5afde9c9790a",
     ("basis", "--family", "G", "--j", "64"):
-        "04998eeeb59f7453fe9a5b7f2a9c51fb9412345abc97f9d3c2e6577b147a3353",
+        "3eb11e709ce520ac4f8d30e8f371fe5b33451398a8cd30a0f290e9c19ad10193",
     ("basis", "--family", "Z", "--j", "64"):
-        "c229035559d5aa4354abff00718b1c9f1ce24a2593c1dc49c30d73a9c793f635",
+        "b87f3b80c092169a16bc15adcfb6ecb902bd19efe249d0f2817cc8c195c1665d",
     # taken again when spectrum solved Q as a real symmetric matrix in the
     # real basis: -64.50000000000017 -> -64.50000000000011 and
     # 64.49999999999989 -> 64.49999999999986; and again when it solved Q in
     # exact 2x2 blocks of the K3-adapted basis: -64.50000000000011 ->
     # -64.50000000000001 and 64.49999999999986 -> 64.49999999999999
     ("spectrum", "--op", "Q", "--j", "64"):
-        "de0bc2ef3c38b2eafa6dcb700c43c9c92bd5f516d51b9cbafd9b393e067524fc",
+        "ce6fab7f80eecd7695f457f39520886f59713abd22c850af8b059a1aa356eb0e",
     # taken again when decompose moved onto keyed products F^H K1 F: 14 of
     # the 130 K1 block entries moved in their last bits
     ("decompose", "64"):
@@ -545,23 +607,25 @@ _GOLDEN_SHA256 = {
     # harmonics.cross_degree_orthogonality 6.257549070130732e-16 ->
     # 3.5487918836554815e-16, operators.quadrature_matrix_elements
     # 3.375082624936456e-14 -> 3.463898386403255e-14, overlaps.unitarity
-    # 2.228414218624294e-15 -> 1.7850802924769544e-15.  Every other row is
-    # unchanged
+    # 2.228414218624294e-15 -> 1.7850802924769544e-15.  Taken again when the
+    # eigh oracle of eigenbases.closed_form_eigen kept eigh's phases, whose
+    # overlap moduli differ in the last bits: 4.440892098500626e-16 ->
+    # 6.661338147750939e-16.  Every other row is unchanged
     ("verify", "--jmax", "3"):
-        "5e32d2f75ec1bab222868b104de7f2a4a929393696d51b4be4cb856208feb510",
+        "ef84d2526dd20790f6d8398001bbbdae92f0a3607844428a72ae2e93d2f42f49",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):
-        "ccd3a63d90cdf06bb6d348a159dd04617d6395a98003fa723bb48d155fd39303",
+        "d7733256c342031bcfa26b05570fd8d25252b83e996651c6e264fb3ec9591663",
     ("poly", "--what", "values", "--N", "40"):
-        "e44736ca50bb0cd9ca98fc4b5df2f15d62d69341967b94a82c6f9a431e178380",
+        "6a112f2653c4d255706ce9b1f32d0f2f7a7db681c37bb53248f45c1458033cae",
     ("poly", "--what", "params", "--N", "7"):
-        "99f8a8cd127cc17de68e6ee0218e88b1d77372fb211e6743c944bca9b804da83",
+        "b31527ba9d49fa0d75f357e8e6ea0062982cdfb29d42173c84c0f24bcd2fafd0",
     ("overlaps", "--N", "30", "--method", "recurrence"):
-        "c5e87b2f97c04ad6b4bb8049748db760a9def76fc2390225b65685f1397c7db8",
+        "7b6ca71acfb72e537548ab51dfaec57eca6411a9bb14661a380b3d15dcdef92d",
     # the closed-form weights and the log2 norms
     ("poly", "--what", "weights", "--N", "30"):
-        "0524645a6c1c7ab1eb9d4be28cebac029ecf7068e6ba50c74a5e6d285b311051",
+        "34ffbd8126ee442dd53fe4ba8816eabd186b8d8a143a48ceaddf9011e73d9694",
 }
 
 

@@ -245,8 +245,8 @@ def test_spectrum_on_a_stack_gives_each_degree_the_bits_of_its_own_call(name):
 
 
 def test_spectrum_on_a_stack_mixes_the_block_and_the_dense_solves():
-    # J3 added at degree 2 alone breaks the conjugation identity there, and
-    # that degree takes the dense complex solve
+    # J3 added at degree 2 alone breaks the conjugation identity there: that
+    # degree's blocks are solved as complex matrices, the others as real ones
     stacked = supercharge(_STACK) + j3(_STACK) * (_STACK.degrees == 2)
     assert operators._conjugation_even(*operators._entries(stacked)).tolist() == [True, True, False, True]
     for j, rep in enumerate(spectrum(stacked)):

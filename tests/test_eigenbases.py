@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotorsusy import (
-    ContractViolation,
     DegreeStack,
     HarmonicSpace,
     LabeledBasis,
@@ -16,8 +15,6 @@ from rotorsusy import (
     f_basis,
     g_basis,
     identity,
-    j3,
-    joint_diagonalize,
     m_basis,
     q_action_on_m,
     supercharge,
@@ -28,6 +25,7 @@ from rotorsusy import (
 )
 from rotorsusy.eigenbases import _fg_build, _fg_operator, _tridiagonal_blocks, _tridiagonal_data
 from rotorsusy.operators import _transpose_apply
+from rotorsusy.verification import _joint_oracle
 
 
 def test_m_basis_order_and_eigenvalues():
@@ -78,36 +76,6 @@ def test_supercharge_chain_entries_vanish_exactly():
     # the eps=-1 chain pairs the other way around
     assert mat[7, 6] == 0.0  # (m=2,-1) -> (m=3,-1)
     assert mat[5, 6] != 0.0  # (m=2,-1) -> (m=1,-1)
-
-
-def test_joint_diagonalization_labels():
-    space = HarmonicSpace(1)
-    q = supercharge(space)
-    _, _, k3 = symmetry_generators(space)
-    basis = joint_diagonalize(q, k3)
-    got = sorted((round(lbl["q"], 8), lbl["k"]) for lbl in basis.labels)
-    assert got == [(-1.5, 0), (-1.5, 1), (1.5, 0)]
-    for lbl, vec in zip(basis.labels, basis.coeffs.T):
-        assert_allclose(q.matrix @ vec, lbl["q"] * vec, atol=1e-10)
-        assert_allclose(k3.matrix @ vec, lbl["k3"] * vec, atol=1e-10)
-    assert basis.orthonormality_residual() < 1e-12
-
-
-@pytest.mark.parametrize("j", [1, 4, 9, 20])
-def test_joint_diagonalization_fixes_each_phase_on_the_first_m_coefficient(j):
-    # the first M-basis coefficient above 1e-6 in modulus of every column is positive real
-    space = HarmonicSpace(j)
-    basis = joint_diagonalize(supercharge(space), symmetry_generator(3, space))
-    coeffs = m_basis(space).coeffs.conj().T @ basis.coeffs
-    for col in coeffs.T:
-        lead = col[np.flatnonzero(np.abs(col) > 1e-6)[0]]
-        assert lead.real > 0 and abs(lead.imag) <= 1e-15
-
-
-def test_joint_diagonalization_requires_commuting_inputs():
-    space = HarmonicSpace(2)
-    with pytest.raises(ContractViolation):
-        joint_diagonalize(supercharge(space), j3(space))
 
 
 def test_f_basis_structure():
@@ -211,6 +179,12 @@ def test_labeled_basis_rejects_columns_off_the_unit_sphere(column):
     assert not basis.coeffs.flags.writeable
 
 
+def test_labeled_basis_rejects_an_unknown_family():
+    # "joint" named the output of the eigh oracle, which returns no LabeledBasis
+    with pytest.raises(ValueError, match="unknown basis family 'joint'"):
+        LabeledBasis(space=HarmonicSpace(1), family="joint", coeffs=np.eye(3), labels=[{}] * 3)
+
+
 def test_labeled_basis_keeps_a_read_only_complex_array_and_copies_any_other():
     frozen = np.eye(3, dtype=complex)
     frozen.setflags(write=False)
@@ -253,14 +227,14 @@ def test_closed_forms_agree_with_numerical_diagonalization(j):
     space = HarmonicSpace(j)
     q = supercharge(space)
     _, _, k3 = symmetry_generators(space)
-    oracle = joint_diagonalize(q, k3)
+    vecs, labels = _joint_oracle(q, k3)
     fb, gb = f_basis(space), g_basis(space)
     for basis in (fb, gb):
         for lbl, vec in zip(basis.labels, basis.coeffs.T):
             match = [
                 o_vec
-                for o_lbl, o_vec in zip(oracle.labels, oracle.coeffs.T)
-                if abs(o_lbl["q"] - lbl["q"]) < 1e-8 and o_lbl["k"] == lbl["k"]
+                for (o_q, o_k3), o_vec in zip(labels, vecs.T)
+                if abs(o_q - lbl["q"]) < 1e-8 and abs(o_k3 - lbl["k3"]) < 1e-8
             ]
             assert len(match) == 1
             overlap = abs(np.vdot(match[0], vec))
@@ -271,21 +245,11 @@ def test_eigen_verification_reports_the_first_failing_vector():
     space = HarmonicSpace(2)
     k3 = symmetry_generator(3, space)
     # -Q has the F vectors on its +(j+1/2) branch, so every one fails
-    with pytest.raises(VerificationError, match=r"F-basis closed form failed "
-                       r"eigen-verification at j=2, k=0: .*best oracle overlap modulus"):
+    with pytest.raises(VerificationError, match=r"^F-basis closed form failed eigen-verification at j=2, "
+                       r"k=0: \|Qv - qv\| = \S+, \|K3v - k3v\| = \S+ \(tolerance 1e-10\)$"):
         _fg_build(space, "F", -supercharge(space), k3)
     passed = _fg_build(space, "F", supercharge(space), k3)
     np.testing.assert_array_equal(passed.matrix[:, 2:], f_basis(space).coeffs)
-
-
-def test_eigen_verification_names_the_failing_vector_when_the_oracle_raises():
-    space = HarmonicSpace(3)
-    # -K3 has eigenvalues off (-1)^k (k+1/2), so the joint-diagonalization
-    # oracle raises; its text follows the diagnostic instead of replacing it
-    with pytest.raises(VerificationError, match=r"F-basis closed form failed eigen-verification "
-                       r"at j=3, k=0: \|Qv - qv\| = .*, \|K3v - k3v\| = 1\.000e\+00 .*; "
-                       r"oracle unavailable: K3 eigenvalue -2\.5\d* is not of the form"):
-        _fg_build(space, "F", supercharge(space), -symmetry_generator(3, space))
 
 
 def test_block_faults_raise_while_the_blocks_are_read():
@@ -376,7 +340,7 @@ def test_stacked_eigen_verification_reports_the_first_failing_degree():
     shift[3] = 1e-6
     shifted = q + Operator(stack, {(1, 0): shift})
     with pytest.raises(VerificationError, match=r"F-basis closed form failed "
-                       r"eigen-verification at j=3, k=0: .*best oracle overlap modulus 1\.0"):
+                       r"eigen-verification at j=3, k=0: \|Qv - qv\| = 1\.000e-06, "):
         _fg_build(stack, "F", shifted, k3)
     # K3 + 1e-9 fails through its own residual; G is empty at j = 0
     with pytest.raises(VerificationError, match=r"G-basis .* at j=1, k=0: .*\|K3v - k3v\| = 1\.000e-09"):

@@ -28,7 +28,6 @@ from rotorsusy import (
 )
 from rotorsusy import (casimir, f_basis, g_basis, operators, supercharge, supercharge_alt,
                        symmetry_generators, verification)
-from rotorsusy.cli import _named_operator
 from rotorsusy.eigenbases import _fg_operator
 
 
@@ -407,7 +406,7 @@ def _assert_exact_real_blocks(a, name):
     larger than _LARGEST_BLOCK[name] and, up to j = 256, hold every entry."""
     space = a.space
     stacked = isinstance(space, DegreeStack)
-    uh, u = operators._k3_basis(space)
+    uh, u = operators._per_degree(operators._k3_basis, space)
     b = uh @ (a @ u)
     assert not np.any(operators._entries(b)[1].imag), name
     blocks = operators._k3_blocks(a, np.ones(space.j + 1 if stacked else 1, dtype=bool))
@@ -479,21 +478,33 @@ def _clustered(vals):
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 5, 20, 64, "stack"])
-@pytest.mark.parametrize("name", ["H", "Q", "Qalt", "K1", "K2", "K3", "C", "J3"])
-def test_spectrum_agrees_with_the_dense_complex_solve(name, j):
-    if j == "stack":  # one report per degree of DegreeStack(12)
-        a = _named_operator(name, DegreeStack(12))
-        cases = zip(range(13), spectrum(a), (a.at(d) for d in range(13)))
-    else:
-        a = _named_operator(name, HarmonicSpace(j))
-        cases = [(j, spectrum(a), a)]
-    for j, rep, one in cases:
-        want, mult = _clustered(np.linalg.eigvalsh(one.matrix))
+@pytest.mark.parametrize("name", ["H", "Q", "Qalt", "K1", "K2", "K3", "C", "J1", "J2", "J3", "R1", "R2", "R3"])
+def test_spectrum_agrees_with_the_dense_complex_solve(name, j, monkeypatch):
+    stacked = j == "stack"  # one report per degree of DegreeStack(30)
+    space = DegreeStack(30) if stacked else HarmonicSpace(j)
+    a = {**_keyed_operators(space), "Qalt": supercharge_alt(space)}[name]
+    degrees = range(31) if stacked else [j]
+    wants = [_clustered(np.linalg.eigvalsh((a.at(d) if stacked else a).matrix)) for d in degrees]
+
+    def refuse(self):
+        raise AssertionError("spectrum wrote a dense matrix")
+
+    # every operator takes the exact blocks: spectrum writes no dense matrix
+    monkeypatch.setattr(Operator, "matrix", property(refuse))
+    reports = spectrum(a)
+    for j, rep, (want, mult) in zip(degrees, reports if stacked else [reports], wants):
         assert list(rep.multiplicities) == mult
-        if name == "J3":  # no conjugation identity for j >= 1: the dense complex solve, bit for bit
+        if name == "J3":  # exact integers, as the dense solve of its diagonal matrix gives them
             assert rep.eigenvalues.tobytes() == want.tobytes()
         else:
             assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-12 * (j + 1) ** 2)
+
+
+def test_the_j3_spectrum_is_exact_at_large_degree():
+    # blocks of size 1 and 2: O(j), where the dense complex solve was O(j^3)
+    rep = spectrum(j3(HarmonicSpace(1000)))
+    assert rep.eigenvalues.tolist() == list(range(-1000, 1001))
+    assert rep.multiplicities.tolist() == [1] * 2001
 
 
 def _looped_components(n, u, v):

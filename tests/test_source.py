@@ -22,3 +22,22 @@ def test_package_exports_every_submodule_name_once():
             assert getattr(rotorsusy, name) is getattr(module, name), (module.__name__, name)
     assert len(rotorsusy.__all__) == len(set(rotorsusy.__all__))
     assert "__version__" in rotorsusy.__all__
+
+
+def test_only_spectrum_jacobi_and_the_oracles_call_an_eigensolver():
+    # the closed forms need none: spectrum solves its exact blocks, _jacobi
+    # gives W, and verification.py holds the oracles
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            word = getattr(child, "attr", None) or getattr(child, "id", None) or getattr(child, "name", None)
+            if word in ("eig", "eigh", "eigvals", "eigvalsh"):
+                found.add((module, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, module, scope or (child.name if named else None))
+
+    for path in sorted(Path(rotorsusy.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert {site for site in found if site[0] != "verification.py"} == {("operators.py", "spectrum"),
+                                                                         ("antikrawtchouk.py", "_jacobi")}

@@ -92,6 +92,18 @@ def test_quadrature_oracle_catches_a_wrong_ladder_operator(monkeypatch):
     assert check.residual > check.tolerance
 
 
+def test_joint_oracle_labels():
+    # eigh's columns, ordered by (q, |k3|) as F then G are, with their labels
+    space = HarmonicSpace(1)
+    q, k3 = susy.supercharge(space), susy.symmetry_generator(3, space)
+    vecs, labels = verification._joint_oracle(q, k3)
+    assert labels == [(-1.5, 0.5), (-1.5, -1.5), (1.5, 0.5)]
+    for (q_val, k3_val), vec in zip(labels, vecs.T):
+        np.testing.assert_allclose(q.matrix @ vec, q_val * vec, atol=1e-10)
+        np.testing.assert_allclose(k3.matrix @ vec, k3_val * vec, atol=1e-10)
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
+
+
 def test_a_nan_residual_fails_its_check(monkeypatch):
     # Python's max(0.0, nan) is 0.0: a NaN residual folded that way is
     # dropped, and the check passes on the residuals that are left.  The
