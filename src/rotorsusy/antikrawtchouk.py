@@ -37,9 +37,28 @@ eigenvector of x_k times the sign
     s_k = (-1)^((N+1)/2 + k)      for odd N,
 
 so W reproduces the orthonormal polynomials on the spectral grid, and
-Z = F W gives the permuted basis with no quadrature.  The integral route
-(overlaps_via_integral), which evaluates the permuted F functions and
-integrates over the sphere, is the oracle of both.
+Z = F W gives the permuted basis with no quadrature.
+
+On degree N the permutation acts on the coefficients over Y_N^m as
+
+    U = d diag(i^-m)  for odd N,     U = d diag(i^m)  for even N,
+
+with d = d^N(pi/2) = exp(-i (pi/2) J2), so Z = U F and W = F^H U F.  The
+entries of d^N(pi/2) are symmetric Krawtchouk values (Koornwinder 1982,
+SIAM J. Math. Anal. 13:1011):
+
+    d[m', m] = (-1)^(N+m') 2^-N sqrt(C(2N, N+m') / C(2N, N+m)) k_(N+m)(N+m'),
+    k_n(x) = sum_i (-1)^i C(x, i) C(2N-x, n-i),
+
+integers that the recurrence (n+1) k_(n+1) = (2N-2x) k_n - (2N-n+1) k_(n-1)
+gives with exact divisions.  F has four entries per column, so each
+anti-Krawtchouk overlap W[n, k] is a sum of at most 16 symmetric Krawtchouk
+values.  PAPER.md holds only the paper's abstract, which does not state
+this identity.  verification._rotation builds U from the integers; with
+no Jacobi matrix, recurrence or quadrature, it is the oracle of
+overlaps_via_recurrence and z_basis.  overlaps_via_integral, which
+evaluates the permuted F functions and integrates over the sphere, is a
+third route, O(N^4), kept for the overlaps command.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +90,7 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-9
-_BLOCK_POINTS = 2048  # mesh points per block of theta-rings in overlaps_via_integral
+_BLOCK_POINTS = 1536  # mesh points per block of theta-rings in overlaps_via_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +356,8 @@ def z_basis(N: int) -> LabeledBasis:
     else VerificationError.  Both eigen-checks apply the closed-form
     actions of K1 and Q (Operator.apply) in O(N^2), with no dense operator.
     Supported range: every N >= 1, with no bound in principle; tested to
-    N = 200 (and overlaps_via_integral checks the same W against quadrature).
+    N = 200.  verify compares it with U F, the Krawtchouk route of the
+    module docstring, for N <= 10.
     """
     return _z_basis(overlaps_via_recurrence(N))
 
@@ -371,23 +391,16 @@ def _z_basis(w: OverlapMatrix) -> LabeledBasis:
 def overlaps_via_integral(N: int) -> OverlapMatrix:
     """Overlap matrix W[n, k] = integral of F_N^n conj(Z_N^k) by quadrature.
 
-    The oracle of overlaps_via_recurrence and z_basis: both families enter as
+    The route of overlaps --method integral|both: both families enter as
     point values of harmonics and the closed-form F, with no Jacobi, recurrence
     or rotation data.  The mesh is streamed in blocks of theta-rings
     (_permuted_blocks): Z = F^T Y at the block's permuted points (_transpose_apply),
     its phi sums against an exp(-i m phi_p) table, and the Gauss-weighted theta
     sum add into acc[k, m] = integral of Z_N^k conj(Y_N^m); then W = F^T conj(acc)^T.
     No stack spans the mesh.  Supported range: every N >= 1, bounded by time,
-    not memory: the work is O(N^4) and the memory O(N^2) per block.  Measured
-    tracemalloc peaks: 2.8 MiB at N = 30, 8.5 MiB at N = 100 and 21 MiB at
-    N = 200 (11 s there, within 1.7e-13 of overlaps_via_recurrence).
+    not memory: the work is O(N^4) and the memory O(N^2) per block.
     """
-    return _overlaps_via_integral(N, build_grid(N))
-
-
-def _overlaps_via_integral(N: int, quad) -> OverlapMatrix:
-    """overlaps_via_integral on the mesh of quad = build_grid(N)."""
-    space = HarmonicSpace(N)
+    space, quad = HarmonicSpace(N), build_grid(N)
     f = _fg_operator(space, "F")
     m = np.arange(-N, N + 1)
     # conj(Y_N^m) on the mesh: (-1)^m Pbar_N^|m|(z_t) exp(-i m phi_p) for m < 0, times the weights
@@ -411,8 +424,10 @@ def overlaps_via_recurrence(N: int) -> OverlapMatrix:
     W[n, k] = s_k sqrt(w_k) p-hat_n(x_k): column k is the Jacobi
     eigenvector of x_k (_jacobi) times the sign s_k = (-1)^(N/2) for even
     N and s_k = (-1)^((N+1)/2 + k) for odd N.  Supported range: every
-    N >= 1, with no bound in principle; tested unitary to N = 400 and
-    against overlaps_via_integral for N = 1..12, 39 and 40.
+    N >= 1, with no bound in principle; tested unitary to N = 400, equal
+    to F^H U F (the Krawtchouk route of the module docstring), signs
+    included, for N = 1..60, 100 and 200, and against overlaps_via_integral
+    for N = 1..12, 39 and 40.
     """
     V = _jacobi(N)
     s = (-1.0) ** (N // 2) if N % 2 == 0 else (-1.0) ** ((N + 1) // 2 + np.arange(N + 1))

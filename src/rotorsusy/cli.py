@@ -13,12 +13,16 @@ verify also takes --tolerance-scale FLOAT; with --output it writes JSON
 unless --format says otherwise, and prints its table to stdout too.  JSON
 is the canonical machine format: every export is wrapped in an envelope
 {schema_version, kind, metadata, payload} with complex numbers as
-[re, im] pairs.  The payloads hold the library's own complex arrays (a
-basis's coefficients, an overlap matrix), and the JSON writer renders their
-[re, im] pairs itself, one outermost row at a time, so no export copies a
-whole basis.  Exports are deterministic byte-for-byte across runs.  The CSV
-and the table render one sequence of raw rows per command; both are
-written one row at a time, a basis row from _pairs of its one column.
+[re, im] pairs, and it is strict: a NaN or an infinity raises
+ContractViolation (exit 1), and verify writes a residual that is not finite
+as null.  The payloads hold the library's own complex arrays (the Z basis,
+an overlap matrix), and the JSON writer renders their [re, im] pairs
+itself, one outermost row at a time, so no export copies a whole array.
+The M, F and G bases are rendered from their keys, _BLOCK vectors at a
+time, so no (2j+1, n) array of them is formed.  Exports are deterministic
+byte-for-byte across runs.  The CSV and the table render one sequence of
+raw rows per command; both are written one row at a time, a basis row
+from _pairs of its one vector.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable --output.
 """
@@ -66,15 +70,20 @@ def _pairs(a):
     return np.stack([a.real, a.imag], -1)
 
 
-def _sparse_rows(flat, template):
-    """Each row of the 2-d float or complex array flat filled into template,
-    a complex entry as its [re, im] pair, as the all-0.0 row text with the
-    repr of each part that is nonzero or carries the sign bit (-0.0) spliced
-    in at its placeholder.  Each part is gathered from the .real or .imag
-    view of its entry: no pairs array is made."""
+def _sparse_layout(template):
+    """(zero, starts) of _sparse_rows: template with every %r filled by 0.0,
+    and the offset of each placeholder's 0.0 in it."""
     pieces = template.split("%r")
-    zero = "0.0".join(pieces)
-    starts = np.cumsum([len(p) + 3 for p in pieces[:-1]]) - 3
+    return "0.0".join(pieces), np.cumsum([len(p) + 3 for p in pieces[:-1]]) - 3
+
+
+def _sparse_rows(flat, zero, starts):
+    """Each row of the 2-d float or complex array flat filled into the
+    template of _sparse_layout, a complex entry as its [re, im] pair, as the
+    all-0.0 row text with the repr of each part that is nonzero or carries
+    the sign bit (-0.0) spliced in at its placeholder.  Each part is
+    gathered from the .real or .imag view of its entry: no pairs array is
+    made."""
     parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
     mask = np.stack([(p != 0) | np.signbit(p) for p in parts], -1).reshape(len(flat), -1)
     rows, cols = np.nonzero(mask)
@@ -95,7 +104,9 @@ def _json_scalar(obj):
     """obj as json.dumps spells it, with no encoder built for the common
     scalars: None, bools, str (ASCII-escaped, as json's default), int and
     finite float.  float.__repr__, not repr, keeps a numpy float bare, as
-    json does; anything else goes to json.dumps."""
+    json does; anything else goes to json.dumps.  JSON has no NaN or
+    infinity, so a float that is not finite raises ContractViolation where
+    json.dumps would write the tokens NaN or Infinity."""
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -104,9 +115,53 @@ def _json_scalar(obj):
         return encode_basestring_ascii(obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float) and math.isfinite(obj):
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ContractViolation(f"cannot write {obj!r} as JSON, which has no NaN or infinity")
         return float.__repr__(obj)
     return json.dumps(obj)
+
+
+class _Rows:
+    """An array given as its blocks of outermost rows, in order: shape is
+    the whole array's, a complex one's with its [re, im] axis 2 appended,
+    and blocks() yields the blocks.  _json_chunks writes it one block at a
+    time, so no copy of the whole array need exist."""
+
+    def __init__(self, shape, blocks):
+        self.shape, self.blocks = shape, blocks
+
+
+def _row_template(shape, level, vector=False):
+    """The %r template of one outermost row of a float array of this shape
+    (a complex array's with its [re, im] axis 2 appended), or of the whole
+    array if vector, as json.dumps lays it out at indent 2 and level; it
+    joins the placeholders one axis at a time from the innermost out."""
+    strs = ["%r"] * (math.prod(shape) // (1 if vector else shape[0]))
+    for axis in range(len(shape) - 1, -1 if vector else 0, -1):
+        sub = "\n" + "  " * (level + axis + 1)
+        head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
+        strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * shape[axis])]
+    return strs[0]
+
+
+def _block_rows(blocks, template):
+    """Each row of each finite float or complex block filled into template.
+    A block with at most a quarter of its float parts nonzero (an F, G or M
+    basis row has at most 4 nonzero complex entries of 2j+1) is filled by
+    _sparse_rows, which is faster there and slower on dense blocks, on one
+    _sparse_layout of template; any other row is read from the row itself,
+    a complex row through a float view of it (of a contiguous copy of that
+    one row where it is strided)."""
+    layout = None
+    for block in blocks:
+        parts = (block.real, block.imag) if block.dtype.kind == "c" else (block,)
+        if 4 * sum(map(np.count_nonzero, parts)) <= block.size * len(parts):
+            layout = layout or _sparse_layout(template)
+            yield from _sparse_rows(block.reshape(len(block), -1), *layout)
+        else:
+            source = block if len(parts) == 1 else (row.ravel().view(parts[0].dtype) for row in block)
+            yield from (template % tuple(row.ravel().tolist()) for row in source)
 
 
 def _json_chunks(obj, level=0):
@@ -116,46 +171,33 @@ def _json_chunks(obj, level=0):
 
     json renders indented output with its pure-Python encoder, one call per
     value.  A finite float or complex array is instead yielded one outermost
-    row at a time, filled into one template of the row's layout whose %r
-    renders each float with float.__repr__ (json's spelling of finite
-    floats); the template joins its placeholders one axis at a time from the
-    innermost out, a complex array's [re, im] axis first.  A 1-d array is one
-    row: the whole array is one template, filled once.  Each row's values
-    are read from the row itself, a complex row through a float view of it
-    (of a contiguous copy of that one row where it is strided), so no copy
-    of the whole array is made.  An array with at most a quarter of its
-    float parts nonzero (an F, G or M basis row has at most 4 nonzero
-    complex entries of 2j+1) fills it by _sparse_rows instead, which is
-    faster there and slower on dense arrays.  Other arrays, and arrays
-    holding NaN or infinities, go through the generic path as lists, a
-    complex one as its _pairs.  Scalars are spelled by _json_scalar.
+    row at a time, filled into one template of the row's layout
+    (_row_template) whose %r renders each float with float.__repr__ (json's
+    spelling of finite floats), by _block_rows, so no copy of the whole
+    array is made; a _Rows array is written so, one block at a time.  A 1-d
+    array is one row: the whole array is one template, filled once.  Other
+    arrays, and arrays holding NaN or infinities, go through the generic
+    path as lists, a complex one as its _pairs.  Scalars are spelled by
+    _json_scalar, which refuses NaN and infinities.
     """
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "fc" and obj.ndim and obj.size and np.isfinite(obj).all():
-            parts = (obj.real, obj.imag) if obj.dtype.kind == "c" else (obj,)
-            shape = obj.shape + (2,) * (len(parts) - 1)
-            vector = obj.ndim == 1
-            strs = ["%r"] * (obj.size * len(parts) // (1 if vector else len(obj)))
-            for axis in range(len(shape) - 1, -1 if vector else 0, -1):
-                sub = "\n" + "  " * (level + axis + 1)
-                head, sep, tail = "[" + sub, "," + sub, "\n" + "  " * (level + axis) + "]"
-                strs = [head + sep.join(r) + tail for r in zip(*[iter(strs)] * shape[axis])]
-            if vector:
-                flat = obj if len(parts) == 1 else np.ascontiguousarray(obj).view(parts[0].dtype)
-                yield strs[0] % tuple(flat.tolist())
+            shape, array = obj.shape + (2,) * (obj.dtype.kind == "c"), obj
+            if obj.ndim == 1:
+                flat = obj if len(shape) == 1 else np.ascontiguousarray(obj).view(obj.real.dtype)
+                yield _row_template(shape, level, vector=True) % tuple(flat.tolist())
                 return
-            if 4 * sum(map(np.count_nonzero, parts)) > obj.size * len(parts):
-                # a complex row as the float view of its [re, im] values; a float row as it is
-                source = obj if len(parts) == 1 else (row.ravel().view(parts[0].dtype) for row in obj)
-                rows = (strs[0] % tuple(row.ravel().tolist()) for row in source)
-            else:
-                rows = _sparse_rows(obj.reshape(len(obj), -1), strs[0])
-            for i, text in enumerate(rows):
+            obj = _Rows(shape, lambda: [array])
+        else:
+            obj = (_pairs(obj) if obj.dtype.kind == "c" else obj).tolist()
+    if isinstance(obj, _Rows):
+        if obj.shape[0]:
+            for i, text in enumerate(_block_rows(obj.blocks(), _row_template(obj.shape, level))):
                 yield ("[" if i == 0 else ",") + inner + text
             yield "\n" + "  " * level + "]"
             return
-        obj = (_pairs(obj) if obj.dtype.kind == "c" else obj).tolist()
+        obj = []
     if isinstance(obj, dict):
         brackets = "{}"
         items = [(encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": ", v)
@@ -252,12 +294,19 @@ def _cmd_verify(args) -> int:
         "tolerance_scale": args.tolerance_scale,
     }
 
+    def payload():
+        # JSON has no inf or NaN: such a residual is null, and its row's "fail" says why
+        out = report.as_dict()
+        for row in out["checks"]:
+            row["residual"] = row["residual"] if math.isfinite(row["residual"]) else None
+        return out
+
     def rows():
         return [(c.name, "pass" if c.passed else "fail", c.residual, c.tolerance, c.detail)
                 for c in report.checks]
 
     args.format = args.format or ("json" if args.output else "table")
-    _emit(args, "report", metadata, report.as_dict, ["check", "status", "residual", "tolerance", "detail"],
+    _emit(args, "report", metadata, payload, ["check", "status", "residual", "tolerance", "detail"],
           rows, lambda rows: report.table_lines())
     if args.output:
         print(f"report written to {args.output}")
@@ -300,30 +349,39 @@ def _cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # basis
 
-_BASES = {"M": eb.m_basis, "F": eb.f_basis, "G": eb.g_basis, "Z": lambda space: ak.z_basis(space.j)}
+_FAMILIES = ("M", "F", "G", "Z")
+_BLOCK = 32  # the keyed families' vectors rendered per block
 
 
 def _cmd_basis(args) -> int:
-    basis = _BASES[args.family](HarmonicSpace(args.j))
-    first_label = basis.labels[0] if basis.labels else {}
+    # Z is dense (F W); M, F and G are rendered from their keys, _BLOCK vectors at a time
+    if args.family == "Z":
+        z = ak.z_basis(args.j)
+        labels, vectors = z.labels, _Rows(z.coeffs.T.shape + (2,), lambda: [z.coeffs.T])
+    else:
+        b, first, labels = eb._keyed_family(HarmonicSpace(args.j), args.family)
+        n = len(labels)
+        vectors = _Rows((n, 2 * args.j + 1, 2), lambda: (
+            eb._keyed_columns(b, first, lo, min(lo + _BLOCK, n)).T for lo in range(0, n, _BLOCK)))
+    first_label = labels[0] if labels else {}
     keys = sorted(first_label)
 
     def payload():
         return {
             "j": args.j,
             "family": args.family,
-            "labels": [dict(lab) for lab in basis.labels],
-            "vectors": basis.coeffs.T,
+            "labels": [dict(lab) for lab in labels],
+            "vectors": vectors,
         }
 
     def rows():
-        return ((n, *(lab[k] for k in keys), *_pairs(v).ravel().tolist())
-                for n, (lab, v) in enumerate(zip(basis.labels, basis.coeffs.T)))
+        return ((i, *(lab[k] for k in keys), *_pairs(v).ravel().tolist())
+                for i, (lab, v) in enumerate(zip(labels, itertools.chain.from_iterable(vectors.blocks()))))
 
     header = ["index", *keys, *(f"c{i}_{p}" for i in range(2 * args.j + 1) for p in ("re", "im"))]
-    labels = ", ".join(f"{k}={{{1 + keys.index(k)}}}" for k in first_label)
+    names = ", ".join(f"{k}={{{1 + keys.index(k)}}}" for k in first_label)
     cells = "  ".join(f"{{{i}:+.6f}}{{{i + 1}:+.6f}}i" for i in range(1 + len(keys), len(header), 2))
-    table = _grid([f"{args.family}-basis at j={args.j}: {len(basis)} vector(s)"], f"  {labels}\n    {cells}")
+    table = _grid([f"{args.family}-basis at j={args.j}: {len(labels)} vector(s)"], f"  {names}\n    {cells}")
     _emit(args, "basis", {"j": args.j, "family": args.family}, payload, header, rows, table)
     return 0
 
@@ -445,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_basis = _subcommand(sub, "basis", "export an eigenbasis family")
     p_basis.add_argument("--j", type=int, required=True)
-    p_basis.add_argument("--family", choices=tuple(_BASES), required=True)
+    p_basis.add_argument("--family", choices=_FAMILIES, required=True)
     p_basis.set_defaults(func=_cmd_basis)
 
     p_poly = _subcommand(sub, "poly", "anti-Krawtchouk tables")
@@ -463,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
-    if args.command == "verify" and not (args.tolerance_scale > 0):
-        parser.error(f"--tolerance-scale must be positive, got {args.tolerance_scale}")
+    if args.command == "verify" and not (0 < args.tolerance_scale < math.inf):
+        # an infinite scale makes every tolerance inf, which the strict JSON report cannot write
+        parser.error(f"--tolerance-scale must be positive and finite, got {args.tolerance_scale}")
     if args.command == "verify" and args.jmax < 0:
         parser.error(f"--jmax must be non-negative, got {args.jmax}")
     if args.command in ("spectrum", "basis") and args.j < 0:

@@ -43,6 +43,13 @@ __all__ = [
 EIGEN_TOL = 1e-10
 
 
+def _unit_norm_gate(squared_norms) -> None:
+    """ValueError unless every squared norm is that of a unit vector (norm within 1e-10 of 1)."""
+    dev = float(np.max(np.abs(np.sqrt(squared_norms) - 1.0), initial=0.0))
+    if not dev <= 1e-10:
+        raise ValueError(f"basis vectors must have unit norm; worst deviation {dev!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledBasis:
     """An ordered orthonormal basis: a read-only (2j+1, n) array whose
@@ -75,10 +82,7 @@ class LabeledBasis:
                 f"expected {self.space.dim} x {len(self.labels)} coefficients, got shape {c.shape}"
             )
         # squared norms from the real and imaginary views: no complex |c|^2 copy
-        norms = np.sqrt(np.einsum("ij,ij->j", c.real, c.real) + np.einsum("ij,ij->j", c.imag, c.imag))
-        dev = float(np.max(np.abs(norms - 1.0), initial=0.0))
-        if not dev <= 1e-10:
-            raise ValueError(f"basis vectors must have unit norm; worst deviation {dev!r}")
+        _unit_norm_gate(np.einsum("ij,ij->j", c.real, c.real) + np.einsum("ij,ij->j", c.imag, c.imag))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -118,17 +122,26 @@ def _m_labels(j: int):
     return i, np.where(i <= j, i, i - j), np.where(i <= j, 1, -1)
 
 
-def m_basis(space: HarmonicSpace) -> LabeledBasis:
-    """The K3 eigenbasis M_j^{m,eps} in canonical order."""
+def _m_keyed(space: HarmonicSpace):
+    """(b, -j, labels): M as the keyed Operator b that sends Y_j^m to the M
+    vector of canonical index m + j, and the labels in canonical order."""
     j = space.j
     i, m, eps = _m_labels(j)
     labels = [{"m": a, "epsilon": e, "k3": e * a + (-1.0) ** a / 2.0}
               for a, e in zip(m.tolist(), eps.tolist())]
     chain = [np.where(eps == e, 1.0 / sqrt(2.0), 0.0) for e in (1, -1)]
-    # M^{m,eps} = (Y^{-m} + i eps Y^m) / sqrt(2); m = i on the first chain, i - j on the second
-    terms = [((-1, 0), chain[0]), ((-1, j), chain[1]), ((1, 0), 1j * chain[0]),
-             ((1, -j), -1j * chain[1])]
-    coeffs = _columns(space, terms, space.dim)
+    # M^{m,eps} = (Y^{-m} + i eps Y^m) / sqrt(2): from column mu = i - j, the first chain
+    # (m = i) sends to -mu - j and mu + j, the second (m = i - j) to -mu and mu; at j = 0,
+    # where the keys meet, the second chain is empty and the first is written last
+    b = Operator._keyed(space, {(-1, 0): chain[1], (1, 0): -1j * chain[1],
+                                (-1, -j): chain[0], (1, j): 1j * chain[0]})
+    return b, -j, labels
+
+
+def m_basis(space: HarmonicSpace) -> LabeledBasis:
+    """The K3 eigenbasis M_j^{m,eps} in canonical order."""
+    b, first, labels = _m_keyed(space)
+    coeffs = _keyed_columns(b, first, 0, space.dim)
     coeffs.setflags(write=False)
     return LabeledBasis(space=space, family="M", coeffs=coeffs, labels=labels)
 
@@ -220,10 +233,30 @@ def _fg_labels(j: int, which: str) -> list:
 
 def _fg_basis(b: Operator, which: str) -> LabeledBasis:
     """The (2j+1, n) columns and labels of a keyed F or G of one degree."""
-    j, labels = b.space.j, _fg_labels(b.space.j, which)
-    coeffs = _columns(b.space, [(key, c[j:j + len(labels)]) for key, c in b.terms.items()], len(labels))
+    labels = _fg_labels(b.space.j, which)
+    coeffs = _keyed_columns(b, 0, 0, len(labels))
     coeffs.setflags(write=False)
     return LabeledBasis(space=b.space, family=which, coeffs=coeffs, labels=labels)
+
+
+def _keyed_columns(b: Operator, first: int, lo: int, hi: int) -> np.ndarray:
+    """Vectors lo..hi-1 of a keyed family, vector i = b Y_j^(first + i), as
+    the (2j+1, hi - lo) array of their columns (operators._columns)."""
+    j = b.space.j
+    terms = [(key, c[j + first + lo:j + first + hi]) for key, c in b.terms.items()]
+    return _columns(b.space, terms, hi - lo, first + lo)
+
+
+def _keyed_family(space: HarmonicSpace, family: str):
+    """(b, first, labels) of the M, F or G family on one degree, vector i
+    = b Y_j^(first + i), with every vector checked to unit norm as
+    LabeledBasis checks, here from the entries of b (operators._entries):
+    no column is written."""
+    b, first, labels = (_m_keyed(space) if family == "M"
+                        else (_fg_operator(space, family), 0, _fg_labels(space.j, family)))
+    coefs = _entries(b)[1][:, 0, space.j + first:][:, :len(labels)]
+    _unit_norm_gate(np.sum(coefs.real ** 2 + coefs.imag ** 2, axis=0))
+    return b, first, labels
 
 
 def f_basis(space: HarmonicSpace) -> LabeledBasis:

@@ -213,18 +213,59 @@ def _product_operators(space):
 
 
 def _joint_oracle(q, k3):
-    """The eigh oracle of F and G on one degree: eigh of Q, cut where its eigenvalues jump by > 1e-8,
-    then eigh of K3 per cluster.  The columns (eigh's phases), ordered by (q, |k3|), and their (q, k3)."""
-    q_vals, q_vecs = np.linalg.eigh(q.matrix)
-    cuts = np.flatnonzero(np.diff(q_vals) > 1e-8) + 1
-    vecs, labels = [], []
-    for vals, block in zip(np.split(q_vals, cuts), np.split(q_vecs, cuts, axis=1)):
-        sub = block.conj().T @ k3.apply(block)
-        k3_vals, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-        vecs.append(block @ rot)
-        labels += [(round(float(np.mean(vals)), 6), round(v, 6)) for v in k3_vals.tolist()]
+    """The eigh oracle of F and G on one degree: one eigh of Q + K3/4, whose eigenvalues q + k3/4
+    are at least 1/4 apart (Q = -+(j+1/2), and the K3 values of each Q block are distinct
+    half-integers), each column labelled by its Rayleigh quotients under Q and K3, rounded to 6
+    decimals.  The columns (eigh's phases), ordered by (q, |k3|), and their (q, k3).  The eigh is
+    real: Q + K3/4 is conjugation-even, so it is real in the fixed basis U Y^mu = B^mu of
+    operators._k3_basis, and a complex eigh's LAPACK code would add about 0.75 MiB of resident
+    memory to every verify process."""
+    uh, u = op._per_degree(op._k3_basis, q.space)
+    real = (uh @ ((q + 0.25 * k3) @ u)).matrix
+    if real.imag.any():
+        raise _Broken(f"Q + K3/4 is not real in the K3-adapted basis at j={q.space.j}")
+    vecs = u.apply(np.linalg.eigh(real.real)[1])
+    quotients = [np.sum(vecs.conj() * o.apply(vecs), axis=0).real.tolist() for o in (q, k3)]
+    labels = [(round(a, 6), round(b, 6)) for a, b in zip(*quotients)]
     order = sorted(range(len(labels)), key=lambda i: (labels[i][0], abs(labels[i][1])))
-    return np.hstack(vecs)[:, order], [labels[i] for i in order]
+    return vecs[:, order], [labels[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# the Krawtchouk oracle of W and Z: d^N(pi/2) from integers, with no Jacobi data
+
+def _exact(num, den):
+    """num // den for ints that den divides; ArithmeticError otherwise."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num} / {den} is not an integer")
+    return q
+
+
+def _krawtchouk(N):
+    """The symmetric Krawtchouk integers k_n(x) = sum_i (-1)^i C(x, i) C(2N-x, n-i), as rows [n][x],
+    n, x = 0..2N, from (n+1) k_(n+1) = (2N-2x) k_n - (2N-n+1) k_(n-1), k_0 = 1 and k_1 = 2N - 2x."""
+    two = 2 * N
+    rows, prev = [[1] * (two + 1)], [0] * (two + 1)
+    for n in range(two):
+        cur = rows[-1]
+        rows.append([_exact((two - 2 * x) * k - (two - n + 1) * p, n + 1)
+                     for x, (k, p) in enumerate(zip(cur, prev))])
+        prev = cur
+    return rows
+
+
+def _rotation(N):
+    """U on degree N, which maps F_N^k to Z_N^k (F_N^k at the permuted point (x2, x3, (-1)^(N+1) x1)):
+    U = d diag(i^-m) for odd N and d diag(i^m) for even N, d = d^N(pi/2) = exp(-i (pi/2) J2) with
+    d[m', m] = (-1)^(N+m') 2^-N sqrt(C(2N, N+m') / C(2N, N+m)) k_(N+m)(N+m').  Each entry is the
+    square root of the ratio of integers k^2 C(2N, N+m') / (C(2N, N+m) 4^N), both correctly
+    rounded, times its sign: two roundings."""
+    k = np.array(_krawtchouk(N), dtype=object)  # [N + m, N + m']
+    c = np.array([comb(2 * N, i) for i in range(2 * N + 1)], dtype=object)
+    d = np.sqrt((k * k * c / (c[:, None] * 4 ** N)).astype(float)) * np.where(k < 0, -1.0, 1.0)
+    m = np.arange(-N, N + 1)
+    return (d * (-1.0) ** (N + m)).T * np.array([1, 1j, -1, -1j])[(m if N % 2 == 0 else -m) % 4]
 
 
 def _fold(values, lower=False):
@@ -241,14 +282,18 @@ class _Run:
     s and the product oracle o on it (.at(j) is one degree), the views
     upto(name, top) of s and the distances of the closed forms from the
     oracle (gap), the stacked F and G fg(top), and the grids grid(n), the
-    overlap matrices w(N) and wr(N) of both routes, the M-bases m(j) and the
-    theta-Grams grams(top).  No cache refers back to the run, so all of it
-    goes when run_verification returns."""
+    images U F of F's columns uf(N) (_rotation), the overlap matrices w(N) =
+    F^H U F and wr(N) of both routes, the M-bases m(j) and the theta-Grams
+    grams(top).  No cache refers back to the run, so all of it goes when
+    run_verification returns."""
 
     def __init__(self, scale, top):
         self.scale, self.stack, self._kept = scale, op.DegreeStack(top), {}
         grid = self.grid = lru_cache(maxsize=None)(build_grid)
-        self.w = lru_cache(maxsize=None)(lambda n: ak._overlaps_via_integral(n, grid(n)))
+        f = lru_cache(maxsize=None)(lambda n: eb.f_basis(HarmonicSpace(n)).coeffs)
+        uf = self.uf = lru_cache(maxsize=None)(lambda n: _rotation(n) @ f(n))
+        self.w = lru_cache(maxsize=None)(
+            lambda n: ak.OverlapMatrix(N=n, W=f(n).conj().T @ uf(n), method="krawtchouk"))
         self.wr = lru_cache(maxsize=None)(ak.overlaps_via_recurrence)
         self.m = lru_cache(maxsize=None)(lambda j: eb.m_basis(HarmonicSpace(j)))
         self.grams = lru_cache(maxsize=None)(lambda top: _theta_grams(grid(top)))
@@ -664,30 +709,31 @@ def _monic_reduction(ns, run):
         "both W constructions, three-term residual, N <= {top}", first=1)
 def _unitarity(ns, run):
     for n in ns:
-        wi, wr = run.w(n), run.wr(n)
-        yield wi.unitarity_residual
+        wk, wr = run.w(n), run.wr(n)
+        yield wk.unitarity_residual
         yield wr.unitarity_residual
         # W diagonalizes the K1 block: J W = W diag(y)
         diag_b, off_u = eb.closed_form_tridiagonal("F", n)
         jac = np.diag(diag_b) + np.diag(off_u, 1) + np.diag(off_u, -1)
-        yield float(np.max(np.abs(wi.W * ak.grid(n).y - jac @ wi.W)))
+        yield float(np.max(np.abs(wk.W * ak.grid(n).y - jac @ wk.W)))
 
 
 @_check("overlaps.duality", 10, 1e-8,
-        "integral vs recurrence, |omega_k|^2 = w_k, N <= {top}", first=1)
+        "Krawtchouk vs recurrence, |omega_k|^2 = w_k, N <= {top}", first=1)
 def _duality(ns, run):
     for n in ns:
-        wi, wr = run.w(n), run.wr(n)
-        yield float(np.max(np.abs(wi.W - wr.W)))
-        amp = np.abs(wi.W[0]) ** 2
+        wk, wr = run.w(n), run.wr(n)
+        yield float(np.max(np.abs(wk.W - wr.W)))
+        amp = np.abs(wk.W[0]) ** 2
         yield float(np.max(np.abs(amp - ak.weights(n).derived)))
 
 
 @_check("overlaps.z_block_spectrum", 10, 1e-9,
-        "permuted block mirrors the original, N <= {top}", first=1)
+        "permuted block mirrors the original, Z = U F, N <= {top}", first=1)
 def _z_block_spectrum(ns, run):
     for n in ns:
         zb = ak._z_basis(run.wr(n))
+        yield float(np.max(np.abs(zb.coeffs - run.uf(n))))
         k1_on_z = np.sort(np.array([lab["k1"] for lab in zb.labels]))
         k3_on_f = np.sort(np.array([lab["k3"] for lab in eb._fg_labels(n, "F")]))
         yield float(np.max(np.abs(k1_on_z - k3_on_f)))

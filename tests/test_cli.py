@@ -1,8 +1,10 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +17,9 @@ from numpy.testing import assert_allclose
 
 from rotorsusy import (HarmonicSpace, decompose, f_basis, j3, m_basis, overlaps_via_integral, spectrum,
                        supercharge)
+from rotorsusy import cli, verification
 from rotorsusy.cli import _emit, _grid, _json_chunks, _pairs, build_parser, main
+from rotorsusy.errors import ContractViolation
 from rotorsusy.harmonics import _legendre_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -88,6 +92,8 @@ def test_verify_report_file_takes_the_requested_format(tmp_path, capsys):
         ["basis", "--j", "0", "--family", "Z"],
         # only verify has tolerances to scale
         ["spectrum", "--j", "2", "--op", "Q", "--tolerance-scale", "2"],
+        # an infinite tolerance has no JSON spelling
+        ["verify", "--tolerance-scale", "inf"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -190,6 +196,35 @@ def test_poly_values_refuse_values_that_are_not_finite(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--N", "178")
     assert (code, out) == (1, "")
     assert err == "verification failure: monic values P_0..P_179 at N=178 are not finite in float64\n"
+
+
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_a_broken_check_is_written_as_strict_json(monkeypatch, capsys):
+    # a structural failure reads residual inf, which JSON cannot spell: the
+    # report writes it as null, and the row's "fail" and detail say why
+    def broken(js, run):
+        raise verification._Broken("forced break")
+        yield
+
+    monkeypatch.setattr(verification, "_CHECKS", [
+        dataclasses.replace(c, body=broken) if c.name == "overlaps.duality" else c for c in verification._CHECKS])
+    code, out, err = run(capsys, "verify", "--jmax", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    rows = {row["name"]: row for row in json.loads(out, parse_constant=_refuse)["payload"]["checks"]}
+    assert rows["overlaps.duality"] == {"name": "overlaps.duality", "status": "fail", "residual": None,
+                                        "tolerance": 1e-08, "detail": "forced break"}
+    assert all(isinstance(row["residual"], float) for name, row in rows.items() if name != "overlaps.duality")
+
+
+def test_an_export_that_is_not_finite_exits_1_with_one_line(monkeypatch, capsys):
+    # JSON has no NaN: the writer refuses it where json.dumps would write the token
+    monkeypatch.setattr(cli.ak, "bannai_ito_params", lambda n: {"rho1": 0.0, "rho2": math.nan})
+    code, out, err = run(capsys, "poly", "--what", "params", "--N", "3", "--format", "json")
+    assert code == 1 and "NaN" not in out
+    assert err == "verification failure: cannot write nan as JSON, which has no NaN or infinity\n"
 
 
 def test_basis_csv_reconstructs_eigenvectors(capsys):
@@ -367,7 +402,14 @@ _NONFINITE = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
     [np.float64(0.1), np.float64(-0.0), np.float64("nan"), 2**70, -0.0, "\x7f\ud800", ""],
 ])
 def test_json_renderer_matches_indented_dumps(obj):
-    assert "".join(_json_chunks(obj)) == json.dumps(_as_lists(obj), indent=2)
+    # JSON has no NaN or infinity: where json.dumps(allow_nan=False) refuses, the renderer raises
+    try:
+        expected = json.dumps(_as_lists(obj), indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ContractViolation, match="no NaN or infinity"):
+            "".join(_json_chunks(obj))
+    else:
+        assert "".join(_json_chunks(obj)) == expected
 
 
 def test_json_chunks_hold_one_outermost_row_of_a_float_array_each():
@@ -429,8 +471,8 @@ def test_main_reuses_one_parser_without_leaking_defaults(capsys):
     assert reused[0][1].startswith("check,status") and "<time>" in reused[1][1]
 
 
-@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 4.0), ("export_csv", 4.0),
-                                             ("export_table", 3.0)])
+@pytest.mark.parametrize("name, limit_mib", [("decompose", 30.0), ("export", 1.5), ("export_csv", 1.2),
+                                             ("export_table", 1.0), ("export_m", 1.3)])
 def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
     # dense 513 x 513 operators and their products peaked at 46.7 and 31.9 MiB.
     # The F export at j = 256 held the (513, 257) basis three times (as
@@ -438,7 +480,10 @@ def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
     # JSON, and 12.2 MiB in CSV, which also held the whole text; with the
     # basis kept as written, rendered from its rows and streamed, both peak
     # under 3 MiB.  The table, joined into one string, peaked at 7.45 MiB;
-    # written line by line, at 2.2.
+    # written line by line, at 2.2.  Rendered from the keys 32 vectors at a
+    # time, with no (513, 257) array, they peak at 1.07 (JSON), 0.86 (CSV)
+    # and 0.69 MiB (table), and the M export at 0.91 MiB (5.5 with its
+    # (513, 513) basis)
     run_op = {
         "decompose": lambda: decompose(HarmonicSpace(256)),
         "export": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "json",
@@ -447,6 +492,8 @@ def test_large_degree_checks_build_no_dense_operator(name, limit_mib, tmp_path):
                                     "--output", str(tmp_path / "f.csv")]),
         "export_table": lambda: main(["basis", "--family", "F", "--j", "256", "--format", "table",
                                       "--output", str(tmp_path / "f.txt")]),
+        "export_m": lambda: main(["basis", "--family", "M", "--j", "256", "--format", "json",
+                                  "--output", str(tmp_path / "m.json")]),
     }[name]
     assert _traced_peak_mib(run_op) <= limit_mib
 
@@ -474,7 +521,8 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # O(j) coefficients and peaks under 1 MiB.  overlaps_via_integral held
     # two dense (2N+1, N+1, 4N+2) stacks over the mesh, 7.4 MiB at N = 30
     # and 252 MiB at N = 100; streamed over blocks of theta-rings it peaks
-    # at 2.8 and 8.5 MiB.  spectrum wrote Q as a complex (513, 513) matrix,
+    # at 2.8 and 8.5 MiB (2.2 and 5.4 in blocks of 1,536 mesh points, not
+    # 2,048).  spectrum wrote Q as a complex (513, 513) matrix,
     # 4.2 MiB, then as a float64 one in the real basis, 2.1 MiB (30.8 MiB at
     # j = 1000); in exact blocks of size 1 or 2 it holds O(j) entries, about
     # 0.35 MiB at j = 256 and 1.3 MiB at j = 1000.  J3 at j = 1000, solved
@@ -610,9 +658,17 @@ _GOLDEN_SHA256 = {
     # 2.228414218624294e-15 -> 1.7850802924769544e-15.  Taken again when the
     # eigh oracle of eigenbases.closed_form_eigen kept eigh's phases, whose
     # overlap moduli differ in the last bits: 4.440892098500626e-16 ->
-    # 6.661338147750939e-16.  Every other row is unchanged
+    # 6.661338147750939e-16.  Taken again when that oracle became one real
+    # eigh of Q + K3/4 per degree and the overlaps suite read W and Z from the
+    # Krawtchouk route (F^H U F and U F) in place of the integral W:
+    # eigenbases.closed_form_eigen 6.661338147750939e-16 ->
+    # 3.330863863676398e-16, overlaps.unitarity 1.7850802924769544e-15 ->
+    # 6.661338147750939e-16, overlaps.duality 7.791361360319882e-16 ->
+    # 5.551126926257722e-16, and the details of duality ("Krawtchouk vs
+    # recurrence") and z_block_spectrum (", Z = U F").  Every other row is
+    # unchanged
     ("verify", "--jmax", "3"):
-        "ef84d2526dd20790f6d8398001bbbdae92f0a3607844428a72ae2e93d2f42f49",
+        "4d542ccec9a411c10da61f35b7e05415754e24828101f6645da0ac0fb927c752",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):
@@ -720,11 +776,17 @@ _TEXT_SHA256 = {
     # 1.5997199525064226e-16, operators.quadrature_matrix_elements
     # 3.4639032395189048e-14 -> 3.6415317493416468e-14, overlaps.unitarity
     # 8.8885578776101453e-16 -> 9.9920072216264089e-16, overlaps.duality
-    # 5.5511151231257827e-16 -> 6.6844277772883343e-16
+    # 5.5511151231257827e-16 -> 6.6844277772883343e-16; and again when the
+    # eigh oracle became one real eigh of Q + K3/4 per degree and the overlaps
+    # suite read W and Z from the Krawtchouk route (F^H U F and U F):
+    # eigenbases.closed_form_eigen 4.4408920985006262e-16 ->
+    # 3.3306690738754696e-16, overlaps.unitarity 9.9920072216264089e-16 ->
+    # 6.6613381477509392e-16, overlaps.duality 6.6844277772883343e-16 ->
+    # 5.5511269262577221e-16, and the details of duality and z_block_spectrum
     ("verify", "--jmax", "2", "csv"):
-        "23f88ce233618b7a11d8001579e8cc49cddf66bd700677480ec40250c5b631c4",
+        "bf4deae3f1ebf637cd3809d807f80358eb71f5d57624174e337380c5d75ba147",
     ("verify", "--jmax", "2", "table"):
-        "34800d7f5d604937bf81da54fc396db3f62675629e851b63775b55d4c0b599a9",
+        "6afcc5c31aa9d4b2677aeb201509bd4ecd27513ea4f9687ae609ebb368533512",
 }
 
 

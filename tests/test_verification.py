@@ -104,6 +104,15 @@ def test_joint_oracle_labels():
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
 
 
+def test_the_joint_oracle_refuses_a_pair_that_is_not_real_in_the_k3_adapted_basis():
+    # J3 is Hermitian but conjugation-odd: Q + J3 / 100 has an imaginary
+    # part in the basis of operators._k3_basis, and the real eigh cannot take it
+    space = HarmonicSpace(2)
+    q, k3 = susy.supercharge(space), susy.symmetry_generator(3, space)
+    with pytest.raises(verification._Broken, match="not real in the K3-adapted basis at j=2"):
+        verification._joint_oracle(q + 0.01 * operators.j3(space), k3)
+
+
 def test_a_nan_residual_fails_its_check(monkeypatch):
     # Python's max(0.0, nan) is 0.0: a NaN residual folded that way is
     # dropped, and the check passes on the residuals that are left.  The
@@ -298,17 +307,33 @@ def test_one_run_builds_each_dense_object_once_per_size(monkeypatch):
         monkeypatch.setattr(module, "build_grid", grid)
     monkeypatch.setattr(ak, "overlaps_via_recurrence",
                         counted("overlaps_via_recurrence", ak.overlaps_via_recurrence, lambda n: n))
+    monkeypatch.setattr(verification, "_rotation", counted("_rotation", verification._rotation, lambda n: n))
     monkeypatch.setattr(eigenbases, "m_basis", counted("m_basis", eigenbases.m_basis, lambda s: s.j))
     monkeypatch.setattr(eigenbases, "_fg_build", counted(
         "_fg_build", eigenbases._fg_build, lambda space, which, q, k3: (which, str(space))))
+    # the eigh calls of each check, by the check that runs
+    eighs, current = collections.Counter(), [None]
+    right_run, right_eigh = verification._run_check, np.linalg.eigh
+
+    def run_check(check, j_max, run):
+        current[0] = check.name
+        return right_run(check, j_max, run)
+
+    monkeypatch.setattr(verification, "_run_check", run_check)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.update([current[0]]) or right_eigh(a))
     eigenbases._fg_operator.cache_clear()  # so that this run verifies F and G itself
     assert run_verification(30).all_passed
     assert max(counts.values()) == 1, [key for key, n in counts.items() if n > 1]
-    # the sizes each builder serves: the overlaps N <= 10, the M-bases and the
-    # stacked F and G j <= 20, and the grids of the harmonics and overlaps
+    # the sizes each builder serves: the overlaps N <= 10 (U read by three
+    # checks), the M-bases and the stacked F and G j <= 20, and the grids of
+    # the harmonics, j = 8 and 20 (the overlaps suite, on the Krawtchouk
+    # route, builds none)
     assert {n for name, n in counts if name == "overlaps_via_recurrence"} == set(range(1, 11))
+    assert {n for name, n in counts if name == "_rotation"} == set(range(1, 11))
     assert {n for name, n in counts if name == "m_basis"} == set(range(21))
-    assert {n for name, n in counts if name == "build_grid"} == set(range(1, 11)) | {20}
+    assert {n for name, n in counts if name == "build_grid"} == {8, 20}
+    # the oracle of closed_form_eigen makes one eigh per degree j = 0..20
+    assert eighs["eigenbases.closed_form_eigen"] == 21
     assert {n for name, n in counts if name == "_fg_build"} == (
         {("F", str(HarmonicSpace(n))) for n in range(1, 11)}
         | {(which, str(operators.DegreeStack(20))) for which in "FG"})
@@ -390,3 +415,69 @@ def test_a_run_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert (peak - before) / 2**20 <= 3.6
     assert (after - before) / 2**20 <= 0.1
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_krawtchouk_integers_are_their_alternating_sums(N):
+    # k_n(x) = sum_i (-1)^i C(x, i) C(2N - x, n - i), term by term
+    expect = [[sum((-1) ** i * math.comb(x, i) * math.comb(2 * N - x, n - i) for i in range(n + 1))
+               for x in range(2 * N + 1)] for n in range(2 * N + 1)]
+    assert verification._krawtchouk(N) == expect
+
+
+def test_an_inexact_division_of_the_krawtchouk_recurrence_raises():
+    assert verification._exact(-12, 3) == -4
+    with pytest.raises(ArithmeticError, match="7 / 2 is not an integer"):
+        verification._exact(7, 2)
+
+
+def test_the_krawtchouk_d_is_the_rotation_by_half_pi_about_the_second_axis():
+    # d^j(pi/2) = exp(-i (pi/2) J2), with the phases i^-+m of _rotation taken
+    # off again; from the eigh of J2's matrix, 4.3e-15 off at j = 20
+    for j in range(21):
+        vals, vecs = np.linalg.eigh(operators.j2(HarmonicSpace(j)).matrix)
+        expect = (vecs * np.exp(-0.5j * np.pi * vals)) @ vecs.conj().T
+        m = np.arange(-j, j + 1)
+        phase = np.array([1, 1j, -1, -1j])[(m if j % 2 == 0 else -m) % 4]
+        np.testing.assert_allclose(verification._rotation(j) / phase, expect, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("N", [*range(1, 61), 100, 200])
+def test_the_krawtchouk_w_is_the_recurrence_w_signs_included(N):
+    # F^H U F from integers against the Jacobi eigenvectors times s_k:
+    # 6.1e-16 at N = 10, 2.0e-15 at 30, 3.6e-15 at 100 and 6.4e-15 at 200
+    f = eigenbases.f_basis(HarmonicSpace(N)).coeffs
+    w = f.conj().T @ (verification._rotation(N) @ f)
+    np.testing.assert_allclose(w, ak.overlaps_via_recurrence(N).W, rtol=0, atol=1e-14)
+
+
+def test_a_flipped_phase_rule_fails_the_overlaps_suite(monkeypatch):
+    # diag(i^m) for odd N and diag(i^-m) for even N, the other rule: F^H U F is
+    # then far from unitary, and OverlapMatrix refuses it (0.889 at N = 1)
+    right = verification._rotation
+    monkeypatch.setattr(verification, "_rotation", lambda n: right(n) * (-1.0) ** np.arange(-n, n + 1))
+    checks = {c.name: c for c in run_verification(10, suite_filter="overlaps").checks}
+    assert not checks["overlaps.unitarity"].passed
+    assert "fails unitarity: residual 8.889e-01" in checks["overlaps.unitarity"].detail
+    # Z = F W of the recurrence is then 1.414 off U F at N = 1
+    assert not checks["overlaps.z_block_spectrum"].passed
+    assert checks["overlaps.z_block_spectrum"].residual == pytest.approx(math.sqrt(2.0))
+
+
+def test_a_flipped_sign_s_k_fails_the_overlaps_suite(monkeypatch):
+    # s_0 with the other sign: W stays unitary and Z keeps its eigen-checks, but
+    # column 0 is 2 |W[n, 0]| off the Krawtchouk W, sqrt(3) at N = 1, and K2
+    # in the Z basis leaves its closed form
+    right = ak.overlaps_via_recurrence
+
+    def flipped(n):
+        return ak.OverlapMatrix(N=n, W=right(n).W * np.where(np.arange(n + 1) == 0, -1.0, 1.0),
+                                method="recurrence")
+
+    monkeypatch.setattr(ak, "overlaps_via_recurrence", flipped)
+    checks = {c.name: c for c in run_verification(10, suite_filter="overlaps").checks}
+    assert checks["overlaps.unitarity"].passed
+    assert not checks["overlaps.duality"].passed
+    assert checks["overlaps.duality"].residual == pytest.approx(math.sqrt(3.0))
+    assert not checks["overlaps.z_block_spectrum"].passed
+    assert "deviate from the closed form by 1.732e+00" in checks["overlaps.z_block_spectrum"].detail
