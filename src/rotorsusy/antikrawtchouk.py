@@ -23,10 +23,12 @@ c(a) = C(2a, a) / 4^a, M = N // 2 and (x)_i the rising factorial,
                w_{2i+1} = w_1 (-M)_i (M+5/2)_i / ((M+2)_i (1/2-M)_i),
                w_1 = c(M+1)^2 (N+2) / N.
 
-The exact rational weights in verification.py are its oracle.  One
-eigendecomposition of the Jacobi matrix of (b_n, sqrt(c_n)) gives the
-overlaps: its eigenvectors, ordered by the grid and signed, are the
-orthonormal polynomials on the grid scaled by sqrt(w_k).
+The exact rational weights in verification.py are its oracle.  The
+Jacobi matrix of (b_n, sqrt(c_n)) has the grid as its spectrum, known in
+advance, so each eigenvector comes from one twisted factorization at its
+node, with no eigensolver (_jacobi).  Signed, the eigenvectors are the
+orthonormal polynomials on the grid scaled by sqrt(w_k), and they give the
+overlaps.
 
 Z_N^k is the image of F_N^k under the cyclic coordinate permutation
 (x1,x2,x3) -> (x2,x3,(-1)^{N+1} x1).  The overlap matrix
@@ -90,6 +92,7 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-9
+_PIVMIN = np.sqrt(np.finfo(float).tiny)  # the smallest pivot _jacobi divides by
 _BLOCK_POINTS = 1536  # mesh points per block of theta-rings in overlaps_via_integral
 
 
@@ -259,24 +262,60 @@ def eval_monic(table: RecurrenceTable, n: int, x):
 
 
 def _jacobi(N: int) -> np.ndarray:
-    """Orthonormal eigenvectors of the Jacobi matrix of (b_n, sqrt(c_n)).
+    """Orthonormal eigenvectors of the Jacobi matrix T of (b_n, sqrt(c_n)).
 
-    Column k belongs to the grid node x_k (the eigenvalues must match the
-    grid to 1e-8, else VerificationError) and is signed so that its first
-    component is positive.  V[n, k] = sqrt(w_k) p-hat_n(x_k), with p-hat_n
-    the orthonormal polynomials, so V[0]**2 are the weights (Golub-Welsch).
+    T's spectrum is the grid, known exactly, so column k comes from one
+    twisted factorization of T - x_k (Fernando 1997, SIAM J. Matrix Anal.
+    Appl. 18:1013; Dhillon and Parlett 2004, Linear Algebra Appl. 387:1),
+    every column at once and with no eigensolver:
+
+        d+_i = (b_i - x_k) - c_{i-1} / d+_{i-1},   d-_i = (b_i - x_k) - c_i / d-_{i+1},
+
+    a pivot under sqrt(tiny) in size taken as -sqrt(tiny) (Parlett's pivmin;
+    exact zeros occur, P_1(x_2) = 0 at N = 4); the twist r = argmin_i
+    |d+_i + d-_i - (b_i - x_k)|; and from z_r = 1, z_i = -sqrt(c_i) / d+_i z_{i+1}
+    above r and z_{i+1} = -sqrt(c_i) / d-_{i+1} z_i below it.  Each column is
+    normalized and signed so that its first component is positive, and
+    max |T z - x_k z| must stay under 1e-8, else VerificationError.
+    V[n, k] = sqrt(w_k) p-hat_n(x_k), with p-hat_n the orthonormal
+    polynomials, so V[0]**2 are the weights (Golub-Welsch).  O(N^2) work in
+    three (N+1)-square arrays.
     """
-    table = recurrence_coeffs(N)
-    x = grid(N).x
-    off = np.sqrt(table.monic_c)
-    vals, vecs = np.linalg.eigh(np.diag(table.monic_b) + np.diag(off, 1) + np.diag(off, -1))
-    order = np.argsort(x)
-    miss = float(np.max(np.abs(vals - x[order])))
+    table, x = recurrence_coeffs(N), grid(N).x
+    b, c, e = table.monic_b, table.monic_c, np.sqrt(table.monic_c)[:, None]
+    # T - x_k read from the top and from the bottom, overwritten row by row
+    # with the pivots of both runs at once
+    piv = np.empty((2, N + 1, N + 1))
+    np.subtract.outer(b, x, out=piv[0])
+    piv[1] = piv[0, ::-1]
+    both = np.stack([c, c[::-1]])[:, :, None]
+    for i in range(N):
+        np.copyto(piv[:, i], -_PIVMIN, where=np.abs(piv[:, i]) < _PIVMIN)
+        piv[:, i + 1] -= both[:, i] / piv[:, i]
+    fwd, bwd = piv[0], piv[1, ::-1]
+    gamma = np.subtract.outer(b, x)
+    np.subtract(fwd, gamma, out=gamma)
+    gamma += bwd
+    np.abs(gamma, out=gamma)
+    twist = np.argmax(gamma == gamma.min(axis=0), axis=0)  # argmin, with no transposed copy
+    # the ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it,
+    # 1 elsewhere, so that two running products give z
+    rows = np.arange(N + 1)[:, None]
+    np.divide(-e, fwd[:-1], out=fwd[:-1])
+    fwd[rows >= twist] = 1.0
+    np.divide(-e, bwd[1:], out=bwd[1:])
+    bwd[rows <= twist] = 1.0
+    np.cumprod(fwd[::-1], axis=0, out=fwd[::-1])
+    z = np.multiply(fwd, np.cumprod(bwd, axis=0, out=bwd), out=gamma)
+    norm = np.sqrt(np.einsum("ik,ik->k", z, z))
+    z /= np.where(z[0] < 0, -norm, norm)
+    res = np.multiply(np.subtract.outer(b, x, out=piv[0]), z, out=piv[0])
+    res[:-1] += np.multiply(e, z[1:], out=piv[1, 1:])
+    res[1:] += np.multiply(e, z[:-1], out=piv[1, 1:])
+    miss = float(np.max(np.abs(res, out=res)))
     if not miss <= 1e-8:
-        raise VerificationError(f"Jacobi spectrum misses the grid at N={N} by {miss:.3e}")
-    V = np.empty_like(vecs)
-    V[:, order] = vecs
-    return V * np.where(V[0] < 0, -1.0, 1.0)
+        raise VerificationError(f"Jacobi eigenvectors at the grid fail at N={N}: residual {miss:.3e}")
+    return z
 
 
 def weights(N: int) -> WeightTable:
@@ -347,8 +386,8 @@ def z_basis(N: int) -> LabeledBasis:
     Z = F W: the keyed F (the closed form of f_basis, eigen-verified) applied
     to the closed-form overlap matrix W of overlaps_via_recurrence, padded to
     the rows m = -N..N (zero for m < 0), in O(N^2) with no dense F; no
-    harmonics or quadrature enter.  The family is verified orthonormal and
-    to satisfy, at QUAD_TOL,
+    harmonics, quadrature or eigensolver enter.  The family is verified
+    orthonormal and to satisfy, at QUAD_TOL,
 
         K1 Z_N^k = (-1)^k (k + 1/2) Z_N^k,
         Q  Z_N^k = -(N + 1/2) Z_N^k,
@@ -419,19 +458,21 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
 
 
 def overlaps_via_recurrence(N: int) -> OverlapMatrix:
-    """Overlap matrix in closed form, from one Jacobi eigendecomposition.
+    """Overlap matrix in closed form, from the Jacobi eigenvectors at the grid.
 
     W[n, k] = s_k sqrt(w_k) p-hat_n(x_k): column k is the Jacobi
-    eigenvector of x_k (_jacobi) times the sign s_k = (-1)^(N/2) for even
-    N and s_k = (-1)^((N+1)/2 + k) for odd N.  Supported range: every
-    N >= 1, with no bound in principle; tested unitary to N = 400, equal
-    to F^H U F (the Krawtchouk route of the module docstring), signs
-    included, for N = 1..60, 100 and 200, and against overlaps_via_integral
+    eigenvector of x_k, one twisted factorization at the known node
+    (_jacobi, no eigensolver), times the sign s_k = (-1)^(N/2) for even N
+    and s_k = (-1)^((N+1)/2 + k) for odd N.  O(N^2) work before the O(N^3)
+    unitarity check of OverlapMatrix.  Supported range: every N >= 1, with
+    no bound in principle; tested unitary to N = 1000, equal to F^H U F
+    (the Krawtchouk route of the module docstring), signs included, within
+    1e-15 for N = 1..60, 100 and 200, and against overlaps_via_integral
     for N = 1..12, 39 and 40.
     """
     V = _jacobi(N)
-    s = (-1.0) ** (N // 2) if N % 2 == 0 else (-1.0) ** ((N + 1) // 2 + np.arange(N + 1))
-    return OverlapMatrix(N=int(N), W=V * s, method="recurrence")
+    V *= (-1.0) ** (N // 2) if N % 2 == 0 else (-1.0) ** ((N + 1) // 2 + np.arange(N + 1))
+    return OverlapMatrix(N=int(N), W=V, method="recurrence")
 
 
 def bannai_ito_params(N: int) -> dict:

@@ -32,7 +32,7 @@ from rotorsusy import (
 from rotorsusy import antikrawtchouk as ak
 from rotorsusy.antikrawtchouk import QUAD_TOL, grid
 from rotorsusy.harmonics import build_grid, harmonic_values
-from rotorsusy.verification import _exact_weights
+from rotorsusy.verification import _exact_weights, _rotation
 
 
 def test_recurrence_table_small_cases():
@@ -190,9 +190,10 @@ def test_weights_match_exact_oracle_at_large_size(N):
 
 @pytest.mark.parametrize("N", [400, 2000])
 def test_weights_are_the_squared_first_row_of_w(N):
-    # the Jacobi route's own error: 2e-13 at N = 400 and 5e-13 at 2000
+    # the twisted factorizations of _jacobi: 1.1e-14 at N = 400 and 1.9e-14
+    # at 2000 (a dense eigh of the Jacobi matrix read 2.0e-13 and 5.3e-13)
     amp = np.abs(overlaps_via_recurrence(N).W[0]) ** 2
-    assert_allclose(amp, weights(N).derived, rtol=1e-12, atol=0)
+    assert_allclose(amp, weights(N).derived, rtol=1e-13, atol=0)
 
 
 def _exact_log2_norms(N):
@@ -338,11 +339,39 @@ def test_recurrence_overlaps_match_integral_at_size_40():
     assert wr.unitarity_residual < 1e-9
 
 
-@pytest.mark.parametrize("N", [100, 400])
+@pytest.mark.parametrize("N", [100, 400, 1000])
 def test_recurrence_overlaps_are_finite_and_unitary_past_the_quadrature(N):
     wr = overlaps_via_recurrence(N)
     assert np.all(np.isfinite(wr.W))
     assert wr.unitarity_residual <= QUAD_TOL
+
+
+@pytest.mark.parametrize("N", [4, 8, 12, 33])
+def test_exact_zero_pivots_give_the_krawtchouk_w(N):
+    # P_n(x_k) = 0 exactly for some 1 <= n <= N, so a pivot of _jacobi's
+    # forward run is 0 (P_1(x_2) = 0 at N = 4); taken as -sqrt(tiny), it
+    # divides with no warning, and W[n, k] comes out about 1e-155 where the
+    # zero pivot sets it, 2.5e-17 at most elsewhere
+    zeros = np.argwhere(monic_table(recurrence_coeffs(N), N, grid(N).x)[1:] == 0.0) + [1, 0]
+    assert len(zeros) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = overlaps_via_recurrence(N).W
+    assert np.max(np.abs(w[tuple(zeros.T)])) <= 1e-16
+    f = f_basis(HarmonicSpace(N)).coeffs
+    assert_allclose(w, f.conj().T @ (_rotation(N) @ f), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N, node", [(5, 3), (40, 0), (40, 40)])
+def test_a_grid_node_off_the_spectrum_fails_the_jacobi_gate(monkeypatch, N, node):
+    # x_k moved by 1e-6 is no eigenvalue of the Jacobi matrix: the twisted
+    # factorization at it leaves a residual |T z - x_k z| near 1e-6
+    right = grid(N)
+    x = right.x.copy()
+    x[node] += 1e-6
+    monkeypatch.setattr(ak, "grid", lambda n: ak.SpectralGrid(N=n, x=x, y=2.0 * x + 0.5))
+    with pytest.raises(VerificationError, match=rf"^Jacobi eigenvectors at the grid fail at N={N}: residual"):
+        overlaps_via_recurrence(N)
 
 
 def test_the_unitarity_residual_is_computed_not_passed():

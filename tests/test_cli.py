@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rotorsusy import (HarmonicSpace, decompose, f_basis, j3, m_basis, overlaps_via_integral, spectrum,
-                       supercharge)
+from rotorsusy import (HarmonicSpace, decompose, f_basis, j3, m_basis, overlaps_via_integral,
+                       overlaps_via_recurrence, spectrum, supercharge)
 from rotorsusy import cli, verification
 from rotorsusy.cli import _emit, _grid, _json_chunks, _pairs, build_parser, main
 from rotorsusy.errors import ContractViolation
@@ -512,6 +512,7 @@ def _traced_peak_mib(run_op):
                                              ("spectrum_j3_1000", 1.0),
                                              ("overlaps_via_integral", 4.5),
                                              ("overlaps_via_integral_100", 64.0),
+                                             ("overlaps_via_recurrence_400", 9.0),
                                              ("legendre_table", 5.2)])
 def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # gathered (2j+1, n) copies per term and a (4, n, n) bra stack peaked
@@ -534,6 +535,11 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
     # basis (2.0 MiB at j = 256) is held once: 2.1 MiB, and m_basis 4.2
     # (8.2 with the copy).  _legendre_table peaked at six times its result,
     # 7.0 MiB at j = 75 on 2,000 points; in place, 5.0 MiB.
+    # overlaps_via_recurrence at N = 400 peaked at 9.8 MiB with a dense eigh
+    # of the Jacobi matrix and W = V * s as a second float copy; with the
+    # twisted factorizations worked in three (401, 401) arrays and the signs
+    # applied in place, at 8.6 MiB, set by OverlapMatrix's complex unitarity
+    # check.
     run_op = {"decompose": lambda: decompose(HarmonicSpace(256)),
               "f_basis": lambda: f_basis(HarmonicSpace(256)),
               "m_basis": lambda: m_basis(HarmonicSpace(256)),
@@ -542,8 +548,22 @@ def test_large_degree_ops_stay_within_their_memory_budget(name, limit_mib):
               "spectrum_1000": lambda: spectrum(supercharge(HarmonicSpace(1000))),
               "spectrum_j3_1000": lambda: spectrum(j3(HarmonicSpace(1000))),
               "overlaps_via_integral": lambda: overlaps_via_integral(30),
-              "overlaps_via_integral_100": lambda: overlaps_via_integral(100)}[name]
+              "overlaps_via_integral_100": lambda: overlaps_via_integral(100),
+              "overlaps_via_recurrence_400": lambda: overlaps_via_recurrence(400)}[name]
     assert _traced_peak_mib(run_op) <= limit_mib
+
+
+def test_the_z_basis_and_the_recurrence_overlaps_call_no_eigensolver(monkeypatch, tmp_path):
+    # W comes from one twisted factorization per column at the known grid,
+    # so neither command reaches LAPACK's eigensolvers
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for argv in (["basis", "--family", "Z", "--j", "30"],
+                 ["overlaps", "--N", "30", "--method", "recurrence"]):
+        assert main(argv + ["--format", "json", "--output", str(tmp_path / "out.json")]) == 0
 
 
 def _fresh_python(code):
@@ -624,8 +644,11 @@ _GOLDEN_SHA256 = {
         "d3185dd8614d12a1373846c9ec74ecd79f280c6d3273766a874a5afde9c9790a",
     ("basis", "--family", "G", "--j", "64"):
         "3eb11e709ce520ac4f8d30e8f371fe5b33451398a8cd30a0f290e9c19ad10193",
+    # taken again when W came from twisted factorizations at the grid in
+    # place of a dense eigh: max |Z - U F| against the Krawtchouk route
+    # 1.751e-15 -> 1.735e-16 (W: 2.526e-15 -> 3.053e-16)
     ("basis", "--family", "Z", "--j", "64"):
-        "b87f3b80c092169a16bc15adcfb6ecb902bd19efe249d0f2817cc8c195c1665d",
+        "06d791c389605853007a42567e3c5a57857132844987efa2b7cba2bb3ab89cc1",
     # taken again when spectrum solved Q as a real symmetric matrix in the
     # real basis: -64.50000000000017 -> -64.50000000000011 and
     # 64.49999999999989 -> 64.49999999999986; and again when it solved Q in
@@ -665,10 +688,14 @@ _GOLDEN_SHA256 = {
     # 3.330863863676398e-16, overlaps.unitarity 1.7850802924769544e-15 ->
     # 6.661338147750939e-16, overlaps.duality 7.791361360319882e-16 ->
     # 5.551126926257722e-16, and the details of duality ("Krawtchouk vs
-    # recurrence") and z_block_spectrum (", Z = U F").  Every other row is
-    # unchanged
+    # recurrence") and z_block_spectrum (", Z = U F").  Taken again when W
+    # came from twisted factorizations at the grid in place of a dense eigh:
+    # overlaps.unitarity 6.661338147750939e-16 -> 5.551115123125783e-16,
+    # overlaps.duality 5.551126926257722e-16 -> 2.2353722877799173e-16,
+    # overlaps.z_block_spectrum 1.3322676295501878e-15 ->
+    # 4.440892098500626e-16.  Every other row is unchanged
     ("verify", "--jmax", "3"):
-        "4d542ccec9a411c10da61f35b7e05415754e24828101f6645da0ac0fb927c752",
+        "f90052e39878f38697cc28699050caa5301bcbc06c9db5ba89f731768c59c5dc",
     # taken before the weights became the closed form, which leaves them as
     # they were
     ("poly", "--what", "coeffs", "--N", "120"):
@@ -677,8 +704,11 @@ _GOLDEN_SHA256 = {
         "6a112f2653c4d255706ce9b1f32d0f2f7a7db681c37bb53248f45c1458033cae",
     ("poly", "--what", "params", "--N", "7"):
         "b31527ba9d49fa0d75f357e8e6ea0062982cdfb29d42173c84c0f24bcd2fafd0",
+    # taken again when W came from twisted factorizations at the grid in
+    # place of a dense eigh: max |W - F^H U F| 1.998e-15 -> 2.221e-16, and
+    # the unitarity residual 1.332e-15 -> 5.551e-16
     ("overlaps", "--N", "30", "--method", "recurrence"):
-        "7b6ca71acfb72e537548ab51dfaec57eca6411a9bb14661a380b3d15dcdef92d",
+        "de76b95471f74a1f7031e1a66c765edcd7062bfa60317445e1783a9441aea171",
     # the closed-form weights and the log2 norms
     ("poly", "--what", "weights", "--N", "30"):
         "34ffbd8126ee442dd53fe4ba8816eabd186b8d8a143a48ceaddf9011e73d9694",
@@ -723,8 +753,11 @@ _TEXT_SHA256 = {
         "12fe6810ea4d4498f85e74b3ab1373b5342fdbc4001059e9b9f678ae68fa38fe",
     ("basis", "--family", "M", "--j", "3", "table"):
         "3d56f1a00e9969ce8ea5a9ef7a37b2c3d7760c645b587430573723844407ba11",
+    # taken again when W came from twisted factorizations at the grid in
+    # place of a dense eigh: max |Z - U F| 2.355e-16 -> 1.144e-16 (the
+    # table, at four digits, is unchanged)
     ("basis", "--family", "Z", "--j", "3", "csv"):
-        "1ee6d18df430669a1aa3f554515b0b0fc45b722c87ecead7b2b8a891d256d705",
+        "9b82dc3ff1fdc38fd70e6ed2e42593446dc1ba1a5bac369b70638bda76de9b32",
     ("basis", "--family", "Z", "--j", "3", "table"):
         "7ece7fdbabe610f8c9cc106d8fb2b8b30e85483984605fd41d782a56be1794bf",
     ("basis", "--family", "G", "--j", "0", "csv"):
@@ -752,19 +785,26 @@ _TEXT_SHA256 = {
     # moves by at most 3.3e-16 at N = 3 and 6.7e-16 at N = 2 (and the signs
     # of zero imaginary parts in the table), its unitarity residual
     # 1.221e-15 -> 1.332e-15 at N = 3 and 4.441e-16 -> 9.992e-16 at N = 2;
-    # the recurrence rows are unchanged
+    # the recurrence rows are unchanged.  The N = 3 and the two N = 4 digests
+    # taken again when W came from twisted factorizations at the grid in
+    # place of a dense eigh: max |W - F^H U F| 3.331e-16 -> 2.220e-16 at
+    # N = 3 and 5.553e-16 -> 2.238e-16 at N = 4, the recurrence unitarity
+    # residual 3.722e-16 -> 2.220e-16 and 8.882e-16 -> 2.220e-16, the
+    # deviation between the methods at N = 3 7.791e-16 -> 6.684e-16, and
+    # the exact zeros W[1, 2] and W[2, 1] at N = 4 1.4e-16 and 7.7e-17 ->
+    # 5.7e-155 and 8.5e-155
     ("overlaps", "--N", "3", "--method", "both", "csv"):
-        "be4b5e52707d1e04267c374a324b7d16031fdc35f917b032530434010975edcd",
+        "c8d5549a74747d89febfedf868767b3fb2eff518a05afc39e8daccb2d7d5e4a3",
     ("overlaps", "--N", "3", "--method", "both", "table"):
-        "6851c7306b93cbfece8006619e84fb4928f5e7d5500920bf7c3961ed52dd9a16",
+        "be7c5c07bfc0f945da2390d4e56c61a8d1a7651c9d9b26c64f1b60f96655dfe8",
     ("overlaps", "--N", "2", "--method", "integral", "csv"):
         "c021cbff7cb63711683be461ac00f068ed8d59c39a18885ee726150e08e1131a",
     ("overlaps", "--N", "2", "--method", "integral", "table"):
         "9a36e27425d7ab9247a00e892cf3631bdff367da688330794b3eba8e6a3291e0",
     ("overlaps", "--N", "4", "--method", "recurrence", "csv"):
-        "9626ab56fe82ca6394897ff1fd48be43da5604a4330c6bddbb12aa1b9e0f58a6",
+        "3325b362d0558525898b03edaf790694e4ab097cbb797a002f826b1306b2d219",
     ("overlaps", "--N", "4", "--method", "recurrence", "table"):
-        "c43c3865e52473460bf2170e8aa33442dc8dea918419c6b52f5195e2e615ddd9",
+        "ebd0c42ae782863470a863b0e2f0b33a53ac22abacac6ea9fc6d015d896ec600",
     # both taken again when spectrum solved Q in the real basis:
     # susy.q_spectrum 1.3322676295501878e-15 -> 8.8817841970012523e-16; and
     # again when the quadrature oracle took its stencils on the separable
@@ -782,11 +822,15 @@ _TEXT_SHA256 = {
     # eigenbases.closed_form_eigen 4.4408920985006262e-16 ->
     # 3.3306690738754696e-16, overlaps.unitarity 9.9920072216264089e-16 ->
     # 6.6613381477509392e-16, overlaps.duality 6.6844277772883343e-16 ->
-    # 5.5511269262577221e-16, and the details of duality and z_block_spectrum
+    # 5.5511269262577221e-16, and the details of duality and z_block_spectrum;
+    # and again when W came from twisted factorizations at the grid in place
+    # of a dense eigh: overlaps.unitarity 6.6613381477509392e-16 ->
+    # 4.4691980093929117e-16, overlaps.duality 5.5511269262577221e-16 ->
+    # 2.2353722877799173e-16
     ("verify", "--jmax", "2", "csv"):
-        "bf4deae3f1ebf637cd3809d807f80358eb71f5d57624174e337380c5d75ba147",
+        "c4f4ffeed4b52d8bfa5bd0f973d551d9257e32eae096bdb2a9f02ff58b21a32e",
     ("verify", "--jmax", "2", "table"):
-        "6afcc5c31aa9d4b2677aeb201509bd4ecd27513ea4f9687ae609ebb368533512",
+        "f1f55d0aded986a38e1054eb56dac3856a2e148eb7e3a3f26daa10d49e8f8366",
 }
 
 

@@ -24,9 +24,10 @@ def test_package_exports_every_submodule_name_once():
     assert "__version__" in rotorsusy.__all__
 
 
-def test_only_spectrum_jacobi_and_the_oracles_call_an_eigensolver():
-    # the closed forms need none: spectrum solves its exact blocks, _jacobi
-    # gives W, and verification.py holds the oracles
+def test_only_spectrum_and_the_oracles_call_an_eigensolver():
+    # the closed forms need none: spectrum solves its exact blocks, W comes
+    # from twisted factorizations at the known grid, and verification.py
+    # holds the oracles
     found = set()
 
     def visit(node, module, scope):
@@ -39,5 +40,4 @@ def test_only_spectrum_jacobi_and_the_oracles_call_an_eigensolver():
 
     for path in sorted(Path(rotorsusy.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.name, None)
-    assert {site for site in found if site[0] != "verification.py"} == {("operators.py", "spectrum"),
-                                                                         ("antikrawtchouk.py", "_jacobi")}
+    assert {site for site in found if site[0] != "verification.py"} == {("operators.py", "spectrum")}

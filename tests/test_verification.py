@@ -444,11 +444,13 @@ def test_the_krawtchouk_d_is_the_rotation_by_half_pi_about_the_second_axis():
 
 @pytest.mark.parametrize("N", [*range(1, 61), 100, 200])
 def test_the_krawtchouk_w_is_the_recurrence_w_signs_included(N):
-    # F^H U F from integers against the Jacobi eigenvectors times s_k:
-    # 6.1e-16 at N = 10, 2.0e-15 at 30, 3.6e-15 at 100 and 6.4e-15 at 200
+    # F^H U F from integers against the Jacobi eigenvectors times s_k, which
+    # come from one twisted factorization per column: at most 3.4e-16 for
+    # N <= 60, 3.1e-16 at 100 and 3.9e-16 at 200 (a dense eigh read 2.0e-15
+    # at 30, 3.6e-15 at 100 and 6.4e-15 at 200)
     f = eigenbases.f_basis(HarmonicSpace(N)).coeffs
     w = f.conj().T @ (verification._rotation(N) @ f)
-    np.testing.assert_allclose(w, ak.overlaps_via_recurrence(N).W, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, ak.overlaps_via_recurrence(N).W, rtol=0, atol=1e-15)
 
 
 def test_a_flipped_phase_rule_fails_the_overlaps_suite(monkeypatch):
