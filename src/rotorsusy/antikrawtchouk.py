@@ -71,7 +71,7 @@ import numpy as np
 
 from .eigenbases import LabeledBasis, _fg_operator
 from .errors import ContractViolation, VerificationError
-from .harmonics import HarmonicSpace, _legendre_table, _orders, build_grid
+from .harmonics import HarmonicSpace, _legendre_table, _orders, _own, build_grid
 from .operators import _transpose_apply
 from .susy import supercharge, symmetry_generator
 
@@ -108,9 +108,7 @@ class RecurrenceTable:
 
     def __post_init__(self):
         for name in ("A", "C", "monic_b", "monic_c"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _own(self, name, float)
         n = self.N
         if self.A.shape != (n + 1,) or self.C.shape != (n + 1,) or self.monic_b.shape != (n + 1,):
             raise ValueError("A, C and monic_b must have length N+1")
@@ -133,12 +131,7 @@ class SpectralGrid:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x, y = _own(self, "x", float), _own(self, "y", float)
         if x.shape != (self.N + 1,) or y.shape != (self.N + 1,):
             raise ValueError("grid arrays must have length N+1")
 
@@ -160,18 +153,17 @@ class WeightTable:
 
     def __post_init__(self):
         for name in ("x", "derived", "log2_norms"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(_own(self, name, float))):
                 raise VerificationError(f"weight table column {name!r} is not finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class OverlapMatrix:
     """Unitary change of basis W[n, k] = <F_N^n, Z_N^k>.
 
-    Construction validates unitarity at QUAD_TOL and records the residual.
+    W is kept float64 if it is real (the recurrence route's), else complex.
+    Construction validates unitarity at QUAD_TOL, on the real Gram W^T W for
+    a real W, and records the residual.
     """
 
     N: int
@@ -180,11 +172,9 @@ class OverlapMatrix:
     unitarity_residual: float = field(init=False)
 
     def __post_init__(self):
-        w = np.array(self.W, dtype=complex)
+        w = _own(self, "W", float if np.isrealobj(self.W) else complex)
         if w.shape != (self.N + 1, self.N + 1):
             raise ValueError("overlap matrix must be square of size N+1")
-        w.setflags(write=False)
-        object.__setattr__(self, "W", w)
         res = float(np.max(np.abs(w.conj().T @ w - np.eye(self.N + 1))))
         object.__setattr__(self, "unitarity_residual", res)
         if not res <= QUAD_TOL:
@@ -193,12 +183,18 @@ class OverlapMatrix:
             )
 
 
+def _size(N) -> int:
+    """N as an int, every public function's one check of it: N must be a
+    positive integer, else ValueError."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    return int(N)
+
+
 def recurrence_coeffs(N: int) -> RecurrenceTable:
     """Recurrence table for the size-(N+1) family; N must be a positive int.
     Built once per N and kept, as grid is: both are O(N) and read-only."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    return _recurrence_coeffs(int(N))
+    return _recurrence_coeffs(_size(N))
 
 
 @lru_cache(maxsize=128)
@@ -214,9 +210,7 @@ def _recurrence_coeffs(N):
 
 def grid(N: int) -> SpectralGrid:
     """Spectral grid: x_k = (-1)^k (k/2 + 1/4) - 1/4 and y_k = (-1)^k (k + 1/2)."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    return _grid(int(N))
+    return _grid(_size(N))
 
 
 @lru_cache(maxsize=128)
@@ -235,8 +229,8 @@ def monic_table(table: RecurrenceTable, n: int, x) -> np.ndarray:
     Supported range: finite values, on grid(N).x every N <= 177 (P_{N+1}
     overflows from N = 178); one that is not finite raises ContractViolation.
     """
-    if not 0 <= n <= table.N + 1:
-        raise ValueError(f"polynomial index {n} outside 0..{table.N + 1}")
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= table.N + 1):
+        raise ValueError(f"polynomial index {n!r} is not an integer in 0..{table.N + 1}")
     x = np.asarray(x, dtype=float)
     rows = np.empty((n + 1,) + x.shape)
     prev = np.zeros_like(x)
@@ -439,6 +433,7 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
     No stack spans the mesh.  Supported range: every N >= 1, bounded by time,
     not memory: the work is O(N^4) and the memory O(N^2) per block.
     """
+    N = _size(N)
     space, quad = HarmonicSpace(N), build_grid(N)
     f = _fg_operator(space, "F")
     m = np.arange(-N, N + 1)
@@ -454,7 +449,7 @@ def overlaps_via_integral(N: int) -> OverlapMatrix:
             sums = _transpose_apply(f, values, N + 1, 0).reshape(-1, quad.n_phi) @ phi_part
             acc += np.einsum("krm,rm->km", sums.reshape(N + 1, rings.size, -1), theta_part[t] * keep)
             np.conj(values, out=values)
-    return OverlapMatrix(N=int(N), W=_transpose_apply(f, acc.conj().T, N + 1, 0), method="integral")
+    return OverlapMatrix(N=N, W=_transpose_apply(f, acc.conj().T, N + 1, 0), method="integral")
 
 
 def overlaps_via_recurrence(N: int) -> OverlapMatrix:
@@ -463,21 +458,22 @@ def overlaps_via_recurrence(N: int) -> OverlapMatrix:
     W[n, k] = s_k sqrt(w_k) p-hat_n(x_k): column k is the Jacobi
     eigenvector of x_k, one twisted factorization at the known node
     (_jacobi, no eigensolver), times the sign s_k = (-1)^(N/2) for even N
-    and s_k = (-1)^((N+1)/2 + k) for odd N.  O(N^2) work before the O(N^3)
-    unitarity check of OverlapMatrix.  Supported range: every N >= 1, with
-    no bound in principle; tested unitary to N = 1000, equal to F^H U F
+    and s_k = (-1)^((N+1)/2 + k) for odd N.  O(N^2) work before
+    OverlapMatrix's unitarity check, the real Gram W^T W in O(N^3), with no
+    complex copy of W.  Supported range: every N >= 1, with no bound in
+    principle; tested unitary to N = 1000, equal to F^H U F
     (the Krawtchouk route of the module docstring), signs included, within
     1e-15 for N = 1..60, 100 and 200, and against overlaps_via_integral
     for N = 1..12, 39 and 40.
     """
     V = _jacobi(N)
     V *= (-1.0) ** (N // 2) if N % 2 == 0 else (-1.0) ** ((N + 1) // 2 + np.arange(N + 1))
+    V.setflags(write=False)
     return OverlapMatrix(N=int(N), W=V, method="recurrence")
 
 
 def bannai_ito_params(N: int) -> dict:
     """Parameter quadruple (rho1, rho2, r1, r2) of the family at size N+1."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    N = _size(N)
     half = (-1.0) ** N * (N + 1) / 2.0
     return {"rho1": 0.0, "rho2": half, "r1": 0.0, "r2": half}

@@ -15,14 +15,15 @@ is the canonical machine format: every export is wrapped in an envelope
 {schema_version, kind, metadata, payload} with complex numbers as
 [re, im] pairs, and it is strict: a NaN or an infinity raises
 ContractViolation (exit 1), and verify writes a residual that is not finite
-as null.  The payloads hold the library's own complex arrays (the Z basis,
-an overlap matrix), and the JSON writer renders their [re, im] pairs
-itself, one outermost row at a time, so no export copies a whole array.
-The M, F and G bases are rendered from their keys, _BLOCK vectors at a
-time, so no (2j+1, n) array of them is formed.  Exports are deterministic
-byte-for-byte across runs.  The CSV and the table render one sequence of
-raw rows per command; both are written one row at a time, a basis row
-from _pairs of its one vector.
+as null.  json.dumps writes the envelope; the payloads' float and complex
+arrays (the Z basis, an overlap matrix, the poly tables) are written by the
+CLI's row writer, a complex one as [re, im] pairs, one outermost row at a
+time, so no export copies a whole array, and only the envelope, without its
+arrays, is ever one string.  The M, F and G bases are rendered from their
+keys, _BLOCK vectors at a time, so no (2j+1, n) array of them is formed.
+Exports are deterministic byte-for-byte across runs.  The CSV and the table
+render one sequence of raw rows per command; both are written one row at a
+time, a basis row from _pairs of its one vector.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable --output.
 """
@@ -34,7 +35,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,28 +100,6 @@ def _sparse_rows(flat, zero, starts):
         yield "".join(text)
 
 
-def _json_scalar(obj):
-    """obj as json.dumps spells it, with no encoder built for the common
-    scalars: None, bools, str (ASCII-escaped, as json's default), int and
-    finite float.  float.__repr__, not repr, keeps a numpy float bare, as
-    json does; anything else goes to json.dumps.  JSON has no NaN or
-    infinity, so a float that is not finite raises ContractViolation where
-    json.dumps would write the tokens NaN or Infinity."""
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ContractViolation(f"cannot write {obj!r} as JSON, which has no NaN or infinity")
-        return float.__repr__(obj)
-    return json.dumps(obj)
-
-
 class _Rows:
     """An array given as its blocks of outermost rows, in order: shape is
     the whole array's, a complex one's with its [re, im] axis 2 appended,
@@ -164,54 +142,70 @@ def _block_rows(blocks, template):
             yield from (template % tuple(row.ravel().tolist()) for row in source)
 
 
-def _json_chunks(obj, level=0):
-    """obj in the layout json.dumps gives it with an indent of 2, byte for
-    byte, where every ndarray counts as its tolist() and a complex one as
-    the tolist() of its [re, im] pairs (shape + (2,)), as a stream of strings.
-
-    json renders indented output with its pure-Python encoder, one call per
-    value.  A finite float or complex array is instead yielded one outermost
-    row at a time, filled into one template of the row's layout
-    (_row_template) whose %r renders each float with float.__repr__ (json's
-    spelling of finite floats), by _block_rows, so no copy of the whole
-    array is made; a _Rows array is written so, one block at a time.  A 1-d
-    array is one row: the whole array is one template, filled once.  Other
-    arrays, and arrays holding NaN or infinities, go through the generic
-    path as lists, a complex one as its _pairs.  Scalars are spelled by
-    _json_scalar, which refuses NaN and infinities.
-    """
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "fc" and obj.ndim and obj.size and np.isfinite(obj).all():
-            shape, array = obj.shape + (2,) * (obj.dtype.kind == "c"), obj
-            if obj.ndim == 1:
-                flat = obj if len(shape) == 1 else np.ascontiguousarray(obj).view(obj.real.dtype)
-                yield _row_template(shape, level, vector=True) % tuple(flat.tolist())
-                return
-            obj = _Rows(shape, lambda: [array])
-        else:
-            obj = (_pairs(obj) if obj.dtype.kind == "c" else obj).tolist()
+def _array_chunks(obj, level):
+    """The ndarray or _Rows obj as json.dumps lays out its tolist() at indent
+    2 and this level, one outermost row at a time (_block_rows); a 1-d array
+    is one row, its whole template filled once."""
     if isinstance(obj, _Rows):
-        if obj.shape[0]:
-            for i, text in enumerate(_block_rows(obj.blocks(), _row_template(obj.shape, level))):
-                yield ("[" if i == 0 else ",") + inner + text
-            yield "\n" + "  " * level + "]"
-            return
-        obj = []
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = [(encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": ", v)
-                 for k, v in obj.items()]
-    elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        items = [("", v) for v in obj]
+        shape, blocks = obj.shape, obj.blocks()
     else:
-        yield _json_scalar(obj)
+        shape, blocks = obj.shape + (2,) * (obj.dtype.kind == "c"), [obj]
+        if obj.ndim == 1:
+            flat = obj if len(shape) == 1 else np.ascontiguousarray(obj).view(obj.real.dtype)
+            yield _row_template(shape, level, vector=True) % tuple(flat.tolist())
+            return
+    if not shape[0]:
+        yield "[]"
         return
-    for i, (key, v) in enumerate(items):
-        yield (brackets[0] if i == 0 else ",") + inner + key
-        yield from _json_chunks(v, level + 1)
-    yield "\n" + "  " * level + brackets[1] if items else brackets
+    inner = "\n" + "  " * (level + 1)
+    for i, text in enumerate(_block_rows(blocks, _row_template(shape, level))):
+        yield ("[" if i == 0 else ",") + inner + text
+    yield "\n" + "  " * level + "]"
+
+
+def _json_chunks(obj):
+    """obj as json.dumps(obj, indent=2) writes it, byte for byte, where an
+    ndarray counts as its tolist() and a complex one as the tolist() of its
+    _pairs, as a stream of strings.
+
+    json writes the envelope.  Each _Rows array, and each finite float or
+    complex array with an entry, is held aside as the string "\\x00<i>", and
+    _array_chunks writes it in its place, at the indent of that line, so no
+    copy of the whole array is made.  A float that is not finite (JSON has
+    none) raises ContractViolation, as does a payload string that json
+    writes as a placeholder.
+    """
+    held = []
+
+    def hold(o):
+        if isinstance(o, _Rows) or (isinstance(o, np.ndarray) and o.dtype.kind in "fc" and o.ndim
+                                    and o.size and np.isfinite(o).all()):
+            held.append(o)
+            return f"\x00{len(held) - 1}"
+        if isinstance(o, np.ndarray):
+            return (_pairs(o) if o.dtype.kind == "c" else o).tolist()
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False, default=hold)
+    except ValueError as exc:  # "Out of range float values are not JSON compliant: " + repr(value)
+        if not str(exc).startswith("Out of range float"):
+            raise
+        raise ContractViolation(f"cannot write {str(exc).rpartition(': ')[2]} as JSON, "
+                                "which has no NaN or infinity") from None
+    last = 0
+    for i, array in enumerate(held):
+        mark = f'"\\u0000{i}"'
+        at = text.find(mark, last)
+        if at < 0 or text.count(mark) != 1:
+            raise ContractViolation(f"a payload string reads as the JSON placeholder {mark}")
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        if at > last:
+            yield text[last:at]
+        yield from _array_chunks(array, (len(line) - len(line.lstrip(" "))) // 2)
+        last = at + len(mark)
+    if last < len(text):
+        yield text[last:]
 
 
 def _envelope(kind, metadata, payload):
@@ -442,7 +436,7 @@ def _cmd_overlaps(args) -> int:
     def payload():
         out = {"N": n, "method": args.method}
         for name, om in results.items():
-            out[f"W_{name}"] = om.W
+            out[f"W_{name}"] = om.W.astype(complex, copy=False)  # the recurrence W is real
             out[f"unitarity_residual_{name}"] = om.unitarity_residual
         if dev is not None:
             out["max_deviation"] = dev

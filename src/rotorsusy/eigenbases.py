@@ -24,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import VerificationError
-from .harmonics import HarmonicSpace
+from .harmonics import HarmonicSpace, _own
 from .operators import DegreeStack, Operator, _columns, _entries, adjoint
 from .susy import supercharge, symmetry_generator
 
@@ -56,11 +56,8 @@ class LabeledBasis:
     column i holds the coefficients of vector i over Y_j^m, and one label
     dict per column.  Every column must have unit norm (to 1e-10).
 
-    A read-only complex128 ndarray is kept as given, so a builder that
-    freezes the array it has just written hands it over without a copy;
-    any other input (a writeable array, another dtype, nested lists) is
-    copied into a new read-only array, so changing it later leaves the
-    basis as it was.
+    coeffs is owned by harmonics._own's rule: a read-only complex128 ndarray
+    is kept as given, anything else copied into one.
 
     family is one of the closed-form families "M", "F", "G" and "Z" (z_basis).
     """
@@ -73,17 +70,13 @@ class LabeledBasis:
     def __post_init__(self):
         if self.family not in ("M", "F", "G", "Z"):
             raise ValueError(f"unknown basis family {self.family!r}")
-        c = self.coeffs
-        if not (isinstance(c, np.ndarray) and c.dtype == complex and not c.flags.writeable):
-            c = np.array(c, dtype=complex)
-            c.setflags(write=False)
+        c = _own(self, "coeffs", complex)
         if c.shape != (self.space.dim, len(self.labels)):
             raise ValueError(
                 f"expected {self.space.dim} x {len(self.labels)} coefficients, got shape {c.shape}"
             )
         # squared norms from the real and imaginary views: no complex |c|^2 copy
         _unit_norm_gate(np.einsum("ij,ij->j", c.real, c.real) + np.einsum("ij,ij->j", c.imag, c.imag))
-        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self):
@@ -103,16 +96,11 @@ class TridiagonalData:
     N: int
 
     def __post_init__(self):
-        d = np.array(self.diag, dtype=float)
-        e = np.array(self.offdiag, dtype=float)
+        d, e = _own(self, "diag", float), _own(self, "offdiag", float)
         if d.shape != (self.N,) or e.shape != (max(self.N - 1, 0),):
             raise ValueError("inconsistent tridiagonal shapes")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e)) and np.all(e > 0)):
             raise VerificationError("entries must be finite, off-diagonal entries strictly positive")
-        d.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
 
 
 def _m_labels(j: int):

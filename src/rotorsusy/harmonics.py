@@ -40,6 +40,18 @@ __all__ = [
 ]
 
 
+def _own(record, name, dtype):
+    """The array field name of the frozen record, made the record's own: a
+    read-only ndarray of dtype is kept as given (a builder hands over what it
+    has frozen without a copy), anything else is copied into one."""
+    a = getattr(record, name)
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class HarmonicSpace:
     """The (2j+1)-dimensional space of degree-j spherical harmonics."""
@@ -72,15 +84,13 @@ class StateVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = _own(self, "coeffs", complex)
         if c.shape != (self.space.dim,):
             raise ValueError(
                 f"expected {self.space.dim} coefficients for j={self.space.j}, got shape {c.shape}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError(f"coefficients for j={self.space.j} are not all finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,16 +115,11 @@ class QuadratureGrid:
     degree: int
 
     def __post_init__(self):
-        z = np.array(self.theta_nodes, dtype=float)
-        w = np.array(self.theta_weights, dtype=float)
+        z, w = _own(self, "theta_nodes", float), _own(self, "theta_weights", float)
         if z.ndim != 1 or z.shape != w.shape:
             raise ValueError("theta_nodes and theta_weights must be 1-d arrays of equal length")
         if self.n_phi < 2:
             raise ValueError("need at least 2 azimuthal nodes")
-        z.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "theta_nodes", z)
-        object.__setattr__(self, "theta_weights", w)
 
     @cached_property
     def theta(self):

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolation
-from .harmonics import HarmonicSpace
+from .harmonics import HarmonicSpace, _own
 
 __all__ = [
     "DegreeStack",
@@ -310,12 +310,9 @@ class SpectrumReport:
     multiplicities: np.ndarray
 
     def __post_init__(self):
-        ev, mult = np.array(self.eigenvalues), np.array(self.multiplicities, dtype=int)
+        ev, mult = _own(self, "eigenvalues", float), _own(self, "multiplicities", int)
         if ev.shape != mult.shape or ev.ndim != 1:
             raise ValueError("eigenvalues and multiplicities must be 1-d of equal length")
-        for name, arr in (("eigenvalues", ev), ("multiplicities", mult)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:

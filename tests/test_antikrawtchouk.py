@@ -55,6 +55,16 @@ def test_recurrence_rejects_degenerate_size():
         grid(-1)
 
 
+@pytest.mark.parametrize("build", [recurrence_coeffs, grid, weights, z_basis, overlaps_via_integral,
+                                   overlaps_via_recurrence, bannai_ito_params])
+@pytest.mark.parametrize("N", [0, -1, 2.0, "3"])
+def test_every_function_of_n_refuses_a_size_that_is_no_positive_integer(build, N):
+    # one check: overlaps_via_integral(0) returned a 1 x 1 matrix, and
+    # overlaps_via_integral(2.0) raised with HarmonicSpace's message on "degree j"
+    with pytest.raises(ValueError, match=r"^N must be a positive integer, got "):
+        build(N)
+
+
 def test_truncation_structure():
     for N in (1, 2, 5, 9):
         t = recurrence_coeffs(N)
@@ -92,6 +102,8 @@ def test_monic_evaluation_range_check():
         eval_monic(t, 4, 0.0)
     with pytest.raises(ValueError):
         eval_monic(t, -1, 0.0)
+    with pytest.raises(ValueError, match="2.5 is not an integer in 0..3"):
+        eval_monic(t, 2.5, 0.0)
 
 
 def test_monic_values_that_are_not_finite_raise():
